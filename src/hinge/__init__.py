@@ -6,29 +6,10 @@ strictly triangular groups; lpu and canonical_01 produce matrix normal forms;
 the enumeration module cross-checks everything exhaustively on small fields.
 """
 
-from .field import FieldElement, PrimeField, field_inv, is_prime
-from .linalg import (
-    Matrix,
-    ShapeError,
-    SingularMatrixError,
-    hstack,
-    rank,
-    rref,
-    solve_columns,
-    vstack,
-)
-from .subspaces import (
-    Subspace,
-    coordinate_project,
-    coordinate_subspace,
-    equations_of,
-    kernel_basis,
-    preimage,
-    subspace_from_generators,
-    subspace_intersect,
-    subspace_sum,
-)
-from .relations import InvariantViolation, LinearRelation, quotient_rows, rel_act, rel_equal
+from .field import PrimeField, is_prime
+from .linalg import Matrix, ShapeError, SingularMatrixError, solve_columns
+from .subspaces import Subspace, subspace_from_generators
+from .relations import InvariantViolation, LinearRelation, quotient_rows
 from .bihinge import (
     AxiomError,
     AxiomReport,
@@ -36,7 +17,6 @@ from .bihinge import (
     Composition,
     DimensionMatrix,
     MarginError,
-    bihinge_equal,
     check_axioms,
     chi,
     chi_cell,
@@ -61,13 +41,10 @@ from .enumeration import (
     EnumerationBudget,
     all_bihinges_brute,
     contingency_tables,
-    decode_matrix,
     double_cosets_brute,
     encode_matrix,
     enum_gl,
     enum_subspaces,
-    enum_t_minus,
-    enum_t_plus,
     gaussian_binomial,
     gl_order,
     predicted_coset_count,
@@ -101,7 +78,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DimensionMatrix",
     "EnumerationBudget",
-    "FieldElement",
     "HeaderMismatchError",
     "InvariantViolation",
     "LinearRelation",
@@ -115,48 +91,33 @@ __all__ = [
     "SingularMatrixError",
     "Subspace",
     "all_bihinges_brute",
-    "bihinge_equal",
     "canonical_01",
     "check_axioms",
     "chi",
     "chi_cell",
     "contingency_tables",
-    "coordinate_project",
-    "coordinate_subspace",
-    "decode_matrix",
     "dimension_matrix",
     "double_cosets_brute",
     "dumps_json",
     "encode_matrix",
     "enum_gl",
     "enum_subspaces",
-    "enum_t_minus",
-    "enum_t_plus",
-    "equations_of",
     "equivalent",
-    "field_inv",
     "gaussian_binomial",
     "gl_order",
     "hinge_act",
-    "hstack",
     "invariant_report",
     "is_prime",
-    "kernel_basis",
     "load_problem",
     "lpu",
     "normalize",
     "perm_block_counts",
     "predicted_coset_count",
-    "preimage",
     "problem_from_dict",
     "problem_to_dict",
     "quotient_rows",
-    "rank",
     "rank_profile_permutation",
-    "rel_act",
-    "rel_equal",
     "report_to_bihinge",
-    "rref",
     "run_selfcheck",
     "solve_columns",
     "stab_order_formula",
@@ -165,8 +126,5 @@ __all__ = [
     "standard_matrix",
     "subspace_count",
     "subspace_from_generators",
-    "subspace_intersect",
-    "subspace_sum",
     "t_generators",
-    "vstack",
 ]

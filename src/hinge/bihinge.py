@@ -370,10 +370,6 @@ def standard_bihinge(d: DimensionMatrix, field: PrimeField) -> BiHinge:
     return BiHinge(d.alpha, d.beta, grid)
 
 
-def bihinge_equal(a: BiHinge, b: BiHinge) -> bool:
-    return a == b
-
-
 def equivalent(a: Matrix, b: Matrix, alpha, beta) -> bool:
     """Whether a and b lie in the same double coset, decided via their grids."""
     if a.field != b.field or a.shape != b.shape:

@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_equivalent)
 
-    p = sub.add_parser("canonical", help="0-1 canonical representative of a problem")
+    p = sub.add_parser("canonical", help="0-1 matrix of the dimension table of a problem")
     p.add_argument("file", help="JSON problem file")
     _add_format(p)
     p.set_defaults(func=cmd_canonical)

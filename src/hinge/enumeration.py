@@ -1,11 +1,11 @@
 """Brute-force ground truth: exhaustive enumeration and closed-form counting.
 
 Everything here is meant to cross-check the fast invariants on small fields:
-full enumeration of GL(n, q), of the block triangular groups and of subspace
-lattices, double coset partitions by closure, grids filtered by the axioms,
-stabilizer orders by direct count, and the orbit-counting formula.  Budgets
-are hard limits; exceeding one raises BudgetError with the offending
-cardinality, never a silent truncation.
+full enumeration of GL(n, q) and of subspace lattices, generators of the
+block triangular groups, double coset partitions by closure, grids filtered
+by the axioms, stabilizer orders by direct count, and the orbit-counting
+formula.  Budgets are hard limits; exceeding one raises BudgetError with the
+offending cardinality, never a silent truncation.
 """
 
 from __future__ import annotations
@@ -83,24 +83,14 @@ def subspace_count(d: int, q: int) -> int:
 
 def encode_matrix(m: Matrix) -> int:
     """Fixed-width integer key: row-major base-p digits, first entry highest."""
-    p = m.field.p
+    return _digits_key(m.a, m.field.p)
+
+
+def _digits_key(arr: np.ndarray, p: int) -> int:
     key = 0
-    for v in m.a.flat:
+    for v in arr.flat:
         key = key * p + int(v)
     return key
-
-
-def decode_matrix(field: PrimeField, rows: int, cols: int, key: int) -> Matrix:
-    """Inverse of encode_matrix for the given shape."""
-    p = field.p
-    digits = []
-    for _ in range(rows * cols):
-        key, v = divmod(key, p)
-        digits.append(v)
-    if key:
-        raise ValueError(f"key has more than {rows * cols} base-{p} digits")
-    arr = np.array(digits[::-1], dtype=np.int64).reshape(rows, cols)
-    return Matrix._new(field, arr)
 
 
 def enum_gl(n: int, q: int, budget: EnumerationBudget = None):
@@ -148,30 +138,6 @@ def _free_positions(comp: Composition, lower: bool) -> list:
             if (block_of[r] > block_of[c]) if lower else (block_of[r] < block_of[c]):
                 out.append((r, c))
     return out
-
-
-def _enum_unitriangular(comp: Composition, q: int, lower: bool, budget: EnumerationBudget):
-    budget = budget or DEFAULT_BUDGET
-    comp = Composition(comp)
-    free = _free_positions(comp, lower)
-    side = "T_-" if lower else "T_+"
-    budget.check_group(q ** len(free), f"|{side}{comp.parts}| over GF({q})")
-    field = PrimeField(q)
-    for values in product(range(q), repeat=len(free)):
-        arr = np.eye(comp.n, dtype=np.int64)
-        for (r, c), v in zip(free, values):
-            arr[r, c] = v
-        yield Matrix._new(field, arr)
-
-
-def enum_t_plus(alpha, q: int, budget: EnumerationBudget = None):
-    """All block upper unitriangular matrices for the column composition."""
-    yield from _enum_unitriangular(Composition(alpha), q, False, budget)
-
-
-def enum_t_minus(beta, q: int, budget: EnumerationBudget = None):
-    """All block lower unitriangular matrices for the row composition."""
-    yield from _enum_unitriangular(Composition(beta), q, True, budget)
 
 
 def t_generators(comp, q: int, lower: bool) -> list:
@@ -234,10 +200,7 @@ def _partition_labels(arrays: list, left_gens: list, right_gens: list, p: int):
             return int(arr.reshape(-1) @ powers)
     else:
         def key(arr):
-            k = 0
-            for v in arr.flat:
-                k = k * p + int(v)
-            return k
+            return _digits_key(arr, p)
 
     index = {key(arr): i for i, arr in enumerate(arrays)}
     labels = [-1] * len(arrays)

@@ -21,8 +21,8 @@ class PrimeField:
     """The field GF(p) for a prime modulus p with 2 <= p < 2**16.
 
     Instances are immutable value objects: two fields compare equal iff they
-    share a modulus.  Scalar helpers work on plain ints reduced mod p; use
-    element() to get a FieldElement wrapper with operator support.
+    share a modulus.  Elements are plain ints reduced mod p; inv_table() maps
+    each unit to its inverse.
     """
 
     __slots__ = ("p", "_inv")
@@ -35,26 +35,12 @@ class PrimeField:
         self.p = p
         self._inv = None  # lazy inverse table, index a -> a**-1
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
-    __call__ = element
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"0 is not invertible in GF({self.p})")
-        return self.inv_table()[a]
-
     def inv_table(self) -> list:
         """Inverses of 1..p-1, with a placeholder 0 at index 0."""
         if self._inv is None:
             p = self.p
             self._inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
         return self._inv
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -64,83 +50,3 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
-
-
-class FieldElement:
-    """A residue in a PrimeField, always stored reduced to [0, p)."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.p
-        self.field = field
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(f"mixed fields {self.field} and {other.field}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + v, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - v, self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(v - self.value, self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * v, self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * self.field.inv(v), self.field)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return other.field == self.field and other.value == self.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises ZeroDivisionError on zero input."""
-    return a.inv()

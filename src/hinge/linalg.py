@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 
 
 class ShapeError(ValueError):
@@ -20,6 +20,13 @@ class SingularMatrixError(ValueError):
 
 
 def _as_reduced(field: PrimeField, data) -> np.ndarray:
+    raw = np.asarray(data)
+    ints = raw.dtype.kind in "biu" or (
+        raw.dtype.kind == "O" and all(isinstance(v, int) for v in raw.flat)
+    )
+    if raw.size and not ints:
+        raise ValueError(f"matrix entries must be integers, got {raw.dtype} data")
+    # converted from data, not raw: a uint64 raw would wrap past int64 instead of raising
     arr = np.array(data, dtype=np.int64)
     if arr.ndim != 2:
         raise ShapeError(f"matrix data must be 2-dimensional, got ndim={arr.ndim}")
@@ -75,51 +82,17 @@ class Matrix:
         i, j = ij
         return int(self.a[i, j])
 
-    def element(self, i: int, j: int) -> FieldElement:
-        return FieldElement(int(self.a[i, j]), self.field)
-
     def to_rows(self) -> list:
         return [[int(v) for v in row] for row in self.a]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.a[i]
-
-    def transpose(self) -> "Matrix":
-        return Matrix._new(self.field, np.ascontiguousarray(self.a.T))
-
-    def _check_field(self, other: "Matrix"):
-        if self.field != other.field:
-            raise ValueError(f"mixed fields {self.field} and {other.field}")
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_field(other)
+        if self.field != other.field:
+            raise ValueError(f"mixed fields {self.field} and {other.field}")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         return Matrix._new(self.field, (self.a @ other.a) % self.field.p)
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return Matrix._new(self.field, (self.a + other.a) % self.field.p)
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot subtract {other.shape} from {self.shape}")
-        return Matrix._new(self.field, (self.a - other.a) % self.field.p)
-
-    def __neg__(self):
-        return Matrix._new(self.field, (-self.a) % self.field.p)
-
-    def is_zero(self) -> bool:
-        return not self.a.any()
 
     def inverse(self) -> "Matrix":
         """Exact inverse via Gauss-Jordan on the augmented matrix."""
@@ -206,32 +179,6 @@ def _kernel_rows(arr: np.ndarray, p: int, inv: list) -> np.ndarray:
         for r, c in enumerate(piv):
             out[k, c] = -int(work[r, f]) % p
     return out
-
-
-def rref(m: Matrix) -> tuple:
-    return m.rref()
-
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def hstack(*ms: Matrix) -> Matrix:
-    field = ms[0].field
-    n = ms[0].rows
-    for m in ms[1:]:
-        if m.field != field or m.rows != n:
-            raise ShapeError("hstack needs one field and a common row count")
-    return Matrix._new(field, np.concatenate([m.a for m in ms], axis=1))
-
-
-def vstack(*ms: Matrix) -> Matrix:
-    field = ms[0].field
-    n = ms[0].cols
-    for m in ms[1:]:
-        if m.field != field or m.cols != n:
-            raise ShapeError("vstack needs one field and a common column count")
-    return Matrix._new(field, np.concatenate([m.a for m in ms], axis=0))
 
 
 def solve_columns(a: Matrix, b: Matrix) -> Matrix:

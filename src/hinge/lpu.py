@@ -2,10 +2,11 @@
 
 Every invertible matrix over a field factors as l @ perm @ u with l lower
 triangular, u upper triangular and perm a permutation matrix; perm is unique
-and is read off the ranks of top-left submatrices.  Counting the units of
-perm inside each block cut by (alpha, beta) reproduces the dimension table of
-the relation grid, which gives a second, independent route to the canonical
-0-1 representative of a double coset.
+(its units mark where the ranks of top-left submatrices jump) and is read off
+the pivots of one elimination pass.  Counting the units of perm inside each
+block cut by (alpha, beta) reproduces the dimension table of the relation
+grid, which gives a second, independent route to that table and to the 0-1
+matrix it determines.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bihinge import Composition, DimensionMatrix, standard_matrix
-from .linalg import Matrix, ShapeError, SingularMatrixError, _rref
+from .linalg import Matrix, ShapeError, SingularMatrixError
 
 
 @dataclass(frozen=True)
@@ -30,37 +31,15 @@ class LpuDecomposition:
         return self.l * self.perm * self.u
 
 
-def rank_profile_permutation(a: Matrix) -> Matrix:
-    """The permutation factor, from second differences of corner ranks.
+def _forward_pass(a: Matrix) -> tuple:
+    """One elimination pass, returning (m, e, f) with m == e @ a @ f.
 
-    With r(i, j) the rank of the top-left i x j submatrix, position
-    (i-1, j-1) holds a unit iff r(i,j) - r(i-1,j) - r(i,j-1) + r(i-1,j-1) = 1.
-    One RREF per row prefix yields a whole row of corner ranks, because row
-    operations preserve the ranks of all column prefixes.
-    """
-    n = a.rows
-    if a.cols != n:
-        raise ShapeError(f"need a square matrix, got {a.shape}")
-    field = a.field
-    r = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for i in range(1, n + 1):
-        work = a.a[:i, :].copy()
-        piv = _rref(work, field.p, field.inv_table())
-        for j in range(1, n + 1):
-            r[i, j] = sum(1 for c in piv if c < j)
-    if r[n, n] != n:
-        raise SingularMatrixError(f"matrix of rank {int(r[n, n])} < {n} has no permutation factor")
-    perm = r[1:, 1:] - r[:-1, 1:] - r[1:, :-1] + r[:-1, :-1]
-    return Matrix._new(field, np.ascontiguousarray(perm))
-
-
-def lpu(a: Matrix) -> LpuDecomposition:
-    """Factor an invertible matrix as l @ perm @ u.
-
-    perm comes from the rank-profile formula; l and u are witnesses from one
-    forward elimination pass (columns left to right, clearing below each pivot
-    with downward row operations and to its right with rightward column
-    operations).  The product is checked against a before returning.
+    Columns go left to right.  Each pivot is the first nonzero entry of its
+    column; it is scaled to 1, cleared below by downward row operations (so e
+    stays lower triangular) and to its right by rightward column operations
+    (so f stays unit upper triangular).  A pivot's row and
+    column are then zero apart from the pivot, and later steps never touch
+    them again, so m ends as the permutation matrix of the pivots.
     """
     n = a.rows
     if a.cols != n:
@@ -69,7 +48,7 @@ def lpu(a: Matrix) -> LpuDecomposition:
     p = field.p
     inv = field.inv_table()
     m = a.a.copy()
-    e = np.eye(n, dtype=np.int64)  # accumulated row ops: m == e @ a @ f
+    e = np.eye(n, dtype=np.int64)
     f = np.eye(n, dtype=np.int64)
     for c in range(n):
         nz = np.flatnonzero(m[:, c])
@@ -90,11 +69,34 @@ def lpu(a: Matrix) -> LpuDecomposition:
             coef = m[r, right].copy()
             m[:, right] = (m[:, right] - np.outer(m[:, c], coef)) % p
             f[:, right] = (f[:, right] - np.outer(f[:, c], coef)) % p
+    return m, e, f
+
+
+def rank_profile_permutation(a: Matrix) -> Matrix:
+    """The permutation factor of an invertible matrix, read off the pivots.
+
+    Position (i-1, j-1) holds a unit iff the rank of the top-left i x j
+    submatrix jumps in both directions there; the elimination pivots are
+    exactly those positions.
+    """
+    m, _, _ = _forward_pass(a)
+    return Matrix._new(a.field, m)
+
+
+def lpu(a: Matrix) -> LpuDecomposition:
+    """Factor an invertible matrix as l @ perm @ u.
+
+    perm is read off the elimination pivots; l and u are the inverses of the
+    row and column operations of the same pass.  The product is checked
+    against a before returning.
+    """
+    m, e, f = _forward_pass(a)
+    field = a.field
     l = Matrix._new(field, e).inverse()
     u = Matrix._new(field, f).inverse()
-    perm = rank_profile_permutation(a)
+    perm = Matrix._new(field, m)
     if l * perm * u != a:
-        raise RuntimeError("elimination witnesses disagree with the rank-profile permutation")
+        raise RuntimeError("elimination witnesses do not multiply back to the input")
     return LpuDecomposition(l, perm, u)
 
 
@@ -116,10 +118,15 @@ def perm_block_counts(perm: Matrix, alpha, beta) -> DimensionMatrix:
 
 
 def canonical_01(a: Matrix, alpha, beta) -> Matrix:
-    """The canonical 0-1 double coset representative of an invertible matrix.
+    """The 0-1 matrix with the same dimension table as an invertible matrix.
 
     Equal to standard_matrix of the relation grid's dimension table; computed
-    here purely from the permutation factor's block unit counts.
+    here purely from the permutation factor's block unit counts.  It is a
+    canonical representative of the double coset under the full block
+    triangular groups, B-(beta) \\ GL / B+(alpha), which is coarser than the
+    double coset under the block strictly triangular groups: over GF(3) with
+    alpha = beta = (1, 1), diag(2, 1) maps to the identity, yet the two are
+    not equivalent.
     """
     dec = lpu(a)
     d = perm_block_counts(dec.perm, alpha, beta)

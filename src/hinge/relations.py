@@ -168,11 +168,3 @@ class LinearRelation:
             f"LinearRelation({self.dim_x} => {self.dim_y} over GF({self.field.p}), "
             f"dim {self.space.dim})"
         )
-
-
-def rel_equal(a: LinearRelation, b: LinearRelation) -> bool:
-    return a == b
-
-
-def rel_act(g: Matrix, h: Matrix, rel: LinearRelation) -> LinearRelation:
-    return rel.act(g, h)

@@ -1,4 +1,4 @@
-"""Subspaces of GF(p)^d with canonical RREF bases and the calculus on them."""
+"""Subspaces of GF(p)^d stored by their canonical RREF bases."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, _kernel_rows, _rref
+from .linalg import Matrix, ShapeError, _rref
 
 
 class Subspace:
@@ -56,19 +56,6 @@ class Subspace:
     def pivots(self) -> tuple:
         return tuple(int(np.argmax(row != 0)) for row in self.basis.a)
 
-    def contains(self, vector) -> bool:
-        p = self.field.p
-        v = np.array(vector, dtype=np.int64).reshape(-1) % p
-        if v.shape[0] != self.ambient_dim:
-            raise ShapeError(f"vector length {v.shape[0]} != ambient {self.ambient_dim}")
-        for row, c in zip(self.basis.a, self.pivots()):
-            if v[c]:
-                v = (v - v[c] * row) % p
-        return not v.any()
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis.a)
-
     def vectors(self):
         """Iterate every vector, coefficient tuples in lexicographic order."""
         p = self.field.p
@@ -116,67 +103,3 @@ def subspace_from_generators(generators: Matrix, ambient_dim: int = None) -> Sub
     if ambient_dim is not None and generators.cols != ambient_dim:
         raise ShapeError(f"generator width {generators.cols} != ambient {ambient_dim}")
     return _span_rows(generators.field, generators.a.copy())
-
-
-def kernel_basis(m: Matrix) -> Subspace:
-    """The solution space {x : m @ x = 0} as a canonical Subspace."""
-    rows = _kernel_rows(m.a, m.field.p, m.field.inv_table())
-    return _span_rows(m.field, rows)
-
-
-def equations_of(s: Subspace) -> Matrix:
-    """A full set of linear equations cutting out s: kernel_basis(result) == s."""
-    rows = _kernel_rows(s.basis.a, s.field.p, s.field.inv_table())
-    piv = _rref(rows, s.field.p, s.field.inv_table())
-    return Matrix._new(s.field, np.ascontiguousarray(rows[: len(piv)]))
-
-
-def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
-    if s.ambient_dim != t.ambient_dim or s.field != t.field:
-        raise ShapeError("subspace_sum needs a common ambient space")
-    return _span_rows(s.field, np.concatenate([s.basis.a, t.basis.a], axis=0))
-
-
-def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
-    """Intersection by stacking the equation systems of both spaces."""
-    if s.ambient_dim != t.ambient_dim or s.field != t.field:
-        raise ShapeError("subspace_intersect needs a common ambient space")
-    eqs = np.concatenate([equations_of(s).a, equations_of(t).a], axis=0)
-    rows = _kernel_rows(eqs, s.field.p, s.field.inv_table())
-    return _span_rows(s.field, rows)
-
-
-def preimage(a: Matrix, s: Subspace) -> Subspace:
-    """{x : a @ x in s}, the preimage of s under the matrix a."""
-    if a.rows != s.ambient_dim:
-        raise ShapeError(f"matrix maps into dim {a.rows}, subspace lives in {s.ambient_dim}")
-    eqs = (equations_of(s).a @ a.a) % a.field.p
-    rows = _kernel_rows(eqs, a.field.p, a.field.inv_table())
-    return _span_rows(a.field, rows)
-
-
-def _check_coords(coords, ambient_dim: int) -> list:
-    coords = [int(c) for c in coords]
-    seen = set()
-    for c in coords:
-        if not 0 <= c < ambient_dim:
-            raise IndexError(f"coordinate {c} outside ambient dimension {ambient_dim}")
-        if c in seen:
-            raise IndexError(f"coordinate {c} repeated")
-        seen.add(c)
-    return coords
-
-
-def coordinate_project(s: Subspace, coords) -> Subspace:
-    """Image of s under the projection onto the listed coordinates."""
-    coords = _check_coords(coords, s.ambient_dim)
-    return _span_rows(s.field, np.ascontiguousarray(s.basis.a[:, coords]))
-
-
-def coordinate_subspace(field: PrimeField, ambient_dim: int, coords) -> Subspace:
-    """Span of the standard basis vectors e_c for c in coords."""
-    coords = sorted(_check_coords(coords, ambient_dim))
-    arr = np.zeros((len(coords), ambient_dim), dtype=np.int64)
-    for k, c in enumerate(coords):
-        arr[k, c] = 1
-    return Subspace._trusted(Matrix._new(field, arr))

@@ -7,16 +7,7 @@ import numpy as np
 import pytest
 
 from hinge.field import PrimeField
-from hinge.linalg import (
-    Matrix,
-    ShapeError,
-    SingularMatrixError,
-    hstack,
-    rank,
-    rref,
-    solve_columns,
-    vstack,
-)
+from hinge.linalg import Matrix, ShapeError, SingularMatrixError, solve_columns
 
 
 def plain_eliminate(rows, p):
@@ -61,7 +52,14 @@ def test_construction_reduces_mod_p():
     assert m.to_rows() == [[2, 4], [0, 4]]
     assert m.shape == (2, 2)
     assert m[0, 1] == 4
-    assert int(m.element(1, 1)) == 4
+    assert m[1, 1] == 4
+    # non-integer entries are rejected, not truncated; empty shapes still work
+    with pytest.raises(ValueError, match="integers"):
+        Matrix(f, [[1.5]])
+    with pytest.raises(ValueError, match="integers"):
+        Matrix(f, np.array([[1.0, 2.0]]))
+    assert Matrix(f, np.zeros((0, 3))).shape == (0, 3)
+    assert Matrix(f, [[]]).shape == (1, 0)
 
 
 def test_backing_array_is_frozen():
@@ -70,12 +68,10 @@ def test_backing_array_is_frozen():
         m.a[0, 0] = 2
 
 
-def test_identity_zeros_transpose():
+def test_identity_and_zeros():
     f = PrimeField(3)
     assert Matrix.identity(f, 3).to_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert Matrix.zeros(f, 2, 3).to_rows() == [[0, 0, 0], [0, 0, 0]]
-    m = Matrix(f, [[1, 2, 0], [0, 1, 1]])
-    assert m.transpose().to_rows() == [[1, 0], [2, 1], [0, 1]]
 
 
 def test_arithmetic_matches_plain_ints():
@@ -84,20 +80,12 @@ def test_arithmetic_matches_plain_ints():
         f = PrimeField(p)
         for _ in range(20):
             a = random_rows(rng, p, 3, 4)
-            b = random_rows(rng, p, 3, 4)
             c = random_rows(rng, p, 4, 2)
-            A, B, C = Matrix(f, a), Matrix(f, b), Matrix(f, c)
-            assert (A + B).to_rows() == [
-                [(a[i][j] + b[i][j]) % p for j in range(4)] for i in range(3)
-            ]
-            assert (A - B).to_rows() == [
-                [(a[i][j] - b[i][j]) % p for j in range(4)] for i in range(3)
-            ]
+            A, C = Matrix(f, a), Matrix(f, c)
             assert (A * C).to_rows() == [
                 [sum(a[i][k] * c[k][j] for k in range(4)) % p for j in range(2)]
                 for i in range(3)
             ]
-            assert (-A).to_rows() == [[(-a[i][j]) % p for j in range(4)] for i in range(3)]
 
 
 def test_shape_and_field_mismatches():
@@ -105,10 +93,8 @@ def test_shape_and_field_mismatches():
     a = Matrix(f2, [[1, 0], [0, 1]])
     with pytest.raises(ShapeError):
         a * Matrix(f2, [[1, 0, 1]])
-    with pytest.raises(ShapeError):
-        a + Matrix(f2, [[1, 0, 1]])
     with pytest.raises(ValueError):
-        a + Matrix(f3, [[1, 0], [0, 1]])
+        a * Matrix(f3, [[1, 0], [0, 1]])
 
 
 def test_rref_known_example():
@@ -143,8 +129,6 @@ def test_rref_idempotent_and_rank():
             again, pivots2 = r.rref()
             assert again == r and pivots2 == pivots
             assert m.rank() == plain_rank(rows, p) == len(pivots)
-            assert rank(m) == m.rank()
-            assert rref(m)[0] == r
 
 
 def test_inverse_round_trip():
@@ -170,16 +154,6 @@ def test_inverse_errors():
         Matrix(f, [[1, 2], [2, 4]]).inverse()
     with pytest.raises(ShapeError):
         Matrix(f, [[1, 2, 0], [0, 1, 1]]).inverse()
-
-
-def test_stacking():
-    f = PrimeField(5)
-    a = Matrix(f, [[1, 2]])
-    b = Matrix(f, [[3, 4]])
-    assert vstack(a, b).to_rows() == [[1, 2], [3, 4]]
-    assert hstack(a, b).to_rows() == [[1, 2, 3, 4]]
-    with pytest.raises(ShapeError):
-        hstack(a, Matrix(f, [[1, 2], [3, 4]]))
 
 
 def test_solve_columns_consistent():

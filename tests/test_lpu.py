@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from hinge.bihinge import Composition, chi, dimension_matrix, standard_matrix
+from hinge.bihinge import Composition, chi, dimension_matrix, equivalent, standard_matrix
 from hinge.enumeration import contingency_tables, enum_gl
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, SingularMatrixError
@@ -102,10 +102,10 @@ def test_factorization_random():
 
 def test_permutation_matches_corner_rank_oracle():
     rng = random.Random(109)
-    for p in (2, 3):
+    for p, max_n in ((2, 5), (3, 5), (65521, 8)):
         f = PrimeField(p)
         for _ in range(30):
-            n = rng.randint(1, 5)
+            n = rng.randint(1, max_n)
             a = random_invertible(f, n, rng)
             want = perm_oracle(a)
             assert rank_profile_permutation(a).to_rows() == want.tolist()
@@ -157,6 +157,16 @@ def test_canonical_is_invariant_under_block_triangular_moves():
         lower = random_block_triangular(beta, f, rng, lower=True)
         upper = random_block_triangular(alpha, f, rng, lower=False)
         assert canonical_01(lower * a * upper, alpha, beta) == canonical_01(a, alpha, beta)
+
+
+def test_canonical_is_coarser_than_the_double_coset():
+    # canonical_01 only sees the dimension table: diag(2, 1) and the identity
+    # share it over GF(3) but lie in different double cosets
+    f = PrimeField(3)
+    d = Matrix(f, [[2, 0], [0, 1]])
+    eye = Matrix.identity(f, 2)
+    assert canonical_01(d, (1, 1), (1, 1)) == eye
+    assert not equivalent(d, eye, (1, 1), (1, 1))
 
 
 def test_canonical_fixed_points():
