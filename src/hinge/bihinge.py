@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, SingularMatrixError, _kernel_rows, solve_columns
+from .linalg import Matrix, ShapeError, _column_pass, _kernel_rows, solve_columns
 from .relations import LinearRelation, quotient_rows
 from .subspaces import _span_rows
 
@@ -200,7 +200,8 @@ def chi_cell(
     kernel of the top-left row_lo x col_hi slice of a.  Each feasible x
     contributes the pair (x restricted to [col_lo, col_hi), a x restricted to
     [row_lo, row_hi)).  A dict passed as _kernels memoizes kernels across cells
-    sharing (row_lo, col_hi), which the full-grid and bulk drivers exploit.
+    sharing (row_lo, col_hi), which the bulk completeness driver exploits.
+    chi does not call this: it is the definitional oracle for chi's cells.
     """
     field = a.field
     p = field.p
@@ -208,7 +209,7 @@ def chi_cell(
     key = (row_lo, col_hi)
     kern = None if _kernels is None else _kernels.get(key)
     if kern is None:
-        kern = _kernel_rows(arr[:row_lo, :col_hi], p, field.inv_table())
+        kern = _kernel_rows(arr[:row_lo, :col_hi], p)
         if _kernels is not None:
             _kernels[key] = kern
     xi = kern[:, col_lo:col_hi]
@@ -227,6 +228,18 @@ def chi(a: Matrix, alpha, beta) -> BiHinge:
 
     Returns:
         The BiHinge with cell (i, j) = chi_cell at the block boundaries.
+
+    One column elimination serves every cell.  It gives a @ f == af with f
+    unit upper triangular and pivot rows sigma, so:
+      - column c of f is supported on [0, c] and a @ f[:, c] == af[:, c]
+        first becomes nonzero at row sigma[c];
+      - hence {f[:, c] : c < col_hi, sigma[c] >= row_lo} is a basis of the
+        kernel of a[:row_lo, :col_hi] for every (row_lo, col_hi) at once, its
+        size col_hi minus the rank of that slice;
+      - so cell (i, j) is the span of the rows (f[c0:c1, c] | af[r0:r1, c])
+        over those c, which is chi_cell with that kernel basis.
+    Columns with c < c0 and sigma[c] >= r1 contribute zero rows and are
+    skipped.
     """
     alpha = Composition(alpha)
     beta = Composition(beta)
@@ -237,16 +250,21 @@ def chi(a: Matrix, alpha, beta) -> BiHinge:
         raise MarginError(
             f"compositions must sum to {n}, got alpha -> {alpha.n}, beta -> {beta.n}"
         )
-    if a.rank() != n:
-        raise SingularMatrixError(f"matrix of rank {a.rank()} < {n} has no relation grid")
-    kernels = {}
-    grid = [
-        [
-            chi_cell(a, *alpha.block(i), *beta.block(j), _kernels=kernels)
-            for j in range(len(beta))
-        ]
-        for i in range(len(alpha))
-    ]
+    sigma, f, af = _column_pass(a)
+    sigma = np.array(sigma)
+    cols = np.arange(n)
+    ft = f.T  # row c is column c of f
+    mt = af.T
+    grid = []
+    for i in range(len(alpha)):
+        c0, c1 = alpha.block(i)
+        row = []
+        for j in range(len(beta)):
+            r0, r1 = beta.block(j)
+            keep = np.flatnonzero((cols < c1) & (sigma >= r0) & ((cols >= c0) | (sigma < r1)))
+            gens = np.concatenate([ft[keep, c0:c1], mt[keep, r0:r1]], axis=1)
+            row.append(LinearRelation(c1 - c0, r1 - r0, _span_rows(a.field, gens)))
+        grid.append(row)
     return BiHinge(alpha, beta, grid)
 
 
@@ -324,13 +342,15 @@ def standard_matrix(d: DimensionMatrix, field: PrimeField) -> Matrix:
     """
     n = d.alpha.n
     arr = np.zeros((n, n), dtype=np.int64)
+    r0 = list(d.beta.offsets[:-1])  # next free row of each W_j, as i ascends
     for i in range(len(d.alpha)):
+        c0 = d.alpha.offsets[i]  # next free column of V_i, as j ascends
         for j in range(len(d.beta)):
             size = d[i, j]
-            r0 = d.beta.offsets[j] + d.w_start(j, i)
-            c0 = d.alpha.offsets[i] + d.v_start(i, j)
             for k in range(size):
-                arr[r0 + k, c0 + k] = 1
+                arr[r0[j] + k, c0 + k] = 1
+            r0[j] += size
+            c0 += size
     return Matrix._new(field, arr)
 
 

@@ -10,6 +10,7 @@ Exit codes are a stable contract:
     4  margin mismatch: compositions or table sums do not add up
     5  problem headers differ where they must agree
     6  an enumeration would exceed the size budget
+    7  an internal invariant was violated (a bug in hinge, not a verdict)
 
 The HINGE_BUDGET environment variable overrides the default enumeration
 budget; an explicit --budget flag wins over the environment.
@@ -32,6 +33,7 @@ from .enumeration import (
 from .field import PrimeField
 from .linalg import SingularMatrixError
 from .lpu import canonical_01
+from .relations import InvariantViolation
 from .selfcheck import run_selfcheck
 from .serialize import (
     HeaderMismatchError,
@@ -53,6 +55,7 @@ EXIT_SINGULAR = 3
 EXIT_MARGIN = 4
 EXIT_HEADER = 5
 EXIT_BUDGET = 6
+EXIT_INTERNAL = 7
 
 
 def _csv_ints(text: str) -> list:
@@ -260,6 +263,9 @@ def main(argv=None) -> int:
             if isinstance(exc, kind):
                 return code
         raise AssertionError("unreachable")
+    except InvariantViolation as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

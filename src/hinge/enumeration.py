@@ -26,7 +26,7 @@ from .bihinge import (
 )
 from .field import PrimeField
 from .linalg import Matrix
-from .relations import LinearRelation
+from .relations import InvariantViolation, LinearRelation
 from .subspaces import Subspace
 
 
@@ -402,7 +402,7 @@ def predicted_coset_count(alpha, beta, q: int) -> int:
         s = stab_order_formula(d, q)
         orbit, rem = divmod(numerator, s)
         if rem:
-            raise RuntimeError(
+            raise InvariantViolation(
                 f"stabilizer {s} does not divide group order {numerator} for {d}"
             )
         total += orbit

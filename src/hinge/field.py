@@ -22,7 +22,9 @@ class PrimeField:
 
     Instances are immutable value objects: two fields compare equal iff they
     share a modulus.  Elements are plain ints reduced mod p; inv_table() maps
-    each unit to its inverse.
+    each unit to its inverse.  Elimination does not use the table: it inverts
+    each pivot with pow, because building all p - 1 inverses costs more than
+    one problem's pivots at large p.
     """
 
     __slots__ = ("p", "_inv")

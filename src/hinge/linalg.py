@@ -100,19 +100,19 @@ class Matrix:
         if n != self.cols:
             raise ShapeError(f"only square matrices invert, got {self.shape}")
         aug = np.concatenate([self.a, np.eye(n, dtype=np.int64)], axis=1)
-        piv = _rref(aug, self.field.p, self.field.inv_table(), pivot_limit=n)
+        piv = _rref(aug, self.field.p, pivot_limit=n)
         if len(piv) != n:
             raise SingularMatrixError(f"matrix of rank {len(piv)} < {n} over {self.field}")
         return Matrix._new(self.field, np.ascontiguousarray(aug[:, n:]))
 
     def rank(self) -> int:
         arr = self.a.copy()
-        return len(_rref(arr, self.field.p, self.field.inv_table()))
+        return len(_rref(arr, self.field.p))
 
     def rref(self) -> tuple:
         """Reduced row echelon form.  Returns (matrix, pivot column tuple)."""
         arr = self.a.copy()
-        piv = _rref(arr, self.field.p, self.field.inv_table())
+        piv = _rref(arr, self.field.p)
         return Matrix._new(self.field, arr), tuple(piv)
 
     def __eq__(self, other):
@@ -132,7 +132,7 @@ class Matrix:
         return f"Matrix(GF({self.field.p}), [{body}])"
 
 
-def _rref(arr: np.ndarray, p: int, inv: list, pivot_limit: int = None) -> list:
+def _rref(arr: np.ndarray, p: int, pivot_limit: int = None) -> list:
     """In-place Gauss-Jordan reduction mod p.  Returns the pivot column list.
 
     Pivot search scans columns left to right and takes the first nonzero entry
@@ -155,7 +155,7 @@ def _rref(arr: np.ndarray, p: int, inv: list, pivot_limit: int = None) -> list:
             arr[[r, i]] = arr[[i, r]]
         v = int(arr[r, c])
         if v != 1:
-            arr[r] = arr[r] * inv[v] % p
+            arr[r] = arr[r] * pow(v, -1, p) % p
         col = arr[:, c]
         sel = np.flatnonzero(col)
         sel = sel[sel != r]
@@ -166,11 +166,11 @@ def _rref(arr: np.ndarray, p: int, inv: list, pivot_limit: int = None) -> list:
     return pivots
 
 
-def _kernel_rows(arr: np.ndarray, p: int, inv: list) -> np.ndarray:
+def _kernel_rows(arr: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning {x : arr @ x = 0}.  Not canonicalized; callers rref."""
     rows, cols = arr.shape
     work = arr % p
-    piv = _rref(work, p, inv)
+    piv = _rref(work, p)
     pivset = set(piv)
     free = [c for c in range(cols) if c not in pivset]
     out = np.zeros((len(free), cols), dtype=np.int64)
@@ -179,6 +179,40 @@ def _kernel_rows(arr: np.ndarray, p: int, inv: list) -> np.ndarray:
         for r, c in enumerate(piv):
             out[k, c] = -int(work[r, f]) % p
     return out
+
+
+def _column_pass(a: Matrix) -> tuple:
+    """One column elimination of a square matrix, returning (sigma, f, af).
+
+    Columns go left to right.  Column c's pivot is its first nonzero entry, in
+    row sigma[c]; multiples of column c are then subtracted from the columns
+    to its right to clear that row.  Only these rightward column operations
+    are used, so f is unit upper triangular, af == a @ f, and column c of af
+    vanishes above row sigma[c].  sigma is therefore the permutation of an
+    l @ perm @ u factorization, with l[:, sigma[c]] == af[:, c].  Raises
+    SingularMatrixError when some column of a depends on earlier ones.
+    """
+    n = a.rows
+    if a.cols != n:
+        raise ShapeError(f"need a square matrix, got {a.shape}")
+    p = a.field.p
+    mt = a.a.T.copy()  # row c of mt is column c of af, row c of ft column c of f
+    ft = np.eye(n, dtype=np.int64)
+    sigma = []
+    for c in range(n):
+        nz = np.flatnonzero(mt[c])
+        if nz.size == 0:
+            raise SingularMatrixError(
+                f"matrix is singular over {a.field}: column {c} depends on earlier columns"
+            )
+        r = int(nz[0])
+        sigma.append(r)
+        right = c + 1 + np.flatnonzero(mt[c + 1 :, r])
+        if right.size:
+            coef = mt[right, r] * pow(int(mt[c, r]), -1, p) % p
+            mt[right, r:] = (mt[right, r:] - np.outer(coef, mt[c, r:])) % p
+            ft[right, : c + 1] = (ft[right, : c + 1] - np.outer(coef, ft[c, : c + 1])) % p
+    return sigma, ft.T, mt.T
 
 
 def solve_columns(a: Matrix, b: Matrix) -> Matrix:
@@ -192,7 +226,7 @@ def solve_columns(a: Matrix, b: Matrix) -> Matrix:
         raise ShapeError(f"cannot solve {a.shape} against rhs {b.shape}")
     n = a.cols
     aug = np.concatenate([a.a, b.a], axis=1)
-    piv = _rref(aug, a.field.p, a.field.inv_table(), pivot_limit=n)
+    piv = _rref(aug, a.field.p, pivot_limit=n)
     tail = aug[len(piv):, n:]
     if tail.size and tail.any():
         bad = sorted(int(j) for j in np.unique(np.nonzero(tail)[1]))

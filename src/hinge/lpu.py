@@ -3,10 +3,11 @@
 Every invertible matrix over a field factors as l @ perm @ u with l lower
 triangular, u upper triangular and perm a permutation matrix; perm is unique
 (its units mark where the ranks of top-left submatrices jump) and is read off
-the pivots of one elimination pass.  Counting the units of perm inside each
+the pivots of one column elimination pass, the same pass that builds the
+relation grid in bihinge.chi.  Counting the units of perm inside each
 block cut by (alpha, beta) reproduces the dimension table of the relation
-grid, which gives a second, independent route to that table and to the 0-1
-matrix it determines.
+grid, which gives a second route to that table, from the pivot positions
+rather than the cell subspaces, and to the 0-1 matrix it determines.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bihinge import Composition, DimensionMatrix, standard_matrix
-from .linalg import Matrix, ShapeError, SingularMatrixError
+from .linalg import Matrix, ShapeError, _column_pass
+from .relations import InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -31,45 +33,11 @@ class LpuDecomposition:
         return self.l * self.perm * self.u
 
 
-def _forward_pass(a: Matrix) -> tuple:
-    """One elimination pass, returning (m, e, f) with m == e @ a @ f.
-
-    Columns go left to right.  Each pivot is the first nonzero entry of its
-    column; it is scaled to 1, cleared below by downward row operations (so e
-    stays lower triangular) and to its right by rightward column operations
-    (so f stays unit upper triangular).  A pivot's row and
-    column are then zero apart from the pivot, and later steps never touch
-    them again, so m ends as the permutation matrix of the pivots.
-    """
-    n = a.rows
-    if a.cols != n:
-        raise ShapeError(f"need a square matrix, got {a.shape}")
-    field = a.field
-    p = field.p
-    inv = field.inv_table()
-    m = a.a.copy()
-    e = np.eye(n, dtype=np.int64)
-    f = np.eye(n, dtype=np.int64)
-    for c in range(n):
-        nz = np.flatnonzero(m[:, c])
-        if nz.size == 0:
-            raise SingularMatrixError(f"column {c} dies during elimination")
-        r = int(nz[0])
-        v = int(m[r, c])
-        if v != 1:
-            m[r] = m[r] * inv[v] % p
-            e[r] = e[r] * inv[v] % p
-        below = nz[nz > r]
-        if below.size:
-            coef = m[below, c].copy()
-            m[below] = (m[below] - np.outer(coef, m[r])) % p
-            e[below] = (e[below] - np.outer(coef, e[r])) % p
-        right = c + 1 + np.flatnonzero(m[r, c + 1 :])
-        if right.size:
-            coef = m[r, right].copy()
-            m[:, right] = (m[:, right] - np.outer(m[:, c], coef)) % p
-            f[:, right] = (f[:, right] - np.outer(f[:, c], coef)) % p
-    return m, e, f
+def _perm_matrix(field, sigma) -> Matrix:
+    n = len(sigma)
+    arr = np.zeros((n, n), dtype=np.int64)
+    arr[sigma, np.arange(n)] = 1
+    return Matrix._new(field, arr)
 
 
 def rank_profile_permutation(a: Matrix) -> Matrix:
@@ -79,24 +47,24 @@ def rank_profile_permutation(a: Matrix) -> Matrix:
     submatrix jumps in both directions there; the elimination pivots are
     exactly those positions.
     """
-    m, _, _ = _forward_pass(a)
-    return Matrix._new(a.field, m)
+    sigma, _, _ = _column_pass(a)
+    return _perm_matrix(a.field, sigma)
 
 
 def lpu(a: Matrix) -> LpuDecomposition:
     """Factor an invertible matrix as l @ perm @ u.
 
-    perm is read off the elimination pivots; l and u are the inverses of the
-    row and column operations of the same pass.  The product is checked
-    against a before returning.
+    One column elimination gives a @ f == af with f unit upper triangular;
+    perm is read off its pivots, l == af @ perm^T and u is the inverse of f.
+    The product is checked against a before returning.
     """
-    m, e, f = _forward_pass(a)
+    sigma, f, af = _column_pass(a)
     field = a.field
-    l = Matrix._new(field, e).inverse()
-    u = Matrix._new(field, f).inverse()
-    perm = Matrix._new(field, m)
+    l = Matrix._new(field, af[:, np.argsort(sigma)])
+    perm = _perm_matrix(field, sigma)
+    u = Matrix._new(field, np.ascontiguousarray(f)).inverse()
     if l * perm * u != a:
-        raise RuntimeError("elimination witnesses do not multiply back to the input")
+        raise InvariantViolation("elimination witnesses do not multiply back to the input")
     return LpuDecomposition(l, perm, u)
 
 
@@ -106,14 +74,11 @@ def perm_block_counts(perm: Matrix, alpha, beta) -> DimensionMatrix:
     beta = Composition(beta)
     if perm.shape != (beta.n, alpha.n):
         raise ShapeError(f"permutation shape {perm.shape} does not match ({beta.n}, {alpha.n})")
-    entries = []
-    for i in range(len(alpha)):
-        c0, c1 = alpha.block(i)
-        row = []
-        for j in range(len(beta)):
-            r0, r1 = beta.block(j)
-            row.append(int(perm.a[r0:r1, c0:c1].sum()))
-        entries.append(row)
+    rows, cols = np.nonzero(perm.a)
+    col_block = np.repeat(np.arange(len(alpha)), alpha.parts)
+    row_block = np.repeat(np.arange(len(beta)), beta.parts)
+    entries = np.zeros((len(alpha), len(beta)), dtype=np.int64)
+    np.add.at(entries, (col_block[cols], row_block[rows]), perm.a[rows, cols])
     return DimensionMatrix(entries, alpha, beta)
 
 
@@ -128,6 +93,5 @@ def canonical_01(a: Matrix, alpha, beta) -> Matrix:
     alpha = beta = (1, 1), diag(2, 1) maps to the identity, yet the two are
     not equivalent.
     """
-    dec = lpu(a)
-    d = perm_block_counts(dec.perm, alpha, beta)
+    d = perm_block_counts(rank_profile_permutation(a), alpha, beta)
     return standard_matrix(d, a.field)

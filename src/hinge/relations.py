@@ -96,14 +96,14 @@ class LinearRelation:
         if self._ker is None:
             bx, by = self._halves()
             # coefficient rows c with c @ by = 0 pick out the pairs (xi, 0)
-            coeff = _kernel_rows(by.T, self.field.p, self.field.inv_table())
+            coeff = _kernel_rows(by.T, self.field.p)
             self._ker = _span_rows(self.field, (coeff @ bx) % self.field.p)
         return self._ker
 
     def indef(self) -> Subspace:
         if self._indef is None:
             bx, by = self._halves()
-            coeff = _kernel_rows(bx.T, self.field.p, self.field.inv_table())
+            coeff = _kernel_rows(bx.T, self.field.p)
             self._indef = _span_rows(self.field, (coeff @ by) % self.field.p)
         return self._indef
 

@@ -93,7 +93,7 @@ def _is_rref_basis(arr: np.ndarray) -> bool:
 
 def _span_rows(field: PrimeField, rows: np.ndarray) -> Subspace:
     arr = rows.copy() if rows.flags.writeable is False else rows
-    piv = _rref(arr, field.p, field.inv_table())
+    piv = _rref(arr, field.p)
     basis = np.ascontiguousarray(arr[: len(piv)])
     return Subspace._trusted(Matrix._new(field, basis))
 

@@ -151,6 +151,31 @@ def test_chi_cell_memo_consistency():
             assert fresh == memoed
 
 
+def test_grid_matches_chi_cell_definition():
+    # chi builds every cell from one elimination; chi_cell, without a memo,
+    # takes its own kernel per cell, so the two routes are independent
+    rng = random.Random(79)
+    for p in (2, 3, 5, 65521):
+        f = PrimeField(p)
+        for t in range(15):
+            n = rng.randint(1, 10)
+            a = random_invertible(f, n, rng)
+            if t == 0:
+                alpha, beta = (1,) * n, (1,) * n
+            elif t == 1:
+                alpha, beta = (n,), (n,)
+            else:
+                alpha, beta = random_composition(n, rng), random_composition(n, rng)
+            alpha, beta = Composition(alpha), Composition(beta)
+            h = chi(a, alpha, beta)
+            for i in range(len(alpha)):
+                for j in range(len(beta)):
+                    want = chi_cell(a, *alpha.block(i), *beta.block(j))
+                    assert h.grid[i][j] == want, (
+                        f"cell ({i + 1},{j + 1}) of {a.to_rows()} over GF({p})"
+                    )
+
+
 def test_chi_validation():
     f = PrimeField(2)
     with pytest.raises(ShapeError):

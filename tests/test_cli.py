@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+from hinge import cli
 from hinge.cli import main
+from hinge.relations import InvariantViolation, LinearRelation
 
 
 def write_problem(tmp_path, name, modulus, alpha, beta, matrix):
@@ -113,6 +115,28 @@ def test_invariants_error_codes(capsys, tmp_path):
 
     assert main(["invariants", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+def test_huge_entries_reduce_mod_p(capsys, tmp_path):
+    huge = write_problem(tmp_path, "huge.json", 5, [1], [1], [[10 ** 23 + 2]])
+    assert main(["canonical", huge, "--format", "json"]) == 0
+    assert capsys.readouterr().out == '{"modulus": 5, "alpha": [1], "beta": [1], "matrix": [[1]]}\n'
+    zero = write_problem(tmp_path, "zero.json", 5, [1], [1], [[10 ** 23]])
+    assert main(["invariants", zero]) == 3
+    capsys.readouterr()
+
+
+def test_internal_errors_exit_7(capsys, monkeypatch, identity2, swap2):
+    def broken(*args):
+        raise InvariantViolation("injected")
+
+    monkeypatch.setattr(LinearRelation, "theta", broken)
+    assert main(["invariants", swap2]) == 7
+    assert "internal invariant violated: injected" in capsys.readouterr().err
+    # a crash must not read as NOT-EQUIVALENT
+    monkeypatch.setattr(cli, "equivalent", broken)
+    assert main(["equivalent", identity2, swap2]) == 7
+    assert capsys.readouterr().out == ""
 
 
 def test_canonical_text_and_json(capsys, tmp_path):

@@ -86,7 +86,7 @@ def test_antidiagonal_permutation():
 
 def test_factorization_random():
     rng = random.Random(107)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 65521):
         f = PrimeField(p)
         for _ in range(40):
             n = rng.randint(1, 6)
