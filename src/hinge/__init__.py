@@ -7,7 +7,7 @@ the enumeration module cross-checks everything exhaustively on small fields.
 """
 
 from .field import PrimeField, is_prime
-from .linalg import Matrix, ShapeError, SingularMatrixError, solve_columns
+from .linalg import Matrix, ShapeError, SingularMatrixError
 from .subspaces import Subspace, subspace_from_generators
 from .relations import InvariantViolation, LinearRelation, quotient_rows
 from .bihinge import (
@@ -119,7 +119,6 @@ __all__ = [
     "rank_profile_permutation",
     "report_to_bihinge",
     "run_selfcheck",
-    "solve_columns",
     "stab_order_formula",
     "stabilizer_brute",
     "standard_bihinge",

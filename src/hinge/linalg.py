@@ -21,16 +21,20 @@ class SingularMatrixError(ValueError):
 
 def _as_reduced(field: PrimeField, data) -> np.ndarray:
     raw = np.asarray(data)
-    ints = raw.dtype.kind in "biu" or (
-        raw.dtype.kind == "O" and all(isinstance(v, int) for v in raw.flat)
-    )
-    if raw.size and not ints:
+    if raw.dtype.kind == "f" and not isinstance(data, np.ndarray):
+        raw = np.array(data, dtype=object)  # ints past int64 of both signs infer as float
+    p = field.p
+    if raw.dtype.kind == "O":
+        if not all(isinstance(v, (int, np.integer)) for v in raw.flat):
+            raise ValueError(f"matrix entries must be integers, got {raw.dtype} data")
+        raw = raw % p  # Python ints of any size, reduced before they meet int64
+    elif raw.dtype.kind == "u":
+        raw = raw % np.array(p, dtype=raw.dtype)  # in its own dtype: no wrap past int64
+    elif raw.size and raw.dtype.kind not in "bi":
         raise ValueError(f"matrix entries must be integers, got {raw.dtype} data")
-    # converted from data, not raw: a uint64 raw would wrap past int64 instead of raising
-    arr = np.array(data, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ShapeError(f"matrix data must be 2-dimensional, got ndim={arr.ndim}")
-    return arr % field.p
+    if raw.ndim != 2:
+        raise ShapeError(f"matrix data must be 2-dimensional, got ndim={raw.ndim}")
+    return raw.astype(np.int64) % p
 
 
 class Matrix:
@@ -166,6 +170,41 @@ def _rref(arr: np.ndarray, p: int, pivot_limit: int = None) -> list:
     return pivots
 
 
+def _rref_stack(arr: np.ndarray, p: int) -> np.ndarray:
+    """In-place canonical RREF of every matrix in an (N, R, C) stack.
+
+    Each matrix comes out exactly as _rref leaves it: per column, the first
+    nonzero entry at or below that matrix's current row is swapped up and
+    scaled to 1, then cleared from the other rows.  Returns the ranks.  The
+    pivot row is zero left of its column, so only columns from there on are
+    touched.
+    """
+    n_mat, rows, cols = arr.shape
+    below = np.arange(rows)
+    r = np.zeros(n_mat, dtype=np.intp)
+    for c in range(cols):
+        col = arr[:, :, c]
+        hits = (col != 0) & (below >= r[:, None])
+        sel = np.flatnonzero(hits.any(axis=1))
+        if sel.size == 0:
+            continue
+        rr = r[sel]
+        src = hits[sel].argmax(axis=1)
+        swap = src != rr
+        if swap.any():
+            s, top, low = sel[swap], rr[swap], src[swap]
+            arr[s, top], arr[s, low] = arr[s, low], arr[s, top]
+        v, where = np.unique(arr[sel, rr, c], return_inverse=True)
+        inv = np.array([pow(int(x), -1, p) for x in v], dtype=np.int64)[where]
+        piv_row = arr[sel, rr, c:] * inv[:, None] % p
+        arr[sel, rr, c:] = piv_row
+        fac = arr[sel, :, c]
+        fac[np.arange(sel.size), rr] = 0
+        arr[sel, :, c:] = (arr[sel, :, c:] - fac[:, :, None] * piv_row[:, None, :]) % p
+        r[sel] += 1
+    return r
+
+
 def _kernel_rows(arr: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning {x : arr @ x = 0}.  Not canonicalized; callers rref."""
     rows, cols = arr.shape
@@ -213,25 +252,3 @@ def _column_pass(a: Matrix) -> tuple:
             mt[right, r:] = (mt[right, r:] - np.outer(coef, mt[c, r:])) % p
             ft[right, : c + 1] = (ft[right, : c + 1] - np.outer(coef, ft[c, : c + 1])) % p
     return sigma, ft.T, mt.T
-
-
-def solve_columns(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a @ x = b column by column, zeroing every free variable.
-
-    The free-variable convention makes the solution deterministic, which the
-    normal form construction relies on.  Raises ValueError when some column is
-    inconsistent.
-    """
-    if a.rows != b.rows:
-        raise ShapeError(f"cannot solve {a.shape} against rhs {b.shape}")
-    n = a.cols
-    aug = np.concatenate([a.a, b.a], axis=1)
-    piv = _rref(aug, a.field.p, pivot_limit=n)
-    tail = aug[len(piv):, n:]
-    if tail.size and tail.any():
-        bad = sorted(int(j) for j in np.unique(np.nonzero(tail)[1]))
-        raise ValueError(f"inconsistent system for rhs column(s) {bad}")
-    x = np.zeros((n, b.cols), dtype=np.int64)
-    for r, c in enumerate(piv):
-        x[c] = aug[r, n:]
-    return Matrix._new(a.field, x)

@@ -10,6 +10,16 @@ canonical subspaces
     indef L  = {eta : (0, eta) in L}        inside Y
 
 and an invertible operator theta(L): dom/ker -> im/indef induced by membership.
+
+All five are read off two echelon forms.  The stored basis is the RREF of L
+with X first: its rows that pivot in X have X halves forming the RREF of dom,
+and the remaining rows are (0 | RREF of indef).  One more RREF of the basis
+with its Y columns first gives im and (0 | ker) the same way.  theta needs no
+solve.  The basis row whose X pivot is not a ker pivot lifts the dom/ker
+class of its X half.  Its Y half is zero at the indef pivots, which are
+pivot columns of other rows, so its indef coordinates vanish, and its
+im/indef coordinates are its entries at the im pivots that are not indef
+pivots.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, SingularMatrixError, _kernel_rows, solve_columns
+from .linalg import Matrix, ShapeError, SingularMatrixError, _rref
 from .subspaces import Subspace, _span_rows, subspace_from_generators
 
 
@@ -38,6 +48,11 @@ def quotient_rows(big: Subspace, small: Subspace) -> np.ndarray:
     return big.basis.a[keep]
 
 
+def _subspace(field: PrimeField, rows: np.ndarray) -> Subspace:
+    """Subspace of rows already in RREF without zero rows."""
+    return Subspace._trusted(Matrix._new(field, np.ascontiguousarray(rows)))
+
+
 class LinearRelation:
     """A linear relation from GF(p)^dim_x to GF(p)^dim_y.
 
@@ -46,7 +61,7 @@ class LinearRelation:
     which by design is representational equality of canonical bases.
     """
 
-    __slots__ = ("dim_x", "dim_y", "space", "_ker", "_dom", "_im", "_indef", "_theta")
+    __slots__ = ("dim_x", "dim_y", "space", "_ker", "_dom", "_im", "_indef", "_theta", "_lifts")
 
     def __init__(self, dim_x: int, dim_y: int, space: Subspace):
         if dim_x < 0 or dim_y < 0:
@@ -58,7 +73,7 @@ class LinearRelation:
         self.dim_x = dim_x
         self.dim_y = dim_y
         self.space = space
-        self._ker = self._dom = self._im = self._indef = self._theta = None
+        self._ker = self._dom = self._im = self._indef = self._theta = self._lifts = None
 
     @classmethod
     def graph(cls, a: Matrix) -> "LinearRelation":
@@ -80,31 +95,50 @@ class LinearRelation:
         b = self.space.basis.a
         return b[:, : self.dim_x], b[:, self.dim_x :]
 
+    def _derive(self):
+        """Fill ker, dom, im, indef, theta and the lift rows (module docstring)."""
+        field = self.field
+        p = field.p
+        dx, dy = self.dim_x, self.dim_y
+        b = self.space.basis.a
+        piv = (b != 0).argmax(axis=1).tolist() if b.size else []  # b has no zero rows
+        k = sum(c < dx for c in piv)  # pivots ascend: X-pivot rows come first
+        swapped = np.concatenate([b[:, dx:], b[:, :dx]], axis=1)
+        piv_y = _rref(swapped, p)  # b has full row rank, so every row keeps a pivot
+        m = sum(c < dy for c in piv_y)
+        self._dom = _subspace(field, b[:k, :dx])
+        self._indef = _subspace(field, b[k:, dx:])
+        self._im = _subspace(field, swapped[:m, :dy])
+        self._ker = _subspace(field, swapped[m:, dy:])
+        ker_piv = {c - dy for c in piv_y[m:]}
+        lifts = [r for r in range(k) if piv[r] not in ker_piv]
+        indef_piv = set(piv[k:])
+        q_piv = [dx + c for c in piv_y[:m] if dx + c not in indef_piv]
+        if len(lifts) != len(q_piv):
+            raise InvariantViolation(
+                f"dom/ker has dimension {len(lifts)} but im/indef has {len(q_piv)}"
+            )
+        self._lifts = lifts
+        self._theta = Matrix._new(field, np.ascontiguousarray(b[lifts][:, q_piv].T))
+
     def dom(self) -> Subspace:
         if self._dom is None:
-            bx, _ = self._halves()
-            self._dom = _span_rows(self.field, bx.copy())
+            self._derive()
         return self._dom
 
     def im(self) -> Subspace:
         if self._im is None:
-            _, by = self._halves()
-            self._im = _span_rows(self.field, by.copy())
+            self._derive()
         return self._im
 
     def ker(self) -> Subspace:
         if self._ker is None:
-            bx, by = self._halves()
-            # coefficient rows c with c @ by = 0 pick out the pairs (xi, 0)
-            coeff = _kernel_rows(by.T, self.field.p)
-            self._ker = _span_rows(self.field, (coeff @ bx) % self.field.p)
+            self._derive()
         return self._ker
 
     def indef(self) -> Subspace:
         if self._indef is None:
-            bx, by = self._halves()
-            coeff = _kernel_rows(bx.T, self.field.p)
-            self._indef = _span_rows(self.field, (coeff @ by) % self.field.p)
+            self._derive()
         return self._indef
 
     def theta(self) -> Matrix:
@@ -115,25 +149,18 @@ class LinearRelation:
         class.  A 0 x 0 matrix is legal (relation with dom == ker).
         """
         if self._theta is None:
-            field = self.field
-            dom_rows = quotient_rows(self.dom(), self.ker())
-            q_rows = quotient_rows(self.im(), self.indef())
-            bx, by = self._halves()
-            bxt = Matrix._new(field, np.ascontiguousarray(bx.T))
-            try:
-                coeff = solve_columns(bxt, Matrix._new(field, np.ascontiguousarray(dom_rows.T)))
-            except ValueError as exc:
-                raise InvariantViolation(f"domain vector has no lift: {exc}") from None
-            etas = (coeff.a.T @ by) % field.p
-            frame = np.concatenate([self.indef().basis.a, q_rows], axis=0)
-            framet = Matrix._new(field, np.ascontiguousarray(frame.T))
-            try:
-                w = solve_columns(framet, Matrix._new(field, np.ascontiguousarray(etas.T)))
-            except ValueError as exc:
-                raise InvariantViolation(f"lift escapes the image: {exc}") from None
-            theta = np.ascontiguousarray(w.a[self.indef().dim :, :])
-            self._theta = Matrix._new(field, theta)
+            self._derive()
         return self._theta
+
+    def _lift_rows(self) -> np.ndarray:
+        """The basis rows (xi | eta) whose X halves are quotient_rows(dom, ker).
+
+        Row k lifts the k-th domain class of theta: xi is its representative
+        and eta a member of the image class theta maps it to.
+        """
+        if self._lifts is None:
+            self._derive()
+        return self.space.basis.a[self._lifts]
 
     def act(self, g: Matrix, h: Matrix) -> "LinearRelation":
         """The relation {(g xi, h eta) : (xi, eta) in L} for invertible g, h."""

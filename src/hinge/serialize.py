@@ -50,9 +50,8 @@ def _int_list(value, name: str) -> list:
 def problem_from_dict(data: dict) -> Problem:
     """Validate and normalize one problem dict.
 
-    Matrix entries are reduced mod the modulus here, before they reach
-    Matrix, so ints of any size are accepted; invertibility is not checked,
-    commands that need it fail on use.
+    Matrix entries are ints of any size, reduced mod the modulus by Matrix;
+    invertibility is not checked, commands that need it fail on use.
     """
     if not isinstance(data, dict):
         raise ProblemFormatError("problem must be a JSON object")
@@ -87,7 +86,7 @@ def problem_from_dict(data: dict) -> Problem:
         raise MarginError(
             f"matrix is {n} x {n} but alpha sums to {alpha.n} and beta to {beta.n}"
         )
-    return Problem(field, alpha, beta, Matrix(field, [[v % modulus for v in r] for r in rows]))
+    return Problem(field, alpha, beta, Matrix(field, rows))
 
 
 def load_problem(path: str) -> Problem:

@@ -153,17 +153,26 @@ def test_chi_cell_memo_consistency():
 
 def test_grid_matches_chi_cell_definition():
     # chi builds every cell from one elimination; chi_cell, without a memo,
-    # takes its own kernel per cell, so the two routes are independent
+    # takes its own kernel per cell, so the two routes are independent.
+    # Repeated parts give several cells of one shape with blocks > 1: a few
+    # (reduced cell by cell) or at least 8 (reduced as one stack).
     rng = random.Random(79)
+    repeated = {
+        15: ((2, 2, 2, 1), (3, 1, 3)),
+        16: ((2, 2, 2, 1), (2, 2, 2, 1)),
+        17: ((1, 2, 1, 2, 1, 2, 1), (2, 1, 2, 1, 2, 1, 1)),
+    }
     for p in (2, 3, 5, 65521):
         f = PrimeField(p)
-        for t in range(15):
-            n = rng.randint(1, 10)
+        for t in range(18):
+            n = sum(repeated[t][0]) if t in repeated else rng.randint(1, 10)
             a = random_invertible(f, n, rng)
             if t == 0:
                 alpha, beta = (1,) * n, (1,) * n
             elif t == 1:
                 alpha, beta = (n,), (n,)
+            elif t in repeated:
+                alpha, beta = repeated[t]
             else:
                 alpha, beta = random_composition(n, rng), random_composition(n, rng)
             alpha, beta = Composition(alpha), Composition(beta)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hinge.field import PrimeField
-from hinge.linalg import Matrix, ShapeError, SingularMatrixError, solve_columns
+from hinge.linalg import Matrix, ShapeError, SingularMatrixError, _rref, _rref_stack
 
 
 def plain_eliminate(rows, p):
@@ -60,6 +60,11 @@ def test_construction_reduces_mod_p():
         Matrix(f, np.array([[1.0, 2.0]]))
     assert Matrix(f, np.zeros((0, 3))).shape == (0, 3)
     assert Matrix(f, [[]]).shape == (1, 0)
+    # out-of-range ints reduce exactly: past int64, past uint64, unsigned arrays
+    assert Matrix(f, [[10 ** 23, -(10 ** 23) - 1]]).to_rows() == [[0, 4]]
+    assert Matrix(f, [[2 ** 63, -1]]).to_rows() == [[3, 4]]
+    assert Matrix(f, [[np.int64(7), 10 ** 23]]).to_rows() == [[2, 0]]
+    assert Matrix(f, np.array([[2 ** 64 - 1]], dtype=np.uint64)).to_rows() == [[0]]
 
 
 def test_backing_array_is_frozen():
@@ -118,6 +123,24 @@ def test_rref_matches_plain_oracle():
             assert got_piv == tuple(want_piv)
 
 
+def test_rref_stack_matches_rref():
+    # every matrix of a stack, zero rows and rank-deficient members included,
+    # comes out as _rref leaves it, with its rank
+    rng = np.random.default_rng(23)
+    for p in (2, 3, 5, 65521):
+        for n_mat in (1, 2, 17):
+            for rows, cols in ((1, 1), (2, 3), (4, 2), (5, 5), (6, 4)):
+                stack = rng.integers(0, p, size=(n_mat, rows, cols))
+                stack[rng.random((n_mat, rows)) < 0.3] = 0
+                for k in range(0, n_mat, 3):  # last row a combination of the others
+                    stack[k, -1] = stack[k, :-1].sum(axis=0) * (p - 1) % p
+                want = stack.copy()
+                ranks = _rref_stack(stack, p)
+                for k in range(n_mat):
+                    assert ranks[k] == len(_rref(want[k], p))
+                    assert np.array_equal(stack[k], want[k]), (p, want[k], stack[k])
+
+
 def test_rref_idempotent_and_rank():
     rng = random.Random(13)
     for p in (2, 3, 5):
@@ -154,36 +177,6 @@ def test_inverse_errors():
         Matrix(f, [[1, 2], [2, 4]]).inverse()
     with pytest.raises(ShapeError):
         Matrix(f, [[1, 2, 0], [0, 1, 1]]).inverse()
-
-
-def test_solve_columns_consistent():
-    rng = random.Random(19)
-    for p in (2, 3, 5):
-        f = PrimeField(p)
-        for _ in range(30):
-            m, n, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
-            a = Matrix(f, random_rows(rng, p, m, n))
-            x = Matrix(f, random_rows(rng, p, n, k))
-            b = a * x
-            sol = solve_columns(a, b)
-            assert a * sol == b
-
-
-def test_solve_columns_deterministic_free_vars():
-    # Free variables are pinned to zero, so the solution is reproducible.
-    f = PrimeField(5)
-    a = Matrix(f, [[1, 1, 0], [0, 0, 1]])
-    b = Matrix(f, [[3], [2]])
-    sol = solve_columns(a, b)
-    assert sol.to_rows() == [[3], [0], [2]]
-
-
-def test_solve_columns_inconsistent():
-    f = PrimeField(3)
-    a = Matrix(f, [[1, 0], [1, 0]])
-    b = Matrix(f, [[1], [2]])
-    with pytest.raises(ValueError, match="column"):
-        solve_columns(a, b)
 
 
 def test_equality_and_hash():

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from hinge.field import PrimeField
-from hinge.linalg import Matrix, ShapeError, SingularMatrixError
+from hinge.linalg import Matrix, ShapeError, SingularMatrixError, _kernel_rows
 from hinge.relations import LinearRelation, quotient_rows
-from hinge.subspaces import Subspace, subspace_from_generators
+from hinge.subspaces import Subspace, _span_rows, subspace_from_generators
 
 
 def members(rel):
@@ -124,6 +124,50 @@ def test_theta_respects_membership():
                 assert any(
                     tuple((np.array(e) - np.array(eta)) % p) in indef_set for e in hits
                 ), f"theta column {k} does not certify membership"
+
+
+def test_relation_layer_at_large_p_matches_kernel_formulas():
+    """At p = 65521, where members cannot be enumerated, check each derived
+    space against a formula of its own and theta by span membership.
+
+    ker and indef are spans of the basis combinations that vanish on the
+    other half; dom and im are spans of the halves.  For each domain class
+    xi, a lift eta with (xi, eta) in L is solved for through a kernel, and
+    eta minus theta's image combination must lie in indef.
+    """
+    rng = random.Random(67)
+    p = 65521
+    f = PrimeField(p)
+    rels = [
+        LinearRelation.graph(Matrix(f, [[3, 1], [65520, 7], [2, 0]])),
+        LinearRelation(3, 2, Subspace.zero(f, 5)),
+        LinearRelation.from_generators(f, 2, 2, [[1, 5, 0, 0], [0, 0, 9, 1]]),  # dom == ker
+    ]
+    for _ in range(60):
+        dim_x, dim_y = rng.randint(1, 6), rng.randint(1, 6)
+        gens = [[rng.randrange(p) for _ in range(dim_x + dim_y)] for _ in range(rng.randint(1, 5))]
+        gens.append([sum(col) % p for col in zip(*gens)])  # rank-deficient generators
+        rels.append(LinearRelation.from_generators(f, dim_x, dim_y, gens))
+    for rel in rels:
+        b = rel.space.basis.a
+        bx, by = b[:, : rel.dim_x], b[:, rel.dim_x :]
+        assert rel.dom() == _span_rows(f, bx.copy())
+        assert rel.im() == _span_rows(f, by.copy())
+        assert rel.ker() == _span_rows(f, _kernel_rows(by.T, p) @ bx % p)
+        assert rel.indef() == _span_rows(f, _kernel_rows(bx.T, p) @ by % p)
+        theta = rel.theta()
+        dom_rows = quotient_rows(rel.dom(), rel.ker())
+        q_rows = quotient_rows(rel.im(), rel.indef())
+        assert theta.shape == (q_rows.shape[0], dom_rows.shape[0])
+        assert theta.rank() == dom_rows.shape[0]
+        for k, xi in enumerate(dom_rows):
+            # (c, t) with c @ bx == t * xi; any t != 0 gives the lift c @ by / t
+            sol = _kernel_rows(np.concatenate([bx, (-xi)[None, :] % p]).T, p)
+            c = next(row for row in sol if row[-1])
+            eta = c[:-1] @ by * pow(int(c[-1]), -1, p) % p
+            rest = (eta - theta.a[:, k] @ q_rows) % p
+            both = np.concatenate([rel.indef().basis.a, rest[None, :]])
+            assert _span_rows(f, both) == rel.indef(), f"theta column {k} of {rel}"
 
 
 def test_theta_square_and_invertible():
