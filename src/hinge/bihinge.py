@@ -185,33 +185,20 @@ class BiHinge:
         return f"BiHinge(alpha={self.alpha.parts}, beta={self.beta.parts})"
 
 
-def chi_cell(
-    a: Matrix,
-    col_lo: int,
-    col_hi: int,
-    row_lo: int,
-    row_hi: int,
-    _kernels: dict = None,
-) -> LinearRelation:
+def chi_cell(a: Matrix, col_lo: int, col_hi: int, row_lo: int, row_hi: int) -> LinearRelation:
     """One grid cell of an invertible matrix, from the slice boundaries.
 
     The feasible inputs are the x supported on columns [0, col_hi) whose image
     vanishes on rows [0, row_lo); in those restricted coordinates they form the
     kernel of the top-left row_lo x col_hi slice of a.  Each feasible x
     contributes the pair (x restricted to [col_lo, col_hi), a x restricted to
-    [row_lo, row_hi)).  A dict passed as _kernels memoizes kernels across cells
-    sharing (row_lo, col_hi), which the bulk completeness driver exploits.
-    chi does not call this: it is the definitional oracle for chi's cells.
+    [row_lo, row_hi)).  chi does not call this: it is the definitional oracle
+    for chi's cells and for the stacked cells of the completeness check.
     """
     field = a.field
     p = field.p
     arr = a.a
-    key = (row_lo, col_hi)
-    kern = None if _kernels is None else _kernels.get(key)
-    if kern is None:
-        kern = _kernel_rows(arr[:row_lo, :col_hi], p)
-        if _kernels is not None:
-            _kernels[key] = kern
+    kern = _kernel_rows(arr[:row_lo, :col_hi], p)
     xi = kern[:, col_lo:col_hi]
     eta = (kern @ arr[row_lo:row_hi, :col_hi].T) % p
     gens = np.concatenate([xi, eta], axis=1)

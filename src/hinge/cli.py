@@ -69,6 +69,16 @@ def _csv_rows(text: str) -> list:
     return [_csv_ints(row) for row in text.split(";")]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _resolve_budget(args) -> EnumerationBudget:
     value = getattr(args, "budget", None)
     if value is None:
@@ -148,6 +158,7 @@ def cmd_standard(args) -> int:
 
 def cmd_count(args) -> int:
     budget = _resolve_budget(args)
+    PrimeField(args.q)  # the formula is only a coset count over a prime field
     predicted = predicted_coset_count(args.alpha, args.beta, args.q)
     if not args.brute:
         if args.format == "json":
@@ -235,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=[2, 3],
         help="comma-separated field moduli (default 2,3)",
     )
-    p.add_argument("--max-n", type=int, default=4, help="largest matrix size to test")
+    p.add_argument(
+        "--max-n", type=_positive_int, default=4, help="largest matrix size to test (at least 1)"
+    )
     p.add_argument("--budget", type=int, help="override both enumeration size caps")
     p.set_defaults(func=cmd_selfcheck)
 

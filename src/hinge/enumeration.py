@@ -1,16 +1,19 @@
 """Brute-force ground truth: exhaustive enumeration and closed-form counting.
 
 Everything here is meant to cross-check the fast invariants on small fields:
-full enumeration of GL(n, q) and of subspace lattices, generators of the
-block triangular groups, double coset partitions by closure, grids filtered
-by the axioms, stabilizer orders by direct count, and the orbit-counting
-formula.  Budgets are hard limits; exceeding one raises BudgetError with the
-offending cardinality, never a silent truncation.
+GL(n, q) as one (N, n, n) array and subspace lattices enumerated in full,
+generators of the block triangular groups, double coset partitions by
+closure (connected components of the generator graph, found with numpy
+label propagation), grids filtered by the axioms, stabilizer orders by
+direct count, and the orbit-counting formula.  Budgets are hard limits;
+exceeding one raises BudgetError with the offending cardinality, never a
+silent truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -83,47 +86,65 @@ def subspace_count(d: int, q: int) -> int:
 
 def encode_matrix(m: Matrix) -> int:
     """Fixed-width integer key: row-major base-p digits, first entry highest."""
-    return _digits_key(m.a, m.field.p)
-
-
-def _digits_key(arr: np.ndarray, p: int) -> int:
     key = 0
-    for v in arr.flat:
-        key = key * p + int(v)
+    for v in m.a.flat:
+        key = key * m.field.p + int(v)
     return key
 
 
-def enum_gl(n: int, q: int, budget: EnumerationBudget = None):
-    """Yield every element of GL(n, q) exactly once, in ascending key order.
+# Elements per numpy pass over a stack of matrices: bounds the temporaries of
+# the whole-group array routes (a 2**16 x 5 x 5 int64 chunk is 13 MB).
+CHUNK = 1 << 16
+
+
+def gl_array(n: int, q: int, budget: EnumerationBudget = None) -> np.ndarray:
+    """Every element of GL(n, q) as one (N, n, n) array, in ascending key order.
 
     Rows are chosen top to bottom in lexicographic order, skipping vectors in
-    the span of the rows above, so the stream is complete, duplicate-free and
-    deterministic.
+    the span of the rows above, so the array is complete, duplicate-free and
+    sorted by encode_matrix key.  Each prefix of rows carries its span as the
+    list of its q**k members; a boolean mask over the q**n vectors marks
+    them, and every vector outside the mask extends the prefix.  Entries are
+    stored in the smallest unsigned dtype that holds q - 1.
     """
     budget = budget or DEFAULT_BUDGET
     budget.check_group(gl_order(n, q), f"|GL({n},{q})|")
+    PrimeField(q)  # rejects a modulus that is not a prime field
+    dtype = np.min_scalar_type(q - 1)
+    size = q ** n
+    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    vectors = (np.arange(size)[:, None] // weights % q).astype(dtype)
+    wide = np.min_scalar_type(q * q)  # holds a span member plus c * v before reduction
+    coeffs = np.arange(q, dtype=wide)[:, None, None]
+    rows = np.zeros((1, 0, n), dtype=dtype)
+    span = np.zeros((1, 1, n), dtype=wide)
+    for k in range(n):
+        count = size - q ** k  # vectors outside a k-dimensional span
+        new = np.empty((len(rows), count, k + 1, n), dtype=dtype)
+        new[:, :, :k] = rows[:, None]
+        more = k + 1 < n
+        if more:
+            new_span = np.empty((len(rows), count, q ** (k + 1), n), dtype=wide)
+        for lo in range(0, len(rows), CHUNK):
+            hi = min(lo + CHUNK, len(rows))
+            outside = np.ones((hi - lo, size), dtype=bool)
+            outside[np.arange(hi - lo)[:, None], span[lo:hi] @ weights] = False
+            cand = vectors[np.nonzero(outside)[1].reshape(hi - lo, count)]
+            new[lo:hi, :, k] = cand
+            if more:  # span(prefix + v) = union over c of span(prefix) + c v
+                grown = span[lo:hi, None, None] + coeffs * cand[:, :, None, None]
+                new_span[lo:hi] = (grown % q).reshape(hi - lo, count, -1, n)
+        rows = new.reshape(-1, k + 1, n)
+        if more:
+            span = new_span.reshape(len(rows), -1, n)
+    return rows
+
+
+def enum_gl(n: int, q: int, budget: EnumerationBudget = None):
+    """Yield every element of GL(n, q) exactly once, in ascending key order."""
     field = PrimeField(q)
-    vectors = [np.array(v, dtype=np.int64) for v in product(range(q), repeat=n)]
-
-    def grow(rows, span_list, span_set):
-        if len(rows) == n:
-            yield Matrix._new(field, np.array(rows, dtype=np.int64))
-            return
-        for v in vectors:
-            if v.tobytes() in span_set:
-                continue
-            new_list = list(span_list)
-            new_set = set(span_set)
-            for c in range(1, q):
-                w = c * v % q
-                for s in span_list:
-                    t = (s + w) % q
-                    new_list.append(t)
-                    new_set.add(t.tobytes())
-            yield from grow(rows + [v], new_list, new_set)
-
-    zero = np.zeros(n, dtype=np.int64)
-    yield from grow([], [zero], {zero.tobytes()})
+    for arr in gl_array(n, q, budget):
+        yield Matrix._new(field, arr.astype(np.int64))
 
 
 def _free_positions(comp: Composition, lower: bool) -> list:
@@ -175,81 +196,144 @@ def enum_subspaces(d: int, q: int, budget: EnumerationBudget = None):
                 yield Subspace._trusted(Matrix._new(field, arr))
 
 
-def _int_powers(p: int, count: int):
-    """Descending powers of p as int64 when they fit a machine word, else None."""
-    if p ** count < 2 ** 62:
-        return np.array([p ** k for k in range(count - 1, -1, -1)], dtype=np.int64)
-    return None
+def _key_weights(flat: np.ndarray) -> tuple:
+    """Mixed-radix int64 keys for the rows of an (N, positions) value array.
 
-
-def _partition_labels(arrays: list, left_gens: list, right_gens: list, p: int):
-    """Connected components of the multiplication graph over raw arrays.
-
-    Closure by depth-first search: neighbors of m are g @ m for left
-    generators and m @ g for right generators.  Membership is tracked with the
-    row-major base-p integer keys of encode_matrix (vectorized while the key
-    fits a machine word).  Returns (labels list, class count).
+    Position k takes values below radix[k] (its largest value plus one) and
+    weighs the product of the radices after it, so keys ascend in row-major
+    order and agree with encode_matrix order.  Returns (radix, weights);
+    raises BudgetError when the key space does not fit in an int64.
     """
-    if not arrays:
-        return [], 0
-    count = arrays[0].size
-    powers = _int_powers(p, count)
-
-    if powers is not None:
-        def key(arr):
-            return int(arr.reshape(-1) @ powers)
-    else:
-        def key(arr):
-            return _digits_key(arr, p)
-
-    index = {key(arr): i for i, arr in enumerate(arrays)}
-    labels = [-1] * len(arrays)
-    classes = 0
-    for start in range(len(arrays)):
-        if labels[start] >= 0:
-            continue
-        labels[start] = classes
-        stack = [arrays[start]]
-        while stack:
-            cur = stack.pop()
-            for g in left_gens:
-                nb = (g @ cur) % p
-                j = index[key(nb)]
-                if labels[j] < 0:
-                    labels[j] = classes
-                    stack.append(nb)
-            for g in right_gens:
-                nb = (cur @ g) % p
-                j = index[key(nb)]
-                if labels[j] < 0:
-                    labels[j] = classes
-                    stack.append(nb)
-        classes += 1
-    return labels, classes
+    radix = flat.max(axis=0).astype(np.int64) + 1
+    space = 1
+    for r in radix.tolist():
+        space *= r
+    if space > 2 ** 63:
+        raise BudgetError(f"closure key space {space} exceeds the int64 range 2**63")
+    weights = np.ones(len(radix), dtype=np.int64)
+    for k in range(len(radix) - 2, -1, -1):
+        weights[k] = weights[k + 1] * radix[k + 1]
+    return radix, weights
 
 
-@dataclass(frozen=True)
+def _moved_keys(g: np.ndarray, x: np.ndarray, keys: np.ndarray, weights, radix, p: int):
+    """Keys of g @ x mod p for a stack x with the given keys, and a mask of
+    the products that leave the key space.
+
+    Only the rows that g changes are recomputed, row i of g @ x being the sum
+    over j of g[i, j] x[j], and each key moves by the weighted change of
+    those rows.  weights and radix are (n, n) arrays in x's layout.
+    """
+    rows = np.flatnonzero((g != np.eye(len(g), dtype=g.dtype)).any(axis=1))
+    new = np.zeros((len(x), len(rows), x.shape[2]), dtype=np.int64)
+    for k, i in enumerate(rows.tolist()):
+        for j in np.flatnonzero(g[i]).tolist():
+            new[:, k] += int(g[i, j]) * x[:, j].astype(np.int64)
+    new %= p
+    moved = keys + ((new - x[:, rows]) * weights[rows]).sum(axis=(1, 2))
+    return moved, (new >= radix[rows]).any(axis=(1, 2))
+
+
+def _merge(labels: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Join the classes linked by the edges i -- nbr[i].
+
+    labels[i] is the smallest index of a class member and labels[labels] ==
+    labels.  Each round hooks the larger root of every edge whose ends differ
+    onto the smaller one, then jumps pointers until every label is a root
+    again (Shiloach-Vishkin min-label propagation).
+    """
+    while True:
+        a = labels
+        b = labels[nbr]
+        diff = a != b
+        if not diff.any():
+            return labels
+        a, b = a[diff], b[diff]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+def _partition_labels(arrays, left_gens: list, right_gens: list, p: int):
+    """Connected components of the multiplication graph over an element stack.
+
+    The stack must ascend in encode_matrix key order, as gl_array does.
+    Neighbors of m are g @ m for left generators and m @ g for right
+    generators (a right product is a left one of the transposes).  The
+    generators are invertible and act on a finite set, so each one permutes
+    the elements and its edges may be followed both ways.  One generator at a
+    time: the products of a chunk of the stack are found by their
+    mixed-radix keys with searchsorted, and the classes they link are merged.
+    A product outside the element set raises InvariantViolation.  Classes are
+    numbered in the order of their first elements.  Returns (labels array,
+    class count).
+    """
+    arrays = np.asarray(arrays)
+    total, n = arrays.shape[:2]
+    radix, weights = _key_weights(arrays.reshape(total, -1))
+    radix, weights = radix.reshape(n, n), weights.reshape(n, n)
+    keys = np.empty(total, dtype=np.int64)
+    for lo in range(0, total, CHUNK):
+        keys[lo : lo + CHUNK] = (arrays[lo : lo + CHUNK] * weights).sum(axis=(1, 2))
+    if not (keys[1:] > keys[:-1]).all():
+        raise InvariantViolation("the element stack does not strictly ascend in key order")
+    labels = np.arange(total)
+    nbr = np.empty(total, dtype=np.intp)
+    moves = [(g, arrays, weights, radix) for g in left_gens]
+    flipped = arrays.transpose(0, 2, 1)
+    moves += [(g.T, flipped, weights.T, radix.T) for g in right_gens]
+    for g, stack, w, r in moves:
+        for lo in range(0, total, CHUNK):
+            hi = min(lo + CHUNK, total)
+            moved, outside = _moved_keys(g, stack[lo:hi], keys[lo:hi], w, r, p)
+            nbr[lo:hi] = np.minimum(np.searchsorted(keys, moved), total - 1)
+            outside |= keys[nbr[lo:hi]] != moved
+            if outside.any():
+                raise InvariantViolation(
+                    f"a generator maps element {lo + int(np.argmax(outside))} "
+                    "outside the element set"
+                )
+        labels = _merge(labels, nbr)
+    roots = labels == np.arange(total)
+    return (np.cumsum(roots) - 1)[labels], int(roots.sum())
+
+
+@dataclass(frozen=True, eq=False)
 class CosetPartition:
     """A partition of GL(n, q) into double cosets, classes in discovery order.
 
-    Classes and their members both ascend in encode_matrix key order; the
-    first member of each class is its minimal representative.
+    elements is the group in ascending encode_matrix key order and labels[i]
+    the class of elements[i].  Classes are numbered by their first member, so
+    classes and their members both ascend in key order; the first member of
+    each class is its minimal representative.  The Matrix objects of classes
+    are built on first access.
     """
 
     q: int
     alpha: Composition
     beta: Composition
-    classes: tuple
+    elements: np.ndarray
+    labels: np.ndarray
+    num_classes: int
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
+    @cached_property
+    def classes(self) -> tuple:
+        field = PrimeField(self.q)
+        order = np.argsort(self.labels, kind="stable")
+        bounds = np.cumsum(self.class_sizes())[:-1]
+        return tuple(
+            tuple(Matrix._new(field, self.elements[i].astype(np.int64)) for i in members)
+            for members in np.split(order, bounds)
+        )
 
     def class_sizes(self) -> list:
-        return [len(c) for c in self.classes]
+        return np.bincount(self.labels, minlength=self.num_classes).tolist()
 
     def total(self) -> int:
-        return sum(len(c) for c in self.classes)
+        return len(self.labels)
 
 
 def double_cosets_brute(
@@ -265,14 +349,11 @@ def double_cosets_brute(
     beta = Composition(beta)
     if alpha.n != n or beta.n != n:
         raise MarginError(f"compositions must sum to {n}")
-    elements = list(enum_gl(n, q, budget))
+    elements = gl_array(n, q, budget)
     left = [g.a for g in t_generators(beta, q, lower=True)]
     right = [g.a for g in t_generators(alpha, q, lower=False)]
-    labels, count = _partition_labels([m.a for m in elements], left, right, q)
-    classes = [[] for _ in range(count)]
-    for m, lab in zip(elements, labels):
-        classes[lab].append(m)
-    return CosetPartition(q, alpha, beta, tuple(tuple(c) for c in classes))
+    labels, count = _partition_labels(elements, left, right, q)
+    return CosetPartition(q, alpha, beta, elements, labels, count)
 
 
 def all_bihinges_brute(alpha, beta, q: int, budget: EnumerationBudget = None) -> list:

@@ -23,6 +23,7 @@ from .bihinge import (
     standard_matrix,
 )
 from .enumeration import (
+    CHUNK,
     DEFAULT_BUDGET,
     EnumerationBudget,
     _partition_labels,
@@ -30,6 +31,7 @@ from .enumeration import (
     contingency_tables,
     double_cosets_brute,
     enum_gl,
+    gl_array,
     gl_order,
     predicted_coset_count,
     stab_order_formula,
@@ -37,8 +39,9 @@ from .enumeration import (
     t_generators,
 )
 from .field import PrimeField
-from .linalg import Matrix
+from .linalg import Matrix, _rref_stack
 from .lpu import lpu, perm_block_counts, canonical_01
+from .relations import InvariantViolation
 
 
 def random_matrix(field: PrimeField, rows: int, cols: int, rng: random.Random) -> Matrix:
@@ -171,33 +174,107 @@ def check_canonical_consistency(qs=(2, 3)) -> tuple:
     return True, f"{checked} dimension tables over q in {tuple(qs)}"
 
 
-def _grid_cell_ids(elements, n, cuts):
-    """Intern every cut-rectangle cell of every matrix to a small int id."""
-    ids = np.empty((len(elements), len(cuts)), dtype=np.int64)
-    intern = {}
-    for idx, m in enumerate(elements):
-        kernels = {}
-        for k, (cl, ch, rl, rh) in enumerate(cuts):
-            rel = chi_cell(m, cl, ch, rl, rh, _kernels=kernels)
-            key = rel.space.basis.a.tobytes()
-            cid = intern.get(key)
-            if cid is None:
-                cid = len(intern)
-                intern[key] = cid
-            ids[idx, k] = cid
+def _intern_rows(rows: np.ndarray) -> tuple:
+    """Number the distinct rows of an (N, ...) array: (ids, first index per id).
+
+    Each row's bytes, zero-padded to whole 64-bit words, are sorted with one
+    stable lexsort; equal rows get one id, numbered in sorted order, and the
+    first index of an id is its smallest.
+    """
+    count = len(rows)
+    raw = np.ascontiguousarray(rows).reshape(count, -1).view(np.uint8)
+    pad = -raw.shape[1] % 8
+    if pad:
+        raw = np.concatenate([raw, np.zeros((count, pad), dtype=np.uint8)], axis=1)
+    words = raw.view(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    starts = np.ones(count, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(count, dtype=np.intp)
+    ids[order] = np.cumsum(starts) - 1
+    return ids, order[starts]
+
+
+def _graph_echelon(elements: np.ndarray, q: int, cl: int, ch: int, rl: int, rh: int):
+    """Canonical RREFs of the graph rows of a[:rh, :ch] for every element.
+
+    Row c of each matrix is (e_c | a[:rh, :ch] e_c) for c < ch, with columns
+    ordered (y_head, x_tail, y_tail): a[:rl, c], e_c on [cl, ch), a[rl:rh, c].
+    The x_head coordinates [0, cl) are left out, since the RREF of a column
+    prefix is the prefix of the RREF.  Returns the (N, ch, width) stack.
+    """
+    width = rl + (ch - cl) + (rh - rl)
+    out = np.empty((len(elements), ch, width), dtype=elements.dtype)
+    eye = np.eye(ch, dtype=np.int64)[:, cl:ch]
+    for lo in range(0, len(elements), CHUNK):
+        at = elements[lo : lo + CHUNK, :rh, :ch].transpose(0, 2, 1)
+        stack = np.empty((len(at), ch, width), dtype=np.int64)
+        stack[:, :, :rl] = at[:, :, :rl]
+        stack[:, :, rl : rl + ch - cl] = eye
+        stack[:, :, rl + ch - cl :] = at[:, :, rl:rh]
+        _rref_stack(stack, q)
+        out[lo : lo + len(at)] = stack
+    return out
+
+
+def _cell_bases(echelon: np.ndarray, cl: int, ch: int, rl: int, rh: int) -> np.ndarray:
+    """Every element's cell (cl, ch, rl, rh) as an RREF basis padded with zero rows.
+
+    In the graph RREF the rows pivoting in y_head come first; the rows after
+    them span the graph vectors with y_head = 0, the feasible inputs.  Their
+    (x_tail, y_tail) part, up to the column of y[rh - 1], is the canonical
+    RREF of the cell.  Rows pivoting past that column are zero there.
+    """
+    count, rows, _ = echelon.shape
+    head = (echelon[:, :, :rl] != 0).any(axis=2).sum(axis=1)
+    src = np.arange(rows) + head[:, None]
+    inside = src < rows
+    bases = echelon[np.arange(count)[:, None], np.where(inside, src, 0), rl : rh + ch - cl]
+    bases[~inside] = 0
+    return bases
+
+
+def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
+    """Intern every cut-rectangle cell of every matrix to a small int id per cut.
+
+    A cell's id is the index of its RREF basis among the distinct bases of
+    that cut.  One stacked elimination per (cl, ch, rl) serves every rh: the
+    y_tail columns of a smaller rh are a prefix of the largest.  The
+    definitional chi_cell of the first element of every id must give the
+    same basis; a difference raises InvariantViolation.
+    """
+    field = PrimeField(q)
+    ids = np.empty((len(elements), len(cuts)), dtype=np.min_scalar_type(len(elements)))
+    by_prefix = {}
+    for k, (cl, ch, rl, rh) in enumerate(cuts):
+        by_prefix.setdefault((cl, ch, rl), []).append((rh, k))
+    for (cl, ch, rl), tails in by_prefix.items():
+        echelon = _graph_echelon(elements, q, cl, ch, rl, max(rh for rh, _ in tails))
+        for rh, k in tails:
+            bases = _cell_bases(echelon, cl, ch, rl, rh)
+            ids[:, k], firsts = _intern_rows(bases)
+            for idx in firsts.tolist():
+                m = Matrix._new(field, elements[idx].astype(np.int64))
+                want = chi_cell(m, cl, ch, rl, rh).space.basis.a
+                got = bases[idx]
+                if not (np.array_equal(got[: len(want)], want) and not got[len(want) :].any()):
+                    raise InvariantViolation(
+                        f"cell {(cl, ch, rl, rh)} of {m.to_rows()}: stacked basis "
+                        f"{got.tolist()} differs from chi_cell {want.tolist()}"
+                    )
     return ids
 
 
 def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tuple:
     """Equal grids iff same double coset, for every composition pair of n.
 
-    Enumerates GL(n, q) once, computes every cut-rectangle cell of every
-    element once, then checks the grid partition against the closure partition
-    for all pairs (alpha, beta).
+    Enumerates GL(n, q) once, interns every cut-rectangle cell of every
+    element once, then checks the grid partition against the closure
+    partition for all pairs (alpha, beta).
     """
     budget = budget or DEFAULT_BUDGET
-    elements = list(enum_gl(n, q, budget))
-    arrays = [m.a for m in elements]
+    elements = gl_array(n, q, budget)
     comps = all_compositions(n)
     cuts = [
         (cl, ch, rl, rh)
@@ -207,7 +284,10 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
         for rh in range(rl + 1, n + 1)
     ]
     cut_index = {cut: k for k, cut in enumerate(cuts)}
-    ids = _grid_cell_ids(elements, n, cuts)
+    try:
+        ids = _grid_cell_ids(elements, q, cuts)
+    except InvariantViolation as exc:
+        return False, f"GL({n},{q}): {exc}"
     pairs = 0
     classes_seen = 0
     for alpha in comps:
@@ -215,27 +295,23 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
         sel_cols = [alpha.block(i) for i in range(len(alpha))]
         for beta in comps:
             left = [g.a for g in t_generators(beta, q, lower=True)]
-            labels, nclasses = _partition_labels(arrays, left, right, q)
+            labels, nclasses = _partition_labels(elements, left, right, q)
             sel = [
                 cut_index[cl, ch, rl, rh]
                 for cl, ch in sel_cols
                 for rl, rh in (beta.block(j) for j in range(len(beta)))
             ]
-            sub = ids[:, sel]
-            by_label = {}
-            grid_keys = set()
-            for idx in range(len(elements)):
-                gkey = sub[idx].tobytes()
-                grid_keys.add(gkey)
-                prev = by_label.setdefault(labels[idx], gkey)
-                if prev != gkey:
-                    return False, (
-                        f"alpha={alpha.parts} beta={beta.parts}: one coset, two grids"
-                    )
-            if len(grid_keys) != nclasses:
+            grids, firsts = _intern_rows(ids[:, sel])
+            grid_of_class = np.empty(nclasses, dtype=grids.dtype)
+            grid_of_class[labels] = grids
+            if not np.array_equal(grid_of_class[labels], grids):
+                return False, (
+                    f"alpha={alpha.parts} beta={beta.parts}: one coset, two grids"
+                )
+            if len(firsts) != nclasses:
                 return False, (
                     f"alpha={alpha.parts} beta={beta.parts}: "
-                    f"{nclasses} cosets but {len(grid_keys)} grids"
+                    f"{nclasses} cosets but {len(firsts)} grids"
                 )
             pairs += 1
             classes_seen += nclasses

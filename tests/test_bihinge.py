@@ -138,22 +138,9 @@ def test_cells_match_definition_oracle():
                     )
 
 
-def test_chi_cell_memo_consistency():
-    # a shared kernel dict must not change any cell
-    rng = random.Random(73)
-    f = PrimeField(3)
-    a = random_invertible(f, 4, rng)
-    shared = {}
-    for col_lo, col_hi in ((0, 2), (2, 4), (0, 4)):
-        for row_lo, row_hi in ((0, 1), (1, 4)):
-            fresh = chi_cell(a, col_lo, col_hi, row_lo, row_hi)
-            memoed = chi_cell(a, col_lo, col_hi, row_lo, row_hi, _kernels=shared)
-            assert fresh == memoed
-
-
 def test_grid_matches_chi_cell_definition():
-    # chi builds every cell from one elimination; chi_cell, without a memo,
-    # takes its own kernel per cell, so the two routes are independent.
+    # chi builds every cell from one elimination; chi_cell takes its own
+    # kernel per cell, so the two routes are independent.
     # Repeated parts give several cells of one shape with blocks > 1: a few
     # (reduced cell by cell) or at least 8 (reduced as one stack).
     rng = random.Random(79)

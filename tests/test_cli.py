@@ -58,6 +58,16 @@ def test_count_budget_flag(capsys):
     assert "6" in err and "budget" in err
 
 
+def test_count_rejects_non_prime_modulus(capsys):
+    # checked before the formula runs, with or without --brute
+    for q in ("-3", "0", "1", "4"):
+        for extra in ([], ["--brute"]):
+            assert main(["count", "--alpha", "1,1", "--beta", "1,1", "-q", q, *extra]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "modulus must be a prime" in err
+
+
 def test_budget_env_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("HINGE_BUDGET", "5")
     assert main(["count", "--alpha", "1,1", "--beta", "1,1", "-q", "2", "--brute"]) == 6
@@ -194,6 +204,15 @@ def test_selfcheck_quick(capsys):
     assert "PASS completeness" in out
     assert "FAIL" not in out
     assert out.rstrip().endswith("all checks passed")
+
+
+def test_selfcheck_rejects_max_n_below_one(capsys):
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["selfcheck", "--max-n", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-n" in err and "at least 1" in err
 
 
 def test_subprocess_entry_point():

@@ -20,6 +20,7 @@ from hinge.enumeration import (
     enum_gl,
     enum_subspaces,
     gaussian_binomial,
+    gl_array,
     gl_order,
     predicted_coset_count,
     stab_order_formula,
@@ -29,6 +30,7 @@ from hinge.enumeration import (
 )
 from hinge.field import PrimeField
 from hinge.linalg import Matrix
+from hinge.relations import InvariantViolation
 
 
 def test_gl_order_values():
@@ -156,7 +158,8 @@ def test_coset_classes_are_grid_fibers():
 
 
 def test_partition_labels_fallback_big_modulus():
-    # 127**9 overflows the vectorized int64 key, forcing the digit loop
+    # base-127 keys of 3 x 3 matrices pass 2**63; mixed-radix keys fit, with
+    # radix 127 only where entries vary
     q = 127
     arrays = []  # T-(2,1): identity plus free entries in the last row's first block
     for a, b in product(range(q), repeat=2):
@@ -257,3 +260,44 @@ def test_budget_errors_carry_cardinality():
         all_bihinges_brute((2, 2), (2, 2), 3, tiny)
     assert DEFAULT_BUDGET.max_group_order == 10 ** 7
     assert DEFAULT_BUDGET.max_subspace_lattice == 10 ** 6
+
+
+def test_gl_array_is_the_sorted_invertible_matrices():
+    # against an independent listing: every q**(n*n) matrix in lexicographic
+    # order, kept when its rank is full
+    for n, q in ((1, 3), (2, 3), (3, 2), (2, 5)):
+        field = PrimeField(q)
+        want = [
+            entries
+            for entries in product(range(q), repeat=n * n)
+            if Matrix(field, np.array(entries).reshape(n, n)).rank() == n
+        ]
+        got = gl_array(n, q)
+        assert got.dtype == np.uint8
+        assert got.reshape(len(got), -1).tolist() == [list(e) for e in want]
+    assert gl_array(1, 257).dtype == np.uint16
+    assert gl_array(1, 65521)[:, 0, 0].tolist() == list(range(1, 65521))
+    assert gl_array(0, 2).shape == (1, 0, 0)
+
+
+def test_partition_labels_rejects_products_outside_the_set():
+    # half of GL(2, 2) is not closed under the generator
+    arrays = gl_array(2, 2)[:3]
+    gens = [g.a for g in t_generators((1, 1), 2, lower=True)]
+    with pytest.raises(InvariantViolation, match="outside the element set"):
+        _partition_labels(arrays, gens, [], 2)
+
+
+def test_partition_labels_key_space_budget():
+    # 25 positions of 65521 values each do not fit a 63-bit key
+    arrays = np.full((1, 5, 5), 65520, dtype=np.int64)
+    with pytest.raises(BudgetError, match="key space"):
+        _partition_labels(arrays, [], [], 65521)
+
+
+def test_coset_classes_are_built_on_demand():
+    part = double_cosets_brute(4, 2, (1, 3), (2, 2))
+    assert part.num_classes == predicted_coset_count((1, 3), (2, 2), 2)
+    assert "classes" not in vars(part)
+    assert sum(part.class_sizes()) == part.total() == gl_order(4, 2)
+    assert [len(c) for c in part.classes] == part.class_sizes()

@@ -5,6 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, ShapeError, SingularMatrixError, _rref, _rref_stack
@@ -139,6 +142,33 @@ def test_rref_stack_matches_rref():
                 for k in range(n_mat):
                     assert ranks[k] == len(_rref(want[k], p))
                     assert np.array_equal(stack[k], want[k]), (p, want[k], stack[k])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rref_stack_property(data):
+    # random stacks with zero and rank-deficient members (a product of a
+    # rows x r and an r x cols matrix, r below both) match _rref one by one
+    p = data.draw(st.sampled_from((2, 3, 5, 65521)))
+    n_mat = data.draw(st.integers(1, 12))
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 7))
+    entries = st.integers(0, p - 1)
+    stack = data.draw(hnp.arrays(np.int64, (n_mat, rows, cols), elements=entries))
+    for k in range(n_mat):
+        kind = data.draw(st.sampled_from(("random", "zero", "deficient")))
+        if kind == "zero":
+            stack[k] = 0
+        elif kind == "deficient":
+            r = data.draw(st.integers(0, min(rows, cols) - 1))
+            left = data.draw(hnp.arrays(np.int64, (rows, r), elements=entries))
+            right = data.draw(hnp.arrays(np.int64, (r, cols), elements=entries))
+            stack[k] = left @ right % p
+    want = stack.copy()
+    ranks = _rref_stack(stack, p)
+    for k in range(n_mat):
+        assert ranks[k] == len(_rref(want[k], p))
+        assert np.array_equal(stack[k], want[k]), (p, want[k], stack[k])
 
 
 def test_rref_idempotent_and_rank():
