@@ -13,13 +13,14 @@ the right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, _column_pass, _kernel_rows, _rref_stack
-from .relations import LinearRelation
-from .subspaces import Subspace, _span_rows
+from .linalg import Matrix, ShapeError, SingularMatrixError, _column_pass, _kernel_rows, _rref_each
+from .relations import Derived, LinearRelation, _subspace, act_stack, derive_stack, y_first
+from .subspaces import _span_rows
 
 
 class MarginError(ValueError):
@@ -111,14 +112,6 @@ class DimensionMatrix:
     def to_rows(self) -> list:
         return [list(r) for r in self.entries]
 
-    def v_start(self, i: int, j: int) -> int:
-        """Local offset of sub-block V_i^j inside V_i (sub-blocks ascend in j)."""
-        return sum(self.entries[i][:j])
-
-    def w_start(self, j: int, i: int) -> int:
-        """Local offset of sub-block W_j^i inside W_j (sub-blocks ascend in i)."""
-        return sum(self.entries[k][j] for k in range(i))
-
     def __eq__(self, other):
         if not isinstance(other, DimensionMatrix):
             return NotImplemented
@@ -135,10 +128,51 @@ class DimensionMatrix:
         return f"DimensionMatrix({self.to_rows()}, alpha={self.alpha.parts}, beta={self.beta.parts})"
 
 
-class BiHinge:
-    """A p x q grid of linear relations, cell (i, j) between V_i and W_j."""
+class CellGroup(NamedTuple):
+    """The cells of one shape of a grid: their (N, 2) block indices (i, j) in
+    row-major order, the (N, C, C) stack of their RREF bases (X coordinates
+    first, zero rows past the rank, C = dim_x + dim_y) and their ranks."""
 
-    __slots__ = ("alpha", "beta", "grid")
+    dim_x: int
+    dim_y: int
+    cells: np.ndarray
+    stack: np.ndarray
+    ranks: np.ndarray
+
+
+def _shape_groups(alpha: Composition, beta: Composition) -> dict:
+    """(alpha_i, beta_j) -> (N, 2) array of the cells (i, j) of that shape,
+    row-major, the shapes in the order of their first cell."""
+    seen_a, seen_b = {}, {}
+    ka = np.array([seen_a.setdefault(a, len(seen_a)) for a in alpha.parts])
+    kb = np.array([seen_b.setdefault(b, len(seen_b)) for b in beta.parts])
+    order = np.argsort((ka[:, None] * len(seen_b) + kb).ravel(), kind="stable")
+    cells = np.stack(np.divmod(order, len(beta)), axis=1)
+    groups, lo = {}, 0
+    for a in seen_a:
+        for b in seen_b:
+            n = alpha.parts.count(a) * beta.parts.count(b)
+            groups[a, b], lo = cells[lo : lo + n], lo + n
+    return groups
+
+
+def _embed(out: np.ndarray, at: np.ndarray, part: np.ndarray, lead: int, gap: int):
+    """Members of part into out[at]: their first lead columns first, the rest from gap on."""
+    rows, width = part.shape[1:]
+    out[at, :rows, :lead] = part[:, :, :lead]
+    out[at, :rows, gap : gap + width - lead] = part[:, :, lead:]
+
+
+class BiHinge:
+    """A p x q grid of linear relations, cell (i, j) between V_i and W_j.
+
+    Held as per-shape arrays, one CellGroup per cell shape in order of first
+    appearance.  Bases are canonical, so two grids are equal exactly when
+    their stacks are.  grid and cell() build LinearRelation views of the
+    stacked rows when read.
+    """
+
+    __slots__ = ("alpha", "beta", "field", "groups", "_grid", "_derived")
 
     def __init__(self, alpha, beta, grid):
         alpha = Composition(alpha)
@@ -153,21 +187,63 @@ class BiHinge:
                         f"cell ({i + 1},{j + 1}) has shape {cell.dim_x} => {cell.dim_y}, "
                         f"expected {alpha[i]} => {beta[j]}"
                     )
-        self.alpha = alpha
-        self.beta = beta
-        self.grid = grid
+        groups = []
+        for (na, nb), cells in _shape_groups(alpha, beta).items():
+            stack = np.zeros((len(cells), na + nb, na + nb), dtype=np.int64)
+            for m, (i, j) in zip(stack, cells):
+                m[: grid[i][j].space.dim] = grid[i][j].space.basis.a
+            ranks = np.array([grid[i][j].space.dim for i, j in cells], dtype=np.intp)
+            groups.append(CellGroup(na, nb, cells, stack, ranks))
+        self._init(alpha, beta, grid[0][0].field, groups)
+        self._grid = grid
+
+    @classmethod
+    def _of(cls, alpha: Composition, beta: Composition, field: PrimeField, groups) -> "BiHinge":
+        h = object.__new__(cls)
+        h._init(alpha, beta, field, groups)
+        return h
+
+    def _init(self, alpha, beta, field, groups):
+        for g in groups:
+            g.stack.flags.writeable = False
+        self.alpha, self.beta, self.field = alpha, beta, field
+        self.groups = tuple(groups)
+        self._grid = self._derived = None
 
     @property
-    def field(self) -> PrimeField:
-        return self.grid[0][0].field
+    def grid(self) -> tuple:
+        if self._grid is None:
+            rows = [[None] * len(self.beta) for _ in range(len(self.alpha))]
+            for g in self.groups:
+                for (i, j), m, rank in zip(g.cells.tolist(), g.stack, g.ranks.tolist()):
+                    rows[i][j] = LinearRelation(g.dim_x, g.dim_y, _subspace(self.field, m[:rank]))
+            self._grid = tuple(tuple(row) for row in rows)
+        return self._grid
 
     def cell(self, i: int, j: int) -> LinearRelation:
         return self.grid[i][j]
 
-    def cells(self):
-        for i in range(len(self.alpha)):
-            for j in range(len(self.beta)):
-                yield i, j, self.grid[i][j]
+    def derived(self) -> Derived:
+        """derive_stack of every cell at once, cell (i, j) at index i * q + j.
+
+        Each group is reduced Y first on its own, then both echelon forms are
+        embedded with X at [0, dim_x) and Y from max(alpha) on: zero columns
+        keep a member in RREF and change none of its derived spaces.  Entries
+        are only compared and moved, so uint16 holds them (p < 2**16).
+        """
+        if self._derived is None:
+            mx, my = max(self.alpha), max(self.beta)
+            size = mx + my
+            stack = np.zeros((len(self.alpha) * len(self.beta), size, size), dtype=np.uint16)
+            swapped = np.zeros_like(stack)
+            ranks = np.zeros(len(stack), dtype=np.intp)
+            for g in self.groups:
+                at = g.cells @ (len(self.beta), 1)
+                _embed(stack, at, g.stack, g.dim_x, mx)
+                _embed(swapped, at, y_first(g.stack, g.ranks, g.dim_x, self.field.p), g.dim_y, my)
+                ranks[at] = g.ranks
+            self._derived = derive_stack(stack, swapped, ranks, mx, my)
+        return self._derived
 
     def __eq__(self, other):
         if not isinstance(other, BiHinge):
@@ -175,11 +251,13 @@ class BiHinge:
         return (
             self.alpha == other.alpha
             and self.beta == other.beta
-            and self.grid == other.grid
+            and self.field == other.field
+            and all(np.array_equal(a.stack, b.stack) for a, b in zip(self.groups, other.groups))
         )
 
     def __hash__(self):
-        return hash((self.alpha, self.beta, self.grid))
+        stacks = b"".join(g.stack.tobytes() for g in self.groups)
+        return hash((self.alpha, self.beta, self.field.p, stacks))
 
     def __repr__(self):
         return f"BiHinge(alpha={self.alpha.parts}, beta={self.beta.parts})"
@@ -203,13 +281,6 @@ def chi_cell(a: Matrix, col_lo: int, col_hi: int, row_lo: int, row_hi: int) -> L
     eta = (kern @ arr[row_lo:row_hi, :col_hi].T) % p
     gens = np.concatenate([xi, eta], axis=1)
     return LinearRelation(col_hi - col_lo, row_hi - row_lo, _span_rows(field, gens))
-
-
-# Fewest cells of one shape that chi reduces as one stack.  Measured with
-# random generator stacks of cell sizes 2 to 40 (2-vCPU x86-64 host): at 4
-# cells the stack was 1.1-1.5x slower than one _rref per cell, at 8 cells
-# 0.7-0.9x (faster), at 64 cells 0.2-0.6x.
-_STACK_MIN_CELLS = 8
 
 
 def chi(a: Matrix, alpha, beta) -> BiHinge:
@@ -236,11 +307,9 @@ def chi(a: Matrix, alpha, beta) -> BiHinge:
     candidate generators are its own columns c in [c0, c1), kept when
     sigma[c] >= r0, and the columns tau[r] = sigma^-1[r] for r in [r0, r1),
     kept when tau[r] < c0: alpha[i] + beta[j] candidates, the dropped ones
-    zeroed.  Cells of one shape therefore stack without padding and are
-    reduced by one _rref_stack call.  A shape held by fewer than
-    _STACK_MIN_CELLS cells is reduced cell by cell with _rref instead: a
-    stack pays a fixed numpy cost per column that only enough cells repay.
-    At finest compositions every cell has shape (1, 1); at coarse ones most
+    zeroed.  Cells of one shape therefore stack without padding, are reduced
+    by one _rref_each call and are kept as that shape's CellGroup.  At
+    finest compositions every cell has shape (1, 1); at coarse ones most
     shapes are held by a single cell.
     """
     alpha = Composition(alpha)
@@ -258,35 +327,21 @@ def chi(a: Matrix, alpha, beta) -> BiHinge:
     tau = np.argsort(sigma)
     ft = f.T  # row c is column c of f
     mt = af.T
-    shapes = {}
-    for i in range(len(alpha)):
-        for j in range(len(beta)):
-            shapes.setdefault((alpha[i], beta[j]), []).append((i, j))
-    grid = [[None] * len(beta) for _ in range(len(alpha))]
-    for (na, nb), cells in shapes.items():
-        ij = np.array(cells)
+    groups = []
+    for (na, nb), ij in _shape_groups(alpha, beta).items():
         c0 = np.array(alpha.offsets)[ij[:, 0], None]
         r0 = np.array(beta.offsets)[ij[:, 1], None]
         own = c0 + np.arange(na)
         back = tau[r0 + np.arange(nb)]
-        src = np.concatenate([own, back], axis=1)[:, :, None]
         keep = np.concatenate([sigma[own] >= r0, back < c0], axis=1)
+        first = np.argsort(~keep, axis=1, kind="stable")  # kept generators first
+        src = np.concatenate([own, back], axis=1)[np.arange(len(ij))[:, None], first, None]
         gens = np.concatenate(
             [ft[src, c0[:, :, None] + np.arange(na)], mt[src, r0[:, :, None] + np.arange(nb)]],
             axis=2,
         )
-        if len(cells) < _STACK_MIN_CELLS:
-            spaces = [_span_rows(field, g[k]) for g, k in zip(gens, keep)]
-        else:
-            gens[~keep] = 0
-            ranks = _rref_stack(gens, field.p)
-            spaces = [
-                Subspace._trusted(Matrix._new(field, gens[k, :rank]))
-                for k, rank in enumerate(ranks.tolist())
-            ]
-        for (i, j), space in zip(cells, spaces):
-            grid[i][j] = LinearRelation(na, nb, space)
-    return BiHinge(alpha, beta, grid)
+        groups.append(CellGroup(na, nb, ij, gens, _rref_each(gens, field.p, keep.sum(axis=1))))
+    return BiHinge._of(alpha, beta, field, groups)
 
 
 @dataclass(frozen=True)
@@ -300,32 +355,53 @@ class AxiomReport:
         return self.ok
 
 
+# The gluing axioms in check_axioms order, with 1-based block indices.
+_AXIOMS = (
+    "ker chi[{i},{j}] != dom chi[{i},{j1}]",
+    "im chi[{i},{j}] != indef chi[{i1},{j}]",
+    "indef chi[1,{j}] != 0",
+    "im chi[{p},{j}] != W_{j}",
+    "ker chi[{i},{q}] != 0",
+    "dom chi[{i},1] != V_{i}",
+)
+
+
+def _axiom_flags(alpha: Composition, beta: Composition, ker, dom, im, indef, dims) -> np.ndarray:
+    """(B, p, q, 6) flags of the _AXIOMS that each of B grids violates.
+
+    ker, dom, im and indef are (B, p, q, ...) arrays, equal at two cells
+    exactly when the subspaces are; dims is (4, B, p, q), their dimensions.
+    """
+    ker_dim, dom_dim, im_dim, indef_dim = dims
+    entries = tuple(range(3, ker.ndim))
+    bad = np.zeros(ker.shape[:3] + (len(_AXIOMS),), dtype=bool)
+    bad[:, :, :-1, 0] = (ker[:, :, :-1] != dom[:, :, 1:]).any(axis=entries)
+    bad[:, :-1, :, 1] = (im[:, :-1] != indef[:, 1:]).any(axis=entries)
+    bad[:, 0, :, 2] = indef_dim[:, 0] != 0
+    bad[:, -1, :, 3] = im_dim[:, -1] != beta.parts
+    bad[:, :, -1, 4] = ker_dim[:, :, -1] != 0
+    bad[:, :, 0, 5] = dom_dim[:, :, 0] != alpha.parts
+    return bad
+
+
 def check_axioms(h: BiHinge) -> AxiomReport:
     """Check the gluing axioms that characterize realizable relation grids.
 
     Adjacent cells must share their boundary subspaces, the first row of
     blocks must have no indefiniteness, the last must cover W_j, the last
     column must have trivial kernels and the first must have full domains.
-    Violations are reported with 1-based indices.
+    Violations are reported with 1-based indices, cell by cell in row-major
+    order.  The subspaces are compared as the whole arrays of derived().
     """
     p, q = len(h.alpha), len(h.beta)
-    bad = []
-    for i in range(p):
-        for j in range(q):
-            cell = h.grid[i][j]
-            if j + 1 < q and cell.ker() != h.grid[i][j + 1].dom():
-                bad.append(f"ker chi[{i + 1},{j + 1}] != dom chi[{i + 1},{j + 2}]")
-            if i + 1 < p and cell.im() != h.grid[i + 1][j].indef():
-                bad.append(f"im chi[{i + 1},{j + 1}] != indef chi[{i + 2},{j + 1}]")
-            if i == 0 and cell.indef().dim != 0:
-                bad.append(f"indef chi[1,{j + 1}] != 0")
-            if i == p - 1 and cell.im().dim != h.beta[j]:
-                bad.append(f"im chi[{p},{j + 1}] != W_{j + 1}")
-            if j == q - 1 and cell.ker().dim != 0:
-                bad.append(f"ker chi[{i + 1},{q}] != 0")
-            if j == 0 and cell.dom().dim != h.alpha[i]:
-                bad.append(f"dom chi[{i + 1},1] != V_{i + 1}")
-    return AxiomReport(not bad, tuple(bad))
+    dv = h.derived()
+    spaces = [x.reshape(1, p, q, *x.shape[1:]) for x in dv[:4]]  # ker, dom, im, indef
+    bad = _axiom_flags(h.alpha, h.beta, *spaces, dv.dims.reshape(4, 1, p, q))[0]
+    violations = tuple(
+        _AXIOMS[k].format(i=i + 1, j=j + 1, i1=i + 2, j1=j + 2, p=p, q=q)
+        for i, j, k in np.argwhere(bad).tolist()
+    )
+    return AxiomReport(not violations, violations)
 
 
 def dimension_matrix(h: BiHinge) -> DimensionMatrix:
@@ -338,20 +414,13 @@ def dimension_matrix(h: BiHinge) -> DimensionMatrix:
     report = check_axioms(h)
     if not report:
         raise AxiomError("; ".join(report.violations))
-    entries = []
-    for i in range(len(h.alpha)):
-        row = []
-        for j in range(len(h.beta)):
-            cell = h.grid[i][j]
-            d = cell.dom().dim - cell.ker().dim
-            other = cell.im().dim - cell.indef().dim
-            if d != other:
-                raise AxiomError(
-                    f"cell ({i + 1},{j + 1}) has dom/ker count {d} but im/indef count {other}"
-                )
-            row.append(d)
-        entries.append(row)
-    return DimensionMatrix(entries, h.alpha, h.beta)
+    ker_dim, dom_dim, im_dim, indef_dim = h.derived().dims.reshape(4, len(h.alpha), len(h.beta))
+    d, other = dom_dim - ker_dim, im_dim - indef_dim
+    for i, j in np.argwhere(d != other)[:1].tolist():
+        raise AxiomError(
+            f"cell ({i + 1},{j + 1}) has dom/ker count {d[i, j]} but im/indef count {other[i, j]}"
+        )
+    return DimensionMatrix(d.tolist(), h.alpha, h.beta)
 
 
 def standard_matrix(d: DimensionMatrix, field: PrimeField) -> Matrix:
@@ -375,40 +444,37 @@ def standard_matrix(d: DimensionMatrix, field: PrimeField) -> Matrix:
     return Matrix._new(field, arr)
 
 
+def _sub_block_starts(table: np.ndarray) -> tuple:
+    """Offsets of V_i^j inside V_i (ascending in j) and of W_j^i inside W_j (in i)."""
+    return np.cumsum(table, axis=1) - table, np.cumsum(table, axis=0) - table
+
+
 def standard_bihinge(d: DimensionMatrix, field: PrimeField) -> BiHinge:
     """The canonical grid with the given dimension table.
 
-    Cell (i, j) is spanned by indefiniteness rows W_j^1..W_j^{i-1}, identity
-    pairs matching V_i^j with W_j^i, and kernel rows V_i^{j+1}..V_i^q, so its
-    flags are coordinate sub-blocks and its theta is an identity.  It equals
-    chi of standard_matrix(d) cell by cell.
+    Cell (i, j) is spanned by identity pairs matching V_i^j with W_j^i,
+    kernel rows V_i^{j+1}..V_i^q and indefiniteness rows W_j^1..W_j^{i-1}.
+    In that order the rows are already its RREF basis: the first ones pivot
+    at the columns of V_i from V_i^j on, the indefiniteness rows at the
+    leading columns of W_j, and the identity pairs meet W_j past those.  So
+    its flags are coordinate sub-blocks and its theta is an identity.  It
+    equals chi of standard_matrix(d) cell by cell.
     """
-    p_blocks, q_blocks = len(d.alpha), len(d.beta)
-    grid = []
-    for i in range(p_blocks):
-        a_i = d.alpha[i]
-        row = []
-        for j in range(q_blocks):
-            b_j = d.beta[j]
-            size = d[i, j]
-            vstart = d.v_start(i, j)
-            wstart = d.w_start(j, i)
-            rows = np.zeros((wstart + size + (a_i - vstart - size), a_i + b_j), dtype=np.int64)
-            r = 0
-            for m in range(wstart):  # indefiniteness: leading W_j sub-blocks
-                rows[r, a_i + m] = 1
-                r += 1
-            for k in range(size):  # theta identity pairs
-                rows[r, vstart + k] = 1
-                rows[r, a_i + wstart + k] = 1
-                r += 1
-            for c in range(vstart + size, a_i):  # kernel: trailing V_i sub-blocks
-                rows[r, c] = 1
-                r += 1
-            rel = LinearRelation(a_i, b_j, _span_rows(field, rows))
-            row.append(rel)
-        grid.append(row)
-    return BiHinge(d.alpha, d.beta, grid)
+    table = np.array(d.entries)
+    v_start, w_start = _sub_block_starts(table)
+    groups = []
+    for (na, nb), cells in _shape_groups(d.alpha, d.beta).items():
+        stack = np.zeros((len(cells), na + nb, na + nb), dtype=np.int64)
+        ranks = []
+        for m, (i, j) in zip(stack, cells):
+            v, w, size = v_start[i, j], w_start[i, j], table[i, j]
+            own = na - v  # identity pairs, then kernel rows
+            m[np.arange(own), v + np.arange(own)] = 1
+            m[np.arange(size), na + w + np.arange(size)] = 1
+            m[own + np.arange(w), na + np.arange(w)] = 1
+            ranks.append(own + w)
+        groups.append(CellGroup(na, nb, cells, stack, np.array(ranks, dtype=np.intp)))
+    return BiHinge._of(d.alpha, d.beta, field, groups)
 
 
 def equivalent(a: Matrix, b: Matrix, alpha, beta) -> bool:
@@ -422,19 +488,33 @@ def hinge_act(gs, hs, h: BiHinge) -> BiHinge:
     """Apply block changes of basis: cell (i, j) maps by (gs[i], hs[j]).
 
     Matches conjugating the underlying matrix by the block-diagonal matrices
-    with blocks hs on the left and inverse blocks gs on the right.
+    with blocks hs on the left and inverse blocks gs on the right.  Raises
+    ShapeError or SingularMatrixError unless every factor is an invertible
+    matrix of its block's size.
     """
-    gs = list(gs)
-    hs = list(hs)
+    gs, hs = list(gs), list(hs)
     if len(gs) != len(h.alpha) or len(hs) != len(h.beta):
-        raise ShapeError(
-            f"need {len(h.alpha)} column factors and {len(h.beta)} row factors"
-        )
-    grid = [
-        [h.grid[i][j].act(gs[i], hs[j]) for j in range(len(h.beta))]
-        for i in range(len(h.alpha))
-    ]
-    return BiHinge(h.alpha, h.beta, grid)
+        raise ShapeError(f"need {len(h.alpha)} column factors and {len(h.beta)} row factors")
+    for side, factors, comp in (("column", gs, h.alpha), ("row", hs, h.beta)):
+        for k, m in enumerate(factors):
+            if m.shape != (comp[k], comp[k]):
+                raise ShapeError(
+                    f"{side} factor {k + 1} has shape {m.shape}, expected {(comp[k], comp[k])}"
+                )
+            if m.rank() != comp[k]:
+                raise SingularMatrixError(f"{side} factor {k + 1} is singular")
+    return _hinge_act(gs, hs, h)
+
+
+def _hinge_act(gs: list, hs: list, h: BiHinge) -> BiHinge:
+    """hinge_act without the checks, one act_stack per shape group."""
+    groups = []
+    for g in h.groups:
+        gx = np.stack([gs[i].a for i in g.cells[:, 0].tolist()])
+        hy = np.stack([hs[j].a for j in g.cells[:, 1].tolist()])
+        stack, ranks = act_stack(g.stack, g.ranks, gx, hy, g.dim_x, h.field.p)
+        groups.append(g._replace(stack=stack, ranks=ranks))
+    return BiHinge._of(h.alpha, h.beta, h.field, groups)
 
 
 def normalize(h: BiHinge) -> tuple:
@@ -445,22 +525,26 @@ def normalize(h: BiHinge) -> tuple:
     pivot rule into an adapted basis whose j-th sub-block represents the
     dom/ker quotient of cell (i, j); each W_j basis is pushed forward through
     the cells, lifting the V_i^j representatives and stacking ascending in i.
-    Representative and push are the X and Y halves of one basis row of the
-    cell (LinearRelation._lift_rows).
+    Representative and push are the X and Y halves of the cell's lift rows
+    (relations.derive_stack), placed for every cell at once.
     On a grid already standard both lists come out as identity matrices.
 
     Raises AxiomError (via dimension_matrix) when the grid is not realizable.
     """
     d = dimension_matrix(h)
-    field = h.field
-    p_blocks, q_blocks = len(h.alpha), len(h.beta)
-    lifts = [[h.grid[i][j]._lift_rows() for j in range(q_blocks)] for i in range(p_blocks)]
-    gs = []
-    for i in range(p_blocks):
-        reps = np.concatenate([rows[:, : h.alpha[i]] for rows in lifts[i]], axis=0)
-        gs.append(Matrix._new(field, np.ascontiguousarray(reps.T)).inverse())
-    hs = []
-    for j in range(q_blocks):
-        pushed = np.concatenate([lifts[i][j][:, h.alpha[i] :] for i in range(p_blocks)], axis=0)
-        hs.append(Matrix._new(field, np.ascontiguousarray(pushed.T)).inverse())
-    return gs, hs, d
+    table = np.array(d.entries)
+    v_start, w_start = _sub_block_starts(table)
+    lifts = h.derived().lifts
+    cell, r = np.nonzero(np.arange(lifts.shape[1]) < table.reshape(-1, 1))
+    i, j = np.divmod(cell, len(h.beta))
+    mx = max(h.alpha)
+    witnesses = []
+    sides = (h.alpha, i, v_start, lifts[cell, r, :mx]), (h.beta, j, w_start, lifts[cell, r, mx:])
+    for comp, block, at, rows in sides:
+        basis = np.zeros((comp.n, rows.shape[1]), dtype=np.int64)  # row = position in the block
+        basis[np.array(comp.offsets)[block] + at[i, j] + r] = rows
+        witnesses.append([
+            Matrix._new(h.field, np.ascontiguousarray(basis[lo:hi, : hi - lo].T)).inverse()
+            for lo, hi in map(comp.block, range(len(comp)))
+        ])
+    return witnesses[0], witnesses[1], d

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
+from math import prod
 
 import numpy as np
 
@@ -23,13 +24,13 @@ from .bihinge import (
     Composition,
     DimensionMatrix,
     MarginError,
-    check_axioms,
-    hinge_act,
+    _axiom_flags,
+    _hinge_act,
     standard_bihinge,
 )
 from .field import PrimeField
 from .linalg import Matrix
-from .relations import InvariantViolation, LinearRelation
+from .relations import InvariantViolation, LinearRelation, derive_stack, y_first
 from .subspaces import Subspace
 
 
@@ -360,31 +361,38 @@ def all_bihinges_brute(alpha, beta, q: int, budget: EnumerationBudget = None) ->
     """Every axiom-satisfying grid, by filtering the full product of cells.
 
     Candidates per cell are all subspaces of GF(q)^(alpha_i + beta_j); the
-    product over the grid must fit the subspace budget.
+    product over the grid must fit the subspace budget.  The candidates of a
+    shape are derived by one derive_stack and their four spaces numbered,
+    equal subspaces alike, so the axioms are checked on id arrays, CHUNK
+    grids of the product at a time and in product order.
     """
     budget = budget or DEFAULT_BUDGET
-    alpha = Composition(alpha)
-    beta = Composition(beta)
-    field = PrimeField(q)
-    total = 1
-    for a_i in alpha:
-        for b_j in beta:
-            total *= subspace_count(a_i + b_j, q)
+    alpha, beta = Composition(alpha), Composition(beta)
+    PrimeField(q)  # rejects a modulus that is not a prime field
+    total = prod(subspace_count(a_i + b_j, q) for a_i in alpha for b_j in beta)
     budget.check_subspace(total, f"grid candidates for alpha={alpha.parts}, beta={beta.parts}")
-    cell_lists = []
-    for a_i in alpha:
-        for b_j in beta:
-            cells = [
-                LinearRelation(a_i, b_j, s) for s in enum_subspaces(a_i + b_j, q, budget)
-            ]
-            cell_lists.append(cells)
-    q_blocks = len(beta)
+    ids, candidates = {}, {}  # (dim, padded RREF bytes) -> id; shape -> relations, ids + dims
+    shapes = [(a_i, b_j) for a_i in alpha for b_j in beta]
+    for shape in dict.fromkeys(shapes):
+        spaces = list(enum_subspaces(sum(shape), q, budget))
+        stack = np.zeros((len(spaces), sum(shape), sum(shape)), dtype=np.int64)
+        for m, space in zip(stack, spaces):
+            m[: space.dim] = space.basis.a
+        ranks = np.array([space.dim for space in spaces], dtype=np.intp)
+        dv = derive_stack(stack, y_first(stack, ranks, shape[0], q), ranks, *shape)
+        space_ids = [[ids.setdefault((len(x), x.tobytes()), len(ids)) for x in a] for a in dv[:4]]
+        relations = [LinearRelation(*shape, space) for space in spaces]
+        candidates[shape] = relations, np.concatenate([space_ids, dv.dims])
+    counts = [len(candidates[s][0]) for s in shapes]
     out = []
-    for combo in product(*cell_lists):
-        grid = [combo[i * q_blocks : (i + 1) * q_blocks] for i in range(len(alpha))]
-        h = BiHinge(alpha, beta, grid)
-        if check_axioms(h):
-            out.append(h)
+    for lo in range(0, total, CHUNK):
+        picks = np.unravel_index(np.arange(lo, min(lo + CHUNK, total)), counts)
+        table = np.stack([candidates[s][1][:, k] for s, k in zip(shapes, picks)], axis=-1)
+        table = table.reshape(8, len(picks[0]), len(alpha), len(beta))
+        bad = _axiom_flags(alpha, beta, *table[:4], table[4:])
+        for combo in np.array(picks).T[~bad.any(axis=(1, 2, 3))].tolist():
+            cells = iter([candidates[s][0][k] for s, k in zip(shapes, combo)])
+            out.append(BiHinge(alpha, beta, [[next(cells) for _ in beta] for _ in alpha]))
     return out
 
 
@@ -404,7 +412,7 @@ def stabilizer_brute(d: DimensionMatrix, q: int, budget: EnumerationBudget = Non
     count = 0
     for gs in product(*g_lists):
         for hs in product(*h_lists):
-            if hinge_act(gs, hs, std) == std:
+            if _hinge_act(gs, hs, std) == std:
                 count += 1
     return count
 

@@ -151,7 +151,7 @@ def _rref(arr: np.ndarray, p: int, pivot_limit: int = None) -> list:
     for c in range(limit):
         if r == rows:
             break
-        nz = np.flatnonzero(arr[r:, c])
+        nz = arr[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -161,10 +161,10 @@ def _rref(arr: np.ndarray, p: int, pivot_limit: int = None) -> list:
         if v != 1:
             arr[r] = arr[r] * pow(v, -1, p) % p
         col = arr[:, c]
-        sel = np.flatnonzero(col)
+        sel = col.nonzero()[0]
         sel = sel[sel != r]
         if sel.size:
-            arr[sel] = (arr[sel] - np.outer(col[sel], arr[r])) % p
+            arr[sel] = (arr[sel] - col[sel, None] * arr[r]) % p
         pivots.append(c)
         r += 1
     return pivots
@@ -205,6 +205,31 @@ def _rref_stack(arr: np.ndarray, p: int) -> np.ndarray:
     return r
 
 
+# Fewest matrices that _rref_each reduces as one stack.  Measured with random
+# generator stacks of cell sizes 2 to 40 (2-vCPU x86-64 host): at 4 cells the
+# stack was 1.1-1.5x slower than one _rref per cell, at 8 cells 0.7-0.9x
+# (faster), at 64 cells 0.2-0.6x.
+_STACK_MIN_CELLS = 8
+
+
+def _rref_each(arr: np.ndarray, p: int, counts: np.ndarray) -> np.ndarray:
+    """In-place canonical RREF of the leading rows of every matrix in a stack.
+
+    Matrix k of the (N, R, C) stack arr becomes the RREF of its first
+    counts[k] rows, padded with zero rows; the ranks are returned.  A stack
+    pays a fixed numpy cost per column that only enough members repay, so
+    fewer than _STACK_MIN_CELLS matrices are reduced one by one with _rref.
+    """
+    if len(arr) >= _STACK_MIN_CELLS:
+        arr[np.arange(arr.shape[1]) >= counts[:, None]] = 0
+        return _rref_stack(arr, p)
+    ranks = np.empty(len(arr), dtype=np.intp)
+    for k, (m, count) in enumerate(zip(arr, counts.tolist())):
+        ranks[k] = rank = len(_rref(m[:count], p))
+        m[rank:] = 0
+    return ranks
+
+
 def _kernel_rows(arr: np.ndarray, p: int) -> np.ndarray:
     """Rows spanning {x : arr @ x = 0}.  Not canonicalized; callers rref."""
     rows, cols = arr.shape
@@ -239,16 +264,16 @@ def _column_pass(a: Matrix) -> tuple:
     ft = np.eye(n, dtype=np.int64)
     sigma = []
     for c in range(n):
-        nz = np.flatnonzero(mt[c])
+        nz = mt[c].nonzero()[0]
         if nz.size == 0:
             raise SingularMatrixError(
                 f"matrix is singular over {a.field}: column {c} depends on earlier columns"
             )
         r = int(nz[0])
         sigma.append(r)
-        right = c + 1 + np.flatnonzero(mt[c + 1 :, r])
+        right = c + 1 + mt[c + 1 :, r].nonzero()[0]
         if right.size:
-            coef = mt[right, r] * pow(int(mt[c, r]), -1, p) % p
-            mt[right, r:] = (mt[right, r:] - np.outer(coef, mt[c, r:])) % p
-            ft[right, : c + 1] = (ft[right, : c + 1] - np.outer(coef, ft[c, : c + 1])) % p
+            coef = (mt[right, r] * pow(int(mt[c, r]), -1, p) % p)[:, None]
+            mt[right, r:] = (mt[right, r:] - coef * mt[c, r:]) % p
+            ft[right, : c + 1] = (ft[right, : c + 1] - coef * ft[c, : c + 1]) % p
     return sigma, ft.T, mt.T

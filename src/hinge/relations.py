@@ -11,23 +11,27 @@ canonical subspaces
 
 and an invertible operator theta(L): dom/ker -> im/indef induced by membership.
 
-All five are read off two echelon forms.  The stored basis is the RREF of L
-with X first: its rows that pivot in X have X halves forming the RREF of dom,
-and the remaining rows are (0 | RREF of indef).  One more RREF of the basis
-with its Y columns first gives im and (0 | ker) the same way.  theta needs no
-solve.  The basis row whose X pivot is not a ker pivot lifts the dom/ker
-class of its X half.  Its Y half is zero at the indef pivots, which are
-pivot columns of other rows, so its indef coordinates vanish, and its
-im/indef coordinates are its entries at the im pivots that are not indef
-pivots.
+Relations of one shape are held as a stack: an (N, C, C) array, C = dim_x +
+dim_y, whose member k is the RREF basis of one relation, X coordinates
+first, padded with zero rows.  derive_stack reads all five of every member
+off two echelon forms at once.  The rows that pivot in X have X halves
+forming the RREF of dom, and the remaining rows are (0 | RREF of indef).
+The RREF with the Y columns first (y_first) gives im and (0 | ker) the same
+way.  theta needs no solve.  The basis row whose X pivot is not a ker pivot
+lifts the dom/ker class of its X half.  Its Y half is zero at the indef
+pivots, which are pivot columns of other rows, so its indef coordinates
+vanish, and its im/indef coordinates are its entries at the im pivots that
+are not indef pivots.  A LinearRelation is a stack of one.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, SingularMatrixError, _rref
+from .linalg import Matrix, ShapeError, SingularMatrixError, _rref_each
 from .subspaces import Subspace, _span_rows, subspace_from_generators
 
 
@@ -53,6 +57,84 @@ def _subspace(field: PrimeField, rows: np.ndarray) -> Subspace:
     return Subspace._trusted(Matrix._new(field, np.ascontiguousarray(rows)))
 
 
+class Derived(NamedTuple):
+    """What derive_stack reads off a stack of relations, member k at index k."""
+
+    ker: np.ndarray
+    dom: np.ndarray
+    im: np.ndarray
+    indef: np.ndarray
+    dims: np.ndarray
+    theta: np.ndarray
+    lifts: np.ndarray
+
+
+def _pivot_mask(stack: np.ndarray, member: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """(N, C + 1) mask of the pivot columns of the valid rows; column C is spare."""
+    width = stack.shape[2]
+    piv = (stack != 0).argmax(axis=2) if width else 0
+    mask = np.zeros((len(stack), width + 1), dtype=bool)
+    mask[member, np.where(valid, piv, width)] = True
+    return mask
+
+
+def y_first(stack: np.ndarray, ranks: np.ndarray, dim_x: int, p: int) -> np.ndarray:
+    """The RREF of every member of a stack with its columns reordered (Y, X)."""
+    swapped = np.concatenate([stack[:, :, dim_x:], stack[:, :, :dim_x]], axis=2)
+    _rref_each(swapped, p, ranks)
+    return swapped
+
+
+def derive_stack(stack, swapped, ranks, dim_x: int, dim_y: int) -> Derived:
+    """ker, dom, im, indef, theta and the lift rows of a stack of relations.
+
+    stack is (N, R, C), C = dim_x + dim_y <= R, each member an RREF basis
+    padded with zero rows; swapped is its y_first form and ranks[k] the rank
+    of member k.  ker and dom come out (N, dim_x, dim_x) and im and indef
+    (N, dim_y, dim_y), RREF bases padded with zero rows, so two subspaces of
+    one space are equal exactly when their arrays are; dims is (4, N), their
+    dimensions.  With d = dim dom - dim ker, theta[k, :d, :d] is member k's
+    theta and lifts[k, :d] its lift rows (xi | eta), xi representing a
+    dom/ker class and eta in the class theta maps it to; entries past d mean
+    nothing.  Raises InvariantViolation if some member's quotients differ.
+    """
+    dx, dy = dim_x, dim_y
+    member = np.arange(len(stack))[:, None]
+    valid = np.arange(stack.shape[1]) < ranks[:, None]
+    x_piv = _pivot_mask(stack, member, valid)  # dom pivots, then indef pivots
+    y_piv = _pivot_mask(swapped, member, valid)  # im pivots, then ker pivots
+    dom_dim, im_dim = x_piv[:, :dx].sum(axis=1), y_piv[:, :dy].sum(axis=1)
+    lift_cols = x_piv[:, :dx] & ~y_piv[:, dy:-1]
+    q_cols = y_piv[:, :dy] & ~x_piv[:, dx:-1]
+    d, d_im = lift_cols.sum(axis=1), q_cols.sum(axis=1)
+    if (d != d_im).any():
+        k = np.flatnonzero(d != d_im)[0]
+        raise InvariantViolation(f"dom/ker has dimension {d[k]} but im/indef has {d_im[k]}")
+    t = min(dx, dy)
+    row_of = x_piv.cumsum(axis=1) - 1  # pivot column -> its row
+    lifts = stack[member, row_of[member, np.argsort(~lift_cols, axis=1, kind="stable")[:, :t]]]
+    q_order = dx + np.argsort(~q_cols, axis=1, kind="stable")[:, :t, None]
+    return Derived(  # the rows past a rank are zero, and R >= C keeps every index in range
+        ker=swapped[member, im_dim[:, None] + np.arange(dx), dy:],
+        dom=stack[:, :dx, :dx],
+        im=swapped[:, :dy, :dy],
+        indef=stack[member, dom_dim[:, None] + np.arange(dy), dx:],
+        dims=np.stack([ranks - im_dim, dom_dim, im_dim, ranks - dom_dim]),
+        theta=lifts[member[:, :, None], np.arange(t), q_order],
+        lifts=lifts,
+    )
+
+
+def act_stack(stack, ranks, gx, hy, dim_x: int, p: int) -> tuple:
+    """(stack, ranks) of the relations {(g xi, h eta)}, member k moved by
+    gx[k] and hy[k]; the factors are not checked for invertibility."""
+    moved = np.concatenate(
+        [stack[:, :, :dim_x] @ gx.transpose(0, 2, 1), stack[:, :, dim_x:] @ hy.transpose(0, 2, 1)],
+        axis=2,
+    ) % p
+    return moved, _rref_each(moved, p, ranks)
+
+
 class LinearRelation:
     """A linear relation from GF(p)^dim_x to GF(p)^dim_y.
 
@@ -61,7 +143,7 @@ class LinearRelation:
     which by design is representational equality of canonical bases.
     """
 
-    __slots__ = ("dim_x", "dim_y", "space", "_ker", "_dom", "_im", "_indef", "_theta", "_lifts")
+    __slots__ = ("dim_x", "dim_y", "space", "_derived")
 
     def __init__(self, dim_x: int, dim_y: int, space: Subspace):
         if dim_x < 0 or dim_y < 0:
@@ -73,7 +155,7 @@ class LinearRelation:
         self.dim_x = dim_x
         self.dim_y = dim_y
         self.space = space
-        self._ker = self._dom = self._im = self._indef = self._theta = self._lifts = None
+        self._derived = None
 
     @classmethod
     def graph(cls, a: Matrix) -> "LinearRelation":
@@ -91,55 +173,39 @@ class LinearRelation:
     def field(self) -> PrimeField:
         return self.space.field
 
-    def _halves(self):
-        b = self.space.basis.a
-        return b[:, : self.dim_x], b[:, self.dim_x :]
+    def _stack(self) -> tuple:
+        """This relation as a stack of one: (basis padded to (1, C, C), ranks)."""
+        size = self.dim_x + self.dim_y
+        basis = self.space.basis.a
+        stack = np.zeros((1, size, size), dtype=np.int64)
+        stack[0, : len(basis)] = basis
+        return stack, np.array([len(basis)])
 
-    def _derive(self):
-        """Fill ker, dom, im, indef, theta and the lift rows (module docstring)."""
-        field = self.field
-        p = field.p
-        dx, dy = self.dim_x, self.dim_y
-        b = self.space.basis.a
-        piv = (b != 0).argmax(axis=1).tolist() if b.size else []  # b has no zero rows
-        k = sum(c < dx for c in piv)  # pivots ascend: X-pivot rows come first
-        swapped = np.concatenate([b[:, dx:], b[:, :dx]], axis=1)
-        piv_y = _rref(swapped, p)  # b has full row rank, so every row keeps a pivot
-        m = sum(c < dy for c in piv_y)
-        self._dom = _subspace(field, b[:k, :dx])
-        self._indef = _subspace(field, b[k:, dx:])
-        self._im = _subspace(field, swapped[:m, :dy])
-        self._ker = _subspace(field, swapped[m:, dy:])
-        ker_piv = {c - dy for c in piv_y[m:]}
-        lifts = [r for r in range(k) if piv[r] not in ker_piv]
-        indef_piv = set(piv[k:])
-        q_piv = [dx + c for c in piv_y[:m] if dx + c not in indef_piv]
-        if len(lifts) != len(q_piv):
-            raise InvariantViolation(
-                f"dom/ker has dimension {len(lifts)} but im/indef has {len(q_piv)}"
-            )
-        self._lifts = lifts
-        self._theta = Matrix._new(field, np.ascontiguousarray(b[lifts][:, q_piv].T))
-
-    def dom(self) -> Subspace:
-        if self._dom is None:
-            self._derive()
-        return self._dom
-
-    def im(self) -> Subspace:
-        if self._im is None:
-            self._derive()
-        return self._im
+    def _spaces(self) -> tuple:
+        """(ker, dom, im, indef, theta), derive_stack of a stack of one, cached."""
+        if self._derived is None:
+            field = self.field
+            stack, ranks = self._stack()
+            swapped = y_first(stack, ranks, self.dim_x, field.p)
+            dv = derive_stack(stack, swapped, ranks, self.dim_x, self.dim_y)
+            dims = dv.dims[:, 0]
+            spaces = tuple(_subspace(field, s[0, :k]) for s, k in zip(dv[:4], dims))
+            d = dims[1] - dims[0]
+            theta = Matrix._new(field, np.ascontiguousarray(dv.theta[0, :d, :d]))
+            self._derived = spaces + (theta,)
+        return self._derived
 
     def ker(self) -> Subspace:
-        if self._ker is None:
-            self._derive()
-        return self._ker
+        return self._spaces()[0]
+
+    def dom(self) -> Subspace:
+        return self._spaces()[1]
+
+    def im(self) -> Subspace:
+        return self._spaces()[2]
 
     def indef(self) -> Subspace:
-        if self._indef is None:
-            self._derive()
-        return self._indef
+        return self._spaces()[3]
 
     def theta(self) -> Matrix:
         """The induced operator dom/ker -> im/indef in the canonical bases.
@@ -148,19 +214,7 @@ class LinearRelation:
         k of the result holds the image coordinates of the k-th domain basis
         class.  A 0 x 0 matrix is legal (relation with dom == ker).
         """
-        if self._theta is None:
-            self._derive()
-        return self._theta
-
-    def _lift_rows(self) -> np.ndarray:
-        """The basis rows (xi | eta) whose X halves are quotient_rows(dom, ker).
-
-        Row k lifts the k-th domain class of theta: xi is its representative
-        and eta a member of the image class theta maps it to.
-        """
-        if self._lifts is None:
-            self._derive()
-        return self.space.basis.a[self._lifts]
+        return self._spaces()[4]
 
     def act(self, g: Matrix, h: Matrix) -> "LinearRelation":
         """The relation {(g xi, h eta) : (xi, eta) in L} for invertible g, h."""
@@ -173,10 +227,9 @@ class LinearRelation:
             raise SingularMatrixError(
                 f"action factors must be invertible, got ranks {g.rank()}, {h.rank()}"
             )
-        bx, by = self._halves()
-        p = self.field.p
-        gens = np.concatenate([(bx @ g.a.T) % p, (by @ h.a.T) % p], axis=1)
-        return LinearRelation(self.dim_x, self.dim_y, _span_rows(self.field, gens))
+        field = self.field
+        moved, ranks = act_stack(*self._stack(), g.a[None], h.a[None], self.dim_x, field.p)
+        return LinearRelation(self.dim_x, self.dim_y, _subspace(field, moved[0, : ranks[0]]))
 
     def __eq__(self, other):
         if not isinstance(other, LinearRelation):

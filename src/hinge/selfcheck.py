@@ -13,11 +13,11 @@ import numpy as np
 
 from .bihinge import (
     Composition,
+    _hinge_act,
     check_axioms,
     chi,
     chi_cell,
     dimension_matrix,
-    hinge_act,
     normalize,
     standard_bihinge,
     standard_matrix,
@@ -388,7 +388,7 @@ def check_normal_form(q: int = 3, max_n: int = 5, trials: int = 100, seed=404) -
         a = random_invertible(field, n, rng)
         h = chi(a, alpha, beta)
         gs, hs, d = normalize(h)
-        if hinge_act(gs, hs, h) != standard_bihinge(d, field):
+        if _hinge_act(gs, hs, h) != standard_bihinge(d, field):
             return False, f"trial {t}: normalized grid is not standard"
     return True, f"{trials} random grids over GF({q}), n <= {max_n}"
 

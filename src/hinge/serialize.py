@@ -7,10 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bihinge import BiHinge, Composition, MarginError, chi, dimension_matrix
+from .bihinge import BiHinge, Composition, MarginError, chi, dimension_matrix, standard_matrix
 from .field import PrimeField
 from .linalg import Matrix
-from .lpu import canonical_01
 from .relations import LinearRelation
 from .subspaces import subspace_from_generators
 
@@ -115,25 +114,36 @@ def check_same_header(a: Problem, b: Problem):
 
 
 def cell_records(h: BiHinge) -> list:
-    """JSON-ready per-cell records of a grid.
+    """JSON-ready per-cell records of a grid, in row-major cell order.
 
     Cells carry 1-based block indices, the RREF basis rows of the relation
     (xi coordinates first), the four subspace dimensions and the theta matrix.
     """
+    q = len(h.beta)
+    bases = [None] * (len(h.alpha) * q)
+    for g in h.groups:
+        for (i, j), rank, rows in zip(g.cells.tolist(), g.ranks.tolist(), g.stack.tolist()):
+            bases[i * q + j] = rows[:rank]
+    dv = h.derived()
+    ker, dom, im, indef = dv.dims.tolist()
+    most = max(dv.dims[1] - dv.dims[0])
+    columns = zip(bases, ker, dom, indef, im, dv.theta[:, :most, :most].tolist())
     cells = []
-    for i, j, cell in h.cells():
+    for k, (basis, ker, dom, indef, im, theta) in enumerate(columns):
+        i, j = divmod(k, q)
+        d = dom - ker
         cells.append(
             {
                 "i": i + 1,
                 "j": j + 1,
-                "dim_x": cell.dim_x,
-                "dim_y": cell.dim_y,
-                "basis": cell.space.basis.to_rows(),
-                "ker_dim": cell.ker().dim,
-                "dom_dim": cell.dom().dim,
-                "indef_dim": cell.indef().dim,
-                "im_dim": cell.im().dim,
-                "theta": cell.theta().to_rows(),
+                "dim_x": h.alpha.parts[i],
+                "dim_y": h.beta.parts[j],
+                "basis": basis,
+                "ker_dim": ker,
+                "dom_dim": dom,
+                "indef_dim": indef,
+                "im_dim": im,
+                "theta": [row[:d] for row in theta[:d]],
             }
         )
     return cells
@@ -142,7 +152,9 @@ def cell_records(h: BiHinge) -> list:
 def invariant_report(problem: Problem) -> dict:
     """The full invariant of a problem as one JSON-ready dict.
 
-    The grid is reconstructible from the report via report_to_bihinge.
+    The grid is reconstructible from the report via report_to_bihinge.  The
+    canonical 0-1 matrix is standard_matrix of the grid's dimension table,
+    as canonical_01 computes it, without a second column elimination pass.
     """
     h = chi(problem.matrix, problem.alpha, problem.beta)
     d = dimension_matrix(h)
@@ -152,7 +164,7 @@ def invariant_report(problem: Problem) -> dict:
         "beta": list(problem.beta.parts),
         "dimension_matrix": d.to_rows(),
         "cells": cell_records(h),
-        "canonical": canonical_01(problem.matrix, problem.alpha, problem.beta).to_rows(),
+        "canonical": standard_matrix(d, problem.field).to_rows(),
     }
 
 

@@ -8,6 +8,7 @@ rank comparison on plain int lists.
 """
 
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -195,19 +196,34 @@ def test_axioms_hold_on_computed_grids():
             assert bool(report)
 
 
+# One cell of chi(a, (1, 2), (2, 1)) over GF(2) replaced by the span of the
+# given rows, and the exact violations check_axioms reports, in its order:
+# cell by cell in row-major order, and per cell the order of the axioms in
+# its docstring.  The last six each hit one axiom.
+_CORRUPTED = (
+    ((0, 0), [[1, 0, 0]], ["ker chi[1,1] != dom chi[1,2]", "im chi[1,1] != indef chi[2,1]"]),
+    ((1, 1), [[0, 1, 1]], ["ker chi[2,1] != dom chi[2,2]"]),
+    ((1, 0), [[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]], ["im chi[1,1] != indef chi[2,1]"]),
+    ((0, 1), [[0, 1]], ["im chi[1,2] != indef chi[2,2]", "indef chi[1,2] != 0"]),
+    ((1, 1), [[1, 1, 0]], ["im chi[2,2] != W_2", "ker chi[2,2] != 0"]),
+    ((1, 1), [[1, 1, 0], [0, 0, 1]], ["im chi[1,2] != indef chi[2,2]", "ker chi[2,2] != 0"]),
+    ((1, 0), [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     ["im chi[1,1] != indef chi[2,1]", "dom chi[2,1] != V_2"]),
+)
+
+
 def test_axioms_reject_corrupted_grid():
     f = PrimeField(2)
     a = Matrix(f, [[1, 0, 1], [1, 1, 0], [0, 1, 0]])
     h = chi(a, (1, 2), (2, 1))
-    # replace one cell with an everything-kernel relation of the right shape
-    wrong = LinearRelation.from_generators(f, 1, 2, [[1, 0, 0]])
-    grid = [list(row) for row in h.grid]
-    grid[0][0] = wrong
-    bad = BiHinge(h.alpha, h.beta, grid)
-    report = check_axioms(bad)
-    assert not report.ok and report.violations
-    with pytest.raises(AxiomError):
-        dimension_matrix(bad)
+    for (i, j), rows, want in _CORRUPTED:
+        grid = [list(row) for row in h.grid]
+        grid[i][j] = LinearRelation.from_generators(f, h.alpha[i], h.beta[j], rows)
+        bad = BiHinge(h.alpha, h.beta, grid)
+        report = check_axioms(bad)
+        assert not report.ok and list(report.violations) == want, (i, j, rows)
+        with pytest.raises(AxiomError, match=re.escape("; ".join(want))):
+            dimension_matrix(bad)
 
 
 def test_dimension_matrix_margins_random():
@@ -322,6 +338,20 @@ def test_hinge_act_shape_check():
     h = chi(Matrix.identity(f, 2), (1, 1), (1, 1))
     with pytest.raises(ShapeError):
         hinge_act([Matrix.identity(f, 1)], [Matrix.identity(f, 1)] * 2, h)
+
+
+def test_hinge_act_rejects_singular_factor():
+    # the public action checks every factor; only internal callers with
+    # factors known invertible skip the check
+    f = PrimeField(3)
+    h = chi(Matrix(f, [[1, 2, 0], [0, 1, 1], [1, 0, 0]]), (2, 1), (1, 2))
+    eye = [Matrix.identity(f, 2), Matrix.identity(f, 1)]
+    singular = Matrix(f, [[1, 2], [2, 1]])  # rank 1 over GF(3)
+    with pytest.raises(SingularMatrixError, match="column factor 1"):
+        hinge_act([singular, eye[1]], [eye[1], eye[0]], h)
+    with pytest.raises(SingularMatrixError, match="row factor 1"):
+        hinge_act(eye, [Matrix(f, [[0]]), eye[0]], h)
+    assert hinge_act(eye, [eye[1], eye[0]], h) == h
 
 
 def test_normalize_standard_grid_gives_identities():

@@ -10,9 +10,9 @@ import sys
 
 import pytest
 
-from hinge import cli
+from hinge import bihinge, cli
 from hinge.cli import main
-from hinge.relations import InvariantViolation, LinearRelation
+from hinge.relations import InvariantViolation
 
 
 def write_problem(tmp_path, name, modulus, alpha, beta, matrix):
@@ -140,7 +140,7 @@ def test_internal_errors_exit_7(capsys, monkeypatch, identity2, swap2):
     def broken(*args):
         raise InvariantViolation("injected")
 
-    monkeypatch.setattr(LinearRelation, "theta", broken)
+    monkeypatch.setattr(bihinge, "derive_stack", broken)
     assert main(["invariants", swap2]) == 7
     assert "internal invariant violated: injected" in capsys.readouterr().err
     # a crash must not read as NOT-EQUIVALENT

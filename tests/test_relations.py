@@ -10,10 +10,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, ShapeError, SingularMatrixError, _kernel_rows
-from hinge.relations import LinearRelation, quotient_rows
+from hinge.relations import LinearRelation, derive_stack, quotient_rows, y_first
 from hinge.subspaces import Subspace, _span_rows, subspace_from_generators
 
 
@@ -168,6 +170,77 @@ def test_relation_layer_at_large_p_matches_kernel_formulas():
             rest = (eta - theta.a[:, k] @ q_rows) % p
             both = np.concatenate([rel.indef().basis.a, rest[None, :]])
             assert _span_rows(f, both) == rel.indef(), f"theta column {k} of {rel}"
+
+
+def _member_rows(data, p, dim_x, dim_y):
+    """Generator rows of one relation of a kind the stacked derive must handle."""
+    size = dim_x + dim_y
+    kind = data.draw(st.sampled_from(("random", "deficient", "zero", "dom == ker", "graph")))
+    entry = st.integers(0, p - 1)
+    if kind == "zero":
+        return np.zeros((0, size), dtype=np.int64)
+    if kind == "graph":  # rows (e_c | a e_c)
+        a = np.array(data.draw(st.lists(entry, min_size=dim_x * dim_y, max_size=dim_x * dim_y)))
+        return np.concatenate([np.eye(dim_x, dtype=np.int64), a.reshape(dim_x, dim_y)], axis=1)
+    if kind == "dom == ker":  # (xi | 0) rows and (0 | eta) rows only
+        gens = np.array(data.draw(st.lists(entry, min_size=size * size, max_size=size * size)))
+        gens = gens.reshape(size, size)
+        gens[: size // 2, dim_x:] = 0
+        gens[size // 2 :, :dim_x] = 0
+        return gens
+    low, high = (1, size) if kind == "random" else (0, size - 1)  # "deficient": rank < size
+    rank = data.draw(st.integers(low, high))
+    left = np.array(data.draw(st.lists(entry, min_size=size * rank, max_size=size * rank)))
+    right = np.array(data.draw(st.lists(entry, min_size=rank * size, max_size=rank * size)))
+    return left.reshape(size, rank) @ right.reshape(rank, size) % p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_derive_stack_property(data):
+    # every member of a stack, below and above the size at which y_first
+    # reduces it as one stack, against the kernel formulas of the test above
+    p = data.draw(st.sampled_from((2, 3, 5, 65521)))
+    n_rel = data.draw(st.sampled_from((1, 2, 7, 8, 17)))
+    dim_x, dim_y = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    f = PrimeField(p)
+    size = dim_x + dim_y
+    bases = [_span_rows(f, _member_rows(data, p, dim_x, dim_y)).basis.a for _ in range(n_rel)]
+    stack = np.zeros((n_rel, size, size), dtype=np.int64)
+    for m, b in zip(stack, bases):
+        m[: len(b)] = b
+    ranks = np.array([len(b) for b in bases])
+    dv = derive_stack(stack, y_first(stack, ranks, dim_x, p), ranks, dim_x, dim_y)
+
+    def padded(space, width):
+        out = np.zeros((width, width), dtype=np.int64)
+        out[: space.dim] = space.basis.a
+        return out
+
+    for k, b in enumerate(bases):
+        bx, by = b[:, :dim_x], b[:, dim_x:]
+        ker = _span_rows(f, _kernel_rows(by.T, p) @ bx % p)
+        dom = _span_rows(f, bx.copy())
+        im = _span_rows(f, by.copy())
+        indef = _span_rows(f, _kernel_rows(bx.T, p) @ by % p)
+        for got, space, width in zip(dv[:4], (ker, dom, im, indef), (dim_x, dim_x, dim_y, dim_y)):
+            assert np.array_equal(got[k], padded(space, width)), (k, b)
+        assert dv.dims[:, k].tolist() == [ker.dim, dom.dim, im.dim, indef.dim]
+        d = dom.dim - ker.dim
+        theta, lifts = dv.theta[k, :d, :d], dv.lifts[k, :d]
+        q_rows = quotient_rows(im, indef)
+        assert Matrix(f, theta).rank() == d == len(q_rows)
+        assert np.array_equal(lifts[:, :dim_x], quotient_rows(dom, ker))
+        for r, (xi, row) in enumerate(zip(quotient_rows(dom, ker), lifts)):
+            # a lift of xi solved through a kernel, and the stored lift row,
+            # which must lie in the relation, both map to theta's column r mod indef
+            sol = _kernel_rows(np.concatenate([bx, (-xi)[None, :] % p]).T, p)
+            c = next(row for row in sol if row[-1])
+            eta = c[:-1] @ by * pow(int(c[-1]), -1, p) % p
+            assert _span_rows(f, np.concatenate([b, row[None]])).dim == len(b)
+            for y in (eta, row[dim_x:]):
+                rest = (y - theta[:, r] @ q_rows) % p
+                assert _span_rows(f, np.concatenate([indef.basis.a, rest[None]])) == indef
 
 
 def test_theta_square_and_invertible():
