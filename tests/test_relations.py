@@ -235,7 +235,7 @@ def test_derive_stack_property(data):
             # a lift of xi solved through a kernel, and the stored lift row,
             # which must lie in the relation, both map to theta's column r mod indef
             sol = _kernel_rows(np.concatenate([bx, (-xi)[None, :] % p]).T, p)
-            c = next(row for row in sol if row[-1])
+            c = next(s for s in sol if s[-1])
             eta = c[:-1] @ by * pow(int(c[-1]), -1, p) % p
             assert _span_rows(f, np.concatenate([b, row[None]])).dim == len(b)
             for y in (eta, row[dim_x:]):
