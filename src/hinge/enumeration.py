@@ -25,12 +25,11 @@ from .bihinge import (
     DimensionMatrix,
     MarginError,
     _axiom_flags,
-    _hinge_act,
     standard_bihinge,
 )
 from .field import PrimeField
 from .linalg import Matrix
-from .relations import InvariantViolation, LinearRelation, derive_stack, y_first
+from .relations import InvariantViolation, LinearRelation, act_stack, derive_stack, y_first
 from .subspaces import Subspace
 
 
@@ -397,24 +396,33 @@ def all_bihinges_brute(alpha, beta, q: int, budget: EnumerationBudget = None) ->
 
 
 def stabilizer_brute(d: DimensionMatrix, q: int, budget: EnumerationBudget = None) -> int:
-    """Order of the block change-of-basis stabilizer of the standard grid."""
+    """Order of the block change-of-basis stabilizer of the standard grid.
+
+    (gs, hs) fixes the grid exactly when every cell (i, j) is fixed by
+    (gs[i], hs[j]).  So each cell is moved by every pair of its two groups,
+    CHUNK pairs per act_stack, and the pairs fixing each cell are combined
+    over the whole product of the groups, whose size the budget bounds.
+    """
     budget = budget or DEFAULT_BUDGET
-    field = PrimeField(q)
-    order = 1
-    for a_i in d.alpha:
-        order *= gl_order(a_i, q)
-    for b_j in d.beta:
-        order *= gl_order(b_j, q)
-    budget.check_group(order, "stabilizer search space")
-    std = standard_bihinge(d, field)
-    g_lists = [list(enum_gl(a_i, q, budget)) for a_i in d.alpha]
-    h_lists = [list(enum_gl(b_j, q, budget)) for b_j in d.beta]
-    count = 0
-    for gs in product(*g_lists):
-        for hs in product(*h_lists):
-            if _hinge_act(gs, hs, std) == std:
-                count += 1
-    return count
+    blocks = (*d.alpha, *d.beta)
+    budget.check_group(prod(gl_order(size, q) for size in blocks), "stabilizer search space")
+    std = standard_bihinge(d, PrimeField(q))
+    groups = [gl_array(size, q, budget).astype(np.int64) for size in blocks]
+    fixed = np.ones([len(g) for g in groups], dtype=bool)
+    for g in std.groups:
+        for (i, j), cell, rank in zip(g.cells.tolist(), g.stack, g.ranks.tolist()):
+            xs, ys = groups[i], groups[len(d.alpha) + j]
+            pairs = np.arange(len(xs) * len(ys))
+            hits = []
+            for lo in range(0, len(pairs), CHUNK):
+                x, y = np.divmod(pairs[lo : lo + CHUNK], len(ys))
+                same = np.broadcast_to(cell, (len(x), *cell.shape))
+                moved, _ = act_stack(same, np.full(len(x), rank), xs[x], ys[y], g.dim_x, q)
+                hits.append((moved == cell).all(axis=(1, 2)))
+            shape = [1] * len(groups)
+            shape[i], shape[len(d.alpha) + j] = len(xs), len(ys)
+            fixed &= np.concatenate(hits).reshape(shape)
+    return int(fixed.sum())
 
 
 def stab_order_formula(d: DimensionMatrix, q: int) -> int:
