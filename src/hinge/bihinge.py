@@ -428,19 +428,17 @@ def standard_matrix(d: DimensionMatrix, field: PrimeField) -> Matrix:
 
     For each cell (i, j) an identity block of size d[i, j] is placed with its
     rows at sub-block W_j^i inside row block W_j and its columns at sub-block
-    V_i^j inside column block V_i.
+    V_i^j inside column block V_i.  Unit k of cell (i, j) sits at row
+    offset(W_j) + w_start[i, j] + k and column offset(V_i) + v_start[i, j] + k,
+    all units placed by one assignment.
     """
-    n = d.alpha.n
-    arr = np.zeros((n, n), dtype=np.int64)
-    r0 = list(d.beta.offsets[:-1])  # next free row of each W_j, as i ascends
-    for i in range(len(d.alpha)):
-        c0 = d.alpha.offsets[i]  # next free column of V_i, as j ascends
-        for j in range(len(d.beta)):
-            size = d[i, j]
-            for k in range(size):
-                arr[r0[j] + k, c0 + k] = 1
-            r0[j] += size
-            c0 += size
+    table = np.array(d.entries)
+    v_start, w_start = _sub_block_starts(table)
+    cell, k = np.nonzero(np.arange(table.max()) < table.reshape(-1, 1))
+    i, j = np.divmod(cell, len(d.beta))
+    arr = np.zeros((d.alpha.n, d.alpha.n), dtype=np.int64)
+    rows = np.array(d.beta.offsets)[j] + w_start[i, j] + k
+    arr[rows, np.array(d.alpha.offsets)[i] + v_start[i, j] + k] = 1
     return Matrix._new(field, arr)
 
 

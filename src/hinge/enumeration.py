@@ -13,7 +13,7 @@ silent truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations, product
 from math import prod
 
@@ -210,28 +210,70 @@ def _key_weights(flat: np.ndarray) -> tuple:
         space *= r
     if space > 2 ** 63:
         raise BudgetError(f"closure key space {space} exceeds the int64 range 2**63")
-    weights = np.ones(len(radix), dtype=np.int64)
+    return radix, _place_values(radix)
+
+
+def _place_values(radix: np.ndarray) -> np.ndarray:
+    """Mixed-radix place values: each position weighs the product of the
+    radices after it."""
+    place = np.ones(len(radix), dtype=np.int64)
     for k in range(len(radix) - 2, -1, -1):
-        weights[k] = weights[k + 1] * radix[k + 1]
-    return radix, weights
+        place[k] = place[k + 1] * radix[k + 1]
+    return place
 
 
-def _moved_keys(g: np.ndarray, x: np.ndarray, keys: np.ndarray, weights, radix, p: int):
-    """Keys of g @ x mod p for a stack x with the given keys, and a mask of
-    the products that leave the key space.
+# A closure move table may hold at most this many entries per stack element.
+MOVE_TABLE_RATIO = 8
 
-    Only the rows that g changes are recomputed, row i of g @ x being the sum
-    over j of g[i, j] x[j], and each key moves by the weighted change of
-    those rows.  weights and radix are (n, n) arrays in x's layout.
-    """
-    rows = np.flatnonzero((g != np.eye(len(g), dtype=g.dtype)).any(axis=1))
-    new = np.zeros((len(x), len(rows), x.shape[2]), dtype=np.int64)
-    for k, i in enumerate(rows.tolist()):
-        for j in np.flatnonzero(g[i]).tolist():
-            new[:, k] += int(g[i, j]) * x[:, j].astype(np.int64)
-    new %= p
-    moved = keys + ((new - x[:, rows]) * weights[rows]).sum(axis=(1, 2))
-    return moved, (new >= radix[rows]).any(axis=(1, 2))
+
+def _elementary_entry(g: np.ndarray) -> tuple:
+    """(i, j, c) for a matrix that differs from the identity only in its
+    off-diagonal entry (i, j) = c; ValueError for any other matrix."""
+    rows, cols = np.nonzero(g != np.eye(len(g), dtype=g.dtype))
+    if len(rows) != 1 or rows[0] == cols[0]:
+        raise ValueError(
+            "closure generators must differ from the identity in one off-diagonal entry"
+        )
+    return int(rows[0]), int(cols[0]), int(g[rows[0], cols[0]])
+
+
+def _row_code_digits(radix: tuple) -> tuple:
+    """Place values of the mixed-radix codes of a row with the given radices,
+    and the digits of every code: code u has digit k = u // place[k] %
+    radix[k].  Returns (place, digits), digits of shape (product of the
+    radices, len(radix))."""
+    place = _place_values(radix)
+    return place, np.arange(prod(radix), dtype=np.int64)[:, None] // place % np.array(radix)
+
+
+def _row_codes(flat: np.ndarray, positions, radix: tuple, place) -> np.ndarray:
+    """Codes of one row for every element of a flat (N, n * n) stack, the
+    row's entries sitting at the given flat positions.  Sums run in the
+    smallest unsigned dtype that holds every code, CHUNK elements at a
+    time; a position of radix 1 holds only zeros and is skipped."""
+    dtype = np.min_scalar_type(prod(radix) - 1)
+    codes = np.zeros(len(flat), dtype=dtype)
+    terms = zip(positions.tolist(), place.tolist(), radix)
+    terms = [(t, dtype.type(v)) for t, v, r in terms if r > 1]
+    for lo in range(0, len(flat), CHUNK):
+        part = codes[lo : lo + CHUNK]
+        for t, v in terms:
+            part += flat[lo : lo + CHUNK, t].astype(dtype, copy=False) * v
+    return codes
+
+
+def _move_table(radix_i: tuple, radix_j: tuple, c: int, p: int, coding) -> np.ndarray:
+    """The code of row x_i + c x_j mod p for every pair of codes (u of row i,
+    v of row j), flat at u * R_j + v; -1 where some digit reaches its
+    position's radix, i.e. the product leaves the key space.  coding maps
+    radices to _row_code_digits.  The new digits, below p * p before
+    reduction, are held in the smallest dtype that fits them."""
+    (place, digits_i), digits_j = coding(radix_i), coding(radix_j)[1]
+    small = np.min_scalar_type(p * p - 1)
+    digit = digits_i.astype(small)[:, None] + digits_j.astype(small)[None] * small.type(c % p)
+    digit %= small.type(p)
+    code = np.where((digit < np.array(radix_i)).all(axis=2), digit @ place, -1)
+    return code.astype(np.min_scalar_type(-len(digits_i))).ravel()
 
 
 def _merge(labels: np.ndarray, nbr: np.ndarray) -> np.ndarray:
@@ -264,39 +306,77 @@ def _partition_labels(arrays, left_gens: list, right_gens: list, p: int):
     Neighbors of m are g @ m for left generators and m @ g for right
     generators (a right product is a left one of the transposes).  The
     generators are invertible and act on a finite set, so each one permutes
-    the elements and its edges may be followed both ways.  One generator at a
-    time: the products of a chunk of the stack are found by their
-    mixed-radix keys with searchsorted, and the classes they link are merged.
-    A product outside the element set raises InvariantViolation.  Classes are
-    numbered in the order of their first elements.  Returns (labels array,
-    class count).
+    the elements and its edges may be followed both ways.
+
+    Keys move by row codes.  A mixed-radix key is a sum of per-row parts, so
+    each row of the stack (of its transpose, for the right side) gets one
+    mixed-radix code per element and a spread table: the key part of a row
+    with a given code.  Every generator must be elementary, I + c e_ij
+    (ValueError otherwise); it sets row i to x_i + c x_j, which one table
+    over all code pairs of rows i and j maps to the new code of row i, or to
+    -1 when the product leaves the key space.  So a product's key is its
+    element's key plus spread_i[new code] - spread_i[old code], a key change
+    tabulated by code pair and gathered once per generator and element.  A
+    table larger than MOVE_TABLE_RATIO times the element count raises
+    BudgetError.
+
+    One generator at a time, a chunk of the stack at a time: the products
+    are found by their keys with searchsorted, and the classes they link are
+    merged.  A product outside the element set raises InvariantViolation.
+    Classes are numbered in the order of their first elements.  Returns
+    (labels array, class count).
     """
     arrays = np.asarray(arrays)
     total, n = arrays.shape[:2]
-    radix, weights = _key_weights(arrays.reshape(total, -1))
+    flat = arrays.reshape(total, -1)
+    radix, weights = _key_weights(flat)
     radix, weights = radix.reshape(n, n), weights.reshape(n, n)
     keys = np.empty(total, dtype=np.int64)
     for lo in range(0, total, CHUNK):
-        keys[lo : lo + CHUNK] = (arrays[lo : lo + CHUNK] * weights).sum(axis=(1, 2))
+        keys[lo : lo + CHUNK] = flat[lo : lo + CHUNK] @ weights.ravel()
     if not (keys[1:] > keys[:-1]).all():
         raise InvariantViolation("the element stack does not strictly ascend in key order")
+    at = np.arange(n * n).reshape(n, n)  # flat position of each entry
+    sides = [  # (flat positions, weights and radices in the side's layout, its moves)
+        (at, weights, radix, [_elementary_entry(g) for g in left_gens]),
+        (at.T, weights.T, radix.T, [_elementary_entry(g.T) for g in right_gens]),
+    ]
+    for _, _, r, moves in sides:
+        for i, j, _ in moves:
+            size = prod(r[i].tolist()) * prod(r[j].tolist())
+            if size > MOVE_TABLE_RATIO * total:
+                raise BudgetError(
+                    f"closure move table of {size} entries exceeds "
+                    f"{MOVE_TABLE_RATIO} x {total} stack elements"
+                )
     labels = np.arange(total)
     nbr = np.empty(total, dtype=np.intp)
-    moves = [(g, arrays, weights, radix) for g in left_gens]
-    flipped = arrays.transpose(0, 2, 1)
-    moves += [(g.T, flipped, weights.T, radix.T) for g in right_gens]
-    for g, stack, w, r in moves:
-        for lo in range(0, total, CHUNK):
-            hi = min(lo + CHUNK, total)
-            moved, outside = _moved_keys(g, stack[lo:hi], keys[lo:hi], w, r, p)
-            nbr[lo:hi] = np.minimum(np.searchsorted(keys, moved), total - 1)
-            outside |= keys[nbr[lo:hi]] != moved
-            if outside.any():
-                raise InvariantViolation(
-                    f"a generator maps element {lo + int(np.argmax(outside))} "
-                    "outside the element set"
-                )
-        labels = _merge(labels, nbr)
+    coding = cache(_row_code_digits)  # rows with equal radices share digits
+    move_table = cache(partial(_move_table, p=p, coding=coding))  # and move tables
+    for pos, w, r, moves in sides:
+        radices = [tuple(row) for row in r.tolist()]
+        codes = {
+            k: _row_codes(flat, pos[k], radices[k], coding(radices[k])[0])
+            for k in {k for i, j, _ in moves for k in (i, j)}
+        }
+        for i, j, c in moves:
+            table = move_table(radices[i], radices[j], c)
+            spread = coding(radices[i])[1] @ w[i]  # key part of row i, by its code
+            width = prod(radices[j])
+            # key change by code pair; where table is -1 it is unused, the move is refused
+            shift = spread[table] - np.repeat(spread, width)
+            for lo in range(0, total, CHUNK):
+                hi = min(lo + CHUNK, total)
+                pair = codes[i][lo:hi].astype(np.intp) * width + codes[j][lo:hi]
+                moved = keys[lo:hi] + shift[pair]
+                nbr[lo:hi] = np.minimum(np.searchsorted(keys, moved), total - 1)
+                outside = (table[pair] < 0) | (keys[nbr[lo:hi]] != moved)
+                if outside.any():
+                    raise InvariantViolation(
+                        f"a generator maps element {lo + int(np.argmax(outside))} "
+                        "outside the element set"
+                    )
+            labels = _merge(labels, nbr)
     roots = labels == np.arange(total)
     return (np.cumsum(roots) - 1)[labels], int(roots.sum())
 

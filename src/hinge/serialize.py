@@ -78,9 +78,9 @@ def problem_from_dict(data: dict) -> Problem:
     for r in rows:
         if not isinstance(r, list) or len(r) != n:
             raise ProblemFormatError(f"field 'matrix' must be square, got a row of length {len(r) if isinstance(r, list) else '?'} in {n} rows")
-        for v in r:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ProblemFormatError(f"field 'matrix' must contain only ints, got {v!r}")
+    if {type(v) for r in rows for v in r} - {int}:  # bool is an int subclass, not int
+        bad = next(v for r in rows for v in r if type(v) is not int)
+        raise ProblemFormatError(f"field 'matrix' must contain only ints, got {bad!r}")
     if alpha.n != n or beta.n != n:
         raise MarginError(
             f"matrix is {n} x {n} but alpha sums to {alpha.n} and beta to {beta.n}"

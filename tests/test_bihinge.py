@@ -35,6 +35,7 @@ from hinge.field import PrimeField
 from hinge.linalg import Matrix, ShapeError, SingularMatrixError
 from hinge.relations import LinearRelation
 from hinge.selfcheck import (
+    _MARGIN_SETS,
     random_composition,
     random_invertible,
     random_unitriangular,
@@ -286,6 +287,33 @@ def test_standard_matrix_small_example():
     ]
     d2 = DimensionMatrix([[0, 1], [1, 0]], (1, 1), (1, 1))
     assert standard_matrix(d2, f).to_rows() == [[0, 1], [1, 0]]
+
+
+def test_standard_matrix_matches_loop_oracle():
+    # the units of each cell placed one by one, W_j filled as i ascends and
+    # V_i as j ascends
+    def oracle(d):
+        arr = [[0] * d.alpha.n for _ in range(d.alpha.n)]
+        r0 = list(d.beta.offsets[:-1])
+        for i in range(len(d.alpha)):
+            c0 = d.alpha.offsets[i]
+            for j in range(len(d.beta)):
+                for k in range(d[i, j]):
+                    arr[r0[j] + k][c0 + k] = 1
+                r0[j] += d[i, j]
+                c0 += d[i, j]
+        return arr
+
+    f = PrimeField(3)
+    tables = 0
+    for alpha in _MARGIN_SETS:
+        for beta in _MARGIN_SETS:
+            if sum(alpha) != sum(beta):
+                continue
+            for d in contingency_tables(alpha, beta):
+                assert standard_matrix(d, f).to_rows() == oracle(d), d.to_rows()
+                tables += 1
+    assert tables > 20
 
 
 def test_equivalence_matches_brute_partition():

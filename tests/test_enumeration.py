@@ -1,6 +1,7 @@
 """Exhaustive enumeration, closure partitions and the counting formulas."""
 
 import random
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -31,6 +32,7 @@ from hinge.enumeration import (
 from hinge.field import PrimeField
 from hinge.linalg import Matrix
 from hinge.relations import InvariantViolation
+from hinge.selfcheck import all_compositions
 
 
 def test_gl_order_values():
@@ -293,6 +295,56 @@ def test_partition_labels_key_space_budget():
     arrays = np.full((1, 5, 5), 65520, dtype=np.int64)
     with pytest.raises(BudgetError, match="key space"):
         _partition_labels(arrays, [], [], 65521)
+
+
+def test_closure_labels_match_matrix_product_bfs():
+    # an independent closure: breadth-first search over Matrix products g * m
+    # and m * h, visited elements held by encode_matrix key; classes are
+    # numbered from their smallest member, as the stacked closure numbers them
+    for n, q in ((2, 3), (3, 2)):
+        elements = list(enum_gl(n, q))
+        index = {encode_matrix(m): k for k, m in enumerate(elements)}
+        for alpha in all_compositions(n):
+            right = t_generators(alpha, q, lower=False)
+            for beta in all_compositions(n):
+                left = t_generators(beta, q, lower=True)
+                want = [None] * len(elements)
+                count = 0
+                for start in range(len(elements)):
+                    if want[start] is not None:
+                        continue
+                    want[start] = count
+                    todo = deque([elements[start]])
+                    while todo:
+                        m = todo.popleft()
+                        for nbr in [g * m for g in left] + [m * h for h in right]:
+                            k = index[encode_matrix(nbr)]
+                            if want[k] is None:
+                                want[k] = count
+                                todo.append(nbr)
+                    count += 1
+                part = double_cosets_brute(n, q, alpha, beta)
+                assert part.labels.tolist() == want, (n, q, alpha, beta)
+                assert part.num_classes == count
+
+
+def test_partition_labels_rejects_non_elementary_generators():
+    arrays = gl_array(2, 2)
+    eye = np.eye(2, dtype=np.int64)
+    two_entries = np.array([[1, 1], [1, 1]])
+    diagonal = np.array([[1, 0], [0, 2]])
+    for left, right in (([eye], []), ([two_entries], []), ([], [diagonal])):
+        with pytest.raises(ValueError, match="one off-diagonal entry"):
+            _partition_labels(arrays, left, right, 2)
+
+
+def test_partition_labels_move_table_budget():
+    # two elements over GF(127): row 1 takes 254 codes and row 0 two, so the
+    # table of row 1 += row 0 has 508 entries, past 8 per element
+    arrays = np.array([[[1, 0], [0, 1]], [[1, 0], [126, 1]]])
+    gens = [g.a for g in t_generators((1, 1), 127, lower=True)]
+    with pytest.raises(BudgetError, match="move table of 508 entries"):
+        _partition_labels(arrays, gens, [], 127)
 
 
 def test_coset_classes_are_built_on_demand():

@@ -58,8 +58,14 @@ def test_missing_and_bad_fields():
         problem_from_dict(dict(GOOD, alpha=[1, "1"]))
     with pytest.raises(ProblemFormatError, match="matrix"):
         problem_from_dict(dict(GOOD, matrix=[[1, 1], [0]]))
-    with pytest.raises(ProblemFormatError, match="matrix"):
-        problem_from_dict(dict(GOOD, matrix=[[1, 1], [0, True]]))
+    for bad, shown in ((True, "True"), (1.5, "1.5"), ("3", "'3'")):
+        message = f"field 'matrix' must contain only ints, got {shown}"
+        with pytest.raises(ProblemFormatError) as info:
+            problem_from_dict(dict(GOOD, matrix=[[1, 1], [0, bad]]))
+        assert str(info.value) == message
+    # the first offender in row-major order is the one named
+    with pytest.raises(ProblemFormatError, match="got 2.5$"):
+        problem_from_dict(dict(GOOD, matrix=[[1, 2.5], [False, 1]]))
     with pytest.raises(ProblemFormatError):
         problem_from_dict([1, 2, 3])
 
