@@ -159,7 +159,7 @@ def cmd_standard(args) -> int:
 def cmd_count(args) -> int:
     budget = _resolve_budget(args)
     PrimeField(args.q)  # the formula is only a coset count over a prime field
-    predicted = predicted_coset_count(args.alpha, args.beta, args.q)
+    predicted = predicted_coset_count(args.alpha, args.beta, args.q, budget)
     if not args.brute:
         if args.format == "json":
             print(dumps_json({"predicted": predicted}))

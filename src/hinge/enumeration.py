@@ -3,19 +3,21 @@
 Everything here is meant to cross-check the fast invariants on small fields:
 GL(n, q) as one (N, n, n) array and subspace lattices enumerated in full,
 generators of the block triangular groups, double coset partitions by
-closure (connected components of the generator graph, found with numpy
-label propagation), grids filtered by the axioms, stabilizer orders by
-direct count, and the orbit-counting formula.  Budgets are hard limits;
+closure (connected components of the generator graph: each product is
+looked up in a dense key -> element index, and the classes are merged by
+numpy label propagation), grids filtered by the axioms, stabilizer orders
+by direct count, and the orbit-counting formula.  Budgets are hard limits;
 exceeding one raises BudgetError with the offending cardinality, never a
 silent truncation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import combinations, product
-from math import prod
+from math import factorial, prod
 
 import numpy as np
 
@@ -196,23 +198,6 @@ def enum_subspaces(d: int, q: int, budget: EnumerationBudget = None):
                 yield Subspace._trusted(Matrix._new(field, arr))
 
 
-def _key_weights(flat: np.ndarray) -> tuple:
-    """Mixed-radix int64 keys for the rows of an (N, positions) value array.
-
-    Position k takes values below radix[k] (its largest value plus one) and
-    weighs the product of the radices after it, so keys ascend in row-major
-    order and agree with encode_matrix order.  Returns (radix, weights);
-    raises BudgetError when the key space does not fit in an int64.
-    """
-    radix = flat.max(axis=0).astype(np.int64) + 1
-    space = 1
-    for r in radix.tolist():
-        space *= r
-    if space > 2 ** 63:
-        raise BudgetError(f"closure key space {space} exceeds the int64 range 2**63")
-    return radix, _place_values(radix)
-
-
 def _place_values(radix: np.ndarray) -> np.ndarray:
     """Mixed-radix place values: each position weighs the product of the
     radices after it."""
@@ -308,40 +293,41 @@ def _partition_labels(arrays, left_gens: list, right_gens: list, p: int):
     generators are invertible and act on a finite set, so each one permutes
     the elements and its edges may be followed both ways.
 
-    Keys move by row codes.  A mixed-radix key is a sum of per-row parts, so
-    each row of the stack (of its transpose, for the right side) gets one
-    mixed-radix code per element and a spread table: the key part of a row
-    with a given code.  Every generator must be elementary, I + c e_ij
-    (ValueError otherwise); it sets row i to x_i + c x_j, which one table
-    over all code pairs of rows i and j maps to the new code of row i, or to
-    -1 when the product leaves the key space.  So a product's key is its
-    element's key plus spread_i[new code] - spread_i[old code], a key change
-    tabulated by code pair and gathered once per generator and element.  A
-    table larger than MOVE_TABLE_RATIO times the element count raises
-    BudgetError.
+    Keys are mixed-radix: position k takes values below radix[k], its
+    largest value in the stack plus one, and weighs the product of the
+    radices after it, so keys ascend in row-major order.  Keys move by row
+    codes.  A key is a sum of per-row parts, so each row of the stack (of
+    its transpose, for the right side) gets one mixed-radix code per element
+    and a spread table: the key part of a row with a given code.  Every
+    generator must be elementary, I + c e_ij (ValueError otherwise); it sets
+    row i to x_i + c x_j, which one table over all code pairs of rows i and
+    j maps to the new code of row i, or to -1 when the product leaves the
+    key space.  So a product's key is its element's key plus spread_i[new
+    code] - spread_i[old code], a key change tabulated by code pair and
+    gathered once per generator and element.  A table larger than
+    MOVE_TABLE_RATIO times the element count raises BudgetError.
 
-    One generator at a time, a chunk of the stack at a time: the products
-    are found by their keys with searchsorted, and the classes they link are
-    merged.  A product outside the element set raises InvariantViolation.
-    Classes are numbered in the order of their first elements.  Returns
-    (labels array, class count).
+    Products are found by a dense index over the whole key space: each slot
+    holds the element with that key, or -1, in the smallest signed dtype
+    that holds the element count, and one spare slot past the end takes the
+    moves the move table refuses.  A key space larger than MOVE_TABLE_RATIO
+    times the element count raises BudgetError; a full GL(n, q) has fewer
+    than 3.47 keys per element.  One generator at a time, a chunk of the
+    stack at a time, the products are gathered from the index and the
+    classes they link are merged.  A product outside the element set raises
+    InvariantViolation.  Classes are numbered in the order of their first
+    elements.  Returns (labels array, class count).
     """
     arrays = np.asarray(arrays)
     total, n = arrays.shape[:2]
     flat = arrays.reshape(total, -1)
-    radix, weights = _key_weights(flat)
-    radix, weights = radix.reshape(n, n), weights.reshape(n, n)
-    keys = np.empty(total, dtype=np.int64)
-    for lo in range(0, total, CHUNK):
-        keys[lo : lo + CHUNK] = flat[lo : lo + CHUNK] @ weights.ravel()
-    if not (keys[1:] > keys[:-1]).all():
-        raise InvariantViolation("the element stack does not strictly ascend in key order")
+    radix = flat.max(axis=0).astype(np.int64).reshape(n, n) + 1
     at = np.arange(n * n).reshape(n, n)  # flat position of each entry
-    sides = [  # (flat positions, weights and radices in the side's layout, its moves)
-        (at, weights, radix, [_elementary_entry(g) for g in left_gens]),
-        (at.T, weights.T, radix.T, [_elementary_entry(g.T) for g in right_gens]),
+    sides = [  # (flat positions, radices in the side's layout, its moves)
+        (at, radix, [_elementary_entry(g) for g in left_gens]),
+        (at.T, radix.T, [_elementary_entry(g.T) for g in right_gens]),
     ]
-    for _, _, r, moves in sides:
+    for _, r, moves in sides:
         for i, j, _ in moves:
             size = prod(r[i].tolist()) * prod(r[j].tolist())
             if size > MOVE_TABLE_RATIO * total:
@@ -349,11 +335,26 @@ def _partition_labels(arrays, left_gens: list, right_gens: list, p: int):
                     f"closure move table of {size} entries exceeds "
                     f"{MOVE_TABLE_RATIO} x {total} stack elements"
                 )
+    space = prod(radix.ravel().tolist())
+    if space > MOVE_TABLE_RATIO * total:
+        raise BudgetError(
+            f"closure key space of {space} keys exceeds "
+            f"{MOVE_TABLE_RATIO} x {total} stack elements"
+        )
+    weights = _place_values(radix.ravel()).reshape(n, n)
+    keys = np.empty(total, dtype=np.int64)
+    for lo in range(0, total, CHUNK):
+        keys[lo : lo + CHUNK] = flat[lo : lo + CHUNK] @ weights.ravel()
+    if not (keys[1:] > keys[:-1]).all():
+        raise InvariantViolation("the element stack does not strictly ascend in key order")
+    dtype = np.min_scalar_type(-total)
+    index = np.full(space + 1, -1, dtype=dtype)  # refused moves land in slot space
+    index[keys] = np.arange(total, dtype=dtype)
     labels = np.arange(total)
     nbr = np.empty(total, dtype=np.intp)
     coding = cache(_row_code_digits)  # rows with equal radices share digits
     move_table = cache(partial(_move_table, p=p, coding=coding))  # and move tables
-    for pos, w, r, moves in sides:
+    for (pos, r, moves), w in zip(sides, (weights, weights.T)):
         radices = [tuple(row) for row in r.tolist()]
         codes = {
             k: _row_codes(flat, pos[k], radices[k], coding(radices[k])[0])
@@ -363,19 +364,19 @@ def _partition_labels(arrays, left_gens: list, right_gens: list, p: int):
             table = move_table(radices[i], radices[j], c)
             spread = coding(radices[i])[1] @ w[i]  # key part of row i, by its code
             width = prod(radices[j])
-            # key change by code pair; where table is -1 it is unused, the move is refused
-            shift = spread[table] - np.repeat(spread, width)
+            # key change by code pair; a refused move lands at or past the spare slot
+            shift = np.where(table < 0, space, spread[table] - np.repeat(spread, width))
             for lo in range(0, total, CHUNK):
                 hi = min(lo + CHUNK, total)
                 pair = codes[i][lo:hi].astype(np.intp) * width + codes[j][lo:hi]
                 moved = keys[lo:hi] + shift[pair]
-                nbr[lo:hi] = np.minimum(np.searchsorted(keys, moved), total - 1)
-                outside = (table[pair] < 0) | (keys[nbr[lo:hi]] != moved)
-                if outside.any():
+                found = index[np.minimum(moved, space, out=moved)]
+                if (found < 0).any():
                     raise InvariantViolation(
-                        f"a generator maps element {lo + int(np.argmax(outside))} "
+                        f"a generator maps element {lo + int(np.argmax(found < 0))} "
                         "outside the element set"
                     )
+                nbr[lo:hi] = found
             labels = _merge(labels, nbr)
     roots = labels == np.arange(total)
     return (np.cumsum(roots) - 1)[labels], int(roots.sum())
@@ -561,14 +562,77 @@ def contingency_tables(alpha, beta) -> list:
     return out
 
 
-def predicted_coset_count(alpha, beta, q: int) -> int:
+def _class_counts(r: int, m: int, most: int):
+    """Every (c_0, ..., c_r) with c_0 + ... + c_r = m and sum over v of
+    v * c_v at most `most`: c_v of m columns open at r take v each."""
+    if r == 0:
+        yield (m,)
+        return
+    for c_r in range(min(m, most // r) + 1):
+        for head in _class_counts(r - 1, m - c_r, most - r * c_r):
+            yield head + (c_r,)
+
+
+def _row_placements(open_sums: tuple, need: int) -> Counter:
+    """Rows summing to need below the open column sums, counted by the
+    multiset of sums they leave open (a sorted tuple).  Columns are placed
+    one class of equal open sums at a time: when c_v of the m columns open
+    at r take v, m! / prod(c_v!) rows agree up to the order of the class."""
+    placed = Counter({((), need): 1})  # (sums left open so far, still needed)
+    for r, m in Counter(open_sums).items():
+        grown = Counter()
+        for (left, rest), ways in placed.items():
+            for c in _class_counts(r, m, rest):
+                taken = sum(v * c_v for v, c_v in enumerate(c))
+                after = tuple(r - v for v, c_v in enumerate(c) for _ in range(c_v))
+                grown[left + after, rest - taken] += ways * (
+                    factorial(m) // prod(map(factorial, c))
+                )
+        placed = grown
+    out = Counter()
+    for (left, rest), ways in placed.items():
+        if rest == 0:
+            out[tuple(sorted(left))] += ways
+    return out
+
+
+def contingency_table_count(alpha, beta) -> int:
+    """len(contingency_tables(alpha, beta)), without listing a table.
+
+    Rows are placed one at a time below the column sums still open.  How a
+    partial table completes depends only on the multiset of those sums, so
+    partial tables are counted by that multiset.  Transposing a table swaps
+    its margins, so the side with fewer distinct parts serves as the columns.
+    """
+    alpha = Composition(alpha)
+    beta = Composition(beta)
+    if alpha.n != beta.n:
+        raise MarginError(f"margins disagree: {alpha.n} != {beta.n}")
+    rows, cols = sorted((alpha.parts, beta.parts), key=lambda p: -len(set(p)))
+    ways = Counter({tuple(sorted(cols)): 1})  # open column sums -> partial tables
+    for need in rows:
+        grown = Counter()
+        for open_sums, k in ways.items():
+            for left, placements in _row_placements(open_sums, need).items():
+                grown[left] += k * placements
+        ways = grown
+    return sum(ways.values())
+
+
+def predicted_coset_count(alpha, beta, q: int, budget: EnumerationBudget = None) -> int:
     """Number of double cosets by orbit counting over contingency tables.
 
     Sums |prod GL(alpha_i)| * |prod GL(beta_j)| / stabilizer over all tables;
     every division must be exact, anything else is an implementation error.
+    The tables are counted first, and listed only within the subspace budget.
     """
+    budget = budget or DEFAULT_BUDGET
     alpha = Composition(alpha)
     beta = Composition(beta)
+    budget.check_subspace(
+        contingency_table_count(alpha, beta),
+        f"contingency tables for alpha={alpha.parts}, beta={beta.parts}",
+    )
     numerator = 1
     for a_i in alpha:
         numerator *= gl_order(a_i, q)

@@ -329,7 +329,7 @@ def check_surjectivity(q: int, budget: EnumerationBudget = None) -> tuple:
     images = {chi(m, alpha, beta) for m in enum_gl(2, q, budget)}
     if set(grids) != images:
         return False, f"GF({q}): {len(grids)} grids vs {len(images)} images"
-    expected = predicted_coset_count(alpha, beta, q)
+    expected = predicted_coset_count(alpha, beta, q, budget)
     if len(grids) != expected:
         return False, f"GF({q}): {len(grids)} grids vs predicted {expected}"
     return True, f"GF({q}): all {len(grids)} grids realized"
@@ -396,7 +396,7 @@ def check_normal_form(q: int = 3, max_n: int = 5, trials: int = 100, seed=404) -
 def count_three_ways(alpha, beta, q: int, budget: EnumerationBudget = None) -> tuple:
     """(formula count, closure class count, distinct grid count) for one case."""
     budget = budget or DEFAULT_BUDGET
-    predicted = predicted_coset_count(alpha, beta, q)
+    predicted = predicted_coset_count(alpha, beta, q, budget)
     partition = double_cosets_brute(sum(alpha), q, alpha, beta, budget)
     grids = {chi(m, alpha, beta) for klass in partition.classes for m in klass}
     return predicted, partition.num_classes, len(grids)

@@ -7,6 +7,7 @@ subprocess test exercises the real interpreter entry point.
 import json
 import subprocess
 import sys
+from time import perf_counter
 
 import pytest
 
@@ -56,6 +57,17 @@ def test_count_budget_flag(capsys):
     assert code == 6
     err = capsys.readouterr().err
     assert "6" in err and "budget" in err
+
+
+def test_count_formula_budget(capsys):
+    # (1^10) x (1^10) has 10! contingency tables: counted, never listed
+    ones = ",".join(["1"] * 10)
+    start = perf_counter()
+    assert main(["count", "--alpha", ones, "--beta", ones, "-q", "2"]) == 6
+    assert perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "contingency tables" in err and "3628800" in err
 
 
 def test_count_rejects_non_prime_modulus(capsys):

@@ -2,19 +2,22 @@
 
 import random
 from collections import deque
-from itertools import product
+from itertools import product, takewhile
+from math import comb, factorial, isqrt
 
 import numpy as np
 import pytest
 
-from hinge.bihinge import DimensionMatrix, check_axioms, chi
+from hinge.bihinge import DimensionMatrix, MarginError, check_axioms, chi
 from hinge.enumeration import (
     BudgetError,
     CosetPartition,
     DEFAULT_BUDGET,
     EnumerationBudget,
+    MOVE_TABLE_RATIO,
     _partition_labels,
     all_bihinges_brute,
+    contingency_table_count,
     contingency_tables,
     double_cosets_brute,
     encode_matrix,
@@ -220,6 +223,34 @@ def test_contingency_tables():
         assert [sum(r) for r in t.to_rows()] == [3, 1]
 
 
+def test_contingency_table_count_matches_the_listing():
+    for n in range(1, 6):
+        for alpha in all_compositions(n):
+            for beta in all_compositions(n):
+                assert contingency_table_count(alpha, beta) == len(
+                    contingency_tables(alpha, beta)
+                ), (alpha, beta)
+    assert contingency_table_count((3, 1, 2), (2, 2, 2)) == len(
+        contingency_tables((3, 1, 2), (2, 2, 2))
+    )
+    # closed forms far past any listing: permutation matrices and 0-1 tables
+    # with two rows (or columns)
+    assert contingency_table_count((1,) * 40, (1,) * 40) == factorial(40)
+    assert contingency_table_count((15, 15), (1,) * 30) == comb(30, 15)
+    assert contingency_table_count((1,) * 30, (15, 15)) == comb(30, 15)
+    with pytest.raises(MarginError):
+        contingency_table_count((1, 1), (3,))
+
+
+def test_predicted_count_budget_names_the_table_count():
+    # 6! = 720 tables: listed within the default budget, refused past a budget of 700
+    assert predicted_coset_count((1,) * 6, (1,) * 6, 2) == predicted_coset_count(
+        (1,) * 6, (1,) * 6, 2, EnumerationBudget(max_subspace_lattice=720)
+    )
+    with pytest.raises(BudgetError, match="contingency tables .* = 720 exceeds"):
+        predicted_coset_count((1,) * 6, (1,) * 6, 2, EnumerationBudget(max_subspace_lattice=700))
+
+
 def test_predicted_counts():
     assert predicted_coset_count((1, 1), (1, 1), 2) == 2
     assert predicted_coset_count((1, 1), (1, 1), 3) == 8
@@ -295,6 +326,44 @@ def test_partition_labels_key_space_budget():
     arrays = np.full((1, 5, 5), 65520, dtype=np.int64)
     with pytest.raises(BudgetError, match="key space"):
         _partition_labels(arrays, [], [], 65521)
+
+
+def test_key_space_fits_every_full_group_in_budget():
+    # the closure index refuses a key space past MOVE_TABLE_RATIO keys per
+    # element; a full GL(n, q) has q**(n*n) keys, so within the default budget
+    # that refusal never fires
+    limit = DEFAULT_BUDGET.max_group_order
+    sieve = np.ones(limit + 2, dtype=bool)  # gl_order(1, q) = q - 1 <= limit
+    sieve[:2] = False
+    for f in range(2, isqrt(limit + 1) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = False
+    primes = np.flatnonzero(sieve)
+    assert (primes <= MOVE_TABLE_RATIO * (primes - 1)).all()  # n = 1
+    primes = primes.tolist()
+    n = 2
+    while gl_order(n, 2) <= limit:
+        for q in takewhile(lambda q: gl_order(n, q) <= limit, primes):
+            assert q ** (n * n) <= MOVE_TABLE_RATIO * gl_order(n, q), (n, q)
+        n += 1
+    assert n == 6  # GL(5, 2) was the largest group checked
+
+
+def test_partition_labels_key_space_refusal():
+    # the first and last elements of GL(2, 7): radices 7, 7, 7, 6 give
+    # 2058 keys for 2 elements, past 8 per element
+    full = gl_array(2, 7)
+    with pytest.raises(BudgetError, match="key space of 2058 keys"):
+        _partition_labels(full[[0, -1]], [], [], 7)
+
+
+def test_partition_labels_rejects_products_refused_by_the_move_table():
+    # over GF(3), (1 0; 1 1) moves to (1 0; 2 1): a digit past its radix 2,
+    # so the product's key lies outside the key space
+    arrays = np.array([[[1, 0], [0, 1]], [[1, 0], [1, 1]]])
+    gens = [g.a for g in t_generators((1, 1), 3, lower=True)]
+    with pytest.raises(InvariantViolation, match="maps element 1 outside the element set"):
+        _partition_labels(arrays, gens, [], 3)
 
 
 def test_closure_labels_match_matrix_product_bfs():
