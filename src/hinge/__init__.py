@@ -6,10 +6,10 @@ strictly triangular groups; lpu and canonical_01 produce matrix normal forms;
 the enumeration module cross-checks everything exhaustively on small fields.
 """
 
-from .field import PrimeField, is_prime
+from .field import PrimeField
 from .linalg import Matrix, ShapeError, SingularMatrixError
-from .subspaces import Subspace, subspace_from_generators
-from .relations import InvariantViolation, LinearRelation, quotient_rows
+from .subspaces import Subspace
+from .relations import InvariantViolation, LinearRelation
 from .bihinge import (
     AxiomError,
     AxiomReport,
@@ -42,16 +42,12 @@ from .enumeration import (
     all_bihinges_brute,
     contingency_tables,
     double_cosets_brute,
-    encode_matrix,
     enum_gl,
     enum_subspaces,
-    gaussian_binomial,
     gl_order,
     predicted_coset_count,
     stab_order_formula,
     stabilizer_brute,
-    subspace_count,
-    t_generators,
 )
 from .serialize import (
     HeaderMismatchError,
@@ -61,8 +57,6 @@ from .serialize import (
     invariant_report,
     load_problem,
     problem_from_dict,
-    problem_to_dict,
-    report_to_bihinge,
 )
 from .selfcheck import run_selfcheck
 
@@ -99,31 +93,22 @@ __all__ = [
     "dimension_matrix",
     "double_cosets_brute",
     "dumps_json",
-    "encode_matrix",
     "enum_gl",
     "enum_subspaces",
     "equivalent",
-    "gaussian_binomial",
     "gl_order",
     "hinge_act",
     "invariant_report",
-    "is_prime",
     "load_problem",
     "lpu",
     "normalize",
     "perm_block_counts",
     "predicted_coset_count",
     "problem_from_dict",
-    "problem_to_dict",
-    "quotient_rows",
     "rank_profile_permutation",
-    "report_to_bihinge",
     "run_selfcheck",
     "stab_order_formula",
     "stabilizer_brute",
     "standard_bihinge",
     "standard_matrix",
-    "subspace_count",
-    "subspace_from_generators",
-    "t_generators",
 ]

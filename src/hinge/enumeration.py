@@ -2,9 +2,10 @@
 
 Everything here is meant to cross-check the fast invariants on small fields:
 GL(n, q) as one (N, n, n) array and subspace lattices enumerated in full,
-generators of the block triangular groups, double coset partitions by
-closure (connected components of the generator graph: each product is
-looked up in a dense key -> element index, and the classes are merged by
+double coset partitions of the whole group by closure (connected components
+of the graph of elementary row and column moves: every move of every
+element is one gather from a shared table of base-q row-code sums and one
+lookup in a dense key -> element index, and the classes are merged by
 numpy label propagation), grids filtered by the axioms, stabilizer orders
 by direct count, and the orbit-counting formula.  Budgets are hard limits;
 exceeding one raises BudgetError with the offending cardinality, never a
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import combinations, product
 from math import factorial, prod
 
@@ -86,14 +87,6 @@ def subspace_count(d: int, q: int) -> int:
     return sum(gaussian_binomial(d, k, q) for k in range(d + 1))
 
 
-def encode_matrix(m: Matrix) -> int:
-    """Fixed-width integer key: row-major base-p digits, first entry highest."""
-    key = 0
-    for v in m.a.flat:
-        key = key * m.field.p + int(v)
-    return key
-
-
 # Elements per numpy pass over a stack of matrices: bounds the temporaries of
 # the whole-group array routes (a 2**16 x 5 x 5 int64 chunk is 13 MB).
 CHUNK = 1 << 16
@@ -104,10 +97,11 @@ def gl_array(n: int, q: int, budget: EnumerationBudget = None) -> np.ndarray:
 
     Rows are chosen top to bottom in lexicographic order, skipping vectors in
     the span of the rows above, so the array is complete, duplicate-free and
-    sorted by encode_matrix key.  Each prefix of rows carries its span as the
-    list of its q**k members; a boolean mask over the q**n vectors marks
-    them, and every vector outside the mask extends the prefix.  Entries are
-    stored in the smallest unsigned dtype that holds q - 1.
+    sorted by key, the base-q number of the row-major entries.  Each prefix
+    of rows carries its span as the list of its q**k members; a boolean mask
+    over the q**n vectors marks them, and every vector outside the mask
+    extends the prefix.  Entries are stored in the smallest unsigned dtype
+    that holds q - 1.
     """
     budget = budget or DEFAULT_BUDGET
     budget.check_group(gl_order(n, q), f"|GL({n},{q})|")
@@ -163,18 +157,6 @@ def _free_positions(comp: Composition, lower: bool) -> list:
     return out
 
 
-def t_generators(comp, q: int, lower: bool) -> list:
-    """Elementary one-parameter generators I + e_rc of a unitriangular group."""
-    comp = Composition(comp)
-    field = PrimeField(q)
-    gens = []
-    for r, c in _free_positions(comp, lower):
-        arr = np.eye(comp.n, dtype=np.int64)
-        arr[r, c] = 1
-        gens.append(Matrix._new(field, arr))
-    return gens
-
-
 def enum_subspaces(d: int, q: int, budget: EnumerationBudget = None):
     """Yield every subspace of GF(q)^d once: by dimension, then pivot set,
     then free entries, all lexicographically."""
@@ -198,67 +180,30 @@ def enum_subspaces(d: int, q: int, budget: EnumerationBudget = None):
                 yield Subspace._trusted(Matrix._new(field, arr))
 
 
-def _place_values(radix: np.ndarray) -> np.ndarray:
-    """Mixed-radix place values: each position weighs the product of the
-    radices after it."""
-    place = np.ones(len(radix), dtype=np.int64)
-    for k in range(len(radix) - 2, -1, -1):
-        place[k] = place[k + 1] * radix[k + 1]
-    return place
-
-
-# A closure move table may hold at most this many entries per stack element.
-MOVE_TABLE_RATIO = 8
-
-
-def _elementary_entry(g: np.ndarray) -> tuple:
-    """(i, j, c) for a matrix that differs from the identity only in its
-    off-diagonal entry (i, j) = c; ValueError for any other matrix."""
-    rows, cols = np.nonzero(g != np.eye(len(g), dtype=g.dtype))
-    if len(rows) != 1 or rows[0] == cols[0]:
-        raise ValueError(
-            "closure generators must differ from the identity in one off-diagonal entry"
-        )
-    return int(rows[0]), int(cols[0]), int(g[rows[0], cols[0]])
-
-
-def _row_code_digits(radix: tuple) -> tuple:
-    """Place values of the mixed-radix codes of a row with the given radices,
-    and the digits of every code: code u has digit k = u // place[k] %
-    radix[k].  Returns (place, digits), digits of shape (product of the
-    radices, len(radix))."""
-    place = _place_values(radix)
-    return place, np.arange(prod(radix), dtype=np.int64)[:, None] // place % np.array(radix)
-
-
-def _row_codes(flat: np.ndarray, positions, radix: tuple, place) -> np.ndarray:
-    """Codes of one row for every element of a flat (N, n * n) stack, the
-    row's entries sitting at the given flat positions.  Sums run in the
-    smallest unsigned dtype that holds every code, CHUNK elements at a
-    time; a position of radix 1 holds only zeros and is skipped."""
-    dtype = np.min_scalar_type(prod(radix) - 1)
-    codes = np.zeros(len(flat), dtype=dtype)
-    terms = zip(positions.tolist(), place.tolist(), radix)
-    terms = [(t, dtype.type(v)) for t, v, r in terms if r > 1]
-    for lo in range(0, len(flat), CHUNK):
+def _row_codes(rows: np.ndarray, q: int) -> np.ndarray:
+    """Base-q code of one row of every element, first entry highest, from an
+    (N, n) view of the stack.  Codes are built CHUNK elements at a time in
+    the smallest unsigned dtype that holds q**n - 1."""
+    dtype = np.min_scalar_type(q ** rows.shape[1] - 1)
+    codes = np.zeros(len(rows), dtype=dtype)
+    for lo in range(0, len(rows), CHUNK):
         part = codes[lo : lo + CHUNK]
-        for t, v in terms:
-            part += flat[lo : lo + CHUNK, t].astype(dtype, copy=False) * v
+        for column in rows[lo : lo + CHUNK].T:
+            part *= dtype.type(q)
+            part += column.astype(dtype, copy=False)
     return codes
 
 
-def _move_table(radix_i: tuple, radix_j: tuple, c: int, p: int, coding) -> np.ndarray:
-    """The code of row x_i + c x_j mod p for every pair of codes (u of row i,
-    v of row j), flat at u * R_j + v; -1 where some digit reaches its
-    position's radix, i.e. the product leaves the key space.  coding maps
-    radices to _row_code_digits.  The new digits, below p * p before
-    reduction, are held in the smallest dtype that fits them."""
-    (place, digits_i), digits_j = coding(radix_i), coding(radix_j)[1]
-    small = np.min_scalar_type(p * p - 1)
-    digit = digits_i.astype(small)[:, None] + digits_j.astype(small)[None] * small.type(c % p)
-    digit %= small.type(p)
-    code = np.where((digit < np.array(radix_i)).all(axis=2), digit @ place, -1)
-    return code.astype(np.min_scalar_type(-len(digits_i))).ravel()
+def _move_table(digits: np.ndarray, q: int) -> np.ndarray:
+    """The code of x + y mod q for every pair of row codes (u of x, v of y),
+    flat at u * q**n + v; digits[u] are the n base-q digits of code u.  For
+    n >= 2 every digit sum, below 2q, fits the dtype of the codes."""
+    size, n = digits.shape
+    dtype = np.min_scalar_type(size - 1)
+    table = np.zeros((size, size), dtype=dtype)
+    for k, d in enumerate(digits.astype(dtype).T):
+        table += (d[:, None] + d) % dtype.type(q) * dtype.type(q ** (n - 1 - k))
+    return table.ravel()
 
 
 def _merge(labels: np.ndarray, nbr: np.ndarray) -> np.ndarray:
@@ -284,93 +229,67 @@ def _merge(labels: np.ndarray, nbr: np.ndarray) -> np.ndarray:
             labels = jumped
 
 
-def _partition_labels(arrays, left_gens: list, right_gens: list, p: int):
-    """Connected components of the multiplication graph over an element stack.
+def _partition_labels(elements: np.ndarray, alpha, beta, q: int):
+    """The classes of T-(beta) \\ GL(n, q) / T+(alpha), by generator closure.
 
-    The stack must ascend in encode_matrix key order, as gl_array does.
-    Neighbors of m are g @ m for left generators and m @ g for right
-    generators (a right product is a left one of the transposes).  The
-    generators are invertible and act on a finite set, so each one permutes
-    the elements and its edges may be followed both ways.
+    elements is GL(n, q), or a part of it, as gl_array gives it.  An
+    element's key is the base-q number of its row-major entries, and the
+    keys must strictly ascend (InvariantViolation otherwise), which also
+    rules out duplicates.  A dense index over all q**(n*n) keys holds each
+    element's position, or -1, in the smallest signed dtype that holds the
+    element count.
 
-    Keys are mixed-radix: position k takes values below radix[k], its
-    largest value in the stack plus one, and weighs the product of the
-    radices after it, so keys ascend in row-major order.  Keys move by row
-    codes.  A key is a sum of per-row parts, so each row of the stack (of
-    its transpose, for the right side) gets one mixed-radix code per element
-    and a spread table: the key part of a row with a given code.  Every
-    generator must be elementary, I + c e_ij (ValueError otherwise); it sets
-    row i to x_i + c x_j, which one table over all code pairs of rows i and
-    j maps to the new code of row i, or to -1 when the product leaves the
-    key space.  So a product's key is its element's key plus spread_i[new
-    code] - spread_i[old code], a key change tabulated by code pair and
-    gathered once per generator and element.  A table larger than
-    MOVE_TABLE_RATIO times the element count raises BudgetError.
-
-    Products are found by a dense index over the whole key space: each slot
-    holds the element with that key, or -1, in the smallest signed dtype
-    that holds the element count, and one spare slot past the end takes the
-    moves the move table refuses.  A key space larger than MOVE_TABLE_RATIO
-    times the element count raises BudgetError; a full GL(n, q) has fewer
-    than 3.47 keys per element.  One generator at a time, a chunk of the
-    stack at a time, the products are gathered from the index and the
-    classes they link are merged.  A product outside the element set raises
-    InvariantViolation.  Classes are numbered in the order of their first
-    elements.  Returns (labels array, class count).
+    The neighbours of an element are its products with the elementary
+    generators of the free block positions: a left move (r, c) of beta's
+    lower positions adds row c to row r, a right move (r, c) of alpha's
+    upper positions adds column r to column c.  A right move is a left move
+    of the transpose, so each side works on its rows, which carry base-q
+    codes: row i of an element adds code * q**(n(n-1-i)) to its key, column
+    j adds spread[code] * q**(n-1-j), spread placing a column code's digits
+    one row apart.  One table over all code pairs, built only when a side
+    has moves, gives the code of x_i + x_j mod q for every generator of
+    both sides, so a product's key is its element's key plus a key change
+    gathered by code pair.  One generator at a time, CHUNK elements at a
+    time, the products are looked up in the index and the classes they link
+    merged.  A product outside the element set raises InvariantViolation.
+    Classes are numbered in the order of their first elements.  Returns
+    (labels array, class count).
     """
-    arrays = np.asarray(arrays)
-    total, n = arrays.shape[:2]
-    flat = arrays.reshape(total, -1)
-    radix = flat.max(axis=0).astype(np.int64).reshape(n, n) + 1
-    at = np.arange(n * n).reshape(n, n)  # flat position of each entry
-    sides = [  # (flat positions, radices in the side's layout, its moves)
-        (at, radix, [_elementary_entry(g) for g in left_gens]),
-        (at.T, radix.T, [_elementary_entry(g.T) for g in right_gens]),
-    ]
-    for _, r, moves in sides:
-        for i, j, _ in moves:
-            size = prod(r[i].tolist()) * prod(r[j].tolist())
-            if size > MOVE_TABLE_RATIO * total:
-                raise BudgetError(
-                    f"closure move table of {size} entries exceeds "
-                    f"{MOVE_TABLE_RATIO} x {total} stack elements"
-                )
-    space = prod(radix.ravel().tolist())
-    if space > MOVE_TABLE_RATIO * total:
-        raise BudgetError(
-            f"closure key space of {space} keys exceeds "
-            f"{MOVE_TABLE_RATIO} x {total} stack elements"
-        )
-    weights = _place_values(radix.ravel()).reshape(n, n)
+    total, n = elements.shape[:2]
+    place = q ** np.arange(n - 1, -1, -1)  # of a digit in a row code
+    step = q ** (n * np.arange(n - 1, -1, -1))  # of a row code in a key
+    flat = elements.reshape(total, -1)
+    weights = np.outer(step, place).ravel()
     keys = np.empty(total, dtype=np.int64)
     for lo in range(0, total, CHUNK):
-        keys[lo : lo + CHUNK] = flat[lo : lo + CHUNK] @ weights.ravel()
+        keys[lo : lo + CHUNK] = flat[lo : lo + CHUNK] @ weights
     if not (keys[1:] > keys[:-1]).all():
         raise InvariantViolation("the element stack does not strictly ascend in key order")
     dtype = np.min_scalar_type(-total)
-    index = np.full(space + 1, -1, dtype=dtype)  # refused moves land in slot space
+    index = np.full(q ** (n * n), -1, dtype=dtype)
     index[keys] = np.arange(total, dtype=dtype)
     labels = np.arange(total)
     nbr = np.empty(total, dtype=np.intp)
-    coding = cache(_row_code_digits)  # rows with equal radices share digits
-    move_table = cache(partial(_move_table, p=p, coding=coding))  # and move tables
-    for (pos, r, moves), w in zip(sides, (weights, weights.T)):
-        radices = [tuple(row) for row in r.tolist()]
-        codes = {
-            k: _row_codes(flat, pos[k], radices[k], coding(radices[k])[0])
-            for k in {k for i, j, _ in moves for k in (i, j)}
-        }
-        for i, j, c in moves:
-            table = move_table(radices[i], radices[j], c)
-            spread = coding(radices[i])[1] @ w[i]  # key part of row i, by its code
-            width = prod(radices[j])
-            # key change by code pair; a refused move lands at or past the spare slot
-            shift = np.where(table < 0, space, spread[table] - np.repeat(spread, width))
+    digits = np.arange(q ** n)[:, None] // place % q
+    sides = [  # (rows, moves (i, j): row i += row j, key part of a code, weight of a row)
+        (elements, _free_positions(Composition(beta), lower=True), digits @ place, step),
+        (elements.transpose(0, 2, 1),
+         [(c, r) for r, c in _free_positions(Composition(alpha), lower=False)],
+         digits @ step, place),
+    ]
+    if any(moves for _, moves, _, _ in sides):
+        table = _move_table(digits, q)
+    for rows, moves, part, weight in sides:
+        if not moves:
+            continue
+        delta = part[table] - np.repeat(part, q ** n)  # key change / weight, by code pair
+        codes = {k: _row_codes(rows[:, k], q) for k in {k for move in moves for k in move}}
+        for i, j in moves:
+            shift = delta * weight[i]
             for lo in range(0, total, CHUNK):
                 hi = min(lo + CHUNK, total)
-                pair = codes[i][lo:hi].astype(np.intp) * width + codes[j][lo:hi]
-                moved = keys[lo:hi] + shift[pair]
-                found = index[np.minimum(moved, space, out=moved)]
+                pair = codes[i][lo:hi].astype(np.intp) * q ** n + codes[j][lo:hi]
+                found = index[keys[lo:hi] + shift[pair]]
                 if (found < 0).any():
                     raise InvariantViolation(
                         f"a generator maps element {lo + int(np.argmax(found < 0))} "
@@ -386,11 +305,11 @@ def _partition_labels(arrays, left_gens: list, right_gens: list, p: int):
 class CosetPartition:
     """A partition of GL(n, q) into double cosets, classes in discovery order.
 
-    elements is the group in ascending encode_matrix key order and labels[i]
-    the class of elements[i].  Classes are numbered by their first member, so
-    classes and their members both ascend in key order; the first member of
-    each class is its minimal representative.  The Matrix objects of classes
-    are built on first access.
+    elements is the group in ascending key order, as gl_array gives it, and
+    labels[i] the class of elements[i].  Classes are numbered by their first
+    member, so classes and their members both ascend in key order; the first
+    member of each class is its minimal representative.  The Matrix objects
+    of classes are built on first access.
     """
 
     q: int
@@ -413,27 +332,22 @@ class CosetPartition:
     def class_sizes(self) -> list:
         return np.bincount(self.labels, minlength=self.num_classes).tolist()
 
-    def total(self) -> int:
-        return len(self.labels)
-
 
 def double_cosets_brute(
     n: int, q: int, alpha, beta, budget: EnumerationBudget = None
 ) -> CosetPartition:
     """Partition all of GL(n, q) into double cosets by generator closure.
 
-    Left moves multiply by elementary generators of the lower unitriangular
-    group of beta, right moves by those of the upper unitriangular group of
-    alpha.
+    Left moves add a row to a row of a later block of beta, right moves a
+    column to a column of a later block of alpha: the elementary generators
+    of the two unitriangular groups.
     """
     alpha = Composition(alpha)
     beta = Composition(beta)
     if alpha.n != n or beta.n != n:
         raise MarginError(f"compositions must sum to {n}")
     elements = gl_array(n, q, budget)
-    left = [g.a for g in t_generators(beta, q, lower=True)]
-    right = [g.a for g in t_generators(alpha, q, lower=False)]
-    labels, count = _partition_labels(elements, left, right, q)
+    labels, count = _partition_labels(elements, alpha, beta, q)
     return CosetPartition(q, alpha, beta, elements, labels, count)
 
 

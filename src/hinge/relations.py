@@ -32,24 +32,11 @@ import numpy as np
 
 from .field import PrimeField
 from .linalg import Matrix, ShapeError, SingularMatrixError, _rref_each
-from .subspaces import Subspace, _span_rows, subspace_from_generators
+from .subspaces import Subspace
 
 
 class InvariantViolation(RuntimeError):
     """A relation failed an identity that holds for every honest construction."""
-
-
-def quotient_rows(big: Subspace, small: Subspace) -> np.ndarray:
-    """Rows of big's RREF basis whose pivots are not pivots of small.
-
-    When small <= big these rows represent a basis of the quotient big/small:
-    pivot columns of a subspace are the leading positions of its nonzero
-    vectors, so they are monotone under inclusion and the selected rows span a
-    complement of small inside big.
-    """
-    small_piv = set(small.pivots())
-    keep = [i for i, c in enumerate(big.pivots()) if c not in small_piv]
-    return big.basis.a[keep]
 
 
 def _subspace(field: PrimeField, rows: np.ndarray) -> Subspace:
@@ -157,18 +144,6 @@ class LinearRelation:
         self.space = space
         self._derived = None
 
-    @classmethod
-    def graph(cls, a: Matrix) -> "LinearRelation":
-        """The graph {(x, a x)} of a matrix, a relation of dimension a.cols."""
-        gens = np.concatenate([np.eye(a.cols, dtype=np.int64), a.a.T % a.field.p], axis=1)
-        return cls(a.cols, a.rows, _span_rows(a.field, gens))
-
-    @classmethod
-    def from_generators(cls, field: PrimeField, dim_x: int, dim_y: int, rows) -> "LinearRelation":
-        """Relation spanned by explicit (xi | eta) rows of length dim_x + dim_y."""
-        gens = Matrix(field, np.array(rows, dtype=np.int64).reshape(-1, dim_x + dim_y))
-        return cls(dim_x, dim_y, subspace_from_generators(gens))
-
     @property
     def field(self) -> PrimeField:
         return self.space.field
@@ -210,9 +185,11 @@ class LinearRelation:
     def theta(self) -> Matrix:
         """The induced operator dom/ker -> im/indef in the canonical bases.
 
-        Both quotient bases come from the pivot rule in quotient_rows.  Column
-        k of the result holds the image coordinates of the k-th domain basis
-        class.  A 0 x 0 matrix is legal (relation with dom == ker).
+        The domain classes are the rows of dom's RREF basis whose pivots are
+        not ker pivots, the image classes those of im's basis whose pivots are
+        not indef pivots.  Column k of the result holds the image coordinates
+        of the k-th domain class.  A 0 x 0 matrix is legal (relation with
+        dom == ker).
         """
         return self._spaces()[4]
 

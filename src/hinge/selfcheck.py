@@ -36,7 +36,6 @@ from .enumeration import (
     predicted_coset_count,
     stab_order_formula,
     stabilizer_brute,
-    t_generators,
 )
 from .field import PrimeField
 from .linalg import Matrix, _rref_stack
@@ -84,18 +83,6 @@ def random_unitriangular(comp, field: PrimeField, rng: random.Random, lower: boo
                 for r in range(r0, r1):
                     for c in range(c0, c1):
                         arr[r, c] = rng.randrange(field.p)
-    return Matrix._new(field, arr)
-
-
-def random_block_triangular(comp, field: PrimeField, rng: random.Random, lower: bool) -> Matrix:
-    """Random element of the full block triangular group (invertible blocks)."""
-    comp = Composition(comp)
-    m = random_unitriangular(comp, field, rng, lower)
-    arr = m.a.copy()
-    for i in range(len(comp)):
-        lo, hi = comp.block(i)
-        blk = random_invertible(field, hi - lo, rng)
-        arr[lo:hi, lo:hi] = blk.a
     return Matrix._new(field, arr)
 
 
@@ -291,11 +278,9 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
     pairs = 0
     classes_seen = 0
     for alpha in comps:
-        right = [g.a for g in t_generators(alpha, q, lower=False)]
         sel_cols = [alpha.block(i) for i in range(len(alpha))]
         for beta in comps:
-            left = [g.a for g in t_generators(beta, q, lower=True)]
-            labels, nclasses = _partition_labels(elements, left, right, q)
+            labels, nclasses = _partition_labels(elements, alpha, beta, q)
             sel = [
                 cut_index[cl, ch, rl, rh]
                 for cl, ch in sel_cols

@@ -10,8 +10,6 @@ import numpy as np
 from .bihinge import BiHinge, Composition, MarginError, chi, dimension_matrix, standard_matrix
 from .field import PrimeField
 from .linalg import Matrix
-from .relations import LinearRelation
-from .subspaces import subspace_from_generators
 
 
 class ProblemFormatError(ValueError):
@@ -97,15 +95,6 @@ def load_problem(path: str) -> Problem:
     return problem_from_dict(data)
 
 
-def problem_to_dict(p: Problem) -> dict:
-    return {
-        "modulus": p.field.p,
-        "alpha": list(p.alpha.parts),
-        "beta": list(p.beta.parts),
-        "matrix": p.matrix.to_rows(),
-    }
-
-
 def check_same_header(a: Problem, b: Problem):
     if a.header() != b.header():
         raise HeaderMismatchError(
@@ -152,9 +141,10 @@ def cell_records(h: BiHinge) -> list:
 def invariant_report(problem: Problem) -> dict:
     """The full invariant of a problem as one JSON-ready dict.
 
-    The grid is reconstructible from the report via report_to_bihinge.  The
-    canonical 0-1 matrix is standard_matrix of the grid's dimension table,
-    as canonical_01 computes it, without a second column elimination pass.
+    Each cell's basis rows span its relation, so the grid can be rebuilt
+    from the report.  The canonical 0-1 matrix is standard_matrix of the
+    grid's dimension table, as canonical_01 computes it, without a second
+    column elimination pass.
     """
     h = chi(problem.matrix, problem.alpha, problem.beta)
     d = dimension_matrix(h)
@@ -166,27 +156,6 @@ def invariant_report(problem: Problem) -> dict:
         "cells": cell_records(h),
         "canonical": standard_matrix(d, problem.field).to_rows(),
     }
-
-
-def report_to_bihinge(report: dict) -> BiHinge:
-    """Rebuild the relation grid from a report's basis rows."""
-    field = PrimeField(report["modulus"])
-    alpha = Composition(report["alpha"])
-    beta = Composition(report["beta"])
-    cells = {}
-    for cell in report["cells"]:
-        i, j = cell["i"] - 1, cell["j"] - 1
-        dim_x, dim_y = cell["dim_x"], cell["dim_y"]
-        rows = cell["basis"]
-        if rows:
-            gens = Matrix(field, rows)
-        else:
-            gens = Matrix.zeros(field, 0, dim_x + dim_y)
-        cells[i, j] = LinearRelation(dim_x, dim_y, subspace_from_generators(gens))
-    grid = [
-        [cells[i, j] for j in range(len(beta))] for i in range(len(alpha))
-    ]
-    return BiHinge(alpha, beta, grid)
 
 
 def dumps_json(data: dict) -> str:

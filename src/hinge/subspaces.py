@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, _rref
+from .linalg import Matrix, _rref
 
 
 class Subspace:
@@ -20,14 +18,10 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, basis: Matrix, ambient_dim: int = None):
-        if ambient_dim is None:
-            ambient_dim = basis.cols
-        if basis.cols != ambient_dim:
-            raise ShapeError(f"basis width {basis.cols} != ambient {ambient_dim}")
+    def __init__(self, basis: Matrix):
         if not _is_rref_basis(basis.a):
             raise ValueError("basis is not a reduced row echelon basis without zero rows")
-        self.ambient_dim = ambient_dim
+        self.ambient_dim = basis.cols
         self.basis = basis
 
     @classmethod
@@ -41,10 +35,6 @@ class Subspace:
     def zero(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
         return cls._trusted(Matrix.zeros(field, 0, ambient_dim))
 
-    @classmethod
-    def full(cls, field: PrimeField, ambient_dim: int) -> "Subspace":
-        return cls._trusted(Matrix.identity(field, ambient_dim))
-
     @property
     def field(self) -> PrimeField:
         return self.basis.field
@@ -52,16 +42,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def pivots(self) -> tuple:
-        return tuple(int(np.argmax(row != 0)) for row in self.basis.a)
-
-    def vectors(self):
-        """Iterate every vector, coefficient tuples in lexicographic order."""
-        p = self.field.p
-        b = self.basis.a
-        for coeffs in product(range(p), repeat=self.dim):
-            yield (np.array(coeffs, dtype=np.int64) @ b) % p
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -97,9 +77,3 @@ def _span_rows(field: PrimeField, rows: np.ndarray) -> Subspace:
     basis = np.ascontiguousarray(arr[: len(piv)])
     return Subspace._trusted(Matrix._new(field, basis))
 
-
-def subspace_from_generators(generators: Matrix, ambient_dim: int = None) -> Subspace:
-    """Span of the rows of a generator matrix; zero rows are harmless."""
-    if ambient_dim is not None and generators.cols != ambient_dim:
-        raise ShapeError(f"generator width {generators.cols} != ambient {ambient_dim}")
-    return _span_rows(generators.field, generators.a.copy())

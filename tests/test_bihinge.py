@@ -34,6 +34,7 @@ from hinge.enumeration import contingency_tables, double_cosets_brute, enum_gl
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, ShapeError, SingularMatrixError
 from hinge.relations import LinearRelation
+from hinge.subspaces import _span_rows
 from hinge.selfcheck import (
     _MARGIN_SETS,
     random_composition,
@@ -91,8 +92,9 @@ def brute_cell_pairs(a, col_lo, col_hi, row_lo, row_hi):
 
 def cell_pairs(rel):
     out = set()
-    for v in rel.space.vectors():
-        v = tuple(int(x) for x in v)
+    p, basis = rel.field.p, rel.space.basis.a
+    for coeffs in product(range(p), repeat=len(basis)):
+        v = tuple(int(x) for x in np.array(coeffs, dtype=np.int64) @ basis % p)
         out.add((v[: rel.dim_x], v[rel.dim_x :]))
     return out
 
@@ -104,7 +106,8 @@ def test_single_block_grid_is_the_graph():
         for n in (1, 2, 3):
             a = random_invertible(f, n, rng)
             h = chi(a, (n,), (n,))
-            assert h.grid[0][0] == LinearRelation.graph(a)
+            graph = np.concatenate([np.eye(n, dtype=np.int64), a.a.T], axis=1)
+            assert h.grid[0][0] == LinearRelation(n, n, _span_rows(f, graph))
 
 
 def test_identity_and_swap_cells_gf2():
@@ -219,7 +222,8 @@ def test_axioms_reject_corrupted_grid():
     h = chi(a, (1, 2), (2, 1))
     for (i, j), rows, want in _CORRUPTED:
         grid = [list(row) for row in h.grid]
-        grid[i][j] = LinearRelation.from_generators(f, h.alpha[i], h.beta[j], rows)
+        gens = np.array(rows, dtype=np.int64)
+        grid[i][j] = LinearRelation(h.alpha[i], h.beta[j], _span_rows(f, gens))
         bad = BiHinge(h.alpha, h.beta, grid)
         report = check_axioms(bad)
         assert not report.ok and list(report.violations) == want, (i, j, rows)

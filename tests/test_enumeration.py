@@ -8,19 +8,17 @@ from math import comb, factorial, isqrt
 import numpy as np
 import pytest
 
-from hinge.bihinge import DimensionMatrix, MarginError, check_axioms, chi
+from hinge.bihinge import Composition, DimensionMatrix, MarginError, check_axioms, chi
 from hinge.enumeration import (
     BudgetError,
     CosetPartition,
     DEFAULT_BUDGET,
     EnumerationBudget,
-    MOVE_TABLE_RATIO,
     _partition_labels,
     all_bihinges_brute,
     contingency_table_count,
     contingency_tables,
     double_cosets_brute,
-    encode_matrix,
     enum_gl,
     enum_subspaces,
     gaussian_binomial,
@@ -30,12 +28,34 @@ from hinge.enumeration import (
     stab_order_formula,
     stabilizer_brute,
     subspace_count,
-    t_generators,
 )
 from hinge.field import PrimeField
 from hinge.linalg import Matrix
 from hinge.relations import InvariantViolation
 from hinge.selfcheck import all_compositions
+
+
+def encode_matrix(m: Matrix) -> int:
+    """The key of a matrix: its row-major entries as base-p digits, first
+    entry highest."""
+    key = 0
+    for v in m.a.flat:
+        key = key * m.field.p + int(v)
+    return key
+
+
+def t_generators(comp, q: int, lower: bool) -> list:
+    """The elementary generators I + e_rc of the block strictly lower (or
+    upper) unitriangular group of a composition, (r, c) in row-major order."""
+    comp = Composition(comp)
+    block = [i for i, part in enumerate(comp) for _ in range(part)]
+    gens = []
+    for r, c in product(range(comp.n), repeat=2):
+        if (block[r] > block[c]) if lower else (block[r] < block[c]):
+            arr = np.eye(comp.n, dtype=np.int64)
+            arr[r, c] = 1
+            gens.append(Matrix(PrimeField(q), arr))
+    return gens
 
 
 def test_gl_order_values():
@@ -135,7 +155,7 @@ def test_double_cosets_gf2_sizes():
     assert isinstance(part, CosetPartition)
     assert part.num_classes == 2
     assert sorted(part.class_sizes()) == [2, 4]
-    assert part.total() == 6
+    assert len(part.labels) == 6
     f = PrimeField(2)
     swap = Matrix(f, [[0, 1], [1, 0]])
     eye = Matrix.identity(f, 2)
@@ -152,7 +172,7 @@ def test_cosets_sorted_by_key():
         assert keys == sorted(keys)
         mins.append(keys[0])
     assert mins == sorted(mins)
-    assert part.total() == gl_order(2, 3)
+    assert len(part.labels) == gl_order(2, 3)
 
 
 def test_coset_classes_are_grid_fibers():
@@ -160,21 +180,6 @@ def test_coset_classes_are_grid_fibers():
     for klass in part.classes:
         grids = {chi(m, (2, 1), (1, 2)) for m in klass}
         assert len(grids) == 1
-
-
-def test_partition_labels_fallback_big_modulus():
-    # base-127 keys of 3 x 3 matrices pass 2**63; mixed-radix keys fit, with
-    # radix 127 only where entries vary
-    q = 127
-    arrays = []  # T-(2,1): identity plus free entries in the last row's first block
-    for a, b in product(range(q), repeat=2):
-        arr = np.eye(3, dtype=np.int64)
-        arr[2, 0], arr[2, 1] = a, b
-        arrays.append(arr)
-    gens = [g.a for g in t_generators((2, 1), q, lower=True)]
-    labels, count = _partition_labels(arrays, gens, [], q)
-    assert count == 1
-    assert set(labels) == {0}
 
 
 def test_all_bihinges_counts():
@@ -314,24 +319,31 @@ def test_gl_array_is_the_sorted_invertible_matrices():
 
 
 def test_partition_labels_rejects_products_outside_the_set():
-    # half of GL(2, 2) is not closed under the generator
-    arrays = gl_array(2, 2)[:3]
-    gens = [g.a for g in t_generators((1, 1), 2, lower=True)]
-    with pytest.raises(InvariantViolation, match="outside the element set"):
-        _partition_labels(arrays, gens, [], 2)
+    # half of GL(2, 2) is not closed under the generator: adding row 0 to
+    # row 1 of the identity gives (1 0; 1 1), which is not among the three
+    with pytest.raises(InvariantViolation, match="maps element 2 outside the element set"):
+        _partition_labels(gl_array(2, 2)[:3], (2,), (1, 1), 2)
+    # the dense index would keep only the last of two equal keys, so a stack
+    # with a repeated or out-of-order element is refused before any move
+    for stack in (gl_array(2, 2)[[0, 0, 1]], gl_array(2, 2)[::-1]):
+        with pytest.raises(InvariantViolation, match="does not strictly ascend"):
+            _partition_labels(stack, (1, 1), (1, 1), 2)
 
 
-def test_partition_labels_key_space_budget():
-    # 25 positions of 65521 values each do not fit a 63-bit key
-    arrays = np.full((1, 5, 5), 65520, dtype=np.int64)
-    with pytest.raises(BudgetError, match="key space"):
-        _partition_labels(arrays, [], [], 65521)
+def test_double_cosets_of_gl1_build_no_move_table():
+    # GL(1, q) has no free block positions, so no moves and no move table:
+    # at q = 65521 a table over all code pairs would hold q**2 = 4.3e9 entries
+    q = 65521
+    part = double_cosets_brute(1, q, (1,), (1,))
+    assert part.num_classes == q - 1 == predicted_coset_count((1,), (1,), q)
+    assert part.labels.tolist() == list(range(q - 1))
 
 
 def test_key_space_fits_every_full_group_in_budget():
-    # the closure index refuses a key space past MOVE_TABLE_RATIO keys per
-    # element; a full GL(n, q) has q**(n*n) keys, so within the default budget
-    # that refusal never fires
+    # the closure's dense index has one slot per key, q**(n*n) of them, and
+    # its move table one entry per pair of row codes, q**(2n) of them; for
+    # every prime q and n inside the default group budget both stay within
+    # a small multiple of |GL(n, q)|, so the group budget bounds them
     limit = DEFAULT_BUDGET.max_group_order
     sieve = np.ones(limit + 2, dtype=bool)  # gl_order(1, q) = q - 1 <= limit
     sieve[:2] = False
@@ -339,32 +351,15 @@ def test_key_space_fits_every_full_group_in_budget():
         if sieve[f]:
             sieve[f * f :: f] = False
     primes = np.flatnonzero(sieve)
-    assert (primes <= MOVE_TABLE_RATIO * (primes - 1)).all()  # n = 1
+    assert (primes < 3.47 * (primes - 1)).all()  # n = 1: no moves, no table
     primes = primes.tolist()
     n = 2
     while gl_order(n, 2) <= limit:
         for q in takewhile(lambda q: gl_order(n, q) <= limit, primes):
-            assert q ** (n * n) <= MOVE_TABLE_RATIO * gl_order(n, q), (n, q)
+            assert q ** (n * n) < 3.47 * gl_order(n, q), (n, q)
+            assert 3 * q ** (2 * n) <= 8 * gl_order(n, q), (n, q)
         n += 1
     assert n == 6  # GL(5, 2) was the largest group checked
-
-
-def test_partition_labels_key_space_refusal():
-    # the first and last elements of GL(2, 7): radices 7, 7, 7, 6 give
-    # 2058 keys for 2 elements, past 8 per element
-    full = gl_array(2, 7)
-    with pytest.raises(BudgetError, match="key space of 2058 keys"):
-        _partition_labels(full[[0, -1]], [], [], 7)
-
-
-def test_partition_labels_rejects_products_refused_by_the_move_table():
-    # over GF(3), (1 0; 1 1) moves to (1 0; 2 1): a digit past its radix 2,
-    # so the product's key lies outside the key space
-    arrays = np.array([[[1, 0], [0, 1]], [[1, 0], [1, 1]]])
-    gens = [g.a for g in t_generators((1, 1), 3, lower=True)]
-    with pytest.raises(InvariantViolation, match="maps element 1 outside the element set"):
-        _partition_labels(arrays, gens, [], 3)
-
 
 def test_closure_labels_match_matrix_product_bfs():
     # an independent closure: breadth-first search over Matrix products g * m
@@ -397,28 +392,9 @@ def test_closure_labels_match_matrix_product_bfs():
                 assert part.num_classes == count
 
 
-def test_partition_labels_rejects_non_elementary_generators():
-    arrays = gl_array(2, 2)
-    eye = np.eye(2, dtype=np.int64)
-    two_entries = np.array([[1, 1], [1, 1]])
-    diagonal = np.array([[1, 0], [0, 2]])
-    for left, right in (([eye], []), ([two_entries], []), ([], [diagonal])):
-        with pytest.raises(ValueError, match="one off-diagonal entry"):
-            _partition_labels(arrays, left, right, 2)
-
-
-def test_partition_labels_move_table_budget():
-    # two elements over GF(127): row 1 takes 254 codes and row 0 two, so the
-    # table of row 1 += row 0 has 508 entries, past 8 per element
-    arrays = np.array([[[1, 0], [0, 1]], [[1, 0], [126, 1]]])
-    gens = [g.a for g in t_generators((1, 1), 127, lower=True)]
-    with pytest.raises(BudgetError, match="move table of 508 entries"):
-        _partition_labels(arrays, gens, [], 127)
-
-
 def test_coset_classes_are_built_on_demand():
     part = double_cosets_brute(4, 2, (1, 3), (2, 2))
     assert part.num_classes == predicted_coset_count((1, 3), (2, 2), 2)
     assert "classes" not in vars(part)
-    assert sum(part.class_sizes()) == part.total() == gl_order(4, 2)
+    assert sum(part.class_sizes()) == len(part.labels) == gl_order(4, 2)
     assert [len(c) for c in part.classes] == part.class_sizes()

@@ -15,12 +15,19 @@ from hinge.enumeration import contingency_tables, enum_gl
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, SingularMatrixError
 from hinge.lpu import LpuDecomposition, canonical_01, lpu, perm_block_counts, rank_profile_permutation
-from hinge.selfcheck import (
-    random_block_triangular,
-    random_composition,
-    random_invertible,
-    random_unitriangular,
-)
+from hinge.selfcheck import random_composition, random_invertible, random_unitriangular
+
+
+def random_block_triangular(comp, field: PrimeField, rng: random.Random, lower: bool) -> Matrix:
+    """Random element of the full block triangular group (invertible blocks)."""
+    comp = Composition(comp)
+    m = random_unitriangular(comp, field, rng, lower)
+    arr = m.a.copy()
+    for i in range(len(comp)):
+        lo, hi = comp.block(i)
+        blk = random_invertible(field, hi - lo, rng)
+        arr[lo:hi, lo:hi] = blk.a
+    return Matrix._new(field, arr)
 
 
 def plain_rank(rows, p):

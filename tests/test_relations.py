@@ -15,14 +15,50 @@ from hypothesis import strategies as st
 
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, ShapeError, SingularMatrixError, _kernel_rows
-from hinge.relations import LinearRelation, derive_stack, quotient_rows, y_first
-from hinge.subspaces import Subspace, _span_rows, subspace_from_generators
+from hinge.relations import LinearRelation, derive_stack, y_first
+from hinge.subspaces import Subspace, _span_rows
+
+
+def vectors(s):
+    """Every vector of a subspace, coefficient tuples in lexicographic order."""
+    p = s.field.p
+    for coeffs in product(range(p), repeat=s.dim):
+        yield (np.array(coeffs, dtype=np.int64) @ s.basis.a) % p
+
+
+def relation(field, dim_x, dim_y, rows):
+    """The relation spanned by explicit (xi | eta) rows."""
+    gens = np.array(rows, dtype=np.int64).reshape(-1, dim_x + dim_y) % field.p
+    return LinearRelation(dim_x, dim_y, _span_rows(field, gens))
+
+
+def graph(a):
+    """The graph {(x, a x)} of a matrix, spanned by the rows (e_c | a e_c)."""
+    rows = np.concatenate([np.eye(a.cols, dtype=np.int64), a.a.T], axis=1)
+    return LinearRelation(a.cols, a.rows, _span_rows(a.field, rows))
+
+
+def quotient_rows(big, small):
+    """Rows of big's RREF basis whose pivots are not pivots of small.
+
+    When small <= big these rows represent a basis of the quotient big/small:
+    pivot columns of a subspace are the leading positions of its nonzero
+    vectors, so they are monotone under inclusion and the selected rows span a
+    complement of small inside big.
+    """
+    small_piv = set(pivots(small))
+    keep = [i for i, c in enumerate(pivots(big)) if c not in small_piv]
+    return big.basis.a[keep]
+
+
+def pivots(s):
+    return tuple(int(np.argmax(row != 0)) for row in s.basis.a)
 
 
 def members(rel):
     """All (xi, eta) pairs of a relation as tuples of tuples."""
     out = set()
-    for v in rel.space.vectors():
+    for v in vectors(rel.space):
         v = tuple(int(x) for x in v)
         out.add((v[: rel.dim_x], v[rel.dim_x :]))
     return out
@@ -40,7 +76,7 @@ def derived_sets(pairs, dim_x, dim_y):
 
 
 def as_set(s):
-    return {tuple(int(x) for x in v) for v in s.vectors()}
+    return {tuple(int(x) for x in v) for v in vectors(s)}
 
 
 def random_relation(rng, field, dim_x, dim_y):
@@ -48,13 +84,13 @@ def random_relation(rng, field, dim_x, dim_y):
     rows = [[rng.randrange(field.p) for _ in range(dim_x + dim_y)] for _ in range(k)]
     if not rows:
         return LinearRelation(dim_x, dim_y, Subspace.zero(field, dim_x + dim_y))
-    return LinearRelation.from_generators(field, dim_x, dim_y, rows)
+    return relation(field, dim_x, dim_y, rows)
 
 
 def test_graph_of_matrix():
     f = PrimeField(3)
     a = Matrix(f, [[1, 2], [0, 1], [2, 0]])
-    rel = LinearRelation.graph(a)
+    rel = graph(a)
     assert (rel.dim_x, rel.dim_y) == (2, 3)
     want = set()
     for x in product(range(3), repeat=2):
@@ -62,7 +98,7 @@ def test_graph_of_matrix():
         want.add((x, y))
     assert members(rel) == want
     assert rel.ker().dim == 0
-    assert rel.dom() == Subspace.full(f, 2)
+    assert rel.dom() == Subspace(Matrix.identity(f, 2))
     assert rel.indef().dim == 0
     assert rel.im().dim == 2
 
@@ -72,15 +108,15 @@ def test_graph_theta_is_the_matrix():
     # bases, so theta must reproduce a exactly.
     f = PrimeField(5)
     a = Matrix(f, [[2, 1], [1, 1]])  # det = 1
-    assert LinearRelation.graph(a).theta() == a
+    assert graph(a).theta() == a
 
 
 def test_x_plus_zero_relation():
     # The relation X x {0}: everything is kernel, nothing is image.
     f = PrimeField(2)
-    rel = LinearRelation.from_generators(f, 2, 2, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert rel.ker() == Subspace.full(f, 2)
-    assert rel.dom() == Subspace.full(f, 2)
+    rel = relation(f, 2, 2, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert rel.ker() == Subspace(Matrix.identity(f, 2))
+    assert rel.dom() == Subspace(Matrix.identity(f, 2))
     assert rel.im().dim == 0
     assert rel.indef().dim == 0
     assert rel.theta().shape == (0, 0)
@@ -141,15 +177,15 @@ def test_relation_layer_at_large_p_matches_kernel_formulas():
     p = 65521
     f = PrimeField(p)
     rels = [
-        LinearRelation.graph(Matrix(f, [[3, 1], [65520, 7], [2, 0]])),
+        graph(Matrix(f, [[3, 1], [65520, 7], [2, 0]])),
         LinearRelation(3, 2, Subspace.zero(f, 5)),
-        LinearRelation.from_generators(f, 2, 2, [[1, 5, 0, 0], [0, 0, 9, 1]]),  # dom == ker
+        relation(f, 2, 2, [[1, 5, 0, 0], [0, 0, 9, 1]]),  # dom == ker
     ]
     for _ in range(60):
         dim_x, dim_y = rng.randint(1, 6), rng.randint(1, 6)
         gens = [[rng.randrange(p) for _ in range(dim_x + dim_y)] for _ in range(rng.randint(1, 5))]
         gens.append([sum(col) % p for col in zip(*gens)])  # rank-deficient generators
-        rels.append(LinearRelation.from_generators(f, dim_x, dim_y, gens))
+        rels.append(relation(f, dim_x, dim_y, gens))
     for rel in rels:
         b = rel.space.basis.a
         bx, by = b[:, : rel.dim_x], b[:, rel.dim_x :]
@@ -257,8 +293,8 @@ def test_theta_square_and_invertible():
 
 def test_relations_distinguish_scalars():
     f = PrimeField(3)
-    one = LinearRelation.graph(Matrix(f, [[1]]))
-    two = LinearRelation.graph(Matrix(f, [[2]]))
+    one = graph(Matrix(f, [[1]]))
+    two = graph(Matrix(f, [[2]]))
     assert one != two
     assert one.theta().to_rows() == [[1]]
     assert two.theta().to_rows() == [[2]]
@@ -305,7 +341,7 @@ def test_act_group_law_and_inverse():
 
 def test_act_validates_factors():
     f = PrimeField(2)
-    rel = LinearRelation.graph(Matrix(f, [[1, 0], [0, 1]]))
+    rel = graph(Matrix(f, [[1, 0], [0, 1]]))
     with pytest.raises(ShapeError):
         rel.act(Matrix.identity(f, 3), Matrix.identity(f, 2))
     with pytest.raises(SingularMatrixError):
@@ -314,15 +350,12 @@ def test_act_validates_factors():
 
 def test_quotient_rows_picks_complement():
     f = PrimeField(2)
-    big = subspace_from_generators(Matrix(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    small = subspace_from_generators(Matrix(f, [[0, 1, 1]]))
+    big = _span_rows(f, np.eye(3, dtype=np.int64))
+    small = _span_rows(f, np.array([[0, 1, 1]]))
     rows = quotient_rows(big, small)
     # two rows whose pivots avoid small's pivot column 1
     assert rows.shape == (2, 3)
-    total = subspace_from_generators(
-        Matrix(f, np.concatenate([small.basis.a, rows], axis=0))
-    )
-    assert total == big
+    assert _span_rows(f, np.concatenate([small.basis.a, rows], axis=0)) == big
 
 
 def test_relation_shape_validation():

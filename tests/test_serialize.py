@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from hinge.bihinge import MarginError, chi
+from hinge.bihinge import BiHinge, MarginError, chi
 from hinge.field import PrimeField
 from hinge.linalg import Matrix
+from hinge.relations import LinearRelation
 from hinge.serialize import (
     HeaderMismatchError,
     Problem,
@@ -16,12 +18,11 @@ from hinge.serialize import (
     invariant_report,
     load_problem,
     problem_from_dict,
-    problem_to_dict,
     render_matrix_rows,
     render_relation_rows,
     render_report_text,
-    report_to_bihinge,
 )
+from hinge.subspaces import _span_rows
 
 GOOD = {
     "modulus": 2,
@@ -36,7 +37,13 @@ def test_problem_round_trip():
     assert p.field.p == 2
     assert p.alpha.parts == (1, 1) and p.beta.parts == (1, 1)
     assert p.matrix.to_rows() == [[1, 1], [0, 1]]
-    assert problem_from_dict(problem_to_dict(p)) == p
+    data = {
+        "modulus": p.field.p,
+        "alpha": list(p.alpha.parts),
+        "beta": list(p.beta.parts),
+        "matrix": p.matrix.to_rows(),
+    }
+    assert problem_from_dict(data) == p
 
 
 def test_entries_reduced_on_load():
@@ -103,6 +110,17 @@ def test_check_same_header():
         check_same_header(a, d)
 
 
+def grid_of(report):
+    """The relation grid spanned by a report's basis rows."""
+    field = PrimeField(report["modulus"])
+    grid = [[None] * len(report["beta"]) for _ in report["alpha"]]
+    for cell in report["cells"]:
+        dim_x, dim_y = cell["dim_x"], cell["dim_y"]
+        rows = np.array(cell["basis"], dtype=np.int64).reshape(-1, dim_x + dim_y)
+        grid[cell["i"] - 1][cell["j"] - 1] = LinearRelation(dim_x, dim_y, _span_rows(field, rows))
+    return BiHinge(report["alpha"], report["beta"], grid)
+
+
 def test_report_reconstructs_the_grid():
     p = problem_from_dict(
         {
@@ -115,10 +133,10 @@ def test_report_reconstructs_the_grid():
     report = invariant_report(p)
     assert report["modulus"] == 3
     assert report["alpha"] == [2, 1] and report["beta"] == [1, 2]
-    rebuilt = report_to_bihinge(report)
+    rebuilt = grid_of(report)
     assert rebuilt == chi(p.matrix, p.alpha, p.beta)
     # report survives an actual JSON round trip
-    rebuilt2 = report_to_bihinge(json.loads(dumps_json(report)))
+    rebuilt2 = grid_of(json.loads(dumps_json(report)))
     assert rebuilt2 == rebuilt
 
 

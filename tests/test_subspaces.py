@@ -14,7 +14,7 @@ import pytest
 
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, _kernel_rows
-from hinge.subspaces import Subspace, _span_rows, subspace_from_generators
+from hinge.subspaces import Subspace, _span_rows
 
 
 def span_set(rows, p, n):
@@ -31,7 +31,17 @@ def span_set(rows, p, n):
 
 
 def as_set(s):
-    return {tuple(int(x) for x in v) for v in s.vectors()}
+    """Every vector of a subspace, as a set of int tuples."""
+    p = s.field.p
+    return {
+        tuple(int(x) for x in np.array(coeffs, dtype=np.int64) @ s.basis.a % p)
+        for coeffs in product(range(p), repeat=s.dim)
+    }
+
+
+def span(field, rows, n):
+    """The span of generator rows of length n; zero rows are harmless."""
+    return _span_rows(field, np.array(rows, dtype=np.int64).reshape(-1, n) % field.p)
 
 
 def random_generators(rng, p, rows, n):
@@ -43,7 +53,7 @@ def test_zero_and_full():
     z = Subspace.zero(f, 4)
     assert z.dim == 0 and z.ambient_dim == 4
     assert as_set(z) == {(0, 0, 0, 0)}
-    full = Subspace.full(f, 2)
+    full = Subspace(Matrix.identity(f, 2))
     assert full.dim == 2
     assert as_set(full) == set(product(range(3), repeat=2))
 
@@ -64,7 +74,7 @@ def test_span_matches_enumeration():
         for _ in range(30):
             n = rng.randint(1, 4)
             gens = random_generators(rng, p, rng.randint(0, 3), n)
-            s = subspace_from_generators(Matrix(f, gens) if gens else Matrix.zeros(f, 0, n))
+            s = span(f, gens, n)
             want = span_set(gens, p, n)
             assert as_set(s) == want
             assert len(want) == p ** s.dim
@@ -77,7 +87,7 @@ def test_equations_cut_out_the_space():
         n = 4 if p == 2 else 3
         for _ in range(20):
             gens = random_generators(rng, p, rng.randint(0, 3), n)
-            s = subspace_from_generators(Matrix(f, gens) if gens else Matrix.zeros(f, 0, n))
+            s = span(f, gens, n)
             # equations of s: the kernel of its basis, read as rows
             eqs = _span_rows(f, _kernel_rows(s.basis.a, p)).basis
             assert eqs.rows == n - s.dim
@@ -106,6 +116,6 @@ def test_kernel_basis_exhaustive():
 
 def test_equality_ignores_generator_choice():
     f = PrimeField(5)
-    s = subspace_from_generators(Matrix(f, [[1, 2, 3], [2, 4, 1]]))
-    t = subspace_from_generators(Matrix(f, [[3, 6, 4], [4, 8, 2]]))  # same span
+    s = span(f, [[1, 2, 3], [2, 4, 1]], 3)
+    t = span(f, [[3, 6, 4], [4, 8, 2]], 3)  # same span
     assert s == t and hash(s) == hash(t)
