@@ -7,7 +7,8 @@ of the graph of elementary row and column moves: every move of every
 element is one gather from a shared table of base-q row-code sums and one
 lookup in a dense key -> element index, and the classes are merged by
 numpy label propagation), grids filtered by the axioms, stabilizer orders
-by direct count, and the orbit-counting formula.  Budgets are hard limits;
+by direct count, and the orbit-counting formula, summed by one weighted DP
+over contingency tables that never lists a table.  Budgets are hard limits;
 exceeding one raises BudgetError with the offending cardinality, never a
 silent truncation.
 """
@@ -487,20 +488,25 @@ def _class_counts(r: int, m: int, most: int):
             yield head + (c_r,)
 
 
-def _row_placements(open_sums: tuple, need: int) -> Counter:
-    """Rows summing to need below the open column sums, counted by the
-    multiset of sums they leave open (a sorted tuple).  Columns are placed
-    one class of equal open sums at a time: when c_v of the m columns open
-    at r take v, m! / prod(c_v!) rows agree up to the order of the class."""
+def _row_placements(open_sums: tuple, need: int, weights: list, charge) -> Counter:
+    """Rows summing to need below the open column sums, summed by the
+    multiset of sums they leave open (a sorted tuple): each row adds the
+    product of weights[v] over its entries v.  Columns are placed one class
+    of equal open sums at a time: when c_v of the m columns open at r take
+    v, m! / prod(c_v!) rows agree up to the order of the class, and each
+    adds prod weights[v]**c_v.  charge() is called once per placement."""
     placed = Counter({((), need): 1})  # (sums left open so far, still needed)
     for r, m in Counter(open_sums).items():
         grown = Counter()
         for (left, rest), ways in placed.items():
             for c in _class_counts(r, m, rest):
+                charge()
                 taken = sum(v * c_v for v, c_v in enumerate(c))
                 after = tuple(r - v for v, c_v in enumerate(c) for _ in range(c_v))
-                grown[left + after, rest - taken] += ways * (
-                    factorial(m) // prod(map(factorial, c))
+                grown[left + after, rest - taken] += (
+                    ways
+                    * (factorial(m) // prod(map(factorial, c)))
+                    * prod(weights[v] ** c_v for v, c_v in enumerate(c))
                 )
         placed = grown
     out = Counter()
@@ -510,55 +516,64 @@ def _row_placements(open_sums: tuple, need: int) -> Counter:
     return out
 
 
-def contingency_table_count(alpha, beta) -> int:
-    """len(contingency_tables(alpha, beta)), without listing a table.
+def _table_sum(alpha, beta, weight, budget: EnumerationBudget = None):
+    """Sum over contingency_tables(alpha, beta) of prod over cells of
+    weight(d_ij), without listing a table.
 
     Rows are placed one at a time below the column sums still open.  How a
     partial table completes depends only on the multiset of those sums, so
-    partial tables are counted by that multiset.  Transposing a table swaps
-    its margins, so the side with fewer distinct parts serves as the columns.
+    partial tables are summed by that multiset.  Transposing a table swaps
+    its margins and keeps its cells, so the side with fewer distinct parts
+    serves as the columns.  Every class placement tried is charged against
+    the subspace budget; BudgetError names the charge once it passes.
     """
+    budget = budget or DEFAULT_BUDGET
     alpha = Composition(alpha)
     beta = Composition(beta)
     if alpha.n != beta.n:
         raise MarginError(f"margins disagree: {alpha.n} != {beta.n}")
     rows, cols = sorted((alpha.parts, beta.parts), key=lambda p: -len(set(p)))
-    ways = Counter({tuple(sorted(cols)): 1})  # open column sums -> partial tables
+    weights = [weight(v) for v in range(max(cols) + 1)]
+    what = f"table placements for alpha={alpha.parts}, beta={beta.parts}"
+    spent = 0
+
+    def charge():
+        nonlocal spent
+        spent += 1
+        budget.check_subspace(spent, what)
+
+    sums = Counter({tuple(sorted(cols)): 1})  # open column sums -> partial table sum
     for need in rows:
         grown = Counter()
-        for open_sums, k in ways.items():
-            for left, placements in _row_placements(open_sums, need).items():
-                grown[left] += k * placements
-        ways = grown
-    return sum(ways.values())
+        for open_sums, k in sums.items():
+            for left, s in _row_placements(open_sums, need, weights, charge).items():
+                grown[left] += k * s
+        sums = grown
+    return sum(sums.values())
 
 
 def predicted_coset_count(alpha, beta, q: int, budget: EnumerationBudget = None) -> int:
     """Number of double cosets by orbit counting over contingency tables.
 
-    Sums |prod GL(alpha_i)| * |prod GL(beta_j)| / stabilizer over all tables;
-    every division must be exact, anything else is an implementation error.
-    The tables are counted first, and listed only within the subspace budget.
+    Table d has orbit N / stab_order_formula(d, q), N = prod |GL(alpha_i, q)|
+    * prod |GL(beta_j, q)|.  The stabilizer's q-exponent is half - sum d_ij^2,
+    half = (sum alpha_i^2 + sum beta_j^2) / 2 (an integer, since v^2 = v
+    mod 2 makes the sum 2n mod 2), so the orbit is N / q**half times the
+    product over cells of w(v) = q**(v*v) / |GL(v, q)|, and one _table_sum
+    gives the count.  |GL(v, q)| divides g**v for g = |GL(largest part, q)|,
+    so the DP sums the integers g**v * w(v), and the sum, scaled by g**n in
+    all, is divided once at the end.  That division must be exact; anything
+    else is an implementation error.
     """
-    budget = budget or DEFAULT_BUDGET
     alpha = Composition(alpha)
     beta = Composition(beta)
-    budget.check_subspace(
-        contingency_table_count(alpha, beta),
-        f"contingency tables for alpha={alpha.parts}, beta={beta.parts}",
-    )
-    numerator = 1
-    for a_i in alpha:
-        numerator *= gl_order(a_i, q)
-    for b_j in beta:
-        numerator *= gl_order(b_j, q)
-    total = 0
-    for d in contingency_tables(alpha, beta):
-        s = stab_order_formula(d, q)
-        orbit, rem = divmod(numerator, s)
-        if rem:
-            raise InvariantViolation(
-                f"stabilizer {s} does not divide group order {numerator} for {d}"
-            )
-        total += orbit
+    numerator = prod(gl_order(part, q) for part in (*alpha, *beta))
+    half = (sum(a * a for a in alpha) + sum(b * b for b in beta)) // 2
+    g = gl_order(max(*alpha, *beta), q)
+    scaled = _table_sum(alpha, beta, lambda v: q ** (v * v) * g ** v // gl_order(v, q), budget)
+    total, rem = divmod(numerator * scaled, q ** half * g ** alpha.n)
+    if rem:
+        raise InvariantViolation(
+            f"the orbit sum for alpha={alpha.parts}, beta={beta.parts} is not an integer"
+        )
     return total

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, SingularMatrixError, _rref_each
+from .linalg import Matrix, ShapeError, _rref_each
 from .subspaces import Subspace
 
 
@@ -192,21 +192,6 @@ class LinearRelation:
         dom == ker).
         """
         return self._spaces()[4]
-
-    def act(self, g: Matrix, h: Matrix) -> "LinearRelation":
-        """The relation {(g xi, h eta) : (xi, eta) in L} for invertible g, h."""
-        if g.shape != (self.dim_x, self.dim_x) or h.shape != (self.dim_y, self.dim_y):
-            raise ShapeError(
-                f"action needs shapes {(self.dim_x, self.dim_x)} and "
-                f"{(self.dim_y, self.dim_y)}, got {g.shape} and {h.shape}"
-            )
-        if g.rank() != self.dim_x or h.rank() != self.dim_y:
-            raise SingularMatrixError(
-                f"action factors must be invertible, got ranks {g.rank()}, {h.rank()}"
-            )
-        field = self.field
-        moved, ranks = act_stack(*self._stack(), g.a[None], h.a[None], self.dim_x, field.p)
-        return LinearRelation(self.dim_x, self.dim_y, _subspace(field, moved[0, : ranks[0]]))
 
     def __eq__(self, other):
         if not isinstance(other, LinearRelation):

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bihinge import BiHinge, Composition, MarginError, chi, dimension_matrix, standard_matrix
 from .field import PrimeField
 from .linalg import Matrix

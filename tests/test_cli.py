@@ -7,6 +7,7 @@ subprocess test exercises the real interpreter entry point.
 import json
 import subprocess
 import sys
+from math import factorial
 from time import perf_counter
 
 import pytest
@@ -60,14 +61,34 @@ def test_count_budget_flag(capsys):
 
 
 def test_count_formula_budget(capsys):
-    # (1^10) x (1^10) has 10! contingency tables: counted, never listed
+    # (1^10) x (1^10) has 10! contingency tables: summed by the table DP, never listed
     ones = ",".join(["1"] * 10)
     start = perf_counter()
-    assert main(["count", "--alpha", ones, "--beta", ones, "-q", "2"]) == 6
+    assert main(["count", "--alpha", ones, "--beta", ones, "-q", "2"]) == 0
+    assert perf_counter() - start < 1
+    assert capsys.readouterr() == ("predicted 3628800\n", "")
+
+
+def test_count_formula_forty_ones(capsys):
+    # 40! permutation tables, each one orbit of size (q - 1)^40
+    ones = ",".join(["1"] * 40)
+    start = perf_counter()
+    assert main(["count", "--alpha", ones, "--beta", ones, "-q", "3"]) == 0
+    assert perf_counter() - start < 0.5
+    assert capsys.readouterr().out == f"predicted {factorial(40) * 2 ** 40}\n"
+
+
+def test_count_formula_budget_charges_placements(capsys):
+    # the budget bounds the DP's work: refused after 1001 placements, long
+    # before its states grow
+    start = perf_counter()
+    code = main(["count", "--alpha", ",".join(["5"] * 20), "--beta", ",".join(["4"] * 25),
+                 "-q", "7", "--budget", "1000"])
+    assert code == 6
     assert perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "contingency tables" in err and "3628800" in err
+    assert "table placements" in err and "= 1001 exceeds subspace budget 1000" in err
 
 
 def test_count_rejects_non_prime_modulus(capsys):

@@ -15,8 +15,8 @@ from hinge.enumeration import (
     DEFAULT_BUDGET,
     EnumerationBudget,
     _partition_labels,
+    _table_sum,
     all_bihinges_brute,
-    contingency_table_count,
     contingency_tables,
     double_cosets_brute,
     enum_gl,
@@ -229,31 +229,36 @@ def test_contingency_tables():
 
 
 def test_contingency_table_count_matches_the_listing():
+    def count(alpha, beta):
+        return _table_sum(alpha, beta, lambda v: 1)
+
     for n in range(1, 6):
         for alpha in all_compositions(n):
             for beta in all_compositions(n):
-                assert contingency_table_count(alpha, beta) == len(
-                    contingency_tables(alpha, beta)
-                ), (alpha, beta)
-    assert contingency_table_count((3, 1, 2), (2, 2, 2)) == len(
-        contingency_tables((3, 1, 2), (2, 2, 2))
-    )
+                assert count(alpha, beta) == len(contingency_tables(alpha, beta)), (alpha, beta)
+    assert count((3, 1, 2), (2, 2, 2)) == len(contingency_tables((3, 1, 2), (2, 2, 2)))
     # closed forms far past any listing: permutation matrices and 0-1 tables
     # with two rows (or columns)
-    assert contingency_table_count((1,) * 40, (1,) * 40) == factorial(40)
-    assert contingency_table_count((15, 15), (1,) * 30) == comb(30, 15)
-    assert contingency_table_count((1,) * 30, (15, 15)) == comb(30, 15)
+    assert count((1,) * 40, (1,) * 40) == factorial(40)
+    assert count((15, 15), (1,) * 30) == comb(30, 15)
+    assert count((1,) * 30, (15, 15)) == comb(30, 15)
     with pytest.raises(MarginError):
-        contingency_table_count((1, 1), (3,))
+        count((1, 1), (3,))
 
 
-def test_predicted_count_budget_names_the_table_count():
-    # 6! = 720 tables: listed within the default budget, refused past a budget of 700
-    assert predicted_coset_count((1,) * 6, (1,) * 6, 2) == predicted_coset_count(
-        (1,) * 6, (1,) * 6, 2, EnumerationBudget(max_subspace_lattice=720)
-    )
-    with pytest.raises(BudgetError, match="contingency tables .* = 720 exceeds"):
-        predicted_coset_count((1,) * 6, (1,) * 6, 2, EnumerationBudget(max_subspace_lattice=700))
+def test_predicted_count_budget_names_the_charged_placements():
+    # the table DP charges every class placement it tries to the subspace
+    # budget: (1^6) x (1^6) tries 17
+    ones = (1,) * 6
+    assert predicted_coset_count(ones, ones, 2) == predicted_coset_count(
+        ones, ones, 2, EnumerationBudget(max_subspace_lattice=17)
+    ) == factorial(6)
+    with pytest.raises(
+        BudgetError,
+        match=r"table placements for alpha=\(1(, 1){5}\), beta=\(1(, 1){5}\) = 17 "
+        r"exceeds subspace budget 16",
+    ):
+        predicted_coset_count(ones, ones, 2, EnumerationBudget(max_subspace_lattice=16))
 
 
 def test_predicted_counts():
@@ -275,17 +280,22 @@ def test_predicted_equals_brute_more_margins():
 
 
 def test_orbit_stabilizer_identity():
-    # orbit sizes from the formula partition the acting group exactly
-    for alpha, beta, q in (((1, 1), (1, 1), 3), ((2, 1), (1, 2), 2)):
-        group = 1
-        for a in alpha:
-            group *= gl_order(a, q)
-        for b in beta:
-            group *= gl_order(b, q)
-        total = sum(
-            group // stab_order_formula(d, q) for d in contingency_tables(alpha, beta)
-        )
-        assert total == predicted_coset_count(alpha, beta, q)
+    # the weighted table DP against the listing sum it replaces: orbit sizes
+    # group / stabilizer, one per contingency table
+    pairs = 0
+    for q, max_n in ((2, 5), (3, 5), (5, 4)):
+        for n in range(1, max_n + 1):
+            for alpha in all_compositions(n):
+                for beta in all_compositions(n):
+                    group = 1
+                    for part in (*alpha, *beta):
+                        group *= gl_order(part, q)
+                    total = sum(
+                        group // stab_order_formula(d, q) for d in contingency_tables(alpha, beta)
+                    )
+                    assert total == predicted_coset_count(alpha, beta, q), (alpha, beta, q)
+                    pairs += 1
+    assert pairs == 767
 
 
 def test_budget_errors_carry_cardinality():
