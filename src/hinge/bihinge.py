@@ -224,25 +224,9 @@ class BiHinge:
         return self.grid[i][j]
 
     def derived(self) -> Derived:
-        """derive_stack of every cell at once, cell (i, j) at index i * q + j.
-
-        Each group is reduced Y first on its own, then both echelon forms are
-        embedded with X at [0, dim_x) and Y from max(alpha) on: zero columns
-        keep a member in RREF and change none of its derived spaces.  Entries
-        are only compared and moved, so uint16 holds them (p < 2**16).
-        """
-        if self._derived is None:
-            mx, my = max(self.alpha), max(self.beta)
-            size = mx + my
-            stack = np.zeros((len(self.alpha) * len(self.beta), size, size), dtype=np.uint16)
-            swapped = np.zeros_like(stack)
-            ranks = np.zeros(len(stack), dtype=np.intp)
-            for g in self.groups:
-                at = g.cells @ (len(self.beta), 1)
-                _embed(stack, at, g.stack, g.dim_x, mx)
-                _embed(swapped, at, y_first(g.stack, g.ranks, g.dim_x, self.field.p), g.dim_y, my)
-                ranks[at] = g.ranks
-            self._derived = derive_stack(stack, swapped, ranks, mx, my)
+        """derive_stack of every cell at once, cell (i, j) at index i * q + j;
+        the N = 1 case of _derive_each, cached."""
+        _derive_each([self])
         return self._derived
 
     def __eq__(self, other):
@@ -292,10 +276,29 @@ def chi(a: Matrix, alpha, beta) -> BiHinge:
         beta: composition of n grouping the rows into W_1..W_q.
 
     Returns:
-        The BiHinge with cell (i, j) = chi_cell at the block boundaries.
+        The BiHinge with cell (i, j) = chi_cell at the block boundaries,
+        computed as the stack of one by _chi_each.
+    """
+    alpha = Composition(alpha)
+    beta = Composition(beta)
+    n = a.rows
+    if a.cols != n:
+        raise ShapeError(f"need a square matrix, got {a.shape}")
+    if alpha.n != n or beta.n != n:
+        raise MarginError(
+            f"compositions must sum to {n}, got alpha -> {alpha.n}, beta -> {beta.n}"
+        )
+    return _chi_each([a], alpha, beta)[0]
 
-    One column elimination serves every cell.  It gives a @ f == af with f
-    unit upper triangular and pivot rows sigma, so:
+
+def _chi_each(mats, alpha, beta) -> list:
+    """The grids of N n x n matrices over one field, in order.
+
+    alpha and beta are Compositions of n.  Shapes and margins are not
+    checked; a singular member raises SingularMatrixError.
+
+    One column elimination per matrix serves every cell of its grid.  It
+    gives a @ f == af with f unit upper triangular and pivot rows sigma, so:
       - column c of f is supported on [0, c] and a @ f[:, c] == af[:, c]
         first becomes nonzero at row sigma[c];
       - hence {f[:, c] : c < col_hi, sigma[c] >= row_lo} is a basis of the
@@ -307,41 +310,79 @@ def chi(a: Matrix, alpha, beta) -> BiHinge:
     candidate generators are its own columns c in [c0, c1), kept when
     sigma[c] >= r0, and the columns tau[r] = sigma^-1[r] for r in [r0, r1),
     kept when tau[r] < c0: alpha[i] + beta[j] candidates, the dropped ones
-    zeroed.  Cells of one shape therefore stack without padding, are reduced
-    by one _rref_each call and are kept as that shape's CellGroup.  At
-    finest compositions every cell has shape (1, 1); at coarse ones most
-    shapes are held by a single cell.
+    zeroed.  Cells of one shape therefore stack without padding, over all
+    cells of that shape in all N matrices, and are reduced by one _rref_each
+    call; each grid keeps its slice as that shape's CellGroup.  At finest
+    compositions every cell has shape (1, 1); at coarse ones most shapes are
+    held by a single cell per matrix.
     """
-    alpha = Composition(alpha)
-    beta = Composition(beta)
-    n = a.rows
-    if a.cols != n:
-        raise ShapeError(f"need a square matrix, got {a.shape}")
-    if alpha.n != n or beta.n != n:
-        raise MarginError(
-            f"compositions must sum to {n}, got alpha -> {alpha.n}, beta -> {beta.n}"
-        )
-    field = a.field
-    sigma, f, af = _column_pass(a)
-    sigma = np.array(sigma)
-    tau = np.argsort(sigma)
-    ft = f.T  # row c is column c of f
-    mt = af.T
-    groups = []
+    field = mats[0].field
+    passes = [_column_pass(a) for a in mats]
+    sigma = np.array([s for s, _, _ in passes])
+    tau = np.argsort(sigma, axis=1)
+    ft = np.array([f.T for _, f, _ in passes])  # row c of ft[k] is column c of f
+    mt = np.array([af.T for _, _, af in passes])
+    m = np.arange(len(mats))[:, None, None, None]
+    shapes = []
     for (na, nb), ij in _shape_groups(alpha, beta).items():
         c0 = np.array(alpha.offsets)[ij[:, 0], None]
         r0 = np.array(beta.offsets)[ij[:, 1], None]
         own = c0 + np.arange(na)
-        back = tau[r0 + np.arange(nb)]
-        keep = np.concatenate([sigma[own] >= r0, back < c0], axis=1)
-        first = np.argsort(~keep, axis=1, kind="stable")  # kept generators first
-        src = np.concatenate([own, back], axis=1)[np.arange(len(ij))[:, None], first, None]
-        gens = np.concatenate(
-            [ft[src, c0[:, :, None] + np.arange(na)], mt[src, r0[:, :, None] + np.arange(nb)]],
-            axis=2,
-        )
-        groups.append(CellGroup(na, nb, ij, gens, _rref_each(gens, field.p, keep.sum(axis=1))))
-    return BiHinge._of(alpha, beta, field, groups)
+        rows = r0 + np.arange(nb)
+        src = np.empty((len(mats), len(ij), na + nb), dtype=np.intp)
+        src[:, :, :na] = own
+        src[:, :, na:] = tau[:, rows]
+        keep = np.concatenate([sigma[:, own] >= r0, src[:, :, na:] < c0], axis=2)
+        first = np.argsort(~keep, axis=2, kind="stable")  # kept generators first
+        src = src[m[..., 0], np.arange(len(ij))[:, None], first][..., None]
+        gens = np.concatenate([ft[m, src, own[:, None]], mt[m, src, rows[:, None]]], axis=3)
+        flat = gens.reshape(-1, na + nb, na + nb)
+        ranks = _rref_each(flat, field.p, keep.sum(axis=2).ravel()).reshape(len(mats), -1)
+        shapes.append((na, nb, ij, gens, ranks))
+    return [
+        BiHinge._of(alpha, beta, field, [
+            CellGroup(na, nb, ij, g[k], r[k]) for na, nb, ij, g, r in shapes
+        ])
+        for k in range(len(mats))
+    ]
+
+
+def _derive_each(grids):
+    """Fill the derived() cache of every grid that has none.
+
+    Grids sharing (field, alpha, beta) are derived together: every cell of
+    every such grid goes into one stack, reduced Y first by one y_first per
+    cell shape and read by one derive_stack, and each grid keeps its own
+    slice.  In the stack both echelon forms are embedded with X at
+    [0, dim_x) and Y from max(alpha) on: zero columns keep a member in RREF
+    and change none of its derived spaces.  Entries are only compared and
+    moved, so uint16 holds them (p < 2**16).
+    """
+    batches = {}
+    for h in grids:
+        if h._derived is None:
+            batches.setdefault((h.field, h.alpha, h.beta), []).append(h)
+    for (field, alpha, beta), hs in batches.items():
+        mx, my, cells = max(alpha), max(beta), len(alpha) * len(beta)
+        stack = np.zeros((len(hs) * cells, mx + my, mx + my), dtype=np.uint16)
+        swapped = np.zeros_like(stack)
+        ranks = np.zeros(len(stack), dtype=np.intp)
+        shapes = {}  # one group of each grid per shape, their cells the same in every grid
+        for h in hs:
+            for g in h.groups:
+                shapes.setdefault((g.dim_x, g.dim_y), []).append(g)
+        for (dx, dy), parts in shapes.items():
+            at = ((np.arange(len(hs)) * cells)[:, None] + parts[0].cells @ (len(beta), 1)).ravel()
+            part = np.concatenate([g.stack for g in parts])
+            part_ranks = np.concatenate([g.ranks for g in parts])
+            _embed(stack, at, part, dx, mx)
+            _embed(swapped, at, y_first(part, part_ranks, dx, field.p), dy, my)
+            ranks[at] = part_ranks
+        dv = derive_stack(stack, swapped, ranks, mx, my)
+        for k, h in enumerate(hs):
+            cut = slice(k * cells, (k + 1) * cells)
+            spaces = (x[cut] for x in dv[:4])
+            h._derived = Derived(*spaces, dv.dims[:, cut], dv.theta[cut], dv.lifts[cut])
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ import numpy as np
 
 from .bihinge import (
     Composition,
+    _chi_each,
+    _derive_each,
     _hinge_act,
     check_axioms,
-    chi,
     chi_cell,
     dimension_matrix,
     normalize,
@@ -30,7 +31,6 @@ from .enumeration import (
     all_bihinges_brute,
     contingency_tables,
     double_cosets_brute,
-    enum_gl,
     gl_array,
     gl_order,
     predicted_coset_count,
@@ -113,19 +113,44 @@ def _random_setup(qs, max_n, rng):
     return field, n, alpha, beta, a
 
 
+def _trial_grids(draws, derive: bool) -> list:
+    """The grids of every trial's matrices, trial t's at index t.
+
+    draws[t] is (alpha, beta, matrices), every trial with as many matrices.
+    Trials sharing (q, n, alpha, beta) are one group, in first-seen order;
+    each group's grids come from one _chi_each and, when derive is set, one
+    _derive_each.  Suites then check the trials in draw order, so a FAIL
+    names the first failing trial whatever group it is in.
+    """
+    groups = {}
+    for t, (alpha, beta, mats) in enumerate(draws):
+        groups.setdefault((mats[0].field.p, alpha, beta), []).append(t)
+    out = [None] * len(draws)
+    for (_, alpha, beta), ts in groups.items():
+        grids = _chi_each([m for t in ts for m in draws[t][2]], alpha, beta)
+        if derive:
+            _derive_each(grids)
+        per = len(grids) // len(ts)
+        for k, t in enumerate(ts):
+            out[t] = grids[k * per : (k + 1) * per]
+    return out
+
+
 def check_invariance(qs=(2, 3, 5), max_n=6, trials=200, seed=101) -> tuple:
     """chi is unchanged by triangular moves, each side alone and jointly."""
     rng = random.Random(seed)
-    for t in range(trials):
+    draws = []
+    for _ in range(trials):
         field, n, alpha, beta, a = _random_setup(qs, max_n, rng)
         d = random_unitriangular(beta, field, rng, lower=True)
         c = random_unitriangular(alpha, field, rng, lower=False)
-        base = chi(a, alpha, beta)
-        if chi(d * a, alpha, beta) != base:
+        draws.append((alpha, beta, (a, d * a, a * c, d * a * c)))
+    for t, (base, left, right, joint) in enumerate(_trial_grids(draws, derive=False)):
+        if left != base:
             return False, f"left move changed the grid at trial {t}"
-        if chi(a * c, alpha, beta) != base:
+        if right != base:
             return False, f"right move changed the grid at trial {t}"
-        if chi(d * a * c, alpha, beta) != base:
+        if joint != base:
             return False, f"joint move changed the grid at trial {t}"
     return True, f"{trials} random triples over q in {tuple(qs)}, n <= {max_n}"
 
@@ -133,9 +158,10 @@ def check_invariance(qs=(2, 3, 5), max_n=6, trials=200, seed=101) -> tuple:
 def check_axiom_soundness(qs=(2, 3, 5), max_n=6, trials=200, seed=202) -> tuple:
     """Every computed grid satisfies the gluing axioms."""
     rng = random.Random(seed)
-    for t in range(trials):
-        field, n, alpha, beta, a = _random_setup(qs, max_n, rng)
-        report = check_axioms(chi(a, alpha, beta))
+    setups = [_random_setup(qs, max_n, rng) for _ in range(trials)]
+    grids = _trial_grids([(alpha, beta, (a,)) for _, _, alpha, beta, a in setups], derive=True)
+    for t, (h,) in enumerate(grids):
+        report = check_axioms(h)
         if not report:
             return False, f"trial {t}: {'; '.join(report.violations)}"
     return True, f"{trials} random grids over q in {tuple(qs)}, n <= {max_n}"
@@ -153,9 +179,10 @@ def check_canonical_consistency(qs=(2, 3)) -> tuple:
             for beta in _MARGIN_SETS:
                 if sum(alpha) != sum(beta):
                     continue
-                for d in contingency_tables(alpha, beta):
-                    std = standard_matrix(d, field)
-                    if chi(std, alpha, beta) != standard_bihinge(d, field):
+                tables = list(contingency_tables(alpha, beta))
+                grids = _chi_each([standard_matrix(d, field) for d in tables], tables[0].alpha, tables[0].beta)
+                for d, h in zip(tables, grids):
+                    if h != standard_bihinge(d, field):
                         return False, f"table {d.to_rows()} over GF({q})"
                     checked += 1
     return True, f"{checked} dimension tables over q in {tuple(qs)}"
@@ -306,12 +333,19 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
     )
 
 
+def _grids_of(elements: np.ndarray, q: int, alpha, beta) -> list:
+    """The grids of every matrix of an (N, n, n) array over GF(q), by one _chi_each."""
+    field = PrimeField(q)
+    mats = [Matrix._new(field, m.astype(np.int64)) for m in elements]
+    return _chi_each(mats, Composition(alpha), Composition(beta))
+
+
 def check_surjectivity(q: int, budget: EnumerationBudget = None) -> tuple:
     """Every axiom-satisfying grid for alpha = beta = (1,1) is a chi image."""
     budget = budget or DEFAULT_BUDGET
     alpha = beta = (1, 1)
     grids = all_bihinges_brute(alpha, beta, q, budget)
-    images = {chi(m, alpha, beta) for m in enum_gl(2, q, budget)}
+    images = set(_grids_of(gl_array(2, q, budget), q, alpha, beta))
     if set(grids) != images:
         return False, f"GF({q}): {len(grids)} grids vs {len(images)} images"
     expected = predicted_coset_count(alpha, beta, q, budget)
@@ -344,8 +378,9 @@ def check_stabilizers(qs=(2, 3), budget: EnumerationBudget = None) -> tuple:
 def check_lpu(qs=(2, 3, 5), max_n=6, trials=200, seed=303) -> tuple:
     """Decomposition exactness plus agreement with the relation grid."""
     rng = random.Random(seed)
-    for t in range(trials):
-        field, n, alpha, beta, a = _random_setup(qs, max_n, rng)
+    setups = [_random_setup(qs, max_n, rng) for _ in range(trials)]
+    grids = _trial_grids([(alpha, beta, (a,)) for _, _, alpha, beta, a in setups], derive=True)
+    for t, ((field, n, alpha, beta, a), (h,)) in enumerate(zip(setups, grids)):
         dec = lpu(a)
         if dec.product() != a:
             return False, f"trial {t}: l perm u != a"
@@ -354,7 +389,7 @@ def check_lpu(qs=(2, 3, 5), max_n=6, trials=200, seed=303) -> tuple:
         perm = dec.perm.a
         if not ((perm.sum(axis=0) == 1).all() and (perm.sum(axis=1) == 1).all()):
             return False, f"trial {t}: perm is not a permutation matrix"
-        d = dimension_matrix(chi(a, alpha, beta))
+        d = dimension_matrix(h)
         if perm_block_counts(dec.perm, alpha, beta) != d:
             return False, f"trial {t}: block counts disagree with the grid"
         if canonical_01(a, alpha, beta) != standard_matrix(d, field):
@@ -366,12 +401,13 @@ def check_normal_form(q: int = 3, max_n: int = 5, trials: int = 100, seed=404) -
     """normalize carries every computed grid onto its standard form."""
     rng = random.Random(seed)
     field = PrimeField(q)
-    for t in range(trials):
+    draws = []
+    for _ in range(trials):
         n = rng.randint(1, max_n)
         alpha = random_composition(n, rng)
         beta = random_composition(n, rng)
-        a = random_invertible(field, n, rng)
-        h = chi(a, alpha, beta)
+        draws.append((alpha, beta, (random_invertible(field, n, rng),)))
+    for t, (h,) in enumerate(_trial_grids(draws, derive=True)):
         gs, hs, d = normalize(h)
         if _hinge_act(gs, hs, h) != standard_bihinge(d, field):
             return False, f"trial {t}: normalized grid is not standard"
@@ -383,7 +419,7 @@ def count_three_ways(alpha, beta, q: int, budget: EnumerationBudget = None) -> t
     budget = budget or DEFAULT_BUDGET
     predicted = predicted_coset_count(alpha, beta, q, budget)
     partition = double_cosets_brute(sum(alpha), q, alpha, beta, budget)
-    grids = {chi(m, alpha, beta) for klass in partition.classes for m in klass}
+    grids = set(_grids_of(partition.elements, q, alpha, beta))
     return predicted, partition.num_classes, len(grids)
 
 

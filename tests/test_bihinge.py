@@ -17,6 +17,8 @@ import pytest
 from hinge.bihinge import (
     AxiomError,
     BiHinge,
+    _chi_each,
+    _derive_each,
     Composition,
     DimensionMatrix,
     MarginError,
@@ -37,6 +39,7 @@ from hinge.relations import LinearRelation
 from hinge.subspaces import _span_rows
 from hinge.selfcheck import (
     _MARGIN_SETS,
+    all_compositions,
     random_composition,
     random_invertible,
     random_unitriangular,
@@ -175,6 +178,69 @@ def test_grid_matches_chi_cell_definition():
                     assert h.grid[i][j] == want, (
                         f"cell ({i + 1},{j + 1}) of {a.to_rows()} over GF({p})"
                     )
+
+
+def test_chi_each_matches_chi_and_chi_cell_on_whole_groups():
+    # the stacked route over every element of a group at once, for every
+    # composition pair: each grid equals chi of its matrix alone and, cell by
+    # cell, chi_cell's RREF basis with the same rank and zero rows past it
+    for n, q in ((2, 3), (3, 2)):
+        mats = list(enum_gl(n, q))
+        for alpha in all_compositions(n):
+            for beta in all_compositions(n):
+                for a, h in zip(mats, _chi_each(mats, alpha, beta)):
+                    alone = chi(a, alpha, beta)
+                    assert h == alone and len(h.groups) == len(alone.groups)
+                    for g, g1 in zip(h.groups, alone.groups):
+                        assert np.array_equal(g.cells, g1.cells)
+                        assert np.array_equal(g.ranks, g1.ranks)
+                        for (i, j), m, rank in zip(g.cells.tolist(), g.stack, g.ranks.tolist()):
+                            want = chi_cell(a, *alpha.block(i), *beta.block(j)).space.basis.a
+                            assert rank == len(want), (a.to_rows(), alpha, beta, i, j)
+                            assert np.array_equal(m[:rank], want), (a.to_rows(), alpha, beta, i, j)
+                            assert not m[rank:].any()
+
+
+def test_chi_each_raises_on_a_singular_member():
+    f = PrimeField(3)
+    mats = [Matrix.identity(f, 2), Matrix(f, [[1, 2], [2, 1]]), Matrix.identity(f, 2)]
+    with pytest.raises(SingularMatrixError):
+        _chi_each(mats, Composition((1, 1)), Composition((1, 1)))
+
+
+def test_derive_each_matches_each_grid_derived_alone():
+    # a batch of grids of mixed shapes and ranks, several per (field, alpha,
+    # beta) and in no particular order: chi grids, standard grids, and grids
+    # of random relations that fail the axioms.  Each grid's cache must be
+    # what derived() gives a fresh copy of it alone, in all seven fields.
+    rng = random.Random(97)
+    grids = []
+    cases = ((2, (1, 2), (2, 1)), (3, (2, 2), (1, 3)), (5, (1,) * 4, (1,) * 4), (3, (3,), (1, 2)))
+    for p, alpha, beta in cases:
+        f = PrimeField(p)
+        alpha, beta = Composition(alpha), Composition(beta)
+        for _ in range(6):
+            grids.append(chi(random_invertible(f, alpha.n, rng), alpha, beta))
+            grids.append(standard_bihinge(rng.choice(list(contingency_tables(alpha, beta))), f))
+            rows = []
+            for na in alpha:
+                row = []
+                for nb in beta:
+                    size = na + nb
+                    gens = np.array(
+                        [[rng.randrange(p) for _ in range(size)] for _ in range(rng.randint(0, size))],
+                        dtype=np.int64,
+                    ).reshape(-1, size)
+                    row.append(LinearRelation(na, nb, _span_rows(f, gens)))
+                rows.append(row)
+            grids.append(BiHinge(alpha, beta, rows))
+    rng.shuffle(grids)
+    _derive_each(grids)
+    for h in grids:
+        alone = BiHinge._of(h.alpha, h.beta, h.field, h.groups).derived()
+        assert h._derived is not None
+        for name, got, want in zip(alone._fields, h._derived, alone):
+            assert got.shape == want.shape and np.array_equal(got, want), (name, h)
 
 
 def test_chi_validation():

@@ -1,15 +1,28 @@
-"""The completeness check's stacked routes, pinned to their definitions."""
+"""The selfcheck suites' stacked routes, pinned to their definitions and output."""
+
+import random
 
 import numpy as np
+import pytest
 
 from hinge import selfcheck
-from hinge.bihinge import chi_cell
-from hinge.enumeration import enum_gl, gl_array
+from hinge.bihinge import BiHinge, chi_cell, dimension_matrix, standard_bihinge
+from hinge.cli import main
+from hinge.enumeration import contingency_tables, enum_gl, gl_array
+from hinge.field import PrimeField
 from hinge.selfcheck import (
     _cell_bases,
     _graph_echelon,
     _grid_cell_ids,
+    _random_setup,
+    check_axiom_soundness,
     check_completeness,
+    check_invariance,
+    check_lpu,
+    check_normal_form,
+    random_composition,
+    random_invertible,
+    random_unitriangular,
 )
 
 
@@ -52,3 +65,121 @@ def test_completeness_fails_when_the_oracle_disagrees(monkeypatch):
     ok, detail = check_completeness(2, 2)
     assert not ok
     assert "differs from chi_cell" in detail
+
+
+# `hinge selfcheck -q 2,3 --max-n 3`, exactly as printed before the random
+# suites were stacked: the same draws, the same checks, the same lines.
+_SELFCHECK_Q23_N3 = """\
+PASS invariance: 200 random triples over q in (2, 3), n <= 3
+PASS axioms: 100 random grids over q in (2, 3), n <= 3
+PASS canonical-forms: 62 dimension tables over q in (2, 3)
+PASS surjectivity: GF(2): all 2 grids realized; GF(3): all 8 grids realized
+PASS stabilizers: 38 tables over q in (2, 3)
+PASS lpu: 200 random matrices over q in (2, 3), n <= 3
+PASS normal-form: 100 random grids over GF(3), n <= 3
+PASS counting: counts [2, 8, 3, 6] for 4 cases
+PASS completeness: GL(2,2): 6 elements, 4 composition pairs, 14 class checks
+PASS completeness: GL(3,2): 168 elements, 16 composition pairs, 480 class checks
+PASS completeness: GL(2,3): 48 elements, 4 composition pairs, 88 class checks
+PASS completeness: GL(3,3): 11232 elements, 16 composition pairs, 18384 class checks
+all checks passed
+"""
+
+
+def test_selfcheck_stdout_is_frozen(capsys):
+    assert main(["selfcheck", "-q", "2,3", "--max-n", "3"]) == 0
+    assert capsys.readouterr().out == _SELFCHECK_Q23_N3
+
+
+# Each random suite's draws, replayed from its seed the way the suite draws
+# them: per trial (q, alpha, beta) and how many matrices the trial has.
+def _invariance_keys(qs, max_n, trials, seed=101):
+    rng = random.Random(seed)
+    keys = []
+    for _ in range(trials):
+        field, _, alpha, beta, _ = _random_setup(qs, max_n, rng)
+        random_unitriangular(beta, field, rng, lower=True)
+        random_unitriangular(alpha, field, rng, lower=False)
+        keys.append((field.p, alpha, beta))
+    return keys, 4
+
+
+def _setup_keys(seed):
+    def keys(qs, max_n, trials):
+        rng = random.Random(seed)
+        return [(f.p, alpha, beta) for f, _, alpha, beta, _ in
+                (_random_setup(qs, max_n, rng) for _ in range(trials))], 1
+    return keys
+
+
+def _normal_form_keys(qs, max_n, trials, seed=404):
+    rng = random.Random(seed)
+    field = PrimeField(qs[0])
+    keys = []
+    for _ in range(trials):
+        n = rng.randint(1, max_n)
+        alpha, beta = random_composition(n, rng), random_composition(n, rng)
+        random_invertible(field, n, rng)
+        keys.append((field.p, alpha, beta))
+    return keys, 1
+
+
+def _zeroed(h):
+    zero = [g._replace(stack=np.zeros_like(g.stack), ranks=np.zeros_like(g.ranks)) for g in h.groups]
+    return BiHinge._of(h.alpha, h.beta, h.field, zero)
+
+
+def _other_table(h):
+    """The standard grid of another dimension table, None if there is none."""
+    d = dimension_matrix(h)
+    other = [t for t in contingency_tables(h.alpha, h.beta) if t != d]
+    return standard_bihinge(other[0], h.field) if other else None
+
+
+def _reordered(h):
+    """h with its shape groups in reverse order, None if it has one shape."""
+    return BiHinge._of(h.alpha, h.beta, h.field, h.groups[::-1]) if len(h.groups) > 1 else None
+
+
+# suite, its draw replay, a corruption of one grid, the FAIL detail of trial t
+_SUITES = {
+    "invariance": (lambda: check_invariance(qs=(2, 3), max_n=3, trials=200), _invariance_keys,
+                   _zeroed, "changed the grid at trial {t}"),
+    "axioms": (lambda: check_axiom_soundness(qs=(2, 3), max_n=3, trials=200), _setup_keys(202),
+               _zeroed, "trial {t}: "),
+    "lpu": (lambda: check_lpu(qs=(2, 3), max_n=3, trials=200), _setup_keys(303),
+            _other_table, "trial {t}: block counts disagree with the grid"),
+    "normal-form": (lambda: check_normal_form(q=3, max_n=3, trials=200), _normal_form_keys,
+                    _reordered, "trial {t}: normalized grid is not standard"),
+}
+
+
+@pytest.mark.parametrize("name", list(_SUITES))
+def test_suites_name_the_first_failing_trial_in_draw_order(monkeypatch, name):
+    # _chi_each corrupts the middle member of every group of at least three
+    # trials; the FAIL must name the smallest corrupted trial, which lies in
+    # a later group than the first one corrupted
+    run, replay, corrupt, detail = _SUITES[name]
+    keys, per = replay((2, 3) if name != "normal-form" else (3,), 3, 200)
+    trials_of = {}
+    for t, key in enumerate(keys):
+        trials_of.setdefault(key, []).append(t)
+    corrupted = []
+    real = selfcheck._chi_each
+
+    def corrupting(mats, alpha, beta):
+        grids = real(mats, alpha, beta)
+        mid = len(grids) // 2
+        bad = corrupt(grids[mid]) if len(grids) >= 3 * per else None
+        if bad is not None:
+            grids[mid] = bad
+            corrupted.append(trials_of[mats[0].field.p, alpha, beta][mid // per])
+        return grids
+
+    monkeypatch.setattr(selfcheck, "_chi_each", corrupting)
+    ok, got = run()
+    assert not ok
+    assert len(corrupted) >= 2 and min(corrupted) != corrupted[0]
+    t = min(corrupted)
+    want = detail.format(t=t)
+    assert (got.endswith(want) if name == "invariance" else got.startswith(want)), (got, t)
