@@ -8,7 +8,6 @@ the enumeration module cross-checks everything exhaustively on small fields.
 
 from .field import PrimeField
 from .linalg import Matrix, ShapeError, SingularMatrixError
-from .subspaces import Subspace
 from .relations import InvariantViolation, LinearRelation
 from .bihinge import (
     AxiomError,
@@ -83,7 +82,6 @@ __all__ = [
     "ProblemFormatError",
     "ShapeError",
     "SingularMatrixError",
-    "Subspace",
     "all_bihinges_brute",
     "canonical_01",
     "check_axioms",

@@ -19,8 +19,7 @@ import numpy as np
 
 from .field import PrimeField
 from .linalg import Matrix, ShapeError, SingularMatrixError, _column_pass, _kernel_rows, _rref_each
-from .relations import Derived, LinearRelation, _subspace, act_stack, derive_stack, y_first
-from .subspaces import _span_rows
+from .relations import Derived, LinearRelation, act_stack, derive_stack, y_first
 
 
 class MarginError(ValueError):
@@ -180,6 +179,7 @@ class BiHinge:
         grid = tuple(tuple(row) for row in grid)
         if len(grid) != len(alpha) or any(len(row) != len(beta) for row in grid):
             raise ShapeError(f"grid must be {len(alpha)} x {len(beta)}")
+        field = grid[0][0].field
         for i, row in enumerate(grid):
             for j, cell in enumerate(row):
                 if cell.dim_x != alpha[i] or cell.dim_y != beta[j]:
@@ -187,14 +187,18 @@ class BiHinge:
                         f"cell ({i + 1},{j + 1}) has shape {cell.dim_x} => {cell.dim_y}, "
                         f"expected {alpha[i]} => {beta[j]}"
                     )
+                if cell.field != field:
+                    raise ValueError(
+                        f"cell ({i + 1},{j + 1}) is over {cell.field}, cell (1,1) over {field}"
+                    )
         groups = []
         for (na, nb), cells in _shape_groups(alpha, beta).items():
             stack = np.zeros((len(cells), na + nb, na + nb), dtype=np.int64)
             for m, (i, j) in zip(stack, cells):
-                m[: grid[i][j].space.dim] = grid[i][j].space.basis.a
-            ranks = np.array([grid[i][j].space.dim for i, j in cells], dtype=np.intp)
+                m[: grid[i][j].basis.rows] = grid[i][j].basis.a
+            ranks = np.array([grid[i][j].basis.rows for i, j in cells], dtype=np.intp)
             groups.append(CellGroup(na, nb, cells, stack, ranks))
-        self._init(alpha, beta, grid[0][0].field, groups)
+        self._init(alpha, beta, field, groups)
         self._grid = grid
 
     @classmethod
@@ -216,7 +220,7 @@ class BiHinge:
             rows = [[None] * len(self.beta) for _ in range(len(self.alpha))]
             for g in self.groups:
                 for (i, j), m, rank in zip(g.cells.tolist(), g.stack, g.ranks.tolist()):
-                    rows[i][j] = LinearRelation(g.dim_x, g.dim_y, _subspace(self.field, m[:rank]))
+                    rows[i][j] = LinearRelation(g.dim_x, g.dim_y, Matrix._new(self.field, m[:rank]))
             self._grid = tuple(tuple(row) for row in rows)
         return self._grid
 
@@ -264,7 +268,7 @@ def chi_cell(a: Matrix, col_lo: int, col_hi: int, row_lo: int, row_hi: int) -> L
     xi = kern[:, col_lo:col_hi]
     eta = (kern @ arr[row_lo:row_hi, :col_hi].T) % p
     gens = np.concatenate([xi, eta], axis=1)
-    return LinearRelation(col_hi - col_lo, row_hi - row_lo, _span_rows(field, gens))
+    return LinearRelation(col_hi - col_lo, row_hi - row_lo, Matrix._new(field, gens))
 
 
 def chi(a: Matrix, alpha, beta) -> BiHinge:
@@ -528,14 +532,16 @@ def hinge_act(gs, hs, h: BiHinge) -> BiHinge:
 
     Matches conjugating the underlying matrix by the block-diagonal matrices
     with blocks hs on the left and inverse blocks gs on the right.  Raises
-    ShapeError or SingularMatrixError unless every factor is an invertible
-    matrix of its block's size.
+    ShapeError, SingularMatrixError or ValueError unless every factor is an
+    invertible matrix of its block's size over the grid's field.
     """
     gs, hs = list(gs), list(hs)
     if len(gs) != len(h.alpha) or len(hs) != len(h.beta):
         raise ShapeError(f"need {len(h.alpha)} column factors and {len(h.beta)} row factors")
     for side, factors, comp in (("column", gs, h.alpha), ("row", hs, h.beta)):
         for k, m in enumerate(factors):
+            if m.field != h.field:
+                raise ValueError(f"{side} factor {k + 1}: mixed fields {m.field} and {h.field}")
             if m.shape != (comp[k], comp[k]):
                 raise ShapeError(
                     f"{side} factor {k + 1} has shape {m.shape}, expected {(comp[k], comp[k])}"

@@ -34,7 +34,6 @@ from .bihinge import (
 from .field import PrimeField
 from .linalg import Matrix
 from .relations import InvariantViolation, LinearRelation, act_stack, derive_stack, y_first
-from .subspaces import Subspace
 
 
 class BudgetError(RuntimeError):
@@ -159,12 +158,12 @@ def _free_positions(comp: Composition, lower: bool) -> list:
 
 
 def enum_subspaces(d: int, q: int, budget: EnumerationBudget = None):
-    """Yield every subspace of GF(q)^d once: by dimension, then pivot set,
-    then free entries, all lexicographically."""
+    """Yield every subspace of GF(q)^d once, as its RREF basis Matrix: by
+    dimension, then pivot set, then free entries, all lexicographically."""
     budget = budget or DEFAULT_BUDGET
     budget.check_subspace(subspace_count(d, q), f"subspaces of GF({q})^{d}")
     field = PrimeField(q)
-    yield Subspace.zero(field, d)
+    yield Matrix.zeros(field, 0, d)
     for k in range(1, d + 1):
         for piv in combinations(range(d), k):
             pivset = set(piv)
@@ -178,7 +177,7 @@ def enum_subspaces(d: int, q: int, budget: EnumerationBudget = None):
                 arr = base.copy()
                 for (i, c), v in zip(free, values):
                     arr[i, c] = v
-                yield Subspace._trusted(Matrix._new(field, arr))
+                yield Matrix._new(field, arr)
 
 
 def _row_codes(rows: np.ndarray, q: int) -> np.ndarray:
@@ -372,8 +371,8 @@ def all_bihinges_brute(alpha, beta, q: int, budget: EnumerationBudget = None) ->
         spaces = list(enum_subspaces(sum(shape), q, budget))
         stack = np.zeros((len(spaces), sum(shape), sum(shape)), dtype=np.int64)
         for m, space in zip(stack, spaces):
-            m[: space.dim] = space.basis.a
-        ranks = np.array([space.dim for space in spaces], dtype=np.intp)
+            m[: space.rows] = space.a
+        ranks = np.array([space.rows for space in spaces], dtype=np.intp)
         dv = derive_stack(stack, y_first(stack, ranks, shape[0], q), ranks, *shape)
         space_ids = [[ids.setdefault((len(x), x.tobytes()), len(ids)) for x in a] for a in dv[:4]]
         relations = [LinearRelation(*shape, space) for space in spaces]

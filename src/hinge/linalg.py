@@ -170,6 +170,14 @@ def _rref(arr: np.ndarray, p: int, pivot_limit: int = None) -> list:
     return pivots
 
 
+def _span(field: PrimeField, rows: np.ndarray) -> Matrix:
+    """The canonical basis of the span of rows reduced mod p: their RREF
+    without zero rows.  A subspace is this Matrix; its dimension is .rows."""
+    arr = np.array(rows, dtype=np.int64)
+    piv = _rref(arr, field.p)
+    return Matrix._new(field, np.ascontiguousarray(arr[: len(piv)]))
+
+
 def _rref_stack(arr: np.ndarray, p: int) -> np.ndarray:
     """In-place canonical RREF of every matrix in an (N, R, C) stack.
 

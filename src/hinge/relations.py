@@ -1,8 +1,9 @@
 """Linear relations X => Y: subspaces of X + Y with the four derived spaces.
 
 A relation L between X = GF(p)^dim_x and Y = GF(p)^dim_y is any subspace of
-the direct sum, with coordinates 0..dim_x-1 on the X side.  It carries four
-canonical subspaces
+the direct sum, with coordinates 0..dim_x-1 on the X side.  A subspace is
+held as its canonical basis: an RREF Matrix without zero rows, whose .rows
+is the dimension.  L carries four such subspaces
 
     ker L    = {xi : (xi, 0) in L}          inside X
     dom L    = {xi : (xi, eta) in L}        inside X
@@ -31,17 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, _rref_each
-from .subspaces import Subspace
+from .linalg import Matrix, ShapeError, _rref_each, _span
 
 
 class InvariantViolation(RuntimeError):
     """A relation failed an identity that holds for every honest construction."""
-
-
-def _subspace(field: PrimeField, rows: np.ndarray) -> Subspace:
-    """Subspace of rows already in RREF without zero rows."""
-    return Subspace._trusted(Matrix._new(field, np.ascontiguousarray(rows)))
 
 
 class Derived(NamedTuple):
@@ -123,35 +118,35 @@ def act_stack(stack, ranks, gx, hy, dim_x: int, p: int) -> tuple:
 
 
 class LinearRelation:
-    """A linear relation from GF(p)^dim_x to GF(p)^dim_y.
+    """The linear relation from GF(p)^dim_x to GF(p)^dim_y spanned by the
+    (xi | eta) rows of a Matrix with dim_x + dim_y columns.
 
-    Immutable; the derived subspaces and theta are computed lazily and cached.
-    Equality is equality of the underlying subspaces (dimensions included),
-    which by design is representational equality of canonical bases.
+    Immutable; .basis is the span's canonical basis, and the derived
+    subspaces and theta are computed lazily and cached.  Equality is
+    equality of dimensions and bases, so any generators of one span give
+    one relation.
     """
 
-    __slots__ = ("dim_x", "dim_y", "space", "_derived")
+    __slots__ = ("dim_x", "dim_y", "basis", "_derived")
 
-    def __init__(self, dim_x: int, dim_y: int, space: Subspace):
+    def __init__(self, dim_x: int, dim_y: int, rows: Matrix):
         if dim_x < 0 or dim_y < 0:
             raise ShapeError("relation dimensions must be nonnegative")
-        if space.ambient_dim != dim_x + dim_y:
-            raise ShapeError(
-                f"relation space lives in dim {space.ambient_dim}, expected {dim_x + dim_y}"
-            )
+        if rows.cols != dim_x + dim_y:
+            raise ShapeError(f"relation rows have {rows.cols} columns, expected {dim_x + dim_y}")
         self.dim_x = dim_x
         self.dim_y = dim_y
-        self.space = space
+        self.basis = _span(rows.field, rows.a)
         self._derived = None
 
     @property
     def field(self) -> PrimeField:
-        return self.space.field
+        return self.basis.field
 
     def _stack(self) -> tuple:
         """This relation as a stack of one: (basis padded to (1, C, C), ranks)."""
         size = self.dim_x + self.dim_y
-        basis = self.space.basis.a
+        basis = self.basis.a
         stack = np.zeros((1, size, size), dtype=np.int64)
         stack[0, : len(basis)] = basis
         return stack, np.array([len(basis)])
@@ -164,22 +159,24 @@ class LinearRelation:
             swapped = y_first(stack, ranks, self.dim_x, field.p)
             dv = derive_stack(stack, swapped, ranks, self.dim_x, self.dim_y)
             dims = dv.dims[:, 0]
-            spaces = tuple(_subspace(field, s[0, :k]) for s, k in zip(dv[:4], dims))
+            spaces = tuple(
+                Matrix._new(field, np.ascontiguousarray(s[0, :k])) for s, k in zip(dv[:4], dims)
+            )
             d = dims[1] - dims[0]
             theta = Matrix._new(field, np.ascontiguousarray(dv.theta[0, :d, :d]))
             self._derived = spaces + (theta,)
         return self._derived
 
-    def ker(self) -> Subspace:
+    def ker(self) -> Matrix:
         return self._spaces()[0]
 
-    def dom(self) -> Subspace:
+    def dom(self) -> Matrix:
         return self._spaces()[1]
 
-    def im(self) -> Subspace:
+    def im(self) -> Matrix:
         return self._spaces()[2]
 
-    def indef(self) -> Subspace:
+    def indef(self) -> Matrix:
         return self._spaces()[3]
 
     def theta(self) -> Matrix:
@@ -199,14 +196,14 @@ class LinearRelation:
         return (
             self.dim_x == other.dim_x
             and self.dim_y == other.dim_y
-            and self.space == other.space
+            and self.basis == other.basis
         )
 
     def __hash__(self):
-        return hash((self.dim_x, self.dim_y, self.space))
+        return hash((self.dim_x, self.dim_y, self.basis))
 
     def __repr__(self):
         return (
             f"LinearRelation({self.dim_x} => {self.dim_y} over GF({self.field.p}), "
-            f"dim {self.space.dim})"
+            f"dim {self.basis.rows})"
         )

@@ -270,7 +270,7 @@ def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
             ids[:, k], firsts = _intern_rows(bases)
             for idx in firsts.tolist():
                 m = Matrix._new(field, elements[idx].astype(np.int64))
-                want = chi_cell(m, cl, ch, rl, rh).space.basis.a
+                want = chi_cell(m, cl, ch, rl, rh).basis.a
                 got = bases[idx]
                 if not (np.array_equal(got[: len(want)], want) and not got[len(want) :].any()):
                     raise InvariantViolation(

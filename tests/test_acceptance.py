@@ -50,12 +50,12 @@ def test_worked_example_grid():
     # cell in block row 3, block column 2: a 3 -> 4 relation
     cell = h.cell(2, 1)
     assert cell.dim_x == 3 and cell.dim_y == 4
-    assert cell.dom().basis.to_rows() == [[0, 1, 0], [0, 0, 1]]
-    assert cell.ker().basis.to_rows() == [[0, 0, 1]]
-    assert cell.im().basis.to_rows() == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
-    assert cell.indef().basis.to_rows() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert cell.dom().to_rows() == [[0, 1, 0], [0, 0, 1]]
+    assert cell.ker().to_rows() == [[0, 0, 1]]
+    assert cell.im().to_rows() == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    assert cell.indef().to_rows() == [[1, 0, 0, 0], [0, 1, 0, 0]]
     assert cell.theta().to_rows() == [[1]]
-    dims = (cell.ker().dim, cell.dom().dim, cell.indef().dim, cell.im().dim)
+    dims = (cell.ker().rows, cell.dom().rows, cell.indef().rows, cell.im().rows)
     assert dims == (1, 2, 2, 3)
 
     ones = DimensionMatrix([[1, 1, 1]] * 4, ALPHA_12, BETA_12)

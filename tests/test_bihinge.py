@@ -36,7 +36,6 @@ from hinge.enumeration import contingency_tables, double_cosets_brute, enum_gl
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, ShapeError, SingularMatrixError
 from hinge.relations import LinearRelation
-from hinge.subspaces import _span_rows
 from hinge.selfcheck import (
     _MARGIN_SETS,
     all_compositions,
@@ -95,7 +94,7 @@ def brute_cell_pairs(a, col_lo, col_hi, row_lo, row_hi):
 
 def cell_pairs(rel):
     out = set()
-    p, basis = rel.field.p, rel.space.basis.a
+    p, basis = rel.field.p, rel.basis.a
     for coeffs in product(range(p), repeat=len(basis)):
         v = tuple(int(x) for x in np.array(coeffs, dtype=np.int64) @ basis % p)
         out.add((v[: rel.dim_x], v[rel.dim_x :]))
@@ -110,7 +109,7 @@ def test_single_block_grid_is_the_graph():
             a = random_invertible(f, n, rng)
             h = chi(a, (n,), (n,))
             graph = np.concatenate([np.eye(n, dtype=np.int64), a.a.T], axis=1)
-            assert h.grid[0][0] == LinearRelation(n, n, _span_rows(f, graph))
+            assert h.grid[0][0] == LinearRelation(n, n, Matrix(f, graph))
 
 
 def test_identity_and_swap_cells_gf2():
@@ -195,7 +194,7 @@ def test_chi_each_matches_chi_and_chi_cell_on_whole_groups():
                         assert np.array_equal(g.cells, g1.cells)
                         assert np.array_equal(g.ranks, g1.ranks)
                         for (i, j), m, rank in zip(g.cells.tolist(), g.stack, g.ranks.tolist()):
-                            want = chi_cell(a, *alpha.block(i), *beta.block(j)).space.basis.a
+                            want = chi_cell(a, *alpha.block(i), *beta.block(j)).basis.a
                             assert rank == len(want), (a.to_rows(), alpha, beta, i, j)
                             assert np.array_equal(m[:rank], want), (a.to_rows(), alpha, beta, i, j)
                             assert not m[rank:].any()
@@ -231,7 +230,7 @@ def test_derive_each_matches_each_grid_derived_alone():
                         [[rng.randrange(p) for _ in range(size)] for _ in range(rng.randint(0, size))],
                         dtype=np.int64,
                     ).reshape(-1, size)
-                    row.append(LinearRelation(na, nb, _span_rows(f, gens)))
+                    row.append(LinearRelation(na, nb, Matrix(f, gens)))
                 rows.append(row)
             grids.append(BiHinge(alpha, beta, rows))
     rng.shuffle(grids)
@@ -288,13 +287,22 @@ def test_axioms_reject_corrupted_grid():
     h = chi(a, (1, 2), (2, 1))
     for (i, j), rows, want in _CORRUPTED:
         grid = [list(row) for row in h.grid]
-        gens = np.array(rows, dtype=np.int64)
-        grid[i][j] = LinearRelation(h.alpha[i], h.beta[j], _span_rows(f, gens))
+        grid[i][j] = LinearRelation(h.alpha[i], h.beta[j], Matrix(f, rows))
         bad = BiHinge(h.alpha, h.beta, grid)
         report = check_axioms(bad)
         assert not report.ok and list(report.violations) == want, (i, j, rows)
         with pytest.raises(AxiomError, match=re.escape("; ".join(want))):
             dimension_matrix(bad)
+
+
+def test_grid_rejects_cells_over_mixed_fields():
+    f = PrimeField(3)
+    h = chi(Matrix(f, [[1, 2, 0], [0, 1, 1], [1, 0, 0]]), (2, 1), (1, 2))
+    grid = [list(row) for row in h.grid]
+    grid[1][0] = LinearRelation(1, 1, Matrix(PrimeField(5), [[1, 4]]))
+    want = "cell (2,1) is over GF(5), cell (1,1) over GF(3)"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        BiHinge(h.alpha, h.beta, grid)
 
 
 def test_dimension_matrix_margins_random():
@@ -450,6 +458,14 @@ def test_hinge_act_rejects_singular_factor():
     with pytest.raises(SingularMatrixError, match="row factor 1"):
         hinge_act(eye, [Matrix(f, [[0]]), eye[0]], h)
     assert hinge_act(eye, [eye[1], eye[0]], h) == h
+
+
+def test_hinge_act_rejects_factor_over_another_field():
+    f = PrimeField(3)
+    h = chi(Matrix(f, [[1, 2, 0], [0, 1, 1], [1, 0, 0]]), (2, 1), (1, 2))
+    eye = [Matrix.identity(f, 2), Matrix.identity(f, 1)]
+    with pytest.raises(ValueError, match=re.escape("row factor 1: mixed fields GF(5) and GF(3)")):
+        hinge_act(eye, [Matrix(PrimeField(5), [[3]]), eye[0]], h)
 
 
 def test_normalize_standard_grid_gives_identities():

@@ -30,7 +30,7 @@ from hinge.enumeration import (
     subspace_count,
 )
 from hinge.field import PrimeField
-from hinge.linalg import Matrix
+from hinge.linalg import Matrix, _span
 from hinge.relations import InvariantViolation
 from hinge.selfcheck import all_compositions
 
@@ -145,7 +145,8 @@ def test_enum_subspaces_complete():
         assert len(set(spaces)) == len(spaces)
         by_dim = {}
         for s in spaces:
-            by_dim[s.dim] = by_dim.get(s.dim, 0) + 1
+            assert s == _span(s.field, s.a)  # an RREF basis without zero rows
+            by_dim[s.rows] = by_dim.get(s.rows, 0) + 1
         for k in range(d + 1):
             assert by_dim.get(k, 0) == gaussian_binomial(d, k, q)
 

@@ -14,22 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hinge.field import PrimeField
-from hinge.linalg import Matrix, ShapeError, SingularMatrixError, _kernel_rows
-from hinge.relations import LinearRelation, _subspace, act_stack, derive_stack, y_first
-from hinge.subspaces import Subspace, _span_rows
+from hinge.linalg import Matrix, ShapeError, SingularMatrixError, _kernel_rows, _span
+from hinge.relations import LinearRelation, act_stack, derive_stack, y_first
 
 
 def vectors(s):
     """Every vector of a subspace, coefficient tuples in lexicographic order."""
     p = s.field.p
-    for coeffs in product(range(p), repeat=s.dim):
-        yield (np.array(coeffs, dtype=np.int64) @ s.basis.a) % p
+    for coeffs in product(range(p), repeat=s.rows):
+        yield (np.array(coeffs, dtype=np.int64) @ s.a) % p
 
 
 def relation(field, dim_x, dim_y, rows):
     """The relation spanned by explicit (xi | eta) rows."""
-    gens = np.array(rows, dtype=np.int64).reshape(-1, dim_x + dim_y) % field.p
-    return LinearRelation(dim_x, dim_y, _span_rows(field, gens))
+    gens = np.array(rows, dtype=np.int64).reshape(-1, dim_x + dim_y)
+    return LinearRelation(dim_x, dim_y, Matrix(field, gens))
 
 
 def act(rel, g, h):
@@ -40,13 +39,13 @@ def act(rel, g, h):
     if g.rank() != rel.dim_x or h.rank() != rel.dim_y:
         raise SingularMatrixError(f"action factors of ranks {g.rank()}, {h.rank()}")
     moved, ranks = act_stack(*rel._stack(), g.a[None], h.a[None], rel.dim_x, rel.field.p)
-    return LinearRelation(rel.dim_x, rel.dim_y, _subspace(rel.field, moved[0, : ranks[0]]))
+    return LinearRelation(rel.dim_x, rel.dim_y, Matrix(rel.field, moved[0, : ranks[0]]))
 
 
 def graph(a):
     """The graph {(x, a x)} of a matrix, spanned by the rows (e_c | a e_c)."""
     rows = np.concatenate([np.eye(a.cols, dtype=np.int64), a.a.T], axis=1)
-    return LinearRelation(a.cols, a.rows, _span_rows(a.field, rows))
+    return LinearRelation(a.cols, a.rows, Matrix(a.field, rows))
 
 
 def quotient_rows(big, small):
@@ -59,17 +58,17 @@ def quotient_rows(big, small):
     """
     small_piv = set(pivots(small))
     keep = [i for i, c in enumerate(pivots(big)) if c not in small_piv]
-    return big.basis.a[keep]
+    return big.a[keep]
 
 
 def pivots(s):
-    return tuple(int(np.argmax(row != 0)) for row in s.basis.a)
+    return tuple(int(np.argmax(row != 0)) for row in s.a)
 
 
 def members(rel):
     """All (xi, eta) pairs of a relation as tuples of tuples."""
     out = set()
-    for v in vectors(rel.space):
+    for v in vectors(rel.basis):
         v = tuple(int(x) for x in v)
         out.add((v[: rel.dim_x], v[rel.dim_x :]))
     return out
@@ -94,7 +93,7 @@ def random_relation(rng, field, dim_x, dim_y):
     k = rng.randint(0, dim_x + dim_y)
     rows = [[rng.randrange(field.p) for _ in range(dim_x + dim_y)] for _ in range(k)]
     if not rows:
-        return LinearRelation(dim_x, dim_y, Subspace.zero(field, dim_x + dim_y))
+        return LinearRelation(dim_x, dim_y, Matrix.zeros(field, 0, dim_x + dim_y))
     return relation(field, dim_x, dim_y, rows)
 
 
@@ -108,10 +107,10 @@ def test_graph_of_matrix():
         y = tuple(int(v) for v in (a.a @ np.array(x, dtype=np.int64)) % 3)
         want.add((x, y))
     assert members(rel) == want
-    assert rel.ker().dim == 0
-    assert rel.dom() == Subspace(Matrix.identity(f, 2))
-    assert rel.indef().dim == 0
-    assert rel.im().dim == 2
+    assert rel.ker().rows == 0
+    assert rel.dom() == Matrix.identity(f, 2)
+    assert rel.indef().rows == 0
+    assert rel.im().rows == 2
 
 
 def test_graph_theta_is_the_matrix():
@@ -126,10 +125,10 @@ def test_x_plus_zero_relation():
     # The relation X x {0}: everything is kernel, nothing is image.
     f = PrimeField(2)
     rel = relation(f, 2, 2, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert rel.ker() == Subspace(Matrix.identity(f, 2))
-    assert rel.dom() == Subspace(Matrix.identity(f, 2))
-    assert rel.im().dim == 0
-    assert rel.indef().dim == 0
+    assert rel.ker() == Matrix.identity(f, 2)
+    assert rel.dom() == Matrix.identity(f, 2)
+    assert rel.im().rows == 0
+    assert rel.indef().rows == 0
     assert rel.theta().shape == (0, 0)
 
 
@@ -189,7 +188,7 @@ def test_relation_layer_at_large_p_matches_kernel_formulas():
     f = PrimeField(p)
     rels = [
         graph(Matrix(f, [[3, 1], [65520, 7], [2, 0]])),
-        LinearRelation(3, 2, Subspace.zero(f, 5)),
+        LinearRelation(3, 2, Matrix.zeros(f, 0, 5)),
         relation(f, 2, 2, [[1, 5, 0, 0], [0, 0, 9, 1]]),  # dom == ker
     ]
     for _ in range(60):
@@ -198,12 +197,12 @@ def test_relation_layer_at_large_p_matches_kernel_formulas():
         gens.append([sum(col) % p for col in zip(*gens)])  # rank-deficient generators
         rels.append(relation(f, dim_x, dim_y, gens))
     for rel in rels:
-        b = rel.space.basis.a
+        b = rel.basis.a
         bx, by = b[:, : rel.dim_x], b[:, rel.dim_x :]
-        assert rel.dom() == _span_rows(f, bx.copy())
-        assert rel.im() == _span_rows(f, by.copy())
-        assert rel.ker() == _span_rows(f, _kernel_rows(by.T, p) @ bx % p)
-        assert rel.indef() == _span_rows(f, _kernel_rows(bx.T, p) @ by % p)
+        assert rel.dom() == _span(f, bx)
+        assert rel.im() == _span(f, by)
+        assert rel.ker() == _span(f, _kernel_rows(by.T, p) @ bx % p)
+        assert rel.indef() == _span(f, _kernel_rows(bx.T, p) @ by % p)
         theta = rel.theta()
         dom_rows = quotient_rows(rel.dom(), rel.ker())
         q_rows = quotient_rows(rel.im(), rel.indef())
@@ -215,8 +214,8 @@ def test_relation_layer_at_large_p_matches_kernel_formulas():
             c = next(row for row in sol if row[-1])
             eta = c[:-1] @ by * pow(int(c[-1]), -1, p) % p
             rest = (eta - theta.a[:, k] @ q_rows) % p
-            both = np.concatenate([rel.indef().basis.a, rest[None, :]])
-            assert _span_rows(f, both) == rel.indef(), f"theta column {k} of {rel}"
+            both = np.concatenate([rel.indef().a, rest[None, :]])
+            assert _span(f, both) == rel.indef(), f"theta column {k} of {rel}"
 
 
 def _member_rows(data, p, dim_x, dim_y):
@@ -252,7 +251,7 @@ def test_derive_stack_property(data):
     dim_x, dim_y = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     f = PrimeField(p)
     size = dim_x + dim_y
-    bases = [_span_rows(f, _member_rows(data, p, dim_x, dim_y)).basis.a for _ in range(n_rel)]
+    bases = [_span(f, _member_rows(data, p, dim_x, dim_y)).a for _ in range(n_rel)]
     stack = np.zeros((n_rel, size, size), dtype=np.int64)
     for m, b in zip(stack, bases):
         m[: len(b)] = b
@@ -261,19 +260,19 @@ def test_derive_stack_property(data):
 
     def padded(space, width):
         out = np.zeros((width, width), dtype=np.int64)
-        out[: space.dim] = space.basis.a
+        out[: space.rows] = space.a
         return out
 
     for k, b in enumerate(bases):
         bx, by = b[:, :dim_x], b[:, dim_x:]
-        ker = _span_rows(f, _kernel_rows(by.T, p) @ bx % p)
-        dom = _span_rows(f, bx.copy())
-        im = _span_rows(f, by.copy())
-        indef = _span_rows(f, _kernel_rows(bx.T, p) @ by % p)
+        ker = _span(f, _kernel_rows(by.T, p) @ bx % p)
+        dom = _span(f, bx)
+        im = _span(f, by)
+        indef = _span(f, _kernel_rows(bx.T, p) @ by % p)
         for got, space, width in zip(dv[:4], (ker, dom, im, indef), (dim_x, dim_x, dim_y, dim_y)):
             assert np.array_equal(got[k], padded(space, width)), (k, b)
-        assert dv.dims[:, k].tolist() == [ker.dim, dom.dim, im.dim, indef.dim]
-        d = dom.dim - ker.dim
+        assert dv.dims[:, k].tolist() == [ker.rows, dom.rows, im.rows, indef.rows]
+        d = dom.rows - ker.rows
         theta, lifts = dv.theta[k, :d, :d], dv.lifts[k, :d]
         q_rows = quotient_rows(im, indef)
         assert Matrix(f, theta).rank() == d == len(q_rows)
@@ -284,10 +283,10 @@ def test_derive_stack_property(data):
             sol = _kernel_rows(np.concatenate([bx, (-xi)[None, :] % p]).T, p)
             c = next(s for s in sol if s[-1])
             eta = c[:-1] @ by * pow(int(c[-1]), -1, p) % p
-            assert _span_rows(f, np.concatenate([b, row[None]])).dim == len(b)
+            assert _span(f, np.concatenate([b, row[None]])).rows == len(b)
             for y in (eta, row[dim_x:]):
                 rest = (y - theta[:, r] @ q_rows) % p
-                assert _span_rows(f, np.concatenate([indef.basis.a, rest[None]])) == indef
+                assert _span(f, np.concatenate([indef.a, rest[None]])) == indef
 
 
 def test_theta_square_and_invertible():
@@ -296,9 +295,9 @@ def test_theta_square_and_invertible():
     for _ in range(40):
         rel = random_relation(rng, f, rng.randint(0, 3), rng.randint(0, 3))
         theta = rel.theta()
-        d = rel.dom().dim - rel.ker().dim
+        d = rel.dom().rows - rel.ker().rows
         assert theta.shape == (d, d)
-        assert rel.im().dim - rel.indef().dim == d
+        assert rel.im().rows - rel.indef().rows == d
         assert theta.rank() == d
 
 
@@ -361,17 +360,34 @@ def test_act_validates_factors():
 
 def test_quotient_rows_picks_complement():
     f = PrimeField(2)
-    big = _span_rows(f, np.eye(3, dtype=np.int64))
-    small = _span_rows(f, np.array([[0, 1, 1]]))
+    big = _span(f, np.eye(3, dtype=np.int64))
+    small = _span(f, np.array([[0, 1, 1]]))
     rows = quotient_rows(big, small)
     # two rows whose pivots avoid small's pivot column 1
     assert rows.shape == (2, 3)
-    assert _span_rows(f, np.concatenate([small.basis.a, rows], axis=0)) == big
+    assert _span(f, np.concatenate([small.a, rows], axis=0)) == big
 
 
 def test_relation_shape_validation():
     f = PrimeField(2)
     with pytest.raises(ShapeError):
-        LinearRelation(2, 2, Subspace.zero(f, 3))
+        LinearRelation(2, 2, Matrix.zeros(f, 0, 3))
     with pytest.raises(ShapeError):
-        LinearRelation(-1, 2, Subspace.zero(f, 1))
+        LinearRelation(2, 2, Matrix(f, [[1, 0, 1, 1, 0]]))
+    with pytest.raises(ShapeError):
+        LinearRelation(-1, 2, Matrix.zeros(f, 0, 1))
+
+
+def test_relation_spans_any_generator_rows():
+    # A non-RREF generator set, the same set with zero rows added and its RREF
+    # span one relation: one basis, equal relations, equal hashes.
+    f = PrimeField(5)
+    gens = [[2, 4, 1, 3], [1, 2, 3, 0], [3, 1, 0, 4]]
+    padded = [[0, 0, 0, 0]] + gens[:2] + [[0, 0, 0, 0]] + gens[2:]
+    rref, _ = Matrix(f, gens).rref()
+    reduced = Matrix(f, rref.a[: rref.rank()])
+    rels = [LinearRelation(2, 2, Matrix(f, rows)) for rows in (gens, padded, reduced.a)]
+    assert Matrix(f, gens) != reduced
+    for rel in rels:
+        assert rel.basis == reduced
+        assert rel == rels[0] and hash(rel) == hash(rels[0])

@@ -49,7 +49,7 @@ def test_stacked_cells_match_chi_cell_everywhere():
             bases = _cell_bases(_graph_echelon(elements, q, *cut), *cut)
             seen = set()
             for m, got, cid in zip(matrices, bases, ids[:, k].tolist()):
-                want = chi_cell(m, *cut).space.basis.a
+                want = chi_cell(m, *cut).basis.a
                 assert np.array_equal(got[: len(want)], want), (n, q, cut, m.to_rows())
                 assert not got[len(want) :].any(), (n, q, cut, m.to_rows())
                 seen.add((cid, want.tobytes()))

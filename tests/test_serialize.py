@@ -22,7 +22,6 @@ from hinge.serialize import (
     render_relation_rows,
     render_report_text,
 )
-from hinge.subspaces import _span_rows
 
 GOOD = {
     "modulus": 2,
@@ -117,7 +116,7 @@ def grid_of(report):
     for cell in report["cells"]:
         dim_x, dim_y = cell["dim_x"], cell["dim_y"]
         rows = np.array(cell["basis"], dtype=np.int64).reshape(-1, dim_x + dim_y)
-        grid[cell["i"] - 1][cell["j"] - 1] = LinearRelation(dim_x, dim_y, _span_rows(field, rows))
+        grid[cell["i"] - 1][cell["j"] - 1] = LinearRelation(dim_x, dim_y, Matrix(field, rows))
     return BiHinge(report["alpha"], report["beta"], grid)
 
 
