@@ -30,7 +30,6 @@ from .lpu import (
     LpuDecomposition,
     canonical_01,
     lpu,
-    perm_block_counts,
     rank_profile_permutation,
 )
 from .enumeration import (
@@ -100,7 +99,6 @@ __all__ = [
     "load_problem",
     "lpu",
     "normalize",
-    "perm_block_counts",
     "predicted_coset_count",
     "problem_from_dict",
     "rank_profile_permutation",

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, SingularMatrixError, _column_pass, _kernel_rows, _rref_each
+from .linalg import Matrix, ShapeError, SingularMatrixError, _column_pass_each, _kernel_rows, _rref_each
 from .relations import Derived, LinearRelation, act_stack, derive_stack, y_first
 
 
@@ -301,7 +301,7 @@ def _chi_each(mats, alpha, beta) -> list:
     alpha and beta are Compositions of n.  Shapes and margins are not
     checked; a singular member raises SingularMatrixError.
 
-    One column elimination per matrix serves every cell of its grid.  It
+    One column elimination pass over all N matrices serves every cell.  It
     gives a @ f == af with f unit upper triangular and pivot rows sigma, so:
       - column c of f is supported on [0, c] and a @ f[:, c] == af[:, c]
         first becomes nonzero at row sigma[c];
@@ -321,11 +321,10 @@ def _chi_each(mats, alpha, beta) -> list:
     held by a single cell per matrix.
     """
     field = mats[0].field
-    passes = [_column_pass(a) for a in mats]
-    sigma = np.array([s for s, _, _ in passes])
+    sigma, f, af, _ = _column_pass_each(np.stack([a.a for a in mats]), field.p)
     tau = np.argsort(sigma, axis=1)
-    ft = np.array([f.T for _, f, _ in passes])  # row c of ft[k] is column c of f
-    mt = np.array([af.T for _, _, af in passes])
+    ft = f.transpose(0, 2, 1)  # row c of ft[k] is column c of f
+    mt = af.transpose(0, 2, 1)
     m = np.arange(len(mats))[:, None, None, None]
     shapes = []
     for (na, nb), ij in _shape_groups(alpha, beta).items():
@@ -351,6 +350,15 @@ def _chi_each(mats, alpha, beta) -> list:
     ]
 
 
+def _by_shape(grids) -> dict:
+    """(dim_x, dim_y) -> each grid's group of that cell shape, in grid order."""
+    shapes = {}
+    for h in grids:
+        for g in h.groups:
+            shapes.setdefault((g.dim_x, g.dim_y), []).append(g)
+    return shapes
+
+
 def _derive_each(grids):
     """Fill the derived() cache of every grid that has none.
 
@@ -371,11 +379,7 @@ def _derive_each(grids):
         stack = np.zeros((len(hs) * cells, mx + my, mx + my), dtype=np.uint16)
         swapped = np.zeros_like(stack)
         ranks = np.zeros(len(stack), dtype=np.intp)
-        shapes = {}  # one group of each grid per shape, their cells the same in every grid
-        for h in hs:
-            for g in h.groups:
-                shapes.setdefault((g.dim_x, g.dim_y), []).append(g)
-        for (dx, dy), parts in shapes.items():
+        for (dx, dy), parts in _by_shape(hs).items():
             at = ((np.arange(len(hs)) * cells)[:, None] + parts[0].cells @ (len(beta), 1)).ravel()
             part = np.concatenate([g.stack for g in parts])
             part_ranks = np.concatenate([g.ranks for g in parts])
@@ -429,6 +433,32 @@ def _axiom_flags(alpha: Composition, beta: Composition, ker, dom, im, indef, dim
     return bad
 
 
+def _axiom_tables(grids) -> tuple:
+    """(flags, d) of B grids sharing (field, alpha, beta) by one _axiom_flags
+    call: flags (B, p, q, 6) and the (B, p, q) tables d = dim dom - dim ker,
+    equal to dim im - dim indef by derive_stack's dims."""
+    _derive_each(grids)
+    h, dvs = grids[0], [g._derived for g in grids]
+    shape = (len(grids), len(h.alpha), len(h.beta))
+    spaces = [np.concatenate(x).reshape(shape + x[0].shape[1:]) for x in zip(*(dv[:4] for dv in dvs))]
+    dims = np.concatenate([dv.dims for dv in dvs], axis=1).reshape((4,) + shape)
+    return _axiom_flags(h.alpha, h.beta, *spaces, dims), dims[1] - dims[0]
+
+
+def _violations(flags: np.ndarray) -> tuple:
+    """The _AXIOMS a (p, q, 6) flag array marks, cell by cell in row-major order."""
+    p, q = flags.shape[:2]
+    return tuple(_AXIOMS[k].format(i=i + 1, j=j + 1, i1=i + 2, j1=j + 2, p=p, q=q) for i, j, k in np.argwhere(flags))
+
+
+def _dimension_tables(grids) -> np.ndarray:
+    """The d of _axiom_tables; AxiomError for the first grid failing an axiom."""
+    flags, d = _axiom_tables(grids)
+    for k in np.flatnonzero(flags.any(axis=(1, 2, 3)))[:1].tolist():
+        raise AxiomError("; ".join(_violations(flags[k])))
+    return d
+
+
 def check_axioms(h: BiHinge) -> AxiomReport:
     """Check the gluing axioms that characterize realizable relation grids.
 
@@ -438,14 +468,7 @@ def check_axioms(h: BiHinge) -> AxiomReport:
     Violations are reported with 1-based indices, cell by cell in row-major
     order.  The subspaces are compared as the whole arrays of derived().
     """
-    p, q = len(h.alpha), len(h.beta)
-    dv = h.derived()
-    spaces = [x.reshape(1, p, q, *x.shape[1:]) for x in dv[:4]]  # ker, dom, im, indef
-    bad = _axiom_flags(h.alpha, h.beta, *spaces, dv.dims.reshape(4, 1, p, q))[0]
-    violations = tuple(
-        _AXIOMS[k].format(i=i + 1, j=j + 1, i1=i + 2, j1=j + 2, p=p, q=q)
-        for i, j, k in np.argwhere(bad).tolist()
-    )
+    violations = _violations(_axiom_tables([h])[0][0])
     return AxiomReport(not violations, violations)
 
 
@@ -453,19 +476,9 @@ def dimension_matrix(h: BiHinge) -> DimensionMatrix:
     """Cell dimensions dim dom - dim ker, margins alpha and beta guaranteed.
 
     Raises AxiomError when the grid fails check_axioms; the margin identities
-    only hold on honest grids.  The equal count dim im - dim indef is asserted
-    rather than assumed.
+    only hold on honest grids.  The stack of one of _dimension_tables.
     """
-    report = check_axioms(h)
-    if not report:
-        raise AxiomError("; ".join(report.violations))
-    ker_dim, dom_dim, im_dim, indef_dim = h.derived().dims.reshape(4, len(h.alpha), len(h.beta))
-    d, other = dom_dim - ker_dim, im_dim - indef_dim
-    for i, j in np.argwhere(d != other)[:1].tolist():
-        raise AxiomError(
-            f"cell ({i + 1},{j + 1}) has dom/ker count {d[i, j]} but im/indef count {other[i, j]}"
-        )
-    return DimensionMatrix(d.tolist(), h.alpha, h.beta)
+    return DimensionMatrix(_dimension_tables([h])[0].tolist(), h.alpha, h.beta)
 
 
 def standard_matrix(d: DimensionMatrix, field: PrimeField) -> Matrix:
@@ -489,7 +502,7 @@ def standard_matrix(d: DimensionMatrix, field: PrimeField) -> Matrix:
 
 def _sub_block_starts(table: np.ndarray) -> tuple:
     """Offsets of V_i^j inside V_i (ascending in j) and of W_j^i inside W_j (in i)."""
-    return np.cumsum(table, axis=1) - table, np.cumsum(table, axis=0) - table
+    return np.cumsum(table, axis=-1) - table, np.cumsum(table, axis=-2) - table
 
 
 def standard_bihinge(d: DimensionMatrix, field: PrimeField) -> BiHinge:
@@ -548,18 +561,24 @@ def hinge_act(gs, hs, h: BiHinge) -> BiHinge:
                 )
             if m.rank() != comp[k]:
                 raise SingularMatrixError(f"{side} factor {k + 1} is singular")
-    return _hinge_act(gs, hs, h)
+    return _hinge_act([m.a[None] for m in gs], [m.a[None] for m in hs], [h])[0]
 
 
-def _hinge_act(gs: list, hs: list, h: BiHinge) -> BiHinge:
-    """hinge_act without the checks, one act_stack per shape group."""
-    groups = []
-    for g in h.groups:
-        gx = np.stack([gs[i].a for i in g.cells[:, 0].tolist()])
-        hy = np.stack([hs[j].a for j in g.cells[:, 1].tolist()])
-        stack, ranks = act_stack(g.stack, g.ranks, gx, hy, g.dim_x, h.field.p)
-        groups.append(g._replace(stack=stack, ranks=ranks))
-    return BiHinge._of(h.alpha, h.beta, h.field, groups)
+def _hinge_act(gs: list, hs: list, grids) -> list:
+    """hinge_act of B grids sharing (field, alpha, beta), unchecked: gs[i] and
+    hs[j] stack the grids' factors of V_i and W_j, (B, alpha_i, alpha_i) and
+    (B, beta_j, beta_j).  One act_stack per cell shape moves all B grids."""
+    moved, shapes = {}, _by_shape(grids)
+    for (dx, dy), parts in shapes.items():
+        i, j = parts[0].cells.T.tolist()
+        gx = np.stack([gs[k] for k in i], axis=1).reshape(-1, dx, dx)
+        hy = np.stack([hs[k] for k in j], axis=1).reshape(-1, dy, dy)
+        stack, ranks = act_stack(np.concatenate([g.stack for g in parts]),
+                                 np.concatenate([g.ranks for g in parts]), gx, hy, dx, grids[0].field.p)
+        moved[dx, dy] = stack.reshape(len(grids), len(i), *stack.shape[1:]), ranks.reshape(len(grids), -1)
+    return [BiHinge._of(h.alpha, h.beta, h.field, [
+        g._replace(stack=moved[g.dim_x, g.dim_y][0][b], ranks=moved[g.dim_x, g.dim_y][1][b]) for g in h.groups
+    ]) for b, h in enumerate(grids)]
 
 
 def normalize(h: BiHinge) -> tuple:
@@ -571,25 +590,37 @@ def normalize(h: BiHinge) -> tuple:
     dom/ker quotient of cell (i, j); each W_j basis is pushed forward through
     the cells, lifting the V_i^j representatives and stacking ascending in i.
     Representative and push are the X and Y halves of the cell's lift rows
-    (relations.derive_stack), placed for every cell at once.
-    On a grid already standard both lists come out as identity matrices.
+    (relations.derive_stack).  On a grid already standard both lists come
+    out as identity matrices.  The stack of one of _normalize_each.
 
-    Raises AxiomError (via dimension_matrix) when the grid is not realizable.
+    Raises AxiomError, as dimension_matrix does, when the grid is not realizable.
     """
-    d = dimension_matrix(h)
-    table = np.array(d.entries)
-    v_start, w_start = _sub_block_starts(table)
-    lifts = h.derived().lifts
-    cell, r = np.nonzero(np.arange(lifts.shape[1]) < table.reshape(-1, 1))
-    i, j = np.divmod(cell, len(h.beta))
+    gs, hs, tables = _normalize_each([h])
+    witnesses = [[Matrix._new(h.field, np.ascontiguousarray(m[0])) for m in side] for side in (gs, hs)]
+    return witnesses[0], witnesses[1], DimensionMatrix(tables[0].tolist(), h.alpha, h.beta)
+
+
+def _normalize_each(grids) -> tuple:
+    """normalize of B grids sharing (field, alpha, beta): (gs, hs, tables),
+    gs and hs stacked as _hinge_act takes them, tables from _dimension_tables.
+    Per side, the block bases of all grids are placed, transposed, by one
+    assignment into [basis^T | I] padded to the largest block, and inverted
+    by one _rref_each of each block's own rows."""
+    h, tables = grids[0], _dimension_tables(grids)
+    v_start, w_start = _sub_block_starts(tables)
+    lifts = np.concatenate([g._derived.lifts for g in grids])
+    cell, r = np.nonzero(np.arange(lifts.shape[1]) < tables.reshape(-1, 1))
+    b, i, j = np.unravel_index(cell, tables.shape)
     mx = max(h.alpha)
     witnesses = []
     sides = (h.alpha, i, v_start, lifts[cell, r, :mx]), (h.beta, j, w_start, lifts[cell, r, mx:])
     for comp, block, at, rows in sides:
-        basis = np.zeros((comp.n, rows.shape[1]), dtype=np.int64)  # row = position in the block
-        basis[np.array(comp.offsets)[block] + at[i, j] + r] = rows
-        witnesses.append([
-            Matrix._new(h.field, np.ascontiguousarray(basis[lo:hi, : hi - lo].T)).inverse()
-            for lo, hi in map(comp.block, range(len(comp)))
-        ])
-    return witnesses[0], witnesses[1], d
+        size = max(comp)
+        aug = np.tile(np.eye(size, 2 * size, size, dtype=np.int64), (len(grids), len(comp), 1, 1))  # [0 | I]
+        aug[b, block, :, at[b, i, j] + r] = rows  # column = position in the block
+        flat, parts = aug.reshape(-1, size, 2 * size), np.tile(comp.parts, len(grids))
+        _rref_each(flat, h.field.p, parts)
+        if (flat[:, :, :size] != np.eye(size, dtype=np.int64) * (np.arange(size) < parts[:, None, None])).any():
+            raise SingularMatrixError(f"a witness basis is singular over {h.field}")
+        witnesses.append([aug[:, k, :part, size : size + part] for k, part in enumerate(comp.parts)])
+    return witnesses[0], witnesses[1], tables

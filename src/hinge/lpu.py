@@ -2,12 +2,14 @@
 
 Every invertible matrix over a field factors as l @ perm @ u with l lower
 triangular, u upper triangular and perm a permutation matrix; perm is unique
-(its units mark where the ranks of top-left submatrices jump) and is read off
-the pivots of one column elimination pass, the same pass that builds the
-relation grid in bihinge.chi.  Counting the units of perm inside each
-block cut by (alpha, beta) reproduces the dimension table of the relation
-grid, which gives a second route to that table, from the pivot positions
-rather than the cell subspaces, and to the 0-1 matrix it determines.
+(its units mark where the ranks of top-left submatrices jump).  All three
+come from one column elimination pass, the pass that builds the relation
+grid in bihinge.chi: perm from its pivots, l from its reduced columns, and
+u is its table of multipliers, so no inverse is taken.  Counting the units
+of perm inside each block cut by (alpha, beta) reproduces the dimension
+table of the relation grid, which gives a second route to that table, from
+the pivot positions rather than the cell subspaces, and to the 0-1 matrix
+it determines.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bihinge import Composition, DimensionMatrix, standard_matrix
-from .linalg import Matrix, ShapeError, _column_pass
+from .linalg import Matrix, ShapeError, _column_pass_each
 from .relations import InvariantViolation
 
 
@@ -40,6 +42,25 @@ def _perm_matrix(field, sigma) -> Matrix:
     return Matrix._new(field, arr)
 
 
+def _lpu_each(mats, alpha=None, beta=None) -> tuple:
+    """(l, sigma, u, counts) of N invertible n x n matrices over one field,
+    from one _column_pass_each: perm[k] has its units at (sigma[k][c], c),
+    l[k] == af[k] @ perm[k]^T and u[k] == f[k]^-1.  Given Compositions alpha
+    and beta, counts[k][i, j] counts the units of perm[k] in column block i
+    and row block j; else counts is None.  Nothing is multiplied back."""
+    sigma, _, af, u = _column_pass_each(np.stack([a.a for a in mats]), mats[0].field.p)
+    l = np.take_along_axis(af, np.argsort(sigma, axis=1)[:, None, :], axis=2)
+    if alpha is None:
+        return l, sigma, u, None
+    count, n = sigma.shape
+    if (beta.n, alpha.n) != (n, n):
+        raise ShapeError(f"permutation shape {(n, n)} does not match ({beta.n}, {alpha.n})")
+    row_block = np.repeat(np.arange(len(beta)), beta.parts)[sigma]
+    cell = (np.arange(count)[:, None] * len(alpha) + np.repeat(np.arange(len(alpha)), alpha.parts)) * len(beta)
+    counts = np.bincount((cell + row_block).ravel(), minlength=count * len(alpha) * len(beta))
+    return l, sigma, u, counts.reshape(count, len(alpha), len(beta))
+
+
 def rank_profile_permutation(a: Matrix) -> Matrix:
     """The permutation factor of an invertible matrix, read off the pivots.
 
@@ -47,39 +68,21 @@ def rank_profile_permutation(a: Matrix) -> Matrix:
     submatrix jumps in both directions there; the elimination pivots are
     exactly those positions.
     """
-    sigma, _, _ = _column_pass(a)
-    return _perm_matrix(a.field, sigma)
+    return _perm_matrix(a.field, _lpu_each([a])[1][0])
 
 
 def lpu(a: Matrix) -> LpuDecomposition:
     """Factor an invertible matrix as l @ perm @ u.
 
     One column elimination gives a @ f == af with f unit upper triangular;
-    perm is read off its pivots, l == af @ perm^T and u is the inverse of f.
-    The product is checked against a before returning.
+    perm is read off its pivots, l == af @ perm^T and u == f^-1 is the table
+    of its multipliers.  The product is checked against a before returning.
     """
-    sigma, f, af = _column_pass(a)
-    field = a.field
-    l = Matrix._new(field, af[:, np.argsort(sigma)])
-    perm = _perm_matrix(field, sigma)
-    u = Matrix._new(field, np.ascontiguousarray(f)).inverse()
-    if l * perm * u != a:
+    l, sigma, u, _ = _lpu_each([a])
+    dec = LpuDecomposition(Matrix._new(a.field, l[0]), _perm_matrix(a.field, sigma[0]), Matrix._new(a.field, u[0]))
+    if dec.product() != a:
         raise InvariantViolation("elimination witnesses do not multiply back to the input")
-    return LpuDecomposition(l, perm, u)
-
-
-def perm_block_counts(perm: Matrix, alpha, beta) -> DimensionMatrix:
-    """Units of a permutation matrix per (column block i, row block j) cell."""
-    alpha = Composition(alpha)
-    beta = Composition(beta)
-    if perm.shape != (beta.n, alpha.n):
-        raise ShapeError(f"permutation shape {perm.shape} does not match ({beta.n}, {alpha.n})")
-    rows, cols = np.nonzero(perm.a)
-    col_block = np.repeat(np.arange(len(alpha)), alpha.parts)
-    row_block = np.repeat(np.arange(len(beta)), beta.parts)
-    entries = np.zeros((len(alpha), len(beta)), dtype=np.int64)
-    np.add.at(entries, (col_block[cols], row_block[rows]), perm.a[rows, cols])
-    return DimensionMatrix(entries, alpha, beta)
+    return dec
 
 
 def canonical_01(a: Matrix, alpha, beta) -> Matrix:
@@ -93,5 +96,6 @@ def canonical_01(a: Matrix, alpha, beta) -> Matrix:
     alpha = beta = (1, 1), diag(2, 1) maps to the identity, yet the two are
     not equivalent.
     """
-    d = perm_block_counts(rank_profile_permutation(a), alpha, beta)
-    return standard_matrix(d, a.field)
+    alpha, beta = Composition(alpha), Composition(beta)
+    counts = _lpu_each([a], alpha, beta)[3][0]
+    return standard_matrix(DimensionMatrix(counts, alpha, beta), a.field)

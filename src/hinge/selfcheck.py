@@ -13,13 +13,14 @@ import numpy as np
 
 from .bihinge import (
     Composition,
+    DimensionMatrix,
+    _axiom_tables,
     _chi_each,
-    _derive_each,
+    _dimension_tables,
     _hinge_act,
-    check_axioms,
+    _normalize_each,
+    _violations,
     chi_cell,
-    dimension_matrix,
-    normalize,
     standard_bihinge,
     standard_matrix,
 )
@@ -27,6 +28,7 @@ from .enumeration import (
     CHUNK,
     DEFAULT_BUDGET,
     EnumerationBudget,
+    _closure_setup,
     _partition_labels,
     all_bihinges_brute,
     contingency_tables,
@@ -39,7 +41,7 @@ from .enumeration import (
 )
 from .field import PrimeField
 from .linalg import Matrix, _rref_stack
-from .lpu import lpu, perm_block_counts, canonical_01
+from .lpu import _lpu_each
 from .relations import InvariantViolation
 
 
@@ -113,27 +115,26 @@ def _random_setup(qs, max_n, rng):
     return field, n, alpha, beta, a
 
 
-def _trial_grids(draws, derive: bool) -> list:
-    """The grids of every trial's matrices, trial t's at index t.
+def _random_suite(draws, checks, passed: str) -> tuple:
+    """(ok, detail) of a random suite, checked a group of trials at a time.
 
-    draws[t] is (alpha, beta, matrices), every trial with as many matrices.
-    Trials sharing (q, n, alpha, beta) are one group, in first-seen order;
-    each group's grids come from one _chi_each and, when derive is set, one
-    _derive_each.  Suites then check the trials in draw order, so a FAIL
-    names the first failing trial whatever group it is in.
+    draws[t] is (alpha, beta, matrices), every trial with as many.  Trials
+    sharing (q, n, alpha, beta) are a group, their grids from one _chi_each.
+    checks(mats, grids) yields (detail, flags) per check in check order:
+    flags one bool per trial, detail its FAIL line as a format of the trial
+    t (or one per trial).  A FAIL names the smallest failing trial and its
+    first failing check, so the first failing trial in draw order.
     """
     groups = {}
     for t, (alpha, beta, mats) in enumerate(draws):
         groups.setdefault((mats[0].field.p, alpha, beta), []).append(t)
-    out = [None] * len(draws)
+    fails = {}
     for (_, alpha, beta), ts in groups.items():
-        grids = _chi_each([m for t in ts for m in draws[t][2]], alpha, beta)
-        if derive:
-            _derive_each(grids)
-        per = len(grids) // len(ts)
-        for k, t in enumerate(ts):
-            out[t] = grids[k * per : (k + 1) * per]
-    return out
+        mats = [m for t in ts for m in draws[t][2]]
+        for detail, flags in checks(mats, _chi_each(mats, alpha, beta)):
+            for k in np.flatnonzero(flags).tolist():
+                fails.setdefault(ts[k], (detail if isinstance(detail, str) else detail[k]).format(t=ts[k]))
+    return (False, fails[min(fails)]) if fails else (True, passed)
 
 
 def check_invariance(qs=(2, 3, 5), max_n=6, trials=200, seed=101) -> tuple:
@@ -145,26 +146,25 @@ def check_invariance(qs=(2, 3, 5), max_n=6, trials=200, seed=101) -> tuple:
         d = random_unitriangular(beta, field, rng, lower=True)
         c = random_unitriangular(alpha, field, rng, lower=False)
         draws.append((alpha, beta, (a, d * a, a * c, d * a * c)))
-    for t, (base, left, right, joint) in enumerate(_trial_grids(draws, derive=False)):
-        if left != base:
-            return False, f"left move changed the grid at trial {t}"
-        if right != base:
-            return False, f"right move changed the grid at trial {t}"
-        if joint != base:
-            return False, f"joint move changed the grid at trial {t}"
-    return True, f"{trials} random triples over q in {tuple(qs)}, n <= {max_n}"
+
+    def checks(mats, grids):
+        for k, side in enumerate(("left", "right", "joint"), 1):
+            yield f"{side} move changed the grid at trial {{t}}", [g != h for g, h in zip(grids[k::4], grids[::4])]
+
+    return _random_suite(draws, checks, f"{trials} random triples over q in {tuple(qs)}, n <= {max_n}")
 
 
 def check_axiom_soundness(qs=(2, 3, 5), max_n=6, trials=200, seed=202) -> tuple:
     """Every computed grid satisfies the gluing axioms."""
     rng = random.Random(seed)
     setups = [_random_setup(qs, max_n, rng) for _ in range(trials)]
-    grids = _trial_grids([(alpha, beta, (a,)) for _, _, alpha, beta, a in setups], derive=True)
-    for t, (h,) in enumerate(grids):
-        report = check_axioms(h)
-        if not report:
-            return False, f"trial {t}: {'; '.join(report.violations)}"
-    return True, f"{trials} random grids over q in {tuple(qs)}, n <= {max_n}"
+
+    def checks(mats, grids):
+        flags = _axiom_tables(grids)[0]
+        yield [f"trial {{t}}: {'; '.join(_violations(bad))}" for bad in flags], flags.any(axis=(1, 2, 3))
+
+    draws = [(alpha, beta, (a,)) for _, _, alpha, beta, a in setups]
+    return _random_suite(draws, checks, f"{trials} random grids over q in {tuple(qs)}, n <= {max_n}")
 
 
 _MARGIN_SETS = ((1, 1), (2,), (2, 1), (1, 2), (1, 1, 1))
@@ -302,12 +302,13 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
         ids = _grid_cell_ids(elements, q, cuts)
     except InvariantViolation as exc:
         return False, f"GL({n},{q}): {exc}"
+    setup = _closure_setup(elements, q)
     pairs = 0
     classes_seen = 0
     for alpha in comps:
         sel_cols = [alpha.block(i) for i in range(len(alpha))]
         for beta in comps:
-            labels, nclasses = _partition_labels(elements, alpha, beta, q)
+            labels, nclasses = _partition_labels(elements, alpha, beta, q, setup)
             sel = [
                 cut_index[cl, ch, rl, rh]
                 for cl, ch in sel_cols
@@ -379,22 +380,18 @@ def check_lpu(qs=(2, 3, 5), max_n=6, trials=200, seed=303) -> tuple:
     """Decomposition exactness plus agreement with the relation grid."""
     rng = random.Random(seed)
     setups = [_random_setup(qs, max_n, rng) for _ in range(trials)]
-    grids = _trial_grids([(alpha, beta, (a,)) for _, _, alpha, beta, a in setups], derive=True)
-    for t, ((field, n, alpha, beta, a), (h,)) in enumerate(zip(setups, grids)):
-        dec = lpu(a)
-        if dec.product() != a:
-            return False, f"trial {t}: l perm u != a"
-        if np.triu(dec.l.a, 1).any() or np.tril(dec.u.a, -1).any():
-            return False, f"trial {t}: witnesses are not triangular"
-        perm = dec.perm.a
-        if not ((perm.sum(axis=0) == 1).all() and (perm.sum(axis=1) == 1).all()):
-            return False, f"trial {t}: perm is not a permutation matrix"
-        d = dimension_matrix(h)
-        if perm_block_counts(dec.perm, alpha, beta) != d:
-            return False, f"trial {t}: block counts disagree with the grid"
-        if canonical_01(a, alpha, beta) != standard_matrix(d, field):
-            return False, f"trial {t}: canonical forms disagree"
-    return True, f"{trials} random matrices over q in {tuple(qs)}, n <= {max_n}"
+
+    def checks(mats, grids):
+        h, p = grids[0], mats[0].field.p
+        l, sigma, u, counts = _lpu_each(mats, h.alpha, h.beta)
+        n, l_perm = sigma.shape[1], np.take_along_axis(l, sigma[:, None, :], axis=2)  # column c is l[:, sigma[c]]
+        yield "trial {t}: l perm u != a", (l_perm @ u % p != np.stack([a.a for a in mats])).any(axis=(1, 2))
+        yield "trial {t}: witnesses are not triangular", np.triu(l, 1).any(axis=(1, 2)) | np.tril(u, -1).any(axis=(1, 2))
+        yield "trial {t}: perm is not a permutation matrix", (np.sort(sigma, axis=1) != np.arange(n)).any(axis=1)
+        yield "trial {t}: block counts disagree with the grid", (counts != _dimension_tables(grids)).any(axis=(1, 2))
+
+    draws = [(alpha, beta, (a,)) for _, _, alpha, beta, a in setups]
+    return _random_suite(draws, checks, f"{trials} random matrices over q in {tuple(qs)}, n <= {max_n}")
 
 
 def check_normal_form(q: int = 3, max_n: int = 5, trials: int = 100, seed=404) -> tuple:
@@ -407,11 +404,16 @@ def check_normal_form(q: int = 3, max_n: int = 5, trials: int = 100, seed=404) -
         alpha = random_composition(n, rng)
         beta = random_composition(n, rng)
         draws.append((alpha, beta, (random_invertible(field, n, rng),)))
-    for t, (h,) in enumerate(_trial_grids(draws, derive=True)):
-        gs, hs, d = normalize(h)
-        if _hinge_act(gs, hs, h) != standard_bihinge(d, field):
-            return False, f"trial {t}: normalized grid is not standard"
-    return True, f"{trials} random grids over GF({q}), n <= {max_n}"
+
+    def checks(mats, grids):
+        gs, hs, tables = _normalize_each(grids)
+        h, distinct = grids[0], {t.tobytes(): t for t in tables}
+        standard = {k: standard_bihinge(DimensionMatrix(t, h.alpha, h.beta), field) for k, t in distinct.items()}
+        yield "trial {t}: normalized grid is not standard", [
+            moved != standard[t.tobytes()] for moved, t in zip(_hinge_act(gs, hs, grids), tables)
+        ]
+
+    return _random_suite(draws, checks, f"{trials} random grids over GF({q}), n <= {max_n}")
 
 
 def count_three_ways(alpha, beta, q: int, budget: EnumerationBudget = None) -> tuple:

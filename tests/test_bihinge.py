@@ -17,8 +17,10 @@ import pytest
 from hinge.bihinge import (
     AxiomError,
     BiHinge,
+    _axiom_tables,
     _chi_each,
     _derive_each,
+    _normalize_each,
     Composition,
     DimensionMatrix,
     MarginError,
@@ -32,7 +34,7 @@ from hinge.bihinge import (
     standard_bihinge,
     standard_matrix,
 )
-from hinge.enumeration import contingency_tables, double_cosets_brute, enum_gl
+from hinge.enumeration import contingency_tables, double_cosets_brute, enum_gl, gl_array
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, ShapeError, SingularMatrixError
 from hinge.relations import LinearRelation
@@ -491,6 +493,45 @@ def test_normalize_reaches_standard_form():
             gs, hs, d = normalize(h)
             assert d == dimension_matrix(h)
             assert hinge_act(gs, hs, h) == standard_bihinge(d, f)
+
+
+def test_stacked_axioms_match_each_grid():
+    # one _axiom_tables call over many grids gives each grid's own flags and
+    # table, with every third grid broken (cells zeroed) so that flags differ
+    for n, q in ((2, 3), (3, 2)):
+        f = PrimeField(q)
+        mats = [Matrix(f, m) for m in gl_array(n, q)]
+        for alpha in all_compositions(n):
+            for beta in all_compositions(n):
+                grids = _chi_each(mats, alpha, beta)
+                for k in range(0, len(grids), 3):
+                    h = grids[k]
+                    zero = [g._replace(stack=np.zeros_like(g.stack), ranks=np.zeros_like(g.ranks)) for g in h.groups]
+                    grids[k] = BiHinge._of(h.alpha, h.beta, h.field, zero)
+                flags, tables = _axiom_tables(grids)
+                for k, h in enumerate(grids):
+                    one_flags, one_table = _axiom_tables([h])
+                    assert np.array_equal(flags[k], one_flags[0]) and flags[k].any() == (k % 3 == 0)
+                    assert np.array_equal(tables[k], one_table[0]), (alpha, beta, k)
+
+
+def test_stacked_normalize_matches_normalize_everywhere():
+    # every element and composition pair of GL(2,3) and GL(3,2): the stacked
+    # witnesses and tables are normalize's, grid by grid, and they carry
+    # each grid onto its standard form
+    for n, q in ((2, 3), (3, 2)):
+        f = PrimeField(q)
+        mats = [Matrix(f, m) for m in gl_array(n, q)]
+        for alpha in all_compositions(n):
+            for beta in all_compositions(n):
+                grids = _chi_each(mats, alpha, beta)
+                gs, hs, tables = _normalize_each(grids)
+                for k, h in enumerate(grids):
+                    g1, h1, d = normalize(h)
+                    assert d.to_rows() == tables[k].tolist()
+                    assert [m.a.tolist() for m in g1] == [g[k].tolist() for g in gs]
+                    assert [m.a.tolist() for m in h1] == [x[k].tolist() for x in hs]
+                    assert hinge_act(g1, h1, h) == standard_bihinge(d, f), (alpha, beta, k)
 
 
 def test_invariance_under_triangular_moves():

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hinge.field import PrimeField
-from hinge.linalg import Matrix, ShapeError, SingularMatrixError, _rref, _rref_stack
+from hinge.enumeration import gl_array
+from hinge.linalg import (
+    Matrix,
+    ShapeError,
+    SingularMatrixError,
+    _column_pass,
+    _column_pass_each,
+    _rref,
+    _rref_stack,
+)
 
 
 def plain_eliminate(rows, p):
@@ -218,3 +227,51 @@ def test_equality_and_hash():
     assert a != c
     assert a != Matrix(PrimeField(5), [[1, 2], [0, 1]])
     assert len({a, b, c}) == 2
+
+
+def _pass_stacks():
+    """Every element of GL(2,3) and GL(3,2), then random invertible stacks at
+    p = 65521 with n <= 12, as (stack, p)."""
+    for n, q in ((2, 3), (3, 2)):
+        yield gl_array(n, q).astype(np.int64), q
+    rng = random.Random(29)
+    p = 65521
+    f = PrimeField(p)
+    for n in range(1, 13):
+        stack = []
+        while len(stack) < 5:
+            m = Matrix(f, random_rows(rng, p, n, n))
+            if m.rank() == n:
+                stack.append(m.a)
+        yield np.stack(stack), p
+
+
+def test_stacked_column_pass_matches_the_pass_of_each_member():
+    # sigma, f and af member by member, and u is the inverse of f
+    for stack, p in _pass_stacks():
+        field = PrimeField(p)
+        sigma, f, af, u = _column_pass_each(stack, p)
+        for k, a in enumerate(stack):
+            want = _column_pass(a, p)
+            for got, one in zip((sigma[k], f[k], af[k]), want):
+                assert np.array_equal(got, one), (p, a.tolist())
+            assert np.array_equal(want[3], u[k])
+            assert Matrix(field, u[k]) == Matrix(field, f[k]).inverse()
+            assert np.array_equal(a @ f[k] % p, af[k])
+
+
+def test_stacked_column_pass_rejects_a_singular_member():
+    # the message is the one _column_pass gives for that member, so the
+    # CLI's exit 3 and its stderr stay as they were
+    p = 5
+    good = np.array([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    bad = np.array([[1, 2, 3], [2, 4, 1], [3, 1, 4]])  # column 1 is twice column 0
+    with pytest.raises(SingularMatrixError) as one:
+        _column_pass(bad, p)
+    assert str(one.value) == "matrix is singular over GF(5): column 1 depends on earlier columns"
+    for stack in (np.stack([good, bad, good]), bad[None]):
+        with pytest.raises(SingularMatrixError) as many:
+            _column_pass_each(stack, p)
+        assert str(many.value) == str(one.value)
+    with pytest.raises(ShapeError):
+        _column_pass_each(np.zeros((2, 2, 3), dtype=np.int64), p)

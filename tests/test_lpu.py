@@ -14,7 +14,7 @@ from hinge.bihinge import Composition, chi, dimension_matrix, equivalent, standa
 from hinge.enumeration import contingency_tables, enum_gl
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, SingularMatrixError
-from hinge.lpu import LpuDecomposition, canonical_01, lpu, perm_block_counts, rank_profile_permutation
+from hinge.lpu import LpuDecomposition, _lpu_each, canonical_01, lpu, rank_profile_permutation
 from hinge.selfcheck import random_composition, random_invertible, random_unitriangular
 
 
@@ -128,13 +128,25 @@ def test_singular_matrix_rejected():
         lpu(s)
 
 
+def block_counts(perm: Matrix, alpha, beta) -> list:
+    """Oracle: units of a permutation matrix per (column block i, row block j)."""
+    alpha, beta = Composition(alpha), Composition(beta)
+    block_of = lambda comp, x: next(k for k in range(len(comp)) if x < comp.offsets[k + 1])
+    counts = [[0] * len(beta) for _ in alpha]
+    for r, row in enumerate(perm.to_rows()):
+        for c, v in enumerate(row):
+            counts[block_of(alpha, c)][block_of(beta, r)] += v
+    return counts
+
+
 def test_perm_block_counts_example():
     f = PrimeField(2)
     # reversal permutation on 3 points, blocks (2,1) x (1,2): units sit at
-    # (row, col) = (0,2), (1,1), (2,0)
+    # (row, col) = (0,2), (1,1), (2,0); a permutation matrix is its own perm
     rev = Matrix(f, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    d = perm_block_counts(rev, (2, 1), (1, 2))
-    assert d.to_rows() == [[0, 2], [1, 0]]
+    assert block_counts(rev, (2, 1), (1, 2)) == [[0, 2], [1, 0]]
+    counts = _lpu_each([rev], Composition((2, 1)), Composition((1, 2)))[3]
+    assert counts.tolist() == [[[0, 2], [1, 0]]]
 
 
 def test_perm_counts_equal_grid_dimensions():
@@ -147,7 +159,8 @@ def test_perm_counts_equal_grid_dimensions():
             beta = random_composition(n, rng)
             a = random_invertible(f, n, rng)
             d = dimension_matrix(chi(a, alpha, beta))
-            assert perm_block_counts(lpu(a).perm, alpha, beta) == d
+            assert block_counts(lpu(a).perm, alpha, beta) == d.to_rows()
+            assert _lpu_each([a], alpha, beta)[3][0].tolist() == d.to_rows()
             assert canonical_01(a, alpha, beta) == standard_matrix(d, f)
 
 
@@ -207,3 +220,20 @@ def test_unitriangular_factors_leave_perm_alone():
         lo = random_unitriangular(full, f, rng, lower=True)
         hi = random_unitriangular(full, f, rng, lower=False)
         assert lpu(lo * a * hi).perm == lpu(a).perm
+
+
+def test_stacked_factors_match_lpu_member_by_member():
+    # one pass over a stack gives each member's lpu, and the block counts of
+    # its perm; u is read off the pass, never inverted
+    rng = random.Random(137)
+    for p, max_n in ((2, 4), (5, 4), (65521, 8)):
+        f = PrimeField(p)
+        for n in range(1, max_n + 1):
+            alpha, beta = random_composition(n, rng), random_composition(n, rng)
+            mats = [random_invertible(f, n, rng) for _ in range(6)]
+            l, sigma, u, counts = _lpu_each(mats, alpha, beta)
+            for k, a in enumerate(mats):
+                dec = lpu(a)
+                assert (dec.l.a.tolist(), dec.u.a.tolist()) == (l[k].tolist(), u[k].tolist())
+                assert dec.perm == rank_profile_permutation(a)
+                assert block_counts(dec.perm, alpha, beta) == counts[k].tolist()

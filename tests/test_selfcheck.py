@@ -141,42 +141,62 @@ def _reordered(h):
     return BiHinge._of(h.alpha, h.beta, h.field, h.groups[::-1]) if len(h.groups) > 1 else None
 
 
-# suite, its draw replay, a corruption of one grid, the FAIL detail of trial t
+def _grid(corrupt):
+    """Corrupt grid mid of _chi_each's list, in place; False if corrupt cannot."""
+    def apply(grids, mid, p):
+        bad = corrupt(grids[mid])
+        if bad is not None:
+            grids[mid] = bad
+        return bad is not None
+    return apply
+
+
+def _bumped_u(factors, mid, p):
+    # u[0, n-1] + 1 adds column 0 of l perm, which is nonzero, to column n-1
+    # of the product; u stays upper triangular
+    u = factors[2]
+    u[mid, 0, -1] = (u[mid, 0, -1] + 1) % p
+    return True
+
+
+# suite, its draw replay, the function patched, a corruption of member mid
+# of what it returns, the FAIL detail of trial t
 _SUITES = {
     "invariance": (lambda: check_invariance(qs=(2, 3), max_n=3, trials=200), _invariance_keys,
-                   _zeroed, "changed the grid at trial {t}"),
+                   "_chi_each", _grid(_zeroed), "changed the grid at trial {t}"),
     "axioms": (lambda: check_axiom_soundness(qs=(2, 3), max_n=3, trials=200), _setup_keys(202),
-               _zeroed, "trial {t}: "),
+               "_chi_each", _grid(_zeroed), "trial {t}: "),
     "lpu": (lambda: check_lpu(qs=(2, 3), max_n=3, trials=200), _setup_keys(303),
-            _other_table, "trial {t}: block counts disagree with the grid"),
+            "_chi_each", _grid(_other_table), "trial {t}: block counts disagree with the grid"),
+    "lpu-factors": (lambda: check_lpu(qs=(2, 3), max_n=3, trials=200), _setup_keys(303),
+                    "_lpu_each", _bumped_u, "trial {t}: l perm u != a"),
     "normal-form": (lambda: check_normal_form(q=3, max_n=3, trials=200), _normal_form_keys,
-                    _reordered, "trial {t}: normalized grid is not standard"),
+                    "_chi_each", _grid(_reordered), "trial {t}: normalized grid is not standard"),
 }
 
 
 @pytest.mark.parametrize("name", list(_SUITES))
 def test_suites_name_the_first_failing_trial_in_draw_order(monkeypatch, name):
-    # _chi_each corrupts the middle member of every group of at least three
-    # trials; the FAIL must name the smallest corrupted trial, which lies in
-    # a later group than the first one corrupted
-    run, replay, corrupt, detail = _SUITES[name]
+    # the patched stacked call corrupts the middle member of every group of
+    # at least three trials; the FAIL must name the smallest corrupted
+    # trial, which lies in a later group than the first one corrupted
+    run, replay, target, corrupt, detail = _SUITES[name]
     keys, per = replay((2, 3) if name != "normal-form" else (3,), 3, 200)
     trials_of = {}
     for t, key in enumerate(keys):
         trials_of.setdefault(key, []).append(t)
     corrupted = []
-    real = selfcheck._chi_each
+    real = getattr(selfcheck, target)
 
     def corrupting(mats, alpha, beta):
-        grids = real(mats, alpha, beta)
-        mid = len(grids) // 2
-        bad = corrupt(grids[mid]) if len(grids) >= 3 * per else None
-        if bad is not None:
-            grids[mid] = bad
-            corrupted.append(trials_of[mats[0].field.p, alpha, beta][mid // per])
-        return grids
+        out = real(mats, alpha, beta)
+        mid = len(mats) // 2
+        p = mats[0].field.p
+        if len(mats) >= 3 * per and corrupt(out, mid, p):
+            corrupted.append(trials_of[p, alpha, beta][mid // per])
+        return out
 
-    monkeypatch.setattr(selfcheck, "_chi_each", corrupting)
+    monkeypatch.setattr(selfcheck, target, corrupting)
     ok, got = run()
     assert not ok
     assert len(corrupted) >= 2 and min(corrupted) != corrupted[0]
