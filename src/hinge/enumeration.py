@@ -229,70 +229,68 @@ def _merge(labels: np.ndarray, nbr: np.ndarray) -> np.ndarray:
             labels = jumped
 
 
-def _closure_setup(elements: np.ndarray, q: int) -> tuple:
-    """(keys, index, sides): what the closure of GL(n, q), or a part of it as
-    gl_array gives it, needs whatever the compositions.  Keys must strictly
-    ascend (InvariantViolation otherwise), which rules out duplicates; the
-    dense index over all q**(n*n) keys holds each element's position or -1,
-    in the smallest signed dtype that holds the element count.
-    sides, left then right, hold the key change / weight by code pair, the
-    weight and the codes of each row (see _partition_labels); none for n = 1.
-    """
-    total, n = elements.shape[:2]
-    place = q ** np.arange(n - 1, -1, -1)  # of a digit in a row code
-    step = q ** (n * np.arange(n - 1, -1, -1))  # of a row code in a key
-    flat = elements.reshape(total, -1)
-    weights = np.outer(step, place).ravel()
-    keys = np.empty(total, dtype=np.int64)
-    for lo in range(0, total, CHUNK):
-        keys[lo : lo + CHUNK] = flat[lo : lo + CHUNK] @ weights
-    if not (keys[1:] > keys[:-1]).all():
-        raise InvariantViolation("the element stack does not strictly ascend in key order")
-    dtype = np.min_scalar_type(-total)
-    index = np.full(q ** (n * n), -1, dtype=dtype)
-    index[keys] = np.arange(total, dtype=dtype)
-    if n == 1:  # no free block positions, so no moves and no move table
-        return keys, index, ()
-    digits = np.arange(q ** n)[:, None] // place % q
-    table = _move_table(digits, q)
-    sides = tuple(
-        (part[table] - np.repeat(part, q ** n), weight, [_row_codes(row, q) for row in rows.transpose(1, 0, 2)])
-        for rows, part, weight in ((elements, digits @ place, step),
-                                   (elements.transpose(0, 2, 1), digits @ step, place))
-    )
-    return keys, index, sides
-
-
-def _partition_labels(elements: np.ndarray, alpha, beta, q: int, setup: tuple = None):
+def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = None):
     """The classes of T-(beta) \\ GL(n, q) / T+(alpha), by generator closure.
 
-    setup is _closure_setup(elements, q), built here if not given.  An
-    element's key is the base-q number of its row-major entries.  The
-    neighbours of an element are its products with the elementary
+    elements is GL(n, q), or a part of it, as gl_array gives it.  An
+    element's key is the base-q number of its row-major entries, and the
+    keys must strictly ascend (InvariantViolation otherwise), which also
+    rules out duplicates.  A dense index over all q**(n*n) keys holds each
+    element's position, or -1, in the smallest signed dtype that holds the
+    element count.
+
+    The neighbours of an element are its products with the elementary
     generators of the free block positions: a left move (r, c) of beta's
     lower positions adds row c to row r, a right move (r, c) of alpha's
     upper positions adds column r to column c.  A right move is a left move
     of the transpose, so each side works on its rows, which carry base-q
     codes: row i of an element adds code * q**(n(n-1-i)) to its key, column
     j adds spread[code] * q**(n-1-j), spread placing a column code's digits
-    one row apart.  One table over all code pairs gives the code of x_i +
-    x_j mod q for every generator of both sides, so a product's key is its
-    element's key plus a key change gathered by code pair.  One generator at
-    a time, CHUNK elements at a time, the products are looked up in the
-    index and the classes they link merged.  A product outside the element
-    set raises InvariantViolation.  Classes are numbered in the order of
-    their first elements.  Returns (labels array, class count).
+    one row apart.  One table over all code pairs, built only when a side
+    has moves, gives the code of x_i + x_j mod q for every generator of
+    both sides, so a product's key is its element's key plus a key change
+    gathered by code pair.  One generator at a time, CHUNK elements at a
+    time, the products are looked up in the index and the classes they link
+    merged.  A product outside the element set raises InvariantViolation.
+    Classes are numbered in the order of their first elements.  Returns
+    (labels array, class count).  A cache dict shared by the calls on one
+    element stack keeps its keys, index, table and row codes for the next.
     """
-    keys, index, sides = setup or _closure_setup(elements, q)
+    shared, cache = cache is not None, {} if cache is None else cache
     total, n = elements.shape[:2]
+    place = q ** np.arange(n - 1, -1, -1)  # of a digit in a row code
+    step = q ** (n * np.arange(n - 1, -1, -1))  # of a row code in a key
+    if "index" not in cache:
+        flat = elements.reshape(total, -1)
+        weights = np.outer(step, place).ravel()
+        keys = np.empty(total, dtype=np.int64)
+        for lo in range(0, total, CHUNK):
+            keys[lo : lo + CHUNK] = flat[lo : lo + CHUNK] @ weights
+        if not (keys[1:] > keys[:-1]).all():
+            raise InvariantViolation("the element stack does not strictly ascend in key order")
+        dtype = np.min_scalar_type(-total)
+        cache["keys"], cache["index"] = keys, np.full(q ** (n * n), -1, dtype=dtype)
+        cache["index"][keys] = np.arange(total, dtype=dtype)
+    keys, index = cache["keys"], cache["index"]
     labels = np.arange(total)
     nbr = np.empty(total, dtype=np.intp)
-    moves = (  # (i, j): row i += row j of the side's rows
-        _free_positions(Composition(beta), lower=True),
-        [(c, r) for r, c in _free_positions(Composition(alpha), lower=False)],
-    )
-    for (delta, weight, codes), side_moves in zip(sides, moves):
-        for i, j in side_moves:
+    digits = np.arange(q ** n)[:, None] // place % q
+    sides = [  # (rows, moves (i, j): row i += row j, key part of a code, weight of a row)
+        (elements, _free_positions(Composition(beta), lower=True), digits @ place, step),
+        (elements.transpose(0, 2, 1),
+         [(c, r) for r, c in _free_positions(Composition(alpha), lower=False)],
+         digits @ step, place),
+    ]
+    if any(moves for _, moves, _, _ in sides) and "table" not in cache:
+        cache["table"] = _move_table(digits, q)
+    for side, (rows, moves, part, weight) in enumerate(sides):
+        if not moves:
+            continue
+        delta = part[cache["table"]] - np.repeat(part, q ** n)  # key change / weight, by code pair
+        codes = cache.setdefault(side, {}) if shared else {}  # row -> its codes
+        for k in {k for move in moves for k in move} - codes.keys():
+            codes[k] = _row_codes(rows[:, k], q)
+        for i, j in moves:
             shift = delta * weight[i]
             for lo in range(0, total, CHUNK):
                 hi = min(lo + CHUNK, total)

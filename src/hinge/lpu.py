@@ -4,12 +4,11 @@ Every invertible matrix over a field factors as l @ perm @ u with l lower
 triangular, u upper triangular and perm a permutation matrix; perm is unique
 (its units mark where the ranks of top-left submatrices jump).  All three
 come from one column elimination pass, the pass that builds the relation
-grid in bihinge.chi: perm from its pivots, l from its reduced columns, and
-u is its table of multipliers, so no inverse is taken.  Counting the units
-of perm inside each block cut by (alpha, beta) reproduces the dimension
-table of the relation grid, which gives a second route to that table, from
-the pivot positions rather than the cell subspaces, and to the 0-1 matrix
-it determines.
+grid in bihinge.chi: perm from its pivots, l from its reduced columns and u
+from its multipliers, with no inverse taken.  Counting the units of perm
+inside each block cut by (alpha, beta) reproduces the dimension table of the
+relation grid, a second route to that table, from the pivot positions rather
+than the cell subspaces, and to the 0-1 matrix it determines.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from .enumeration import (
     CHUNK,
     DEFAULT_BUDGET,
     EnumerationBudget,
-    _closure_setup,
     _partition_labels,
     all_bihinges_brute,
     contingency_tables,
@@ -41,7 +40,7 @@ from .enumeration import (
 )
 from .field import PrimeField
 from .linalg import Matrix, _rref_stack
-from .lpu import _lpu_each
+from .lpu import _lpu_each, canonical_01
 from .relations import InvariantViolation
 
 
@@ -123,7 +122,9 @@ def _random_suite(draws, checks, passed: str) -> tuple:
     checks(mats, grids) yields (detail, flags) per check in check order:
     flags one bool per trial, detail its FAIL line as a format of the trial
     t (or one per trial).  A FAIL names the smallest failing trial and its
-    first failing check, so the first failing trial in draw order.
+    first failing check, so the first failing trial in draw order.  An
+    exception raised for a group (AxiomError from _dimension_tables, say)
+    escapes before any later group is checked.
     """
     groups = {}
     for t, (alpha, beta, mats) in enumerate(draws):
@@ -302,13 +303,13 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
         ids = _grid_cell_ids(elements, q, cuts)
     except InvariantViolation as exc:
         return False, f"GL({n},{q}): {exc}"
-    setup = _closure_setup(elements, q)
+    cache = {}  # the closure's keys, index and row codes, for every pair
     pairs = 0
     classes_seen = 0
     for alpha in comps:
         sel_cols = [alpha.block(i) for i in range(len(alpha))]
         for beta in comps:
-            labels, nclasses = _partition_labels(elements, alpha, beta, q, setup)
+            labels, nclasses = _partition_labels(elements, alpha, beta, q, cache)
             sel = [
                 cut_index[cl, ch, rl, rh]
                 for cl, ch in sel_cols
@@ -388,7 +389,11 @@ def check_lpu(qs=(2, 3, 5), max_n=6, trials=200, seed=303) -> tuple:
         yield "trial {t}: l perm u != a", (l_perm @ u % p != np.stack([a.a for a in mats])).any(axis=(1, 2))
         yield "trial {t}: witnesses are not triangular", np.triu(l, 1).any(axis=(1, 2)) | np.tril(u, -1).any(axis=(1, 2))
         yield "trial {t}: perm is not a permutation matrix", (np.sort(sigma, axis=1) != np.arange(n)).any(axis=1)
-        yield "trial {t}: block counts disagree with the grid", (counts != _dimension_tables(grids)).any(axis=(1, 2))
+        tables = _dimension_tables(grids)
+        yield "trial {t}: block counts disagree with the grid", (counts != tables).any(axis=(1, 2))
+        # canonical_01 takes the one-matrix column pass; check it on the group's first trial
+        same = canonical_01(mats[0], h.alpha, h.beta) == standard_matrix(DimensionMatrix(tables[0], h.alpha, h.beta), h.field)
+        yield "trial {t}: canonical forms disagree", [not same] + [False] * (len(mats) - 1)
 
     draws = [(alpha, beta, (a,)) for _, _, alpha, beta, a in setups]
     return _random_suite(draws, checks, f"{trials} random matrices over q in {tuple(qs)}, n <= {max_n}")

@@ -341,6 +341,27 @@ def test_partition_labels_rejects_products_outside_the_set():
             _partition_labels(stack, (1, 1), (1, 1), 2)
 
 
+def test_partition_labels_share_one_cache_per_element_stack():
+    # a cache shared by every composition pair of one stack gives each pair
+    # the labels of a fresh call; a pair builds the move table and row codes
+    # only for the sides that have moves, so (n) x (n) builds neither
+    for n, q in ((2, 3), (3, 2), (3, 3)):
+        elements, cache = gl_array(n, q), {}
+        for alpha in all_compositions(n):
+            for beta in all_compositions(n):
+                labels, count = _partition_labels(elements, alpha, beta, q, cache)
+                want, want_count = _partition_labels(elements, alpha, beta, q)
+                assert np.array_equal(labels, want) and count == want_count, (n, q, alpha, beta)
+        assert sorted(cache[0]) == sorted(cache[1]) == list(range(n))
+    elements, cache = gl_array(3, 2), {}
+    _partition_labels(elements, (3,), (3,), 2, cache)
+    assert set(cache) == {"keys", "index"}
+    index = cache["index"]
+    _partition_labels(elements, (3,), (2, 1), 2, cache)
+    assert set(cache) == {"keys", "index", "table", 0} and sorted(cache[0]) == [0, 1, 2]
+    assert cache["index"] is index  # built once, by the first call
+
+
 def test_double_cosets_of_gl1_build_no_move_table():
     # GL(1, q) has no free block positions, so no moves and no move table:
     # at q = 65521 a table over all code pairs would hold q**2 = 4.3e9 entries

@@ -10,6 +10,7 @@ from hinge.bihinge import BiHinge, chi_cell, dimension_matrix, standard_bihinge
 from hinge.cli import main
 from hinge.enumeration import contingency_tables, enum_gl, gl_array
 from hinge.field import PrimeField
+from hinge.linalg import Matrix
 from hinge.selfcheck import (
     _cell_bases,
     _graph_echelon,
@@ -203,3 +204,23 @@ def test_suites_name_the_first_failing_trial_in_draw_order(monkeypatch, name):
     t = min(corrupted)
     want = detail.format(t=t)
     assert (got.endswith(want) if name == "invariance" else got.startswith(want)), (got, t)
+
+
+def test_lpu_suite_checks_canonical_01_on_each_groups_first_trial(monkeypatch):
+    # canonical_01 takes the one-matrix column pass, not the stacked one; the
+    # suite calls it once per group, on the group's first trial, and a wrong
+    # form from the third call on fails at the third group's first trial
+    keys, _ = _setup_keys(303)((2, 3), 3, 200)
+    firsts = sorted({key: t for t, key in reversed(list(enumerate(keys)))}.values())
+    calls = []
+    real = selfcheck.canonical_01
+
+    def wrong_from_the_third(a, alpha, beta):
+        calls.append(a)
+        out = real(a, alpha, beta)
+        return out if len(calls) < 3 else Matrix._new(out.field, (out.a + 1) % out.field.p)
+
+    monkeypatch.setattr(selfcheck, "canonical_01", wrong_from_the_third)
+    ok, got = check_lpu(qs=(2, 3), max_n=3, trials=200)
+    assert not ok and got == f"trial {firsts[2]}: canonical forms disagree"
+    assert len(calls) == len(firsts) < 200
