@@ -259,7 +259,7 @@ def chi_cell(a: Matrix, col_lo: int, col_hi: int, row_lo: int, row_hi: int) -> L
     kernel of the top-left row_lo x col_hi slice of a.  Each feasible x
     contributes the pair (x restricted to [col_lo, col_hi), a x restricted to
     [row_lo, row_hi)).  chi does not call this: it is the definitional oracle
-    for chi's cells and for the stacked cells of the completeness check.
+    for chi's cells, also where the completeness check interns them.
     """
     field = a.field
     p = field.p
@@ -310,44 +310,60 @@ def _chi_each(mats, alpha, beta) -> list:
         size col_hi minus the rank of that slice;
       - so cell (i, j) is the span of the rows (f[c0:c1, c] | af[r0:r1, c])
         over those c, which is chi_cell with that kernel basis.
-    Columns with c < c0 and sigma[c] >= r1 contribute zero rows, so a cell's
-    candidate generators are its own columns c in [c0, c1), kept when
-    sigma[c] >= r0, and the columns tau[r] = sigma^-1[r] for r in [r0, r1),
-    kept when tau[r] < c0: alpha[i] + beta[j] candidates, the dropped ones
-    zeroed.  Cells of one shape therefore stack without padding, over all
-    cells of that shape in all N matrices, and are reduced by one _rref_each
-    call; each grid keeps its slice as that shape's CellGroup.  At finest
-    compositions every cell has shape (1, 1); at coarse ones most shapes are
-    held by a single cell per matrix.
+    _cell_rrefs gathers and reduces the cells of one shape over all N
+    matrices at once; each grid keeps its slice as that shape's CellGroup.
+    At finest compositions every cell has shape (1, 1); at coarse ones most
+    shapes are held by a single cell per matrix.
     """
     field = mats[0].field
-    sigma, f, af, _ = _column_pass_each(np.stack([a.a for a in mats]), field.p)
-    tau = np.argsort(sigma, axis=1)
-    ft = f.transpose(0, 2, 1)  # row c of ft[k] is column c of f
-    mt = af.transpose(0, 2, 1)
-    m = np.arange(len(mats))[:, None, None, None]
+    cpass = _cell_pass(np.stack([a.a for a in mats]), field.p)
     shapes = []
     for (na, nb), ij in _shape_groups(alpha, beta).items():
-        c0 = np.array(alpha.offsets)[ij[:, 0], None]
-        r0 = np.array(beta.offsets)[ij[:, 1], None]
-        own = c0 + np.arange(na)
-        rows = r0 + np.arange(nb)
-        src = np.empty((len(mats), len(ij), na + nb), dtype=np.intp)
-        src[:, :, :na] = own
-        src[:, :, na:] = tau[:, rows]
-        keep = np.concatenate([sigma[:, own] >= r0, src[:, :, na:] < c0], axis=2)
-        first = np.argsort(~keep, axis=2, kind="stable")  # kept generators first
-        src = src[m[..., 0], np.arange(len(ij))[:, None], first][..., None]
-        gens = np.concatenate([ft[m, src, own[:, None]], mt[m, src, rows[:, None]]], axis=3)
-        flat = gens.reshape(-1, na + nb, na + nb)
-        ranks = _rref_each(flat, field.p, keep.sum(axis=2).ravel()).reshape(len(mats), -1)
-        shapes.append((na, nb, ij, gens, ranks))
+        c0 = np.array(alpha.offsets)[ij[:, 0]]
+        r0 = np.array(beta.offsets)[ij[:, 1]]
+        shapes.append((na, nb, ij, *_cell_rrefs(cpass, c0, r0, na, nb, field.p)))
     return [
         BiHinge._of(alpha, beta, field, [
             CellGroup(na, nb, ij, g[k], r[k]) for na, nb, ij, g, r in shapes
         ])
         for k in range(len(mats))
     ]
+
+
+def _cell_pass(stack: np.ndarray, p: int) -> tuple:
+    """(sigma, tau, f^T, af^T) of one _column_pass_each over an (N, n, n)
+    stack, tau = sigma^-1 per member: what _cell_rrefs reads, once per pass."""
+    sigma, f, af, _ = _column_pass_each(stack, p)
+    return sigma, np.argsort(sigma, axis=1), f.transpose(0, 2, 1), af.transpose(0, 2, 1)
+
+
+def _cell_rrefs(cpass: tuple, c0: np.ndarray, r0: np.ndarray, na: int, nb: int, p: int, height=None) -> tuple:
+    """The cells of shape (na, nb) at column and row offsets (c0[k], r0[k]) of
+    every member of a _cell_pass, as (gens, ranks): gens (N, cells, height,
+    na + nb) int64, each cell its RREF basis padded with zero rows.
+
+    Columns c < c0 with sigma[c] >= r0 + nb contribute zero rows, so a cell's
+    candidate generators are its own columns c in [c0, c0 + na), kept when
+    sigma[c] >= r0, and the columns tau[r] for r in [r0, r0 + nb), kept when
+    tau[r] < c0; the kept ones come first, the rest are zeroed, and one
+    _rref_each reduces them all.  height defaults to na + nb, the square a
+    CellGroup holds; a cell keeps at most na + min(nb, c0) candidates.
+    """
+    sigma, tau, ft, mt = cpass
+    count, cells, w = len(sigma), len(c0), na + nb
+    c0, r0 = c0[:, None], r0[:, None]
+    m = np.arange(count)[:, None, None, None]
+    own = c0 + np.arange(na)
+    rows = r0 + np.arange(nb)
+    src = np.empty((count, cells, w), dtype=np.intp)
+    src[:, :, :na] = own
+    src[:, :, na:] = tau[:, rows]
+    keep = np.concatenate([sigma[:, own] >= r0, src[:, :, na:] < c0], axis=2)
+    first = np.argsort(~keep, axis=2, kind="stable")[:, :, :height]  # kept generators first
+    src = src[m[..., 0], np.arange(cells)[:, None], first][..., None]
+    gens = np.concatenate([ft[m, src, own[:, None]], mt[m, src, rows[:, None]]], axis=3, dtype=np.int64)
+    ranks = _rref_each(gens.reshape(-1, first.shape[2], w), p, keep.sum(axis=2).ravel())
+    return gens, ranks.reshape(count, cells)
 
 
 def _by_shape(grids) -> dict:

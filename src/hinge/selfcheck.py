@@ -15,6 +15,8 @@ from .bihinge import (
     Composition,
     DimensionMatrix,
     _axiom_tables,
+    _cell_pass,
+    _cell_rrefs,
     _chi_each,
     _dimension_tables,
     _hinge_act,
@@ -39,7 +41,7 @@ from .enumeration import (
     stabilizer_brute,
 )
 from .field import PrimeField
-from .linalg import Matrix, _rref_stack
+from .linalg import Matrix
 from .lpu import _lpu_each, canonical_01
 from .relations import InvariantViolation
 
@@ -211,63 +213,42 @@ def _intern_rows(rows: np.ndarray) -> tuple:
     return ids, order[starts]
 
 
-def _graph_echelon(elements: np.ndarray, q: int, cl: int, ch: int, rl: int, rh: int):
-    """Canonical RREFs of the graph rows of a[:rh, :ch] for every element.
-
-    Row c of each matrix is (e_c | a[:rh, :ch] e_c) for c < ch, with columns
-    ordered (y_head, x_tail, y_tail): a[:rl, c], e_c on [cl, ch), a[rl:rh, c].
-    The x_head coordinates [0, cl) are left out, since the RREF of a column
-    prefix is the prefix of the RREF.  Returns the (N, ch, width) stack.
-    """
-    width = rl + (ch - cl) + (rh - rl)
-    out = np.empty((len(elements), ch, width), dtype=elements.dtype)
-    eye = np.eye(ch, dtype=np.int64)[:, cl:ch]
-    for lo in range(0, len(elements), CHUNK):
-        at = elements[lo : lo + CHUNK, :rh, :ch].transpose(0, 2, 1)
-        stack = np.empty((len(at), ch, width), dtype=np.int64)
-        stack[:, :, :rl] = at[:, :, :rl]
-        stack[:, :, rl : rl + ch - cl] = eye
-        stack[:, :, rl + ch - cl :] = at[:, :, rl:rh]
-        _rref_stack(stack, q)
-        out[lo : lo + len(at)] = stack
-    return out
-
-
-def _cell_bases(echelon: np.ndarray, cl: int, ch: int, rl: int, rh: int) -> np.ndarray:
-    """Every element's cell (cl, ch, rl, rh) as an RREF basis padded with zero rows.
-
-    In the graph RREF the rows pivoting in y_head come first; the rows after
-    them span the graph vectors with y_head = 0, the feasible inputs.  Their
-    (x_tail, y_tail) part, up to the column of y[rh - 1], is the canonical
-    RREF of the cell.  Rows pivoting past that column are zero there.
-    """
-    count, rows, _ = echelon.shape
-    head = (echelon[:, :, :rl] != 0).any(axis=2).sum(axis=1)
-    src = np.arange(rows) + head[:, None]
-    inside = src < rows
-    bases = echelon[np.arange(count)[:, None], np.where(inside, src, 0), rl : rh + ch - cl]
-    bases[~inside] = 0
-    return bases
+# Elements per column pass and cell gather of _grid_cell_ids.  Its RREF
+# stacks hold up to 2n^2 int64 entries per element; at CHUNK elements
+# check_completeness(4, 2) peaked at 58 MB resident, at CHUNK // 8 at 45 MB,
+# with no measured change in time (2-vCPU x86-64 host, three runs each).
+_CELL_CHUNK = CHUNK // 8
 
 
 def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
     """Intern every cut-rectangle cell of every matrix to a small int id per cut.
 
     A cell's id is the index of its RREF basis among the distinct bases of
-    that cut.  One stacked elimination per (cl, ch, rl) serves every rh: the
-    y_tail columns of a smaller rh are a prefix of the largest.  The
-    definitional chi_cell of the first element of every id must give the
-    same basis; a difference raises InvariantViolation.
+    that cut.  The bases are chi's: one _cell_pass per _CELL_CHUNK elements,
+    held in the elements' dtype, and one _cell_rrefs per (cl, ch, rl) with
+    rh = n.  Its gathered rows tau[r] with r >= rh are zero up to the column
+    of y[rh - 1], and the RREF of a column prefix is the prefix of the RREF, so
+    the first (ch - cl) + (rh - rl) columns are the basis of the cell of rh.
+    The definitional chi_cell of the first element of every id must give the
+    same basis, so a fault in chi's route cannot vouch for itself; a
+    difference raises InvariantViolation.
     """
     field = PrimeField(q)
-    ids = np.empty((len(elements), len(cuts)), dtype=np.min_scalar_type(len(elements)))
+    count, n = len(elements), elements.shape[1]
+    ids = np.empty((count, len(cuts)), dtype=np.min_scalar_type(count))
+    chunks = [slice(lo, lo + _CELL_CHUNK) for lo in range(0, count, _CELL_CHUNK)]
+    passes = [tuple(x.astype(elements.dtype) for x in _cell_pass(elements[at].astype(np.int64), q)) for at in chunks]
     by_prefix = {}
     for k, (cl, ch, rl, rh) in enumerate(cuts):
         by_prefix.setdefault((cl, ch, rl), []).append((rh, k))
     for (cl, ch, rl), tails in by_prefix.items():
-        echelon = _graph_echelon(elements, q, cl, ch, rl, max(rh for rh, _ in tails))
+        na, nb = ch - cl, n - rl
+        height = na + min(nb, cl)
+        stack = np.empty((count, height, na + nb), dtype=elements.dtype)
+        for at, cpass in zip(chunks, passes):
+            stack[at] = _cell_rrefs(cpass, np.array([cl]), np.array([rl]), na, nb, q, height)[0][:, 0]
         for rh, k in tails:
-            bases = _cell_bases(echelon, cl, ch, rl, rh)
+            bases = stack[:, :, : na + rh - rl]
             ids[:, k], firsts = _intern_rows(bases)
             for idx in firsts.tolist():
                 m = Matrix._new(field, elements[idx].astype(np.int64))
@@ -286,7 +267,8 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
 
     Enumerates GL(n, q) once, interns every cut-rectangle cell of every
     element once, then checks the grid partition against the closure
-    partition for all pairs (alpha, beta).
+    partition for all pairs (alpha, beta).  The grids compared are chi's,
+    each distinct cell checked against chi_cell (see _grid_cell_ids).
     """
     budget = budget or DEFAULT_BUDGET
     elements = gl_array(n, q, budget)

@@ -5,17 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from hinge import selfcheck
-from hinge.bihinge import BiHinge, chi_cell, dimension_matrix, standard_bihinge
+from hinge import bihinge, selfcheck
+from hinge.bihinge import BiHinge, _chi_each, chi_cell, dimension_matrix, standard_bihinge
 from hinge.cli import main
 from hinge.enumeration import contingency_tables, enum_gl, gl_array
 from hinge.field import PrimeField
 from hinge.linalg import Matrix
 from hinge.selfcheck import (
-    _cell_bases,
-    _graph_echelon,
     _grid_cell_ids,
     _random_setup,
+    all_compositions,
     check_axiom_soundness,
     check_completeness,
     check_invariance,
@@ -38,23 +37,62 @@ def all_cuts(n):
 
 
 def test_stacked_cells_match_chi_cell_everywhere():
-    # every cut of every element: the stacked basis is chi_cell's RREF basis
-    # padded with zero rows, and the interned ids (one elimination shared by
-    # all rh of a (cl, ch, rl)) separate exactly the distinct chi_cell bases
+    # every cut of every element: the interned id and the chi_cell basis
+    # determine each other, so equal ids mean equal cells and distinct ids
+    # distinct cells (one column pass shared by all cuts, one RREF stack
+    # shared by all rh of a (cl, ch, rl))
     for n, q in ((2, 3), (3, 2)):
         elements = gl_array(n, q)
         matrices = list(enum_gl(n, q))
         cuts = all_cuts(n)
         ids = _grid_cell_ids(elements, q, cuts)
         for k, cut in enumerate(cuts):
-            bases = _cell_bases(_graph_echelon(elements, q, *cut), *cut)
             seen = set()
-            for m, got, cid in zip(matrices, bases, ids[:, k].tolist()):
+            for m, cid in zip(matrices, ids[:, k].tolist()):
                 want = chi_cell(m, *cut).basis.a
-                assert np.array_equal(got[: len(want)], want), (n, q, cut, m.to_rows())
-                assert not got[len(want) :].any(), (n, q, cut, m.to_rows())
-                seen.add((cid, want.tobytes()))
-            assert len(seen) == len({c for c, _ in seen}) == len({b for _, b in seen})
+                seen.add((cid, (want.shape, want.tobytes())))
+            assert len(seen) == len({c for c, _ in seen}) == len({b for _, b in seen}), (n, q, cut)
+
+
+def test_completeness_grids_are_chis_grids():
+    # on every composition pair, two elements share an interned id tuple
+    # exactly when _chi_each gives them equal grids
+    for n, q in ((2, 3), (3, 2)):
+        elements = gl_array(n, q)
+        matrices = list(enum_gl(n, q))
+        cuts = all_cuts(n)
+        ids = _grid_cell_ids(elements, q, cuts)
+        for alpha in all_compositions(n):
+            for beta in all_compositions(n):
+                sel = [
+                    cuts.index((*alpha.block(i), *beta.block(j)))
+                    for i in range(len(alpha))
+                    for j in range(len(beta))
+                ]
+                pairs = set(zip(map(tuple, ids[:, sel].tolist()), _chi_each(matrices, alpha, beta)))
+                assert len(pairs) == len({t for t, _ in pairs}) == len({h for _, h in pairs}), (
+                    n, q, alpha.parts, beta.parts)
+
+
+def test_completeness_fails_when_the_cell_gather_is_broken(monkeypatch):
+    # the completeness check runs chi's own cell gather, so a fault in it
+    # is caught by the per-id chi_cell check: here the (1, 3) cells lose
+    # their last basis row
+    assert selfcheck._cell_rrefs is bihinge._cell_rrefs
+    gather = bihinge._cell_rrefs
+
+    def broken(cpass, c0, r0, na, nb, *rest):
+        gens, ranks = gather(cpass, c0, r0, na, nb, *rest)
+        if (na, nb) == (1, 3):
+            count, cells = ranks.shape
+            last = np.maximum(ranks - 1, 0)
+            gens[np.arange(count)[:, None], np.arange(cells), last] = 0
+        return gens, ranks
+
+    monkeypatch.setattr(selfcheck, "_cell_rrefs", broken)
+    ok, detail = check_completeness(3, 2)
+    assert not ok
+    assert "differs from chi_cell" in detail
 
 
 def test_completeness_fails_when_the_oracle_disagrees(monkeypatch):
