@@ -12,13 +12,14 @@ the right.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, SingularMatrixError, _column_pass_each, _kernel_rows, _rref_each
+from .linalg import Matrix, ShapeError, SingularMatrixError, _back_substitute, _column_pass_each, _kernel_rows, _rref_each
 from .relations import Derived, LinearRelation, act_stack, derive_stack, y_first
 
 
@@ -86,21 +87,22 @@ class DimensionMatrix:
     def __init__(self, entries, alpha, beta):
         alpha = Composition(alpha)
         beta = Composition(beta)
-        rows = tuple(tuple(int(v) for v in row) for row in entries)
-        if len(rows) != len(alpha) or any(len(r) != len(beta) for r in rows):
-            raise MarginError(
-                f"need a {len(alpha)} x {len(beta)} table, got {len(rows)} rows"
-            )
-        if any(v < 0 for row in rows for v in row):
+        try:
+            table = np.array(entries, dtype=np.int64)
+        except OverflowError:  # entries past int64 stay Python ints
+            table = np.array(entries, dtype=object)
+        except ValueError:  # rows of unequal lengths
+            table = None
+        if table is None or table.shape != (len(alpha), len(beta)):
+            raise MarginError(f"need a {len(alpha)} x {len(beta)} table, got {len(entries)} rows")
+        rows = table.tolist()  # Python ints: exact sums, in loops over rows and columns only
+        if min(map(min, rows)) < 0:
             raise MarginError("cell dimensions must be nonnegative")
-        for i, row in enumerate(rows):
-            if sum(row) != alpha[i]:
-                raise MarginError(f"row {i + 1} sums to {sum(row)}, expected {alpha[i]}")
-        for j in range(len(beta)):
-            col = sum(rows[i][j] for i in range(len(alpha)))
-            if col != beta[j]:
-                raise MarginError(f"column {j + 1} sums to {col}, expected {beta[j]}")
-        self.entries = rows
+        for name, sums, margin in (("row", map(sum, rows), alpha), ("column", map(sum, zip(*rows)), beta)):
+            for k, (total, want) in enumerate(zip(sums, margin.parts)):
+                if total != want:
+                    raise MarginError(f"{name} {k + 1} sums to {total}, expected {want}")
+        self.entries = tuple(map(tuple, rows))
         self.alpha = alpha
         self.beta = beta
 
@@ -171,7 +173,7 @@ class BiHinge:
     stacked rows when read.
     """
 
-    __slots__ = ("alpha", "beta", "field", "groups", "_grid", "_derived")
+    __slots__ = ("alpha", "beta", "field", "groups", "_grid", "_derived", "_y_first")
 
     def __init__(self, alpha, beta, grid):
         alpha = Composition(alpha)
@@ -202,9 +204,10 @@ class BiHinge:
         self._grid = grid
 
     @classmethod
-    def _of(cls, alpha: Composition, beta: Composition, field: PrimeField, groups) -> "BiHinge":
+    def _of(cls, alpha: Composition, beta: Composition, field: PrimeField, groups, y_first=None) -> "BiHinge":
         h = object.__new__(cls)
         h._init(alpha, beta, field, groups)
+        h._y_first = y_first
         return h
 
     def _init(self, alpha, beta, field, groups):
@@ -212,7 +215,7 @@ class BiHinge:
             g.stack.flags.writeable = False
         self.alpha, self.beta, self.field = alpha, beta, field
         self.groups = tuple(groups)
-        self._grid = self._derived = None
+        self._grid = self._derived = self._y_first = None
 
     @property
     def grid(self) -> tuple:
@@ -246,6 +249,9 @@ class BiHinge:
     def __hash__(self):
         stacks = b"".join(g.stack.tobytes() for g in self.groups)
         return hash((self.alpha, self.beta, self.field.p, stacks))
+
+    def __getstate__(self):  # a pickled chi grid leaves its pass behind and derives like any other
+        return None, {name: getattr(self, name) for name in self.__slots__} | {"_y_first": None}
 
     def __repr__(self):
         return f"BiHinge(alpha={self.alpha.parts}, beta={self.beta.parts})"
@@ -302,68 +308,84 @@ def _chi_each(mats, alpha, beta) -> list:
     checked; a singular member raises SingularMatrixError.
 
     One column elimination pass over all N matrices serves every cell.  It
-    gives a @ f == af with f unit upper triangular and pivot rows sigma, so:
-      - column c of f is supported on [0, c] and a @ f[:, c] == af[:, c]
-        first becomes nonzero at row sigma[c];
-      - hence {f[:, c] : c < col_hi, sigma[c] >= row_lo} is a basis of the
-        kernel of a[:row_lo, :col_hi] for every (row_lo, col_hi) at once, its
-        size col_hi minus the rank of that slice;
-      - so cell (i, j) is the span of the rows (f[c0:c1, c] | af[r0:r1, c])
-        over those c, which is chi_cell with that kernel basis.
-    _cell_rrefs gathers and reduces the cells of one shape over all N
-    matrices at once; each grid keeps its slice as that shape's CellGroup.
-    At finest compositions every cell has shape (1, 1); at coarse ones most
-    shapes are held by a single cell per matrix.
+    runs on a' = a Pi, Pi reversing every alpha block, and gives a' @ f ==
+    af with f unit upper triangular and pivot rows sigma, so:
+      - column c of f is supported on [0, c] and af[:, c] first becomes
+        nonzero at row sigma[c];
+      - Pi keeps every block, so {Pi f[:, c] : c < col_hi, sigma[c] >= row_lo}
+        is a basis of the kernel of a[:row_lo, :col_hi] for every block
+        boundary col_hi and every row_lo at once;
+      - so cell (i, j) is the span of the rows (x | af[r0:r1, c]) over those
+        c, x = f[c0:c1, c] read backwards, which is chi_cell with that basis.
+    x then leads at a known column: _cell_rrefs back-substitutes the cells of
+    one shape over all N matrices at once into each grid's CellGroup, and the
+    Y-first forms derived() reads, for all N grids when the first is derived.
     """
-    field = mats[0].field
-    cpass = _cell_pass(np.stack([a.a for a in mats]), field.p)
-    shapes = []
-    for (na, nb), ij in _shape_groups(alpha, beta).items():
-        c0 = np.array(alpha.offsets)[ij[:, 0]]
-        r0 = np.array(beta.offsets)[ij[:, 1]]
-        shapes.append((na, nb, ij, *_cell_rrefs(cpass, c0, r0, na, nb, field.p)))
-    return [
-        BiHinge._of(alpha, beta, field, [
-            CellGroup(na, nb, ij, g[k], r[k]) for na, nb, ij, g, r in shapes
-        ])
-        for k in range(len(mats))
-    ]
+    field, p = mats[0].field, mats[0].field.p
+    cpass = _cell_pass(np.stack([a.a for a in mats]), p, alpha)
+    shapes = [(na, nb, ij, np.array(alpha.offsets)[ij[:, 0]], np.array(beta.offsets)[ij[:, 1]])
+              for (na, nb), ij in _shape_groups(alpha, beta).items()]
+    x_first = [_cell_rrefs(cpass, c0, r0, na, nb, p) for na, nb, _, c0, r0 in shapes]
+    y_first_forms = functools.cache(lambda: {
+        (na, nb): _cell_rrefs(cpass, c0, r0, na, nb, p, y_first=True)[0] for na, nb, _, c0, r0 in shapes})
+    return [BiHinge._of(alpha, beta, field, [
+        CellGroup(na, nb, ij, g[k], r[k]) for (na, nb, ij, _, _), (g, r) in zip(shapes, x_first)
+    ], lambda shape, k=k: y_first_forms()[shape][k]) for k in range(len(mats))]
 
 
-def _cell_pass(stack: np.ndarray, p: int) -> tuple:
+def _cell_pass(stack: np.ndarray, p: int, alpha: Composition) -> tuple:
     """(sigma, tau, f^T, af^T) of one _column_pass_each over an (N, n, n)
-    stack, tau = sigma^-1 per member: what _cell_rrefs reads, once per pass."""
-    sigma, f, af, _ = _column_pass_each(stack, p)
+    stack with the columns of every block of alpha reversed, tau = sigma^-1
+    per member, once per pass.  A singular stack raises the plain pass's error,
+    which names a column in the stack's own order."""
+    flip = [lo + hi - 1 - c for lo, hi in zip(alpha.offsets, alpha.offsets[1:]) for c in range(lo, hi)]
+    try:
+        sigma, f, af, _ = _column_pass_each(stack[:, :, flip], p)
+    except SingularMatrixError:
+        _column_pass_each(stack, p)
+        raise
     return sigma, np.argsort(sigma, axis=1), f.transpose(0, 2, 1), af.transpose(0, 2, 1)
 
 
-def _cell_rrefs(cpass: tuple, c0: np.ndarray, r0: np.ndarray, na: int, nb: int, p: int, height=None) -> tuple:
+def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int, height=None, y_first=False) -> tuple:
     """The cells of shape (na, nb) at column and row offsets (c0[k], r0[k]) of
-    every member of a _cell_pass, as (gens, ranks): gens (N, cells, height,
-    na + nb) int64, each cell its RREF basis padded with zero rows.
+    every member of a _cell_pass that reversed [c0, c1 = c0 + na), as (gens,
+    ranks): gens (N, cells, height, na + nb) int64, each cell its RREF basis
+    (with the columns (y | x) if y_first) padded with zero rows.
 
-    Columns c < c0 with sigma[c] >= r0 + nb contribute zero rows, so a cell's
-    candidate generators are its own columns c in [c0, c0 + na), kept when
-    sigma[c] >= r0, and the columns tau[r] for r in [r0, r0 + nb), kept when
-    tau[r] < c0; the kept ones come first, the rest are zeroed, and one
-    _rref_each reduces them all.  height defaults to na + nb, the square a
-    CellGroup holds; a cell keeps at most na + min(nb, c0) candidates.
+    The cell's rows (x | y) = (f[c1 - 1 - k, c] for k < na | af[r0:r1, c])
+    over c < c1 with sigma[c] >= r0 fill two kinds of slots: own slot s < na
+    (c = c1 - 1 - s), x leading with a 1 at s, and y slot t < nb (c =
+    tau[r0 + t]), y leading at t, x zero when c < c0.  X first, the own slots
+    with sigma >= r0 and then the y slots with tau < c0 are in echelon form,
+    each leading at its slot; Y first, the y slots with tau < c1 and then the
+    own slots with sigma >= r1 are.  So one _back_substitute of the kept slots
+    gives the RREF, with no pivot search.  height defaults to na + nb, the
+    square a CellGroup holds; a cell has at most na + min(nb, c0) rows.
     """
     sigma, tau, ft, mt = cpass
     count, cells, w = len(sigma), len(c0), na + nb
-    c0, r0 = c0[:, None], r0[:, None]
-    m = np.arange(count)[:, None, None, None]
-    own = c0 + np.arange(na)
-    rows = r0 + np.arange(nb)
-    src = np.empty((count, cells, w), dtype=np.intp)
-    src[:, :, :na] = own
-    src[:, :, na:] = tau[:, rows]
-    keep = np.concatenate([sigma[:, own] >= r0, src[:, :, na:] < c0], axis=2)
-    first = np.argsort(~keep, axis=2, kind="stable")[:, :, :height]  # kept generators first
-    src = src[m[..., 0], np.arange(cells)[:, None], first][..., None]
-    gens = np.concatenate([ft[m, src, own[:, None]], mt[m, src, rows[:, None]]], axis=3, dtype=np.int64)
-    ranks = _rref_each(gens.reshape(-1, first.shape[2], w), p, keep.sum(axis=2).ravel())
-    return gens, ranks.reshape(count, cells)
+    own = (c0 + na - 1)[:, None] - np.arange(na)
+    rows = r0[:, None] + np.arange(nb)
+    ys = tau[:, rows]
+    y_at, own_at = (slice(0, nb), slice(nb, w)) if y_first else (slice(na, w), slice(0, na))
+    slots = np.empty((count, cells, w), dtype=np.intp)
+    slots[:, :, y_at], slots[:, :, own_at] = ys, own
+    keep = np.empty((count, cells, w), dtype=bool)
+    keep[:, :, y_at] = ys < (c0 + na if y_first else c0)[:, None]
+    keep[:, :, own_at] = sigma[:, own] >= (r0 + nb if y_first else r0)[:, None]
+    ranks = keep.sum(axis=2)
+    top = int(ranks.max())
+    lead = np.argsort(~keep, axis=2, kind="stable")[:, :, :top]  # kept slots first
+    m, k = np.arange(count)[:, None, None], np.arange(cells)[:, None]
+    src = slots[m, k, lead][..., None]
+    x, y = ft[m[..., None], src, own[:, None]], mt[m[..., None], src, rows[:, None]]
+    part = np.concatenate((y, x) if y_first else (x, y), axis=3, dtype=np.int64)
+    part[np.arange(top) >= ranks[:, :, None]] = 0
+    _back_substitute(part.reshape(count * cells, top, w), lead.reshape(count * cells, top), p)
+    gens = np.zeros((count, cells, w if height is None else height, w), dtype=np.int64)
+    gens[:, :, :top] = part
+    return gens, ranks
 
 
 def _by_shape(grids) -> dict:
@@ -379,12 +401,12 @@ def _derive_each(grids):
     """Fill the derived() cache of every grid that has none.
 
     Grids sharing (field, alpha, beta) are derived together: every cell of
-    every such grid goes into one stack, reduced Y first by one y_first per
-    cell shape and read by one derive_stack, and each grid keeps its own
-    slice.  In the stack both echelon forms are embedded with X at
-    [0, dim_x) and Y from max(alpha) on: zero columns keep a member in RREF
-    and change none of its derived spaces.  Entries are only compared and
-    moved, so uint16 holds them (p < 2**16).
+    every such grid goes into one stack, reduced Y first (see _y_first_forms)
+    and read by one derive_stack, and each grid keeps its own slice.  In the
+    stack both echelon forms are embedded with X at [0, dim_x) and Y from
+    max(alpha) on: zero columns keep a member in RREF and change none of its
+    derived spaces.  Entries are only compared and moved, so uint16 holds
+    them (p < 2**16).
     """
     batches = {}
     for h in grids:
@@ -400,13 +422,26 @@ def _derive_each(grids):
             part = np.concatenate([g.stack for g in parts])
             part_ranks = np.concatenate([g.ranks for g in parts])
             _embed(stack, at, part, dx, mx)
-            _embed(swapped, at, y_first(part, part_ranks, dx, field.p), dy, my)
+            _embed(swapped, at, _y_first_forms(hs, dx, dy, part, part_ranks, field.p), dy, my)
             ranks[at] = part_ranks
         dv = derive_stack(stack, swapped, ranks, mx, my)
         for k, h in enumerate(hs):
             cut = slice(k * cells, (k + 1) * cells)
             spaces = (x[cut] for x in dv[:4])
             h._derived = Derived(*spaces, dv.dims[:, cut], dv.theta[cut], dv.lifts[cut])
+            h._y_first = None
+
+
+def _y_first_forms(hs, dx: int, dy: int, part: np.ndarray, ranks: np.ndarray, p: int) -> np.ndarray:
+    """The Y-first forms of the (dx, dy) cells of grids hs, stacked in part:
+    a chi grid's read off its pass, one y_first over those of the rest."""
+    forms = [h._y_first and h._y_first((dx, dy)) for h in hs]
+    missing = [form is None for form in forms]
+    if any(missing):
+        at = np.repeat(missing, len(part) // len(hs))
+        fresh = iter(np.split(y_first(part[at], ranks[at], dx, p), sum(missing)))
+        forms = [next(fresh) if form is None else form for form in forms]
+    return np.concatenate(forms)
 
 
 @dataclass(frozen=True)
@@ -494,7 +529,7 @@ def dimension_matrix(h: BiHinge) -> DimensionMatrix:
     Raises AxiomError when the grid fails check_axioms; the margin identities
     only hold on honest grids.  The stack of one of _dimension_tables.
     """
-    return DimensionMatrix(_dimension_tables([h])[0].tolist(), h.alpha, h.beta)
+    return DimensionMatrix(_dimension_tables([h])[0], h.alpha, h.beta)
 
 
 def standard_matrix(d: DimensionMatrix, field: PrimeField) -> Matrix:
@@ -613,7 +648,7 @@ def normalize(h: BiHinge) -> tuple:
     """
     gs, hs, tables = _normalize_each([h])
     witnesses = [[Matrix._new(h.field, np.ascontiguousarray(m[0])) for m in side] for side in (gs, hs)]
-    return witnesses[0], witnesses[1], DimensionMatrix(tables[0].tolist(), h.alpha, h.beta)
+    return witnesses[0], witnesses[1], DimensionMatrix(tables[0], h.alpha, h.beta)
 
 
 def _normalize_each(grids) -> tuple:

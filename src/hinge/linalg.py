@@ -183,6 +183,8 @@ def _unit_inverses(units: np.ndarray, p: int) -> np.ndarray:
     if p < 16:  # a table of the p - 1 inverses: 1.4-7 us a call on 8-200 units at p = 2-13, np.unique 13-32 us;
         # the two meet near p = 61 (2-vCPU x86-64 host, medians of 9 interleaved runs)
         return np.array([0] + [pow(v, -1, p) for v in range(1, p)])[units]
+    if units.size < 64:  # np.unique costs 12-20 us and a pow 0.3-0.8 us (2-vCPU x86-64 host), so one pow per unit
+        return np.array([pow(v, -1, p) for v in units.tolist()], dtype=np.int64)
     v, where = np.unique(units, return_inverse=True)
     return np.array([pow(int(x), -1, p) for x in v], dtype=np.int64)[where]
 
@@ -218,6 +220,26 @@ def _rref_stack(arr: np.ndarray, p: int) -> np.ndarray:
         arr[sel, :, c:] = (arr[sel, :, c:] - fac[:, :, None] * piv_row[:, None, :]) % p
         r[sel] += 1
     return r
+
+
+def _back_substitute(arr: np.ndarray, lead: np.ndarray, p: int):
+    """In-place RREF of every member of an (M, H, w) stack in row echelon form:
+    row h of member m is zero or leads at column lead[m, h], the leads rising
+    down its nonzero rows.  Rows are scaled to a leading 1 and then, bottom
+    up, cleared at the leads below by one vector-matrix product with the rows
+    there, already reduced: no pivot search.  A stack of one runs plain row
+    matvecs, 15-20% faster on (5, 8) to (89, 89) matrices (2-vCPU x86-64)."""
+    count, height, _ = arr.shape
+    m = np.arange(count)[:, None]
+    v = np.maximum(arr[m, np.arange(height), lead], 1)  # a zero row scales by 1
+    arr[...] = arr * _unit_inverses(v.ravel(), p).reshape(v.shape)[:, :, None] % p
+    if count == 1:
+        a, piv = arr[0], lead[0]
+        for h, c in zip(range(height - 2, -1, -1), piv[-2::-1].tolist()):
+            a[h, c:] = (a[h, c:] - a[h, piv[h + 1 :]] @ a[h + 1 :, c:]) % p
+        return
+    for h in range(height - 2, -1, -1):
+        arr[:, h] = (arr[:, h] - (arr[m, h, lead[:, h + 1 :]][:, None] @ arr[:, h + 1 :])[:, 0]) % p
 
 
 # Fewest matrices that _rref_each reduces as one stack.  Measured with random
@@ -283,12 +305,10 @@ def _column_pass(a: np.ndarray, p: int) -> tuple:
         if nz.size == 0:
             raise SingularMatrixError(f"matrix is singular over GF({p}): column {c} depends on earlier columns")
         sigma[c] = r = int(nz[0])
-        u[c, c + 1 :] = mt[c + 1 :, r] * pow(int(mt[c, r]), -1, p) % p
-        right = c + 1 + u[c, c + 1 :].nonzero()[0]
-        if right.size:
-            coef = u[c, right, None]
-            mt[right, r:] = (mt[right, r:] - coef * mt[c, r:]) % p
-            ft[right, : c + 1] = (ft[right, : c + 1] - coef * ft[c, : c + 1]) % p
+        u[c, c + 1 :] = coef = mt[c + 1 :, r] * pow(int(mt[c, r]), -1, p) % p
+        for rest, row in ((mt[c + 1 :, r:], mt[c, r:]), (ft[c + 1 :, : c + 1], ft[c, : c + 1])):
+            rest -= coef[:, None] * row
+            rest %= p
     return sigma, ft.T, mt.T, u
 
 

@@ -224,41 +224,43 @@ def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
     """Intern every cut-rectangle cell of every matrix to a small int id per cut.
 
     A cell's id is the index of its RREF basis among the distinct bases of
-    that cut.  The bases are chi's: one _cell_pass per _CELL_CHUNK elements,
-    held in the elements' dtype, and one _cell_rrefs per (cl, ch, rl) with
-    rh = n.  Its gathered rows tau[r] with r >= rh are zero up to the column
-    of y[rh - 1], and the RREF of a column prefix is the prefix of the RREF, so
-    the first (ch - cl) + (rh - rl) columns are the basis of the cell of rh.
-    The definitional chi_cell of the first element of every id must give the
-    same basis, so a fault in chi's route cannot vouch for itself; a
-    difference raises InvariantViolation.
+    that cut.  The bases are chi's: per column block [cl, ch), one _cell_pass
+    per _CELL_CHUNK elements with that block reversed (blocks of one column
+    share the plain pass), held in the elements' dtype, and one _cell_rrefs
+    per (cl, ch, rl) with rh = n.  The RREF of a column prefix is the prefix
+    of the RREF, so the first (ch - cl) + (rh - rl) columns are the basis of
+    the cell of rh.  The definitional chi_cell of the first element of every
+    id must give the same basis, so a fault in chi's route cannot vouch for
+    itself; a difference raises InvariantViolation.
     """
     field = PrimeField(q)
     count, n = len(elements), elements.shape[1]
     ids = np.empty((count, len(cuts)), dtype=np.min_scalar_type(count))
     chunks = [slice(lo, lo + _CELL_CHUNK) for lo in range(0, count, _CELL_CHUNK)]
-    passes = [tuple(x.astype(elements.dtype) for x in _cell_pass(elements[at].astype(np.int64), q)) for at in chunks]
-    by_prefix = {}
+    by_flip = {}
     for k, (cl, ch, rl, rh) in enumerate(cuts):
-        by_prefix.setdefault((cl, ch, rl), []).append((rh, k))
-    for (cl, ch, rl), tails in by_prefix.items():
-        na, nb = ch - cl, n - rl
-        height = na + min(nb, cl)
-        stack = np.empty((count, height, na + nb), dtype=elements.dtype)
-        for at, cpass in zip(chunks, passes):
-            stack[at] = _cell_rrefs(cpass, np.array([cl]), np.array([rl]), na, nb, q, height)[0][:, 0]
-        for rh, k in tails:
-            bases = stack[:, :, : na + rh - rl]
-            ids[:, k], firsts = _intern_rows(bases)
-            for idx in firsts.tolist():
-                m = Matrix._new(field, elements[idx].astype(np.int64))
-                want = chi_cell(m, cl, ch, rl, rh).basis.a
-                got = bases[idx]
-                if not (np.array_equal(got[: len(want)], want) and not got[len(want) :].any()):
-                    raise InvariantViolation(
-                        f"cell {(cl, ch, rl, rh)} of {m.to_rows()}: stacked basis "
-                        f"{got.tolist()} differs from chi_cell {want.tolist()}"
-                    )
+        flip = Composition((1,) * cl + (ch - cl,) + (1,) * (n - ch))
+        by_flip.setdefault(flip, {}).setdefault((cl, ch, rl), []).append((rh, k))
+    for flip, by_prefix in by_flip.items():
+        passes = [[x.astype(elements.dtype) for x in _cell_pass(elements[at].astype(np.int64), q, flip)] for at in chunks]
+        for (cl, ch, rl), tails in by_prefix.items():
+            na, nb = ch - cl, n - rl
+            height = na + min(nb, cl)
+            stack = np.empty((count, height, na + nb), dtype=elements.dtype)
+            for at, cpass in zip(chunks, passes):
+                stack[at] = _cell_rrefs(cpass, np.array([cl]), np.array([rl]), na, nb, q, height)[0][:, 0]
+            for rh, k in tails:
+                bases = stack[:, :, : na + rh - rl]
+                ids[:, k], firsts = _intern_rows(bases)
+                for idx in firsts.tolist():
+                    m = Matrix._new(field, elements[idx].astype(np.int64))
+                    want = chi_cell(m, cl, ch, rl, rh).basis.a
+                    got = bases[idx]
+                    if not (np.array_equal(got[: len(want)], want) and not got[len(want) :].any()):
+                        raise InvariantViolation(
+                            f"cell {(cl, ch, rl, rh)} of {m.to_rows()}: stacked basis "
+                            f"{got.tolist()} differs from chi_cell {want.tolist()}"
+                        )
     return ids
 
 

@@ -7,6 +7,7 @@ slice j equal to eta" is solvable.  Solvability is checked by a from-scratch
 rank comparison on plain int lists.
 """
 
+import pickle
 import random
 import re
 from itertools import product
@@ -211,17 +212,24 @@ def test_chi_each_raises_on_a_singular_member():
 
 def test_derive_each_matches_each_grid_derived_alone():
     # a batch of grids of mixed shapes and ranks, several per (field, alpha,
-    # beta) and in no particular order: chi grids, standard grids, and grids
-    # of random relations that fail the axioms.  Each grid's cache must be
-    # what derived() gives a fresh copy of it alone, in all seven fields.
+    # beta) and in no particular order: chi grids (Y-first forms read off
+    # their column pass), their hinge_act images and their copies rebuilt
+    # from relations (both reduced by y_first), standard grids, and grids of
+    # random relations that fail the axioms.  Each grid's cache must be
+    # what derived() gives a fresh copy of it alone, in all seven fields,
+    # and a rebuilt copy's what its chi grid has.
     rng = random.Random(97)
-    grids = []
+    grids, twins = [], []
     cases = ((2, (1, 2), (2, 1)), (3, (2, 2), (1, 3)), (5, (1,) * 4, (1,) * 4), (3, (3,), (1, 2)))
     for p, alpha, beta in cases:
         f = PrimeField(p)
         alpha, beta = Composition(alpha), Composition(beta)
         for _ in range(6):
-            grids.append(chi(random_invertible(f, alpha.n, rng), alpha, beta))
+            h = chi(random_invertible(f, alpha.n, rng), alpha, beta)
+            gs = [random_invertible(f, k, rng) for k in alpha]
+            hs = [random_invertible(f, k, rng) for k in beta]
+            twins.append((h, BiHinge(alpha, beta, h.grid)))
+            grids += [h, hinge_act(gs, hs, h), twins[-1][1]]
             grids.append(standard_bihinge(rng.choice(list(contingency_tables(alpha, beta))), f))
             rows = []
             for na in alpha:
@@ -241,6 +249,9 @@ def test_derive_each_matches_each_grid_derived_alone():
         alone = BiHinge._of(h.alpha, h.beta, h.field, h.groups).derived()
         assert h._derived is not None
         for name, got, want in zip(alone._fields, h._derived, alone):
+            assert got.shape == want.shape and np.array_equal(got, want), (name, h)
+    for h, rebuilt in twins:
+        for name, got, want in zip(h._derived._fields, rebuilt._derived, h._derived):
             assert got.shape == want.shape and np.array_equal(got, want), (name, h)
 
 
@@ -331,6 +342,21 @@ def test_dimension_matrix_validation():
         DimensionMatrix([[1, -1], [0, 2]], (1, 1), (1, 1))
     with pytest.raises(MarginError, match="table"):
         DimensionMatrix([[1, 0], [0, 1]], (1, 1), (2,))
+    # the texts hold for rows of unequal lengths and for entries whose sums
+    # pass int64, the sums given exactly
+    texts = (
+        ([[1, 0], [0]], (1, 1), (1, 1), "need a 2 x 2 table, got 2 rows"),
+        ([[10**30, 0], [0, 1]], (1, 1), (1, 1), "row 1 sums to 10" + "0" * 29 + ", expected 1"),
+        ([[-10**30]], (1,), (1,), "cell dimensions must be nonnegative"),
+        ([[2**62] * 4 + [1]], (1,), (1,) * 5, f"row 1 sums to {2**64 + 1}, expected 1"),
+        ([[0, 2**63 - 1], [1, 0]], (2, 1), (1, 2), f"row 1 sums to {2**63 - 1}, expected 2"),
+    )
+    for entries, alpha, beta, text in texts:
+        with pytest.raises(MarginError) as err:
+            DimensionMatrix(entries, alpha, beta)
+        assert str(err.value) == text
+    d = DimensionMatrix(np.array([[0, 2], [1, 0]]), (2, 1), (1, 2))
+    assert d.entries == ((0, 2), (1, 0)) and type(d.entries[0][0]) is int
 
 
 def test_composition_api():
@@ -572,4 +598,7 @@ def test_bihinge_equal_and_hash():
     h1 = chi(a, (1, 2), (2, 1))
     h2 = chi(a, (1, 2), (2, 1))
     assert h1 == h2 and hash(h1) == hash(h2)
+    # a pickled chi grid equals it and derives the same spaces without its pass
+    copy = pickle.loads(pickle.dumps(h1))
+    assert copy == h1 and all(np.array_equal(x, y) for x, y in zip(copy.derived(), h1.derived()))
     assert h1 != chi(a, (2, 1), (2, 1))

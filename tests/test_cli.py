@@ -160,6 +160,19 @@ def test_invariants_error_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_singular_coarse_input_names_its_own_column(capsys, tmp_path):
+    # the grid's column pass reverses each alpha block, and in that order
+    # this matrix first fails at column 2; the message names column 1, where
+    # its own columns first depend on earlier ones, as the plain pass does
+    matrix = [[1, 1, 0], [2, 2, 1], [0, 0, 3]]
+    singular = write_problem(tmp_path, "singular.json", 5, [3], [1, 2], matrix)
+    eye = write_problem(tmp_path, "eye.json", 5, [3], [1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    want = "error: matrix is singular over GF(5): column 1 depends on earlier columns\n"
+    for argv in (["invariants", singular], ["equivalent", eye, singular], ["equivalent", singular, eye]):
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", want), argv
+
+
 def test_huge_entries_reduce_mod_p(capsys, tmp_path):
     huge = write_problem(tmp_path, "huge.json", 5, [1], [1], [[10 ** 23 + 2]])
     assert main(["canonical", huge, "--format", "json"]) == 0

@@ -15,6 +15,7 @@ from hinge.linalg import (
     Matrix,
     ShapeError,
     SingularMatrixError,
+    _back_substitute,
     _column_pass,
     _column_pass_each,
     _rref,
@@ -151,6 +152,29 @@ def test_rref_stack_matches_rref():
                 for k in range(n_mat):
                     assert ranks[k] == len(_rref(want[k], p))
                     assert np.array_equal(stack[k], want[k]), (p, want[k], stack[k])
+
+
+def test_back_substitution_matches_rref_on_echelon_stacks():
+    # row echelon stacks with non-unit leads and zero rows past the rank
+    # (their leads arbitrary) come out as _rref leaves them, one member at
+    # a time and many at once
+    rng = np.random.default_rng(29)
+    for p in (2, 3, 65521):
+        for count in (1, 2, 9):
+            for height, width in ((1, 1), (3, 5), (6, 6), (5, 3), (4, 9)):
+                stack = np.zeros((count, height, width), dtype=np.int64)
+                lead = rng.integers(0, width, (count, height))
+                for m in range(count):
+                    rank = rng.integers(0, min(height, width) + 1)
+                    lead[m, :rank] = np.sort(rng.choice(width, rank, replace=False))
+                    for h, c in enumerate(lead[m, :rank]):
+                        stack[m, h, c] = rng.integers(1, p)
+                        stack[m, h, c + 1 :] = rng.integers(0, p, width - c - 1)
+                want = stack.copy()
+                _back_substitute(stack, lead, p)
+                for m in range(count):
+                    _rref(want[m], p)
+                    assert np.array_equal(stack[m], want[m]), (p, count, m)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -75,14 +75,15 @@ def test_completeness_grids_are_chis_grids():
 
 
 def test_completeness_fails_when_the_cell_gather_is_broken(monkeypatch):
-    # the completeness check runs chi's own cell gather, so a fault in it
-    # is caught by the per-id chi_cell check: here the (1, 3) cells lose
-    # their last basis row
+    # the completeness check runs chi's own echelon gather over block-reversed
+    # column passes, so a fault in it is caught by the per-id chi_cell check:
+    # here the (1, 3) cells lose their last basis row
     assert selfcheck._cell_rrefs is bihinge._cell_rrefs
+    assert selfcheck._cell_pass is bihinge._cell_pass
     gather = bihinge._cell_rrefs
 
-    def broken(cpass, c0, r0, na, nb, *rest):
-        gens, ranks = gather(cpass, c0, r0, na, nb, *rest)
+    def broken(cpass, c0, r0, na, nb, *rest, **options):
+        gens, ranks = gather(cpass, c0, r0, na, nb, *rest, **options)
         if (na, nb) == (1, 3):
             count, cells = ranks.shape
             last = np.maximum(ranks - 1, 0)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hinge import bihinge, linalg, relations
 from hinge.bihinge import BiHinge, MarginError, chi
 from hinge.field import PrimeField
 from hinge.linalg import Matrix
@@ -177,3 +178,25 @@ def test_problem_is_hashable_value_object():
     b = problem_from_dict(GOOD)
     assert a == b
     assert isinstance(a, Problem)
+
+
+def test_invariant_report_runs_without_generic_elimination(monkeypatch):
+    # chi's cells, X first and Y first, are back-substituted from its one
+    # column pass: the report of a coarse problem needs no pivot search
+    rng = np.random.default_rng(41)
+    p, n = 65521, 12
+    matrix = rng.integers(0, p, (n, n))
+    while Matrix(PrimeField(p), matrix).rank() < n:
+        matrix = rng.integers(0, p, (n, n))
+    problem = problem_from_dict({"modulus": p, "alpha": [5, 4, 3], "beta": [2, 6, 4], "matrix": matrix.tolist()})
+    want = invariant_report(problem)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("generic elimination called")
+
+    for module, name in ((linalg, "_rref"), (linalg, "_rref_stack"), (linalg, "_rref_each"),
+                         (bihinge, "_rref_each"), (relations, "_rref_each")):
+        monkeypatch.setattr(module, name, refused)
+    with pytest.raises(AssertionError):
+        problem.matrix.rank()
+    assert invariant_report(problem) == want
