@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, SingularMatrixError, _back_substitute, _column_pass_each, _kernel_rows, _rref_each
+from .linalg import Matrix, ShapeError, SingularMatrixError, _back_substitute, _column_pass, _column_pass_each, _kernel_rows, _rref_each
 from .relations import Derived, LinearRelation, act_stack, derive_stack, y_first
 
 
@@ -289,6 +289,13 @@ def chi(a: Matrix, alpha, beta) -> BiHinge:
         The BiHinge with cell (i, j) = chi_cell at the block boundaries,
         computed as the stack of one by _chi_each.
     """
+    alpha, beta = _compositions_of(a, alpha, beta)
+    return _chi_each([a], alpha, beta)[0]
+
+
+def _compositions_of(a: Matrix, alpha, beta) -> tuple:
+    """alpha and beta as Compositions; ShapeError unless a is square and
+    MarginError unless both sum to its size."""
     alpha = Composition(alpha)
     beta = Composition(beta)
     n = a.rows
@@ -298,18 +305,26 @@ def chi(a: Matrix, alpha, beta) -> BiHinge:
         raise MarginError(
             f"compositions must sum to {n}, got alpha -> {alpha.n}, beta -> {beta.n}"
         )
-    return _chi_each([a], alpha, beta)[0]
+    return alpha, beta
 
 
 def _chi_each(mats, alpha, beta) -> list:
-    """The grids of N n x n matrices over one field, in order.
+    """The grids of N n x n matrices over one field, in order: one _cell_pass
+    over their stack, then _grids_from_pass.
 
     alpha and beta are Compositions of n.  Shapes and margins are not
-    checked; a singular member raises SingularMatrixError.
+    checked; a singular member raises SingularMatrixError, the first
+    singular matrix in input order naming its own column.
+    """
+    field = mats[0].field
+    return _grids_from_pass(_cell_pass(np.stack([a.a for a in mats]), field.p, alpha), field, alpha, beta)
 
-    One column elimination pass over all N matrices serves every cell.  It
-    runs on a' = a Pi, Pi reversing every alpha block, and gives a' @ f ==
-    af with f unit upper triangular and pivot rows sigma, so:
+
+def _grids_from_pass(cpass: tuple, field: PrimeField, alpha: Composition, beta: Composition) -> list:
+    """The grid of every member of a _cell_pass over alpha, in stack order.
+
+    The pass runs on a' = a Pi, Pi reversing every alpha block, and gives
+    a' @ f == af with f unit upper triangular and pivot rows sigma, so:
       - column c of f is supported on [0, c] and af[:, c] first becomes
         nonzero at row sigma[c];
       - Pi keeps every block, so {Pi f[:, c] : c < col_hi, sigma[c] >= row_lo}
@@ -321,8 +336,7 @@ def _chi_each(mats, alpha, beta) -> list:
     one shape over all N matrices at once into each grid's CellGroup, and the
     Y-first forms derived() reads, for all N grids when the first is derived.
     """
-    field, p = mats[0].field, mats[0].field.p
-    cpass = _cell_pass(np.stack([a.a for a in mats]), p, alpha)
+    p = field.p
     shapes = [(na, nb, ij, np.array(alpha.offsets)[ij[:, 0]], np.array(beta.offsets)[ij[:, 1]])
               for (na, nb), ij in _shape_groups(alpha, beta).items()]
     x_first = [_cell_rrefs(cpass, c0, r0, na, nb, p) for na, nb, _, c0, r0 in shapes]
@@ -330,21 +344,43 @@ def _chi_each(mats, alpha, beta) -> list:
         (na, nb): _cell_rrefs(cpass, c0, r0, na, nb, p, y_first=True)[0] for na, nb, _, c0, r0 in shapes})
     return [BiHinge._of(alpha, beta, field, [
         CellGroup(na, nb, ij, g[k], r[k]) for (na, nb, ij, _, _), (g, r) in zip(shapes, x_first)
-    ], lambda shape, k=k: y_first_forms()[shape][k]) for k in range(len(mats))]
+    ], lambda shape, k=k: y_first_forms()[shape][k]) for k in range(len(cpass[0]))]
 
 
 def _cell_pass(stack: np.ndarray, p: int, alpha: Composition) -> tuple:
     """(sigma, tau, f^T, af^T) of one _column_pass_each over an (N, n, n)
     stack with the columns of every block of alpha reversed, tau = sigma^-1
-    per member, once per pass.  A singular stack raises the plain pass's error,
-    which names a column in the stack's own order."""
+    per member, once per pass.
+
+    The reversal Pi lies in B+(alpha), which keeps the rank of every top-left
+    block slice, so _block_counts of sigma is that of the plain pass: the
+    grid's dimension table.  A singular stack re-runs the plain _column_pass
+    member by member in input order and raises the error of the first
+    singular member, which names a column of that matrix in its own order,
+    as one chi per member would.
+    """
     flip = [lo + hi - 1 - c for lo, hi in zip(alpha.offsets, alpha.offsets[1:]) for c in range(lo, hi)]
     try:
         sigma, f, af, _ = _column_pass_each(stack[:, :, flip], p)
     except SingularMatrixError:
-        _column_pass_each(stack, p)
+        for a in stack:
+            _column_pass(a, p)
         raise
     return sigma, np.argsort(sigma, axis=1), f.transpose(0, 2, 1), af.transpose(0, 2, 1)
+
+
+def _block_counts(sigma: np.ndarray, alpha: Composition, beta: Composition) -> np.ndarray:
+    """(N, p, q) counts of the pivots (sigma[k][c], c) of N column passes with
+    c in column block i of alpha and sigma[k][c] in row block j of beta: the
+    units of perm in each block of an l @ perm @ u factorization, and so the
+    dimension table of the grid (see lpu)."""
+    count, n = sigma.shape
+    if (beta.n, alpha.n) != (n, n):
+        raise ShapeError(f"permutation shape {(n, n)} does not match ({beta.n}, {alpha.n})")
+    row_block = np.repeat(np.arange(len(beta)), beta.parts)[sigma]
+    cell = (np.arange(count)[:, None] * len(alpha) + np.repeat(np.arange(len(alpha)), alpha.parts)) * len(beta)
+    counts = np.bincount((cell + row_block).ravel(), minlength=count * len(alpha) * len(beta))
+    return counts.reshape(count, len(alpha), len(beta))
 
 
 def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int, height=None, y_first=False) -> tuple:
@@ -585,10 +621,23 @@ def standard_bihinge(d: DimensionMatrix, field: PrimeField) -> BiHinge:
 
 
 def equivalent(a: Matrix, b: Matrix, alpha, beta) -> bool:
-    """Whether a and b lie in the same double coset, decided via their grids."""
+    """Whether a and b lie in the same double coset, decided via their grids.
+
+    Both run as one _cell_pass stack, and a singular input raises as chi of
+    a, then chi of b would.  The pass's pivot block counts are each grid's
+    dimension table, an invariant of the coarser B-(beta) \\ GL / B+(alpha)
+    double coset, so differing tables decide False before any cell is
+    gathered; equal tables go on to both X-first grids, compared whole.
+    """
     if a.field != b.field or a.shape != b.shape:
         raise ShapeError("matrices must share a field and a shape")
-    return chi(a, alpha, beta) == chi(b, alpha, beta)
+    alpha, beta = _compositions_of(a, alpha, beta)
+    cpass = _cell_pass(np.stack([a.a, b.a]), a.field.p, alpha)
+    counts = _block_counts(cpass[0], alpha, beta)
+    if not np.array_equal(counts[0], counts[1]):
+        return False
+    grid_a, grid_b = _grids_from_pass(cpass, a.field, alpha, beta)
+    return grid_a == grid_b
 
 
 def hinge_act(gs, hs, h: BiHinge) -> BiHinge:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bihinge import Composition, DimensionMatrix, standard_matrix
-from .linalg import Matrix, ShapeError, _column_pass_each
+from .bihinge import Composition, DimensionMatrix, _block_counts, standard_matrix
+from .linalg import Matrix, _column_pass_each
 from .relations import InvariantViolation
 
 
@@ -47,18 +47,11 @@ def _lpu_each(mats, alpha=None, beta=None) -> tuple:
     from one _column_pass_each: perm[k] has its units at (sigma[k][c], c),
     l[k] == af[k] @ perm[k]^T and u[k] == f[k]^-1.  Given Compositions alpha
     and beta, counts[k][i, j] counts the units of perm[k] in column block i
-    and row block j; else counts is None.  Nothing is multiplied back."""
+    and row block j (bihinge._block_counts); else counts is None.  Nothing
+    is multiplied back."""
     sigma, _, af, u = _column_pass_each(np.stack([a.a for a in mats]), mats[0].field.p)
     l = np.take_along_axis(af, np.argsort(sigma, axis=1)[:, None, :], axis=2)
-    if alpha is None:
-        return l, sigma, u, None
-    count, n = sigma.shape
-    if (beta.n, alpha.n) != (n, n):
-        raise ShapeError(f"permutation shape {(n, n)} does not match ({beta.n}, {alpha.n})")
-    row_block = np.repeat(np.arange(len(beta)), beta.parts)[sigma]
-    cell = (np.arange(count)[:, None] * len(alpha) + np.repeat(np.arange(len(alpha)), alpha.parts)) * len(beta)
-    counts = np.bincount((cell + row_block).ravel(), minlength=count * len(alpha) * len(beta))
-    return l, sigma, u, counts.reshape(count, len(alpha), len(beta))
+    return l, sigma, u, None if alpha is None else _block_counts(sigma, alpha, beta)
 
 
 def rank_profile_permutation(a: Matrix) -> Matrix:

@@ -19,6 +19,8 @@ from hinge.bihinge import (
     AxiomError,
     BiHinge,
     _axiom_tables,
+    _block_counts,
+    _cell_pass,
     _chi_each,
     _derive_each,
     _normalize_each,
@@ -573,6 +575,49 @@ def test_invariance_under_triangular_moves():
             c = random_unitriangular(alpha, f, rng, lower=False)
             assert chi(d * a * c, alpha, beta) == chi(a, alpha, beta)
             assert equivalent(d * a * c, a, alpha, beta)
+
+
+def test_cell_pass_block_counts_are_the_dimension_table():
+    # the table equivalent compares before gathering any cell: the pivot
+    # block counts of one stacked _cell_pass per group and composition pair
+    # against dimension_matrix of chi's grids (_chi_each, equal to chi's)
+    for n, q in ((3, 2), (2, 3)):
+        f = PrimeField(q)
+        elements = gl_array(n, q).astype(np.int64)
+        mats = [Matrix(f, m) for m in elements]
+        for alpha in all_compositions(n):
+            for beta in all_compositions(n):
+                counts = _block_counts(_cell_pass(elements, q, alpha)[0], alpha, beta)
+                for a, h, table in zip(mats, _chi_each(mats, alpha, beta), counts):
+                    assert table.tolist() == dimension_matrix(h).to_rows(), (a, alpha, beta)
+
+
+def test_equivalent_agrees_with_grid_equality():
+    # random pairs with differing tables (the early exit), l a u partners
+    # (equivalent) and torus partners a t, t diagonal: same table, and in
+    # general another coset, so they reach the grid comparison and fail it
+    rng = random.Random(107)
+    primes = (2, 3, 5, 7, 251, 65521)
+    verdicts = {"random": set(), "l a u": set(), "torus": set()}
+    for trial in range(200):
+        f = PrimeField(rng.choice(primes))
+        n = rng.randint(1, 12)
+        alpha, beta = random_composition(n, rng), random_composition(n, rng)
+        a = random_invertible(f, n, rng)
+        kind = ("random", "l a u", "torus")[trial % 3]
+        if kind == "random":
+            b = random_invertible(f, n, rng)
+        elif kind == "l a u":
+            b = random_unitriangular(beta, f, rng, lower=True) * a * random_unitriangular(alpha, f, rng, lower=False)
+        else:
+            b = a * Matrix(f, np.diag([rng.randrange(1, f.p) for _ in range(n)]))
+        grid_a, grid_b = chi(a, alpha, beta), chi(b, alpha, beta)
+        same_table = dimension_matrix(grid_a) == dimension_matrix(grid_b)
+        assert equivalent(a, b, alpha, beta) == (grid_a == grid_b), (kind, a, b, alpha, beta)
+        assert same_table or kind == "random"
+        verdicts[kind].add((same_table, grid_a == grid_b))
+    assert verdicts["l a u"] == {(True, True)}
+    assert (True, False) in verdicts["torus"] and (False, False) in verdicts["random"]
 
 
 def test_grids_separate_cosets_gl2_gf3():

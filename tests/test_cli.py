@@ -171,6 +171,16 @@ def test_singular_coarse_input_names_its_own_column(capsys, tmp_path):
     for argv in (["invariants", singular], ["equivalent", eye, singular], ["equivalent", singular, eye]):
         assert main(argv) == 3
         assert capsys.readouterr() == ("", want), argv
+    # both inputs singular: the first one names its own column, as chi of the
+    # first and then of the second would (this one fails at column 2, and at
+    # column 2 of the reversed block too, while the first fails at column 1)
+    late = write_problem(tmp_path, "late.json", 5, [3], [1, 2], [[1, 0, 1], [0, 1, 1], [2, 3, 0]])
+    column = "error: matrix is singular over GF(5): column {} depends on earlier columns\n"
+    for files, col in (([singular, late], 1), ([late, singular], 2)):
+        for fmt in ("text", "json"):
+            argv = ["equivalent", *files, "--format", fmt]
+            assert main(argv) == 3
+            assert capsys.readouterr() == ("", column.format(col)), argv
 
 
 def test_huge_entries_reduce_mod_p(capsys, tmp_path):

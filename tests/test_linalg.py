@@ -2,6 +2,7 @@
 row reducer written with plain Python ints (no numpy, no shared code)."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -299,3 +300,89 @@ def test_stacked_column_pass_rejects_a_singular_member():
         assert str(many.value) == str(one.value)
     with pytest.raises(ShapeError):
         _column_pass_each(np.zeros((2, 2, 3), dtype=np.int64), p)
+
+
+def right_looking_pass(a, p):
+    """Oracle: the column pass in right-looking order, every step rewriting
+    all later columns of [af^T | f^T] at once; returns (sigma, f, af, u)."""
+    n = len(a)
+    mt = a.T.copy()  # row c of mt is column c of af, row c of ft column c of f
+    ft = np.eye(n, dtype=np.int64)
+    u = np.eye(n, dtype=np.int64)
+    sigma = np.empty(n, dtype=np.intp)
+    for c in range(n):
+        nz = mt[c].nonzero()[0]
+        if nz.size == 0:
+            raise SingularMatrixError(f"matrix is singular over GF({p}): column {c} depends on earlier columns")
+        sigma[c] = r = int(nz[0])
+        u[c, c + 1 :] = coef = mt[c + 1 :, r] * pow(int(mt[c, r]), -1, p) % p
+        for rest, row in ((mt[c + 1 :, r:], mt[c, r:]), (ft[c + 1 :, : c + 1], ft[c, : c + 1])):
+            rest -= coef[:, None] * row
+            rest %= p
+    return sigma, ft.T, mt.T, u
+
+
+def _oracle(a, p):
+    """The oracle pass of a, or its error text when a is singular."""
+    try:
+        return right_looking_pass(a, p)
+    except SingularMatrixError as exc:
+        return str(exc)
+
+
+def _invertible_stack(rng, p, n, count):
+    """count random invertible n x n matrices over GF(p), with their oracle passes."""
+    mats, passes = [], []
+    while len(mats) < count:
+        a = rng.integers(0, p, (n, n))
+        if not isinstance(want := _oracle(a, p), str):
+            mats.append(a)
+            passes.append(want)
+    return np.stack(mats), passes
+
+
+def test_column_pass_is_bit_identical_to_the_right_looking_pass():
+    # random invertible stacks of N in {1, 2, 9} and a product of all-(p - 1)
+    # triangles (the largest entries and products), through _column_pass and
+    # _column_pass_each; the all-(p - 1) matrix is singular past n = 1 and
+    # both raise the oracle's text
+    rng = np.random.default_rng(41)
+    for p in (2, 3, 7, 65521):
+        for n in (1, 2, 5, 16, 48, 128):
+            full = np.full((n, n), p - 1, dtype=np.int64)
+            big = np.tril(full) @ np.triu(full) % p
+            if n > 1:
+                want = f"matrix is singular over GF({p}): column 1 depends on earlier columns"
+                assert _oracle(full, p) == want
+                for run in (lambda: _column_pass(full, p), lambda: _column_pass_each(full[None], p)):
+                    with pytest.raises(SingularMatrixError) as err:
+                        run()
+                    assert str(err.value) == want
+            stacks = [(np.stack([big, big.T]), [_oracle(big, p), _oracle(big.T, p)])]
+            if n == 1:
+                stacks.append((full[None], [_oracle(full, p)]))
+            stacks += [_invertible_stack(rng, p, n, count) for count in (1, 2, 9)]
+            for stack, passes in stacks:
+                got = _column_pass_each(stack, p)
+                for k, (a, want) in enumerate(zip(stack, passes)):
+                    for x, y, z in zip(got, _column_pass(a, p), want):
+                        assert x[k].dtype == y.dtype == z.dtype, (p, n, len(stack))
+                        assert np.array_equal(x[k], z) and np.array_equal(y, z), (p, n, len(stack), k)
+
+
+def test_stacked_column_pass_fails_where_the_right_looking_pass_does():
+    # singular members at several columns and positions: the stack raises the
+    # text of its earliest failing column, as the oracle gives it per member
+    rng = np.random.default_rng(43)
+    for p in (2, 3, 7, 65521):
+        for n in (2, 5, 16, 48):
+            for count in (1, 2, 9):
+                stack = _invertible_stack(rng, p, n, count)[0]
+                for k in rng.choice(count, size=min(count, 2), replace=False).tolist():
+                    col = int(rng.integers(1, n))
+                    stack[k, :, col] = stack[k, :, :col] @ rng.integers(0, p, col) % p
+                fails = [(int(re.search(r"column (\d+)", text).group(1)), text)
+                         for text in (_oracle(a, p) for a in stack) if isinstance(text, str)]
+                with pytest.raises(SingularMatrixError) as err:
+                    _column_pass_each(stack, p)
+                assert str(err.value) == min(fails)[1], (p, n, count)
