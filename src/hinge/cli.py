@@ -22,7 +22,7 @@ import argparse
 import os
 import sys
 
-from .bihinge import DimensionMatrix, MarginError, equivalent, standard_bihinge, standard_matrix
+from .bihinge import DimensionMatrix, MarginError, equivalent
 from .enumeration import (
     DEFAULT_BUDGET,
     BudgetError,
@@ -38,14 +38,14 @@ from .selfcheck import run_selfcheck
 from .serialize import (
     HeaderMismatchError,
     ProblemFormatError,
-    cell_records,
     check_same_header,
     dumps_json,
     invariant_report,
     load_problem,
     render_matrix_rows,
-    render_report_text,
-    render_standard_text,
+    render_text,
+    report_header,
+    standard_report,
 )
 
 EXIT_OK = 0
@@ -98,12 +98,8 @@ def _resolve_budget(args) -> EnumerationBudget:
 
 
 def cmd_invariants(args) -> int:
-    problem = load_problem(args.file)
-    report = invariant_report(problem)
-    if args.format == "json":
-        print(dumps_json(report))
-    else:
-        print(render_report_text(report))
+    report = invariant_report(load_problem(args.file))
+    print(dumps_json(report) if args.format == "json" else render_text(report))
     return EXIT_OK
 
 
@@ -121,38 +117,18 @@ def cmd_equivalent(args) -> int:
 
 def cmd_canonical(args) -> int:
     problem = load_problem(args.file)
-    c = canonical_01(problem.matrix, problem.alpha, problem.beta)
+    rows = canonical_01(problem.matrix, problem.alpha, problem.beta).to_rows()
     if args.format == "json":
-        print(
-            dumps_json(
-                {
-                    "modulus": problem.field.p,
-                    "alpha": list(problem.alpha.parts),
-                    "beta": list(problem.beta.parts),
-                    "matrix": c.to_rows(),
-                }
-            )
-        )
+        print(dumps_json({**report_header(problem.field, problem.alpha, problem.beta), "matrix": rows}))
     else:
-        print(render_matrix_rows(c.to_rows()))
+        print(render_matrix_rows(rows))
     return EXIT_OK
 
 
 def cmd_standard(args) -> int:
-    field = PrimeField(args.q)
-    d = DimensionMatrix(args.dims, args.alpha, args.beta)
-    report = {
-        "modulus": field.p,
-        "alpha": list(d.alpha.parts),
-        "beta": list(d.beta.parts),
-        "matrix": standard_matrix(d, field).to_rows(),
-        "dimension_matrix": d.to_rows(),
-        "cells": cell_records(standard_bihinge(d, field)),
-    }
-    if args.format == "json":
-        print(dumps_json(report))
-    else:
-        print(render_standard_text(report))
+    field = PrimeField(args.q)  # before the table, so a bad modulus exits 2 whatever the table
+    report = standard_report(DimensionMatrix(args.dims, args.alpha, args.beta), field)
+    print(dumps_json(report) if args.format == "json" else render_text(report))
     return EXIT_OK
 
 

@@ -33,7 +33,7 @@ from .bihinge import (
 )
 from .field import PrimeField
 from .linalg import Matrix
-from .relations import InvariantViolation, LinearRelation, act_stack, derive_stack, y_first
+from .relations import InvariantViolation, LinearRelation, derive_stack, y_first
 
 
 class BudgetError(RuntimeError):
@@ -400,9 +400,14 @@ def stabilizer_brute(d: DimensionMatrix, q: int, budget: EnumerationBudget = Non
     """Order of the block change-of-basis stabilizer of the standard grid.
 
     (gs, hs) fixes the grid exactly when every cell (i, j) is fixed by
-    (gs[i], hs[j]).  So each cell is moved by every pair of its two groups,
-    CHUNK pairs per act_stack, and the pairs fixing each cell are combined
-    over the whole product of the groups, whose size the budget bounds.
+    (gs[i], hs[j]).  A cell is its RREF basis B, with pivot columns P; a pair
+    (g, h) moves it to the span of M = (B_x g^T | B_y h^T), which has B's rank
+    as g and h are invertible, so the pair fixes it exactly when every row of
+    M lies in B's span: M == M[:, P] @ B mod q.  So the test needs neither the
+    hinge action nor a row reduction.  Each cell is tested against every pair
+    of its two groups, CHUNK pairs at a time, and the pairs fixing each cell
+    are combined over the whole product of the groups, whose size the budget
+    bounds.
     """
     budget = budget or DEFAULT_BUDGET
     blocks = (*d.alpha, *d.beta)
@@ -412,14 +417,18 @@ def stabilizer_brute(d: DimensionMatrix, q: int, budget: EnumerationBudget = Non
     fixed = np.ones([len(g) for g in groups], dtype=bool)
     for g in std.groups:
         for (i, j), cell, rank in zip(g.cells.tolist(), g.stack, g.ranks.tolist()):
+            basis = cell[:rank]
+            piv = (basis != 0).argmax(axis=1)
             xs, ys = groups[i], groups[len(d.alpha) + j]
             pairs = np.arange(len(xs) * len(ys))
             hits = []
             for lo in range(0, len(pairs), CHUNK):
                 x, y = np.divmod(pairs[lo : lo + CHUNK], len(ys))
-                same = np.broadcast_to(cell, (len(x), *cell.shape))
-                moved, _ = act_stack(same, np.full(len(x), rank), xs[x], ys[y], g.dim_x, q)
-                hits.append((moved == cell).all(axis=(1, 2)))
+                moved = np.concatenate(
+                    [basis[:, : g.dim_x] @ xs[x].transpose(0, 2, 1), basis[:, g.dim_x :] @ ys[y].transpose(0, 2, 1)],
+                    axis=2,
+                ) % q
+                hits.append((moved[:, :, piv] @ basis % q == moved).all(axis=(1, 2)))
             shape = [1] * len(groups)
             shape[i], shape[len(d.alpha) + j] = len(xs), len(ys)
             fixed &= np.concatenate(hits).reshape(shape)

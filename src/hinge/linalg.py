@@ -87,7 +87,7 @@ class Matrix:
         return int(self.a[i, j])
 
     def to_rows(self) -> list:
-        return [[int(v) for v in row] for row in self.a]
+        return self.a.tolist()
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -242,10 +242,16 @@ def _back_substitute(arr: np.ndarray, lead: np.ndarray, p: int):
         arr[:, h] = (arr[:, h] - (arr[m, h, lead[:, h + 1 :]][:, None] @ arr[:, h + 1 :])[:, 0]) % p
 
 
-# Fewest matrices that _rref_each reduces as one stack.  Measured with random
-# generator stacks of cell sizes 2 to 40 (2-vCPU x86-64 host): at 4 cells the
-# stack was 1.1-1.5x slower than one _rref per cell, at 8 cells 0.7-0.9x
-# (faster), at 64 cells 0.2-0.6x.
+# Fewest matrices that _rref_each reduces as one stack.  Its callers are
+# normalize's witness inversion (one member per block), act_stack (the hinge
+# action, one member per cell of a shape) and y_first on grids without a
+# column pass; chi's cells never come here.  On bench/workloads.py grids of
+# seeds 1-3 (minima of 40 normalize and 10 hinge_act runs on a grid with its
+# derived data cached, 2-vCPU x86-64 host), coarse grids (3-5 blocks a side,
+# n = 48-96) stay below it: block by block, normalize took 1.6-7.7 ms and
+# hinge_act 5.2-20 ms, against 2.7-14 and 13-39 ms forced through the stack.
+# Fine grids (16-32 one-unit blocks) reach it: the stack took 0.33-0.70 and
+# 1.0-2.9 ms, against 0.36-1.03 and 2.0-10 ms block by block.
 _STACK_MIN_CELLS = 8
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bihinge import BiHinge, Composition, MarginError, chi, dimension_matrix, standard_matrix
+from .bihinge import BiHinge, Composition, DimensionMatrix, MarginError, chi, dimension_matrix, standard_bihinge, standard_matrix
 from .field import PrimeField
 from .linalg import Matrix
 
@@ -136,6 +136,11 @@ def cell_records(h: BiHinge) -> list:
     return cells
 
 
+def report_header(field: PrimeField, alpha: Composition, beta: Composition) -> dict:
+    """The fields every report opens with: modulus and both compositions."""
+    return {"modulus": field.p, "alpha": list(alpha.parts), "beta": list(beta.parts)}
+
+
 def invariant_report(problem: Problem) -> dict:
     """The full invariant of a problem as one JSON-ready dict.
 
@@ -147,12 +152,20 @@ def invariant_report(problem: Problem) -> dict:
     h = chi(problem.matrix, problem.alpha, problem.beta)
     d = dimension_matrix(h)
     return {
-        "modulus": problem.field.p,
-        "alpha": list(problem.alpha.parts),
-        "beta": list(problem.beta.parts),
+        **report_header(problem.field, problem.alpha, problem.beta),
         "dimension_matrix": d.to_rows(),
         "cells": cell_records(h),
         "canonical": standard_matrix(d, problem.field).to_rows(),
+    }
+
+
+def standard_report(d: DimensionMatrix, field: PrimeField) -> dict:
+    """The standard 0-1 matrix of a dimension table, then its grid."""
+    return {
+        **report_header(field, d.alpha, d.beta),
+        "matrix": standard_matrix(d, field).to_rows(),
+        "dimension_matrix": d.to_rows(),
+        "cells": cell_records(standard_bihinge(d, field)),
     }
 
 
@@ -161,18 +174,17 @@ def dumps_json(data: dict) -> str:
     return json.dumps(data, separators=(", ", ": "), sort_keys=False)
 
 
+def _join(values) -> str:
+    return " ".join(map(str, values))
+
+
 def render_matrix_rows(rows: list) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in rows)
+    return "\n".join(map(_join, rows))
 
 
 def render_relation_rows(rows: list, dim_x: int) -> list:
     """Rows printed in the (xi ; eta) split used for desk checking."""
-    out = []
-    for row in rows:
-        left = " ".join(str(v) for v in row[:dim_x])
-        right = " ".join(str(v) for v in row[dim_x:])
-        out.append(f"({left} | {right})")
-    return out
+    return [f"({_join(row[:dim_x])} | {_join(row[dim_x:])})" for row in rows]
 
 
 def _cell_lines(cell: dict) -> list:
@@ -180,48 +192,32 @@ def _cell_lines(cell: dict) -> list:
         f"chi[{cell['i']},{cell['j']}]  ker={cell['ker_dim']} dom={cell['dom_dim']} "
         f"indef={cell['indef_dim']} im={cell['im_dim']}"
     ]
-    for row in render_relation_rows(cell["basis"], cell["dim_x"]):
-        lines.append("  " + row)
+    lines.extend("  " + row for row in render_relation_rows(cell["basis"], cell["dim_x"]))
     if not cell["basis"]:
         lines.append("  (zero relation)")
     theta = cell["theta"]
     size = len(theta)
     lines.append(f"  theta {size}x{size}" + ("" if size == 0 else ":"))
-    for row in theta:
-        lines.append("    " + " ".join(str(v) for v in row))
+    lines.extend("    " + _join(row) for row in theta)
     return lines
 
 
-def _header_lines(report: dict) -> list:
-    return [
-        f"modulus {report['modulus']}",
-        "alpha " + " ".join(str(v) for v in report["alpha"]),
-        "beta " + " ".join(str(v) for v in report["beta"]),
-    ]
+_MATRIX_LABELS = {
+    "matrix": "standard matrix:",
+    "dimension_matrix": "dimension matrix:",
+    "canonical": "canonical 0-1 matrix:",
+}
 
 
-def render_report_text(report: dict) -> str:
-    lines = _header_lines(report)
-    lines.append("dimension matrix:")
-    for row in report["dimension_matrix"]:
-        lines.append("  " + " ".join(str(v) for v in row))
-    for cell in report["cells"]:
-        lines.extend(_cell_lines(cell))
-    lines.append("canonical 0-1 matrix:")
-    for row in report["canonical"]:
-        lines.append("  " + " ".join(str(v) for v in row))
-    return "\n".join(lines)
-
-
-def render_standard_text(report: dict) -> str:
-    """Text form of a standard-form report: the 0-1 matrix, then its grid."""
-    lines = _header_lines(report)
-    lines.append("standard matrix:")
-    for row in report["matrix"]:
-        lines.append("  " + " ".join(str(v) for v in row))
-    lines.append("dimension matrix:")
-    for row in report["dimension_matrix"]:
-        lines.append("  " + " ".join(str(v) for v in row))
-    for cell in report["cells"]:
-        lines.extend(_cell_lines(cell))
+def render_text(report: dict) -> str:
+    """Desk text of an invariant or standard report: the header, then each
+    field in report order, a matrix as a label and indented rows."""
+    lines = [f"modulus {report['modulus']}", f"alpha {_join(report['alpha'])}", f"beta {_join(report['beta'])}"]
+    for key, value in report.items():
+        if key == "cells":
+            for cell in value:
+                lines.extend(_cell_lines(cell))
+        elif key in _MATRIX_LABELS:
+            lines.append(_MATRIX_LABELS[key])
+            lines.extend("  " + _join(row) for row in value)
     return "\n".join(lines)

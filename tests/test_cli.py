@@ -137,6 +137,149 @@ def test_invariants_text(capsys, swap2):
     assert "canonical 0-1 matrix:" in out
 
 
+# Text reports pinned byte for byte: a 2 x 2 problem over GF(2), a three-block
+# problem over GF(5) with zero relation cells and a 2 x 2 theta, and the
+# standard form of a 2 x 3 table over GF(3).
+INVARIANTS_GF2_TEXT = """\
+modulus 2
+alpha 1 1
+beta 1 1
+dimension matrix:
+  1 0
+  0 1
+chi[1,1]  ker=0 dom=1 indef=0 im=1
+  (1 | 1)
+  theta 1x1:
+    1
+chi[1,2]  ker=0 dom=0 indef=0 im=0
+  (zero relation)
+  theta 0x0
+chi[2,1]  ker=1 dom=1 indef=1 im=1
+  (1 | 0)
+  (0 | 1)
+  theta 0x0
+chi[2,2]  ker=0 dom=1 indef=0 im=1
+  (1 | 1)
+  theta 1x1:
+    1
+canonical 0-1 matrix:
+  1 0
+  0 1
+"""
+
+INVARIANTS_GF5_TEXT = """\
+modulus 5
+alpha 2 1 2
+beta 1 2 2
+dimension matrix:
+  1 1 0
+  0 1 0
+  0 0 2
+chi[1,1]  ker=1 dom=2 indef=0 im=1
+  (1 0 | 2)
+  (0 1 | 0)
+  theta 1x1:
+    2
+chi[1,2]  ker=0 dom=1 indef=0 im=1
+  (0 1 | 3 3)
+  theta 1x1:
+    3
+chi[1,3]  ker=0 dom=0 indef=0 im=0
+  (zero relation)
+  theta 0x0
+chi[2,1]  ker=1 dom=1 indef=1 im=1
+  (1 | 0)
+  (0 | 1)
+  theta 0x0
+chi[2,2]  ker=0 dom=1 indef=1 im=2
+  (1 | 0 4)
+  (0 | 1 1)
+  theta 1x1:
+    4
+chi[2,3]  ker=0 dom=0 indef=0 im=0
+  (zero relation)
+  theta 0x0
+chi[3,1]  ker=2 dom=2 indef=1 im=1
+  (1 0 | 0)
+  (0 1 | 0)
+  (0 0 | 1)
+  theta 0x0
+chi[3,2]  ker=2 dom=2 indef=2 im=2
+  (1 0 | 0 0)
+  (0 1 | 0 0)
+  (0 0 | 1 0)
+  (0 0 | 0 1)
+  theta 0x0
+chi[3,3]  ker=0 dom=2 indef=0 im=2
+  (1 0 | 1 0)
+  (0 1 | 2 1)
+  theta 2x2:
+    1 2
+    0 1
+canonical 0-1 matrix:
+  1 0 0 0 0
+  0 1 0 0 0
+  0 0 1 0 0
+  0 0 0 1 0
+  0 0 0 0 1
+"""
+
+STANDARD_TEXT = """\
+modulus 3
+alpha 2 2
+beta 1 2 1
+standard matrix:
+  0 0 1 0
+  1 0 0 0
+  0 0 0 1
+  0 1 0 0
+dimension matrix:
+  0 1 1
+  1 1 0
+chi[1,1]  ker=2 dom=2 indef=0 im=0
+  (1 0 | 0)
+  (0 1 | 0)
+  theta 0x0
+chi[1,2]  ker=1 dom=2 indef=0 im=1
+  (1 0 | 1 0)
+  (0 1 | 0 0)
+  theta 1x1:
+    1
+chi[1,3]  ker=0 dom=1 indef=0 im=1
+  (0 1 | 1)
+  theta 1x1:
+    1
+chi[2,1]  ker=1 dom=2 indef=0 im=1
+  (1 0 | 1)
+  (0 1 | 0)
+  theta 1x1:
+    1
+chi[2,2]  ker=0 dom=1 indef=1 im=2
+  (0 1 | 0 1)
+  (0 0 | 1 0)
+  theta 1x1:
+    1
+chi[2,3]  ker=0 dom=0 indef=1 im=1
+  (0 0 | 1)
+  theta 0x0
+"""
+
+
+def test_invariants_text_is_frozen(capsys, tmp_path):
+    gf2 = write_problem(tmp_path, "gf2.json", 2, [1, 1], [1, 1], [[1, 1], [0, 1]])
+    matrix = [[2, 0, 0, 0, 3], [0, 3, 4, 0, 2], [1, 3, 3, 2, 0], [0, 0, 3, 0, 0], [1, 1, 1, 4, 2]]
+    gf5 = write_problem(tmp_path, "gf5.json", 5, [2, 1, 2], [1, 2, 2], matrix)
+    for path, want in ((gf2, INVARIANTS_GF2_TEXT), (gf5, INVARIANTS_GF5_TEXT)):
+        assert main(["invariants", path, "--format", "text"]) == 0
+        assert capsys.readouterr() == (want, "")
+
+
+def test_standard_text_is_frozen(capsys):
+    argv = ["standard", "--dims", "0,1,1;1,1,0", "--alpha", "2,2", "--beta", "1,2,1", "-q", "3", "--format", "text"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (STANDARD_TEXT, "")
+
+
 def test_invariants_json_round_trip(capsys, swap2):
     assert main(["invariants", swap2, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -261,6 +404,27 @@ def test_selfcheck_quick(capsys):
     assert "FAIL" not in out
     assert out.rstrip().endswith("all checks passed")
 
+
+
+def test_selfcheck_skips_suites_past_the_budget(capsys):
+    # at this budget surjectivity (625 grid candidates), stabilizers (36
+    # pairs) and counting (GL(2,3)) would exceed it: each prints SKIP and
+    # the run goes on to the suites after it, and a SKIP does not fail it
+    assert main(["selfcheck", "-q", "2", "--max-n", "2", "--budget", "30"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS invariance",
+        "PASS axioms",
+        "PASS canonical-forms",
+        "SKIP surjectivity",
+        "SKIP stabilizers",
+        "PASS lpu",
+        "PASS normal-form",
+        "SKIP counting",
+        "PASS completeness",
+        "all checks passed",
+    ]
+    assert lines[4] == "SKIP stabilizers: stabilizer search space = 36 exceeds group budget 30"
 
 def test_selfcheck_rejects_max_n_below_one(capsys):
     for value in ("0", "-3"):

@@ -8,6 +8,7 @@ from math import comb, factorial, isqrt
 import numpy as np
 import pytest
 
+from hinge import bihinge, linalg, relations
 from hinge.bihinge import Composition, DimensionMatrix, MarginError, check_axioms, chi
 from hinge.enumeration import (
     BudgetError,
@@ -32,7 +33,7 @@ from hinge.enumeration import (
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, _span
 from hinge.relations import InvariantViolation
-from hinge.selfcheck import all_compositions
+from hinge.selfcheck import all_compositions, check_stabilizers
 
 
 def encode_matrix(m: Matrix) -> int:
@@ -217,6 +218,19 @@ def test_stabilizer_formula_vs_brute_margins():
                 assert stabilizer_brute(d, q) == stab_order_formula(d, q), (
                     f"table {d.to_rows()} at q={q}"
                 )
+
+
+def test_stabilizer_brute_is_independent_of_the_fast_path(monkeypatch):
+    # the oracle tests span membership against the standard basis: it never
+    # moves a cell with the hinge action nor reduces one, so it shares neither
+    # with the normal form it checks
+    def refused(*args, **kwargs):
+        raise AssertionError("fast path called")
+
+    for module, name in ((relations, "act_stack"), (bihinge, "act_stack"), (linalg, "_rref_each"),
+                         (relations, "_rref_each"), (bihinge, "_rref_each"), (linalg, "_rref")):
+        monkeypatch.setattr(module, name, refused)
+    assert check_stabilizers(qs=(2, 3)) == (True, "38 tables over q in (2, 3)")
 
 
 def test_contingency_tables():

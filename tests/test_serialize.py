@@ -21,7 +21,7 @@ from hinge.serialize import (
     problem_from_dict,
     render_matrix_rows,
     render_relation_rows,
-    render_report_text,
+    render_text,
 )
 
 GOOD = {
@@ -164,9 +164,9 @@ def test_render_helpers():
     assert rows == ["(0 1 0 | 0 1 0 0)"]
 
 
-def test_render_report_text_shape():
+def test_render_text_shape():
     p = problem_from_dict(GOOD)
-    text = render_report_text(invariant_report(p))
+    text = render_text(invariant_report(p))
     assert text.startswith("modulus 2\nalpha 1 1\nbeta 1 1\ndimension matrix:")
     assert "chi[1,1]" in text and "chi[2,2]" in text
     assert "canonical 0-1 matrix:" in text
