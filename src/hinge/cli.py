@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .bihinge import DimensionMatrix, MarginError, equivalent
@@ -242,8 +243,21 @@ _EXIT_CODES = (
 )
 
 
+def _join_dims_value(argv: list) -> list:
+    """argv with "--dims" and a next token of "-" and a digit joined as
+    "--dims=value": argparse reads a table such as "-1,2;2,-1" as an option
+    and exits 2, where the joined spelling reaches the margin check."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--dims" and re.match(r"-\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_dims_value(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (BudgetError, OSError, ValueError) as exc:

@@ -47,19 +47,32 @@ from .lpu import _lpu_each, canonical_01
 from .relations import InvariantViolation
 
 
-def random_matrix(field: PrimeField, rows: int, cols: int, rng: random.Random) -> Matrix:
-    arr = np.array(
-        [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)],
-        dtype=np.int64,
-    ).reshape(rows, cols)
-    return Matrix._new(field, arr)
-
-
 def random_invertible(field: PrimeField, n: int, rng: random.Random) -> Matrix:
+    """A uniform invertible n x n matrix: n rows of n rng.randrange(p) draws,
+    redrawn until invertible, tested on the Python ints before any array is
+    built."""
+    p = field.p
     while True:
-        m = random_matrix(field, n, n, rng)
-        if m.rank() == n:
-            return m
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if _invertible(rows, p):
+            return Matrix._new(field, np.array(rows, dtype=np.int64).reshape(n, n))
+
+
+def _invertible(rows: list, p: int) -> bool:
+    """Whether a square matrix of ints in [0, p) is invertible mod p, by
+    forward elimination; each step keeps the columns right of its pivot and
+    builds new row lists, so rows is left as it was."""
+    while rows:
+        pivot = next((row for row in rows if row[0]), None)
+        if pivot is None:
+            return False
+        inv, rest = pow(pivot[0], -1, p), pivot[1:]
+        rows = [
+            [(x - f * y) % p for x, y in zip(row[1:], rest)] if (f := row[0] * inv % p) else row[1:]
+            for row in rows
+            if row is not pivot
+        ]
+    return True
 
 
 def random_composition(n: int, rng: random.Random) -> Composition:
@@ -220,6 +233,54 @@ def _intern_rows(rows: np.ndarray) -> tuple:
 # with no measured change in time (2-vCPU x86-64 host, three runs each).
 _CELL_CHUNK = CHUNK // 8
 
+# int64 entries of the (elements, rh, q^ch) images a x that _cell_check
+# holds at once (2 MB); its other temporaries are smaller.  At 1 << 22
+# check_completeness(4, 2) peaked at 60 MB resident and took 1.2-1.4 s, at
+# 1 << 18 46 MB and 1.0 s (2-vCPU x86-64 host).
+_CHECK_ENTRIES = 1 << 18
+
+
+def _cell_check(elements: np.ndarray, q: int, cut: tuple, bases: np.ndarray) -> np.ndarray:
+    """Per matrix of an (N, n, n) array, whether bases[k] is the RREF basis,
+    padded with zero rows, of its cell at cut (cl, ch, rl, rh), by enumeration.
+
+    The cell is {(x[cl:ch], (a x)[rl:rh]) : x in GF(q)^ch, (a x)[:rl] = 0}.
+    The x run over all q^ch vectors in base-q order, so those with x[cl:ch] = u
+    sit at s q^(ch - cl) + code(u) for s < q^cl.  A basis passes when it has
+    RREF shape (entries below q, its rank nonzero rows first, each leading
+    with a 1 in a column that is zero in every other row, leads rising),
+    each row is a feasible pair, and the feasible x number q^rank times those
+    whose pair is zero.  Then its rows span the cell, whose dimension is the
+    rank, and it is the cell's unique RREF; nothing here reads chi's route.
+    """
+    cl, ch, rl, rh = cut
+    na = ch - cl
+    count, height, _ = bases.shape
+    nz = bases != 0
+    filled = nz.any(axis=2)
+    rank = filled.sum(axis=1)
+    lead = nz.argmax(axis=2)
+    ok = (bases < q).all(axis=(1, 2)) & (rank <= ch)
+    ok &= (filled == (np.arange(height) < rank[:, None])).all(axis=1)
+    ok &= (np.diff(lead, axis=1) > 0).all(axis=1, where=filled[:, 1:])
+    alone = np.take_along_axis(nz, lead[:, None, :], axis=2).sum(axis=1) == 1  # nonzeros in each lead column
+    ok &= ((np.take_along_axis(bases, lead[..., None], axis=2)[..., 0] == 1) & alone).all(axis=1, where=filled)
+    xs = np.arange(q**ch)[:, None] // q ** np.arange(ch - 1, -1, -1) % q
+    step = max(1, _CHECK_ENTRIES // (rh * len(xs)))
+    for lo in range(0, count, step):
+        part = slice(lo, lo + step)
+        ax = elements[part, :rh, :ch].astype(np.int64) @ xs.T % q
+        feasible = ~ax[:, :rl].any(axis=1)
+        zero = feasible[:, :: q**na] & ~ax[:, rl:, :: q**na].any(axis=1)
+        ok[part] &= feasible.sum(axis=1) == zero.sum(axis=1) * q ** np.minimum(rank[part], ch)
+        # % q only keeps the indices in range: an entry >= q has failed already
+        codes = (bases[part, :, :na] % q).astype(np.int64) @ q ** np.arange(na - 1, -1, -1)
+        at_u = codes[..., None] + q**na * np.arange(q**cl)  # the x of each row's u
+        m = np.arange(len(ax))[:, None, None]
+        pairs = feasible[m, at_u] & (ax[m, rl:, at_u] == bases[part, :, None, na:]).all(axis=3)
+        ok[part] &= pairs.any(axis=2).all(axis=1)
+    return ok
+
 
 def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
     """Intern every cut-rectangle cell of every matrix to a small int id per cut.
@@ -230,11 +291,11 @@ def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
     share the plain pass), held in the elements' dtype, and one _cell_rrefs
     per (cl, ch, rl) with rh = n.  The RREF of a column prefix is the prefix
     of the RREF, so the first (ch - cl) + (rh - rl) columns are the basis of
-    the cell of rh.  The definitional chi_cell of the first element of every
-    id must give the same basis, so a fault in chi's route cannot vouch for
-    itself; a difference raises InvariantViolation.
+    the cell of rh.  The basis of the first element of every id must pass
+    _cell_check, one enumeration per cut, so a fault in chi's route cannot
+    vouch for itself; on a failure the first failing element's definitional
+    chi_cell names the difference in an InvariantViolation.
     """
-    field = PrimeField(q)
     count, n = len(elements), elements.shape[1]
     ids = np.empty((count, len(cuts)), dtype=np.min_scalar_type(count))
     chunks = [slice(lo, lo + _CELL_CHUNK) for lo in range(0, count, _CELL_CHUNK)]
@@ -253,15 +314,18 @@ def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
             for rh, k in tails:
                 bases = stack[:, :, : na + rh - rl]
                 ids[:, k], firsts = _intern_rows(bases)
-                for idx in firsts.tolist():
-                    m = Matrix._new(field, elements[idx].astype(np.int64))
-                    want = chi_cell(m, cl, ch, rl, rh).basis.a
-                    got = bases[idx]
-                    if not (np.array_equal(got[: len(want)], want) and not got[len(want) :].any()):
-                        raise InvariantViolation(
-                            f"cell {(cl, ch, rl, rh)} of {m.to_rows()}: stacked basis "
-                            f"{got.tolist()} differs from chi_cell {want.tolist()}"
-                        )
+                passed = _cell_check(elements[firsts], q, (cl, ch, rl, rh), bases[firsts])
+                if passed.all():
+                    continue
+                idx = firsts[np.argmin(passed)]
+                m = Matrix._new(PrimeField(q), elements[idx].astype(np.int64))
+                want, got = chi_cell(m, cl, ch, rl, rh).basis.a, bases[idx]
+                same = np.array_equal(got[: len(want)], want) and not got[len(want) :].any()
+                raise InvariantViolation(
+                    f"cell {(cl, ch, rl, rh)} of {m.to_rows()}: stacked basis {got.tolist()} "
+                    + ("equals chi_cell but fails the enumeration check" if same
+                       else f"differs from chi_cell {want.tolist()}")
+                )
     return ids
 
 
@@ -271,7 +335,7 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
     Enumerates GL(n, q) once, interns every cut-rectangle cell of every
     element once, then checks the grid partition against the closure
     partition for all pairs (alpha, beta).  The grids compared are chi's,
-    each distinct cell checked against chi_cell (see _grid_cell_ids).
+    each distinct cell checked by enumeration (see _grid_cell_ids).
     """
     budget = budget or DEFAULT_BUDGET
     elements = gl_array(n, q, budget)

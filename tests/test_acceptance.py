@@ -72,7 +72,7 @@ def test_invariance_thousand_trials():
     report("triangular-move invariance", ok, time.perf_counter() - start, 30.0, detail)
 
 
-_COMPLETENESS_CASES = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 5), (2, 7))
+_COMPLETENESS_CASES = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 5), (2, 7), (3, 5))
 
 
 def test_completeness_exhaustive():
@@ -82,7 +82,7 @@ def test_completeness_exhaustive():
         ok, detail = check_completeness(n, q)
         if not ok:
             failures.append(f"n={n} q={q}: {detail}")
-    note = "; ".join(failures) if failures else "all composition pairs on seven (n, q) cases"
+    note = "; ".join(failures) if failures else "all composition pairs on eight (n, q) cases"
     report("grid = coset, exhaustively", not failures, time.perf_counter() - start, 600.0, note)
 
 

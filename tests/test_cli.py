@@ -390,6 +390,17 @@ def test_standard_margin_error(capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+def test_standard_negative_dims_exit_4_in_either_spelling(capsys):
+    # a table that starts with "-" is the value of --dims, spelled apart or
+    # with "=", and fails the margin check, not the parser
+    for spelling in (["--dims", "-1,2;2,-1"], ["--dims=-1,2;2,-1"]):
+        for fmt in ("text", "json"):
+            code = main(["standard", *spelling, "--alpha", "1,1", "--beta", "1,1", "-q", "3", "--format", fmt])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (4, ""), (spelling, fmt)
+            assert "cell dimensions must be nonnegative" in captured.err
+
+
 def test_standard_rejects_bad_modulus(capsys):
     code = main(["standard", "--dims", "1,0;0,1", "--alpha", "1,1", "--beta", "1,1", "-q", "6"])
     assert code == 2

@@ -12,6 +12,7 @@ from hinge.enumeration import contingency_tables, enum_gl, gl_array
 from hinge.field import PrimeField
 from hinge.linalg import Matrix
 from hinge.selfcheck import (
+    _cell_check,
     _grid_cell_ids,
     _random_setup,
     all_compositions,
@@ -76,7 +77,7 @@ def test_completeness_grids_are_chis_grids():
 
 def test_completeness_fails_when_the_cell_gather_is_broken(monkeypatch):
     # the completeness check runs chi's own echelon gather over block-reversed
-    # column passes, so a fault in it is caught by the per-id chi_cell check:
+    # column passes, so a fault in it is caught by the per-id enumeration check:
     # here the (1, 3) cells lose their last basis row
     assert selfcheck._cell_rrefs is bihinge._cell_rrefs
     assert selfcheck._cell_pass is bihinge._cell_pass
@@ -96,15 +97,71 @@ def test_completeness_fails_when_the_cell_gather_is_broken(monkeypatch):
     assert "differs from chi_cell" in detail
 
 
-def test_completeness_fails_when_the_oracle_disagrees(monkeypatch):
-    # the per-id chi_cell check is live: a wrong oracle turns into a FAIL
-    def shifted(a, cl, ch, rl, rh):
-        return chi_cell(a, cl, ch, 0, rh)
+def test_completeness_fails_when_the_oracle_checks_a_shifted_cut(monkeypatch):
+    # the enumeration check is live: run at rl -> 0 (the same basis width)
+    # it rejects bases that chi_cell agrees with, and the check FAILs
+    real = selfcheck._cell_check
 
-    monkeypatch.setattr(selfcheck, "chi_cell", shifted)
+    def shifted(elements, q, cut, bases):
+        cl, ch, rl, rh = cut
+        return real(elements, q, (cl, ch, 0, rh - rl), bases)
+
+    monkeypatch.setattr(selfcheck, "_cell_check", shifted)
     ok, detail = check_completeness(2, 2)
     assert not ok
-    assert "differs from chi_cell" in detail
+    assert "equals chi_cell but fails the enumeration check" in detail
+
+
+def test_cell_check_accepts_chi_cell_and_rejects_every_mutation():
+    # per cut, one element of every distinct chi_cell basis, padded as
+    # _grid_cell_ids pads it: the basis passes, and each of its single-entry
+    # mutations (every entry moved by every nonzero step mod q) fails
+    mutations = 0
+    for n, q in ((2, 3), (3, 2)):
+        elements = gl_array(n, q)
+        matrices = list(enum_gl(n, q))
+        for cut in all_cuts(n):
+            cl, ch, rl, rh = cut
+            firsts = {}
+            for k, m in enumerate(matrices):
+                basis = chi_cell(m, *cut).basis.a
+                firsts.setdefault((basis.shape, basis.tobytes()), (k, basis))
+            height, width = ch - cl + min(n - rl, cl), ch - cl + rh - rl
+            owners = [k for k, _ in firsts.values()]
+            bases = np.zeros((len(owners), height, width), dtype=elements.dtype)
+            for padded, (_, basis) in zip(bases, firsts.values()):
+                padded[: len(basis)] = basis
+            assert _cell_check(elements[owners], q, cut, bases).all(), (n, q, cut)
+            # every entry moved by every nonzero step: (cells, entries, steps, h, w)
+            moves = np.eye(height * width, dtype=np.int64).reshape(-1, 1, height, width) * np.arange(1, q)[:, None, None]
+            mutated = ((bases[:, None, None] + moves) % q).astype(elements.dtype).reshape(-1, height, width)
+            owned = elements[np.repeat(owners, len(mutated) // len(owners))]
+            assert not _cell_check(owned, q, cut, mutated).any(), (n, q, cut)
+            mutations += len(mutated)
+    assert mutations == 8365
+
+
+def _drawn_by_rank(field, n, rng):
+    # the reference draw: each candidate an int64 Matrix of row-major
+    # rng.randrange draws, kept when its Matrix.rank is full
+    while True:
+        rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
+        m = Matrix._new(field, np.array(rows, dtype=np.int64).reshape(n, n))
+        if m.rank() == n:
+            return m
+
+
+def test_random_invertible_draws_as_by_rank():
+    # the exact-integer test accepts exactly the candidates of full rank, so
+    # the same matrices come out and rng is left in the same state
+    for p in (2, 3, 5, 65521):
+        field = PrimeField(p)
+        for n in range(1, 13):
+            rng, ref = random.Random(n * p), random.Random(n * p)
+            for _ in range(20):
+                got, want = random_invertible(field, n, rng), _drawn_by_rank(field, n, ref)
+                assert got == want and got.a.dtype == want.a.dtype, (p, n)
+            assert rng.getstate() == ref.getstate(), (p, n)
 
 
 # `hinge selfcheck -q 2,3 --max-n 3`, exactly as printed before the random
