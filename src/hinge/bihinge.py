@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import product
 
 import numpy as np
 
@@ -129,51 +129,51 @@ class DimensionMatrix:
         return f"DimensionMatrix({self.to_rows()}, alpha={self.alpha.parts}, beta={self.beta.parts})"
 
 
-class CellGroup(NamedTuple):
-    """The cells of one shape of a grid: their (N, 2) block indices (i, j) in
-    row-major order, the (N, C, C) stack of their RREF bases (X coordinates
-    first, zero rows past the rank, C = dim_x + dim_y) and their ranks."""
-
-    dim_x: int
-    dim_y: int
-    cells: np.ndarray
-    stack: np.ndarray
-    ranks: np.ndarray
-
-
-def _shape_groups(alpha: Composition, beta: Composition) -> dict:
-    """(alpha_i, beta_j) -> (N, 2) array of the cells (i, j) of that shape,
-    row-major, the shapes in the order of their first cell."""
+def _shapes(alpha: Composition, beta: Composition) -> list:
+    """(dx, dy, at) per cell shape, in the order of its first cell: at the
+    indices i * q + j of its cells, ascending."""
     seen_a, seen_b = {}, {}
     ka = np.array([seen_a.setdefault(a, len(seen_a)) for a in alpha.parts])
     kb = np.array([seen_b.setdefault(b, len(seen_b)) for b in beta.parts])
     order = np.argsort((ka[:, None] * len(seen_b) + kb).ravel(), kind="stable")
-    cells = np.stack(np.divmod(order, len(beta)), axis=1)
-    groups, lo = {}, 0
-    for a in seen_a:
-        for b in seen_b:
-            n = alpha.parts.count(a) * beta.parts.count(b)
-            groups[a, b], lo = cells[lo : lo + n], lo + n
-    return groups
+    counts = [alpha.parts.count(a) * beta.parts.count(b) for a, b in product(seen_a, seen_b)]
+    return [(a, b, at) for (a, b), at in zip(product(seen_a, seen_b), np.split(order, np.cumsum(counts)[:-1]))]
 
 
-def _embed(out: np.ndarray, at: np.ndarray, part: np.ndarray, lead: int, gap: int):
-    """Members of part into out[at]: their first lead columns first, the rest from gap on."""
-    rows, width = part.shape[1:]
-    out[at, :rows, :lead] = part[:, :, :lead]
-    out[at, :rows, gap : gap + width - lead] = part[:, :, lead:]
+def _take(stack: np.ndarray, at, lead: int, gap: int, width: int) -> np.ndarray:
+    """The cells at of padded stacks (..., N, C, C) in their own columns,
+    (..., k, width, width): the first lead from [0, lead), the rest from gap on."""
+    part = stack[..., at, :width, :]
+    return np.concatenate((part[..., :lead], part[..., gap : gap + width - lead]), axis=-1)
+
+
+def _put(out: np.ndarray, at, rows: np.ndarray, lead: int, gap: int):
+    """The inverse of _take: rows (..., k, r, width) into the cells at of out."""
+    r, width = rows.shape[-2:]
+    out[..., at, :r, :lead] = rows[..., :lead]
+    out[..., at, :r, gap : gap + width - lead] = rows[..., lead:]
+
+
+def _pad(rows: np.ndarray, dx: int, alpha: Composition, beta: Composition) -> np.ndarray:
+    """Cell bases (N, r, dx + dy) in the padded layout of grids over (alpha,
+    beta): (N, C, C) uint16, X at [0, dx) and Y from max(alpha) on."""
+    out = np.zeros((len(rows),) + (max(alpha) + max(beta),) * 2, dtype=np.uint16)
+    _put(out, slice(None), rows, dx, max(alpha))
+    return out
 
 
 class BiHinge:
     """A p x q grid of linear relations, cell (i, j) between V_i and W_j.
 
-    Held as per-shape arrays, one CellGroup per cell shape in order of first
-    appearance.  Bases are canonical, so two grids are equal exactly when
-    their stacks are.  grid and cell() build LinearRelation views of the
-    stacked rows when read.
+    Held padded, as derived() reads it: stack is one read-only (p * q, C, C)
+    uint16 array (p < 2**16), C = max(alpha) + max(beta), member i * q + j the
+    RREF basis of cell (i, j) with X at [0, alpha_i) and Y from max(alpha) on,
+    zero elsewhere and past its rank ranks[i * q + j].  Bases are canonical,
+    so two grids are equal exactly when their stacks are.  grid and cell()
+    build LinearRelation views of the stacked rows when read.
     """
 
-    __slots__ = ("alpha", "beta", "field", "groups", "_grid", "_derived", "_y_first")
+    __slots__ = ("alpha", "beta", "field", "stack", "ranks", "_grid", "_derived", "_y_first")
 
     def __init__(self, alpha, beta, grid):
         alpha = Composition(alpha)
@@ -182,49 +182,53 @@ class BiHinge:
         if len(grid) != len(alpha) or any(len(row) != len(beta) for row in grid):
             raise ShapeError(f"grid must be {len(alpha)} x {len(beta)}")
         field = grid[0][0].field
-        for i, row in enumerate(grid):
-            for j, cell in enumerate(row):
-                if cell.dim_x != alpha[i] or cell.dim_y != beta[j]:
-                    raise ShapeError(
-                        f"cell ({i + 1},{j + 1}) has shape {cell.dim_x} => {cell.dim_y}, "
-                        f"expected {alpha[i]} => {beta[j]}"
-                    )
-                if cell.field != field:
-                    raise ValueError(
-                        f"cell ({i + 1},{j + 1}) is over {cell.field}, cell (1,1) over {field}"
-                    )
-        groups = []
-        for (na, nb), cells in _shape_groups(alpha, beta).items():
-            stack = np.zeros((len(cells), na + nb, na + nb), dtype=np.int64)
-            for m, (i, j) in zip(stack, cells):
-                m[: grid[i][j].basis.rows] = grid[i][j].basis.a
-            ranks = np.array([grid[i][j].basis.rows for i, j in cells], dtype=np.intp)
-            groups.append(CellGroup(na, nb, cells, stack, ranks))
-        self._init(alpha, beta, field, groups)
+        cells = [c for row in grid for c in row]
+        for (i, j), cell in zip(product(range(len(alpha)), range(len(beta))), cells):
+            if cell.dim_x != alpha[i] or cell.dim_y != beta[j]:
+                raise ShapeError(
+                    f"cell ({i + 1},{j + 1}) has shape {cell.dim_x} => {cell.dim_y}, "
+                    f"expected {alpha[i]} => {beta[j]}"
+                )
+            if cell.field != field:
+                raise ValueError(
+                    f"cell ({i + 1},{j + 1}) is over {cell.field}, cell (1,1) over {field}"
+                )
+        stack = np.concatenate([_pad(c.basis.a[None], c.dim_x, alpha, beta) for c in cells])
+        self._init(alpha, beta, field, stack, np.array([c.basis.rows for c in cells], dtype=np.intp))
         self._grid = grid
 
     @classmethod
-    def _of(cls, alpha: Composition, beta: Composition, field: PrimeField, groups, y_first=None) -> "BiHinge":
+    def _of(cls, alpha: Composition, beta: Composition, field: PrimeField, stack, ranks, y_first=None) -> "BiHinge":
         h = object.__new__(cls)
-        h._init(alpha, beta, field, groups)
+        h._init(alpha, beta, field, stack, ranks)
         h._y_first = y_first
         return h
 
-    def _init(self, alpha, beta, field, groups):
-        for g in groups:
-            g.stack.flags.writeable = False
+    def _init(self, alpha, beta, field, stack, ranks):
+        stack.flags.writeable = False
         self.alpha, self.beta, self.field = alpha, beta, field
-        self.groups = tuple(groups)
+        self.stack, self.ranks = stack, ranks
         self._grid = self._derived = self._y_first = None
+
+    def _bases(self) -> list:
+        """Each cell's RREF basis rows (x | y) in its own columns, as lists of
+        ints, cell (i, j) at i * q + j."""
+        out = [None] * len(self.stack)
+        for dx, dy, at in _shapes(self.alpha, self.beta):
+            rows = _take(self.stack, at, dx, max(self.alpha), dx + dy).tolist()
+            for k, m, rank in zip(at.tolist(), rows, self.ranks[at].tolist()):
+                out[k] = m[:rank]
+        return out
 
     @property
     def grid(self) -> tuple:
         if self._grid is None:
-            rows = [[None] * len(self.beta) for _ in range(len(self.alpha))]
-            for g in self.groups:
-                for (i, j), m, rank in zip(g.cells.tolist(), g.stack, g.ranks.tolist()):
-                    rows[i][j] = LinearRelation(g.dim_x, g.dim_y, Matrix._new(self.field, m[:rank]))
-            self._grid = tuple(tuple(row) for row in rows)
+            q = len(self.beta)
+            cells = [
+                LinearRelation(a, b, Matrix._new(self.field, np.array(rows, dtype=np.int64).reshape(-1, a + b)))
+                for (a, b), rows in zip(product(self.alpha, self.beta), self._bases())
+            ]
+            self._grid = tuple(tuple(cells[i : i + q]) for i in range(0, len(cells), q))
         return self._grid
 
     def cell(self, i: int, j: int) -> LinearRelation:
@@ -243,15 +247,14 @@ class BiHinge:
             self.alpha == other.alpha
             and self.beta == other.beta
             and self.field == other.field
-            and all(np.array_equal(a.stack, b.stack) for a, b in zip(self.groups, other.groups))
+            and np.array_equal(self.stack, other.stack)
         )
 
     def __hash__(self):
-        stacks = b"".join(g.stack.tobytes() for g in self.groups)
-        return hash((self.alpha, self.beta, self.field.p, stacks))
+        return hash((self.alpha, self.beta, self.field.p, self.stack.tobytes()))
 
-    def __getstate__(self):  # a pickled chi grid leaves its pass behind and derives like any other
-        return None, {name: getattr(self, name) for name in self.__slots__} | {"_y_first": None}
+    def __reduce__(self):  # a pickled chi grid leaves its pass behind and derives like any other
+        return BiHinge._of, (self.alpha, self.beta, self.field, self.stack, self.ranks)
 
     def __repr__(self):
         return f"BiHinge(alpha={self.alpha.parts}, beta={self.beta.parts})"
@@ -333,18 +336,24 @@ def _grids_from_pass(cpass: tuple, field: PrimeField, alpha: Composition, beta: 
       - so cell (i, j) is the span of the rows (x | af[r0:r1, c]) over those
         c, x = f[c0:c1, c] read backwards, which is chi_cell with that basis.
     x then leads at a known column: _cell_rrefs back-substitutes the cells of
-    one shape over all N matrices at once into each grid's CellGroup, and the
-    Y-first forms derived() reads, for all N grids when the first is derived.
+    one shape over all N matrices at once, placed into the padded stack of
+    every grid, and into the Y-first stacks derived() reads, for all N grids
+    when the first is derived.
     """
-    p = field.p
-    shapes = [(na, nb, ij, np.array(alpha.offsets)[ij[:, 0]], np.array(beta.offsets)[ij[:, 1]])
-              for (na, nb), ij in _shape_groups(alpha, beta).items()]
-    x_first = [_cell_rrefs(cpass, c0, r0, na, nb, p) for na, nb, _, c0, r0 in shapes]
-    y_first_forms = functools.cache(lambda: {
-        (na, nb): _cell_rrefs(cpass, c0, r0, na, nb, p, y_first=True)[0] for na, nb, _, c0, r0 in shapes})
-    return [BiHinge._of(alpha, beta, field, [
-        CellGroup(na, nb, ij, g[k], r[k]) for (na, nb, ij, _, _), (g, r) in zip(shapes, x_first)
-    ], lambda shape, k=k: y_first_forms()[shape][k]) for k in range(len(cpass[0]))]
+    count, cells, size = len(cpass[0]), len(alpha) * len(beta), max(alpha) + max(beta)
+    shapes = [(dx, dy, at, np.array(alpha.offsets)[at // len(beta)], np.array(beta.offsets)[at % len(beta)])
+              for dx, dy, at in _shapes(alpha, beta)]
+
+    def gather(y_first):
+        stack = np.zeros((count, cells, size, size), dtype=np.uint16)
+        ranks = np.empty((count, cells), dtype=np.intp)
+        for dx, dy, at, c0, r0 in shapes:
+            rows, ranks[:, at] = _cell_rrefs(cpass, c0, r0, dx, dy, field.p, y_first)
+            _put(stack, at, rows, *((dy, max(beta)) if y_first else (dx, max(alpha))))
+        return stack, ranks
+
+    (stack, ranks), y_first_forms = gather(False), functools.cache(lambda: gather(True)[0])
+    return [BiHinge._of(alpha, beta, field, stack[k], ranks[k], lambda k=k: y_first_forms()[k]) for k in range(count)]
 
 
 def _cell_pass(stack: np.ndarray, p: int, alpha: Composition) -> tuple:
@@ -383,11 +392,12 @@ def _block_counts(sigma: np.ndarray, alpha: Composition, beta: Composition) -> n
     return counts.reshape(count, len(alpha), len(beta))
 
 
-def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int, height=None, y_first=False) -> tuple:
+def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int, y_first=False) -> tuple:
     """The cells of shape (na, nb) at column and row offsets (c0[k], r0[k]) of
-    every member of a _cell_pass that reversed [c0, c1 = c0 + na), as (gens,
-    ranks): gens (N, cells, height, na + nb) int64, each cell its RREF basis
-    (with the columns (y | x) if y_first) padded with zero rows.
+    every member of a _cell_pass that reversed [c0, c1 = c0 + na), as (rows,
+    ranks): rows (N, cells, top, na + nb) int64, top the largest rank, each
+    cell its RREF basis (with the columns (y | x) if y_first) padded with
+    zero rows.
 
     The cell's rows (x | y) = (f[c1 - 1 - k, c] for k < na | af[r0:r1, c])
     over c < c1 with sigma[c] >= r0 fill two kinds of slots: own slot s < na
@@ -396,8 +406,8 @@ def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int, height=None, y_f
     with sigma >= r0 and then the y slots with tau < c0 are in echelon form,
     each leading at its slot; Y first, the y slots with tau < c1 and then the
     own slots with sigma >= r1 are.  So one _back_substitute of the kept slots
-    gives the RREF, with no pivot search.  height defaults to na + nb, the
-    square a CellGroup holds; a cell has at most na + min(nb, c0) rows.
+    gives the RREF, with no pivot search.  A cell has at most na + min(nb, c0)
+    rows.
     """
     sigma, tau, ft, mt = cpass
     count, cells, w = len(sigma), len(c0), na + nb
@@ -419,65 +429,41 @@ def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int, height=None, y_f
     part = np.concatenate((y, x) if y_first else (x, y), axis=3, dtype=np.int64)
     part[np.arange(top) >= ranks[:, :, None]] = 0
     _back_substitute(part.reshape(count * cells, top, w), lead.reshape(count * cells, top), p)
-    gens = np.zeros((count, cells, w if height is None else height, w), dtype=np.int64)
-    gens[:, :, :top] = part
-    return gens, ranks
-
-
-def _by_shape(grids) -> dict:
-    """(dim_x, dim_y) -> each grid's group of that cell shape, in grid order."""
-    shapes = {}
-    for h in grids:
-        for g in h.groups:
-            shapes.setdefault((g.dim_x, g.dim_y), []).append(g)
-    return shapes
+    return part, ranks
 
 
 def _derive_each(grids):
     """Fill the derived() cache of every grid that has none.
 
-    Grids sharing (field, alpha, beta) are derived together: every cell of
-    every such grid goes into one stack, reduced Y first (see _y_first_forms)
-    and read by one derive_stack, and each grid keeps its own slice.  In the
-    stack both echelon forms are embedded with X at [0, dim_x) and Y from
-    max(alpha) on: zero columns keep a member in RREF and change none of its
-    derived spaces.  Entries are only compared and moved, so uint16 holds
-    them (p < 2**16).
+    Grids sharing (field, alpha, beta) are derived together: their padded
+    stacks and Y-first stacks (see _y_first_stack) are concatenated and read
+    by one derive_stack, and each grid keeps its own slice.
     """
     batches = {}
     for h in grids:
         if h._derived is None:
             batches.setdefault((h.field, h.alpha, h.beta), []).append(h)
-    for (field, alpha, beta), hs in batches.items():
-        mx, my, cells = max(alpha), max(beta), len(alpha) * len(beta)
-        stack = np.zeros((len(hs) * cells, mx + my, mx + my), dtype=np.uint16)
-        swapped = np.zeros_like(stack)
-        ranks = np.zeros(len(stack), dtype=np.intp)
-        for (dx, dy), parts in _by_shape(hs).items():
-            at = ((np.arange(len(hs)) * cells)[:, None] + parts[0].cells @ (len(beta), 1)).ravel()
-            part = np.concatenate([g.stack for g in parts])
-            part_ranks = np.concatenate([g.ranks for g in parts])
-            _embed(stack, at, part, dx, mx)
-            _embed(swapped, at, _y_first_forms(hs, dx, dy, part, part_ranks, field.p), dy, my)
-            ranks[at] = part_ranks
-        dv = derive_stack(stack, swapped, ranks, mx, my)
+    for (_, alpha, beta), hs in batches.items():
+        stack = np.concatenate([h.stack for h in hs])
+        swapped = np.concatenate([_y_first_stack(h) for h in hs])
+        dv = derive_stack(stack, swapped, np.concatenate([h.ranks for h in hs]), max(alpha), max(beta))
         for k, h in enumerate(hs):
-            cut = slice(k * cells, (k + 1) * cells)
-            spaces = (x[cut] for x in dv[:4])
-            h._derived = Derived(*spaces, dv.dims[:, cut], dv.theta[cut], dv.lifts[cut])
+            cut = slice(k * len(h.stack), (k + 1) * len(h.stack))
+            h._derived = Derived(*(x[cut] for x in dv[:4]), dv.dims[:, cut], dv.theta[cut], dv.lifts[cut])
             h._y_first = None
 
 
-def _y_first_forms(hs, dx: int, dy: int, part: np.ndarray, ranks: np.ndarray, p: int) -> np.ndarray:
-    """The Y-first forms of the (dx, dy) cells of grids hs, stacked in part:
-    a chi grid's read off its pass, one y_first over those of the rest."""
-    forms = [h._y_first and h._y_first((dx, dy)) for h in hs]
-    missing = [form is None for form in forms]
-    if any(missing):
-        at = np.repeat(missing, len(part) // len(hs))
-        fresh = iter(np.split(y_first(part[at], ranks[at], dx, p), sum(missing)))
-        forms = [next(fresh) if form is None else form for form in forms]
-    return np.concatenate(forms)
+def _y_first_stack(h: BiHinge) -> np.ndarray:
+    """The RREF of every cell of a grid with its columns (y | x), padded with
+    Y at [0, beta_j) and X from max(beta) on: a chi grid's read off its pass,
+    any other's by one y_first per cell shape on that shape's own columns."""
+    if h._y_first is not None:
+        return h._y_first()
+    swapped = np.zeros_like(h.stack)
+    for dx, dy, at in _shapes(h.alpha, h.beta):
+        part = _take(h.stack, at, dx, max(h.alpha), dx + dy).astype(np.int64)
+        _put(swapped, at, y_first(part, h.ranks[at], dx, h.field.p), dy, max(h.beta))
+    return swapped
 
 
 @dataclass(frozen=True)
@@ -605,19 +591,14 @@ def standard_bihinge(d: DimensionMatrix, field: PrimeField) -> BiHinge:
     """
     table = np.array(d.entries)
     v_start, w_start = _sub_block_starts(table)
-    groups = []
-    for (na, nb), cells in _shape_groups(d.alpha, d.beta).items():
-        stack = np.zeros((len(cells), na + nb, na + nb), dtype=np.int64)
-        ranks = []
-        for m, (i, j) in zip(stack, cells):
-            v, w, size = v_start[i, j], w_start[i, j], table[i, j]
-            own = na - v  # identity pairs, then kernel rows
-            m[np.arange(own), v + np.arange(own)] = 1
-            m[np.arange(size), na + w + np.arange(size)] = 1
-            m[own + np.arange(w), na + np.arange(w)] = 1
-            ranks.append(own + w)
-        groups.append(CellGroup(na, nb, cells, stack, np.array(ranks, dtype=np.intp)))
-    return BiHinge._of(d.alpha, d.beta, field, groups)
+    own = np.array(d.alpha.parts)[:, None] - v_start  # identity pairs, then kernel rows
+    mx, size = max(d.alpha), max(d.alpha) + max(d.beta)
+    stack = np.zeros((table.size, size, size), dtype=np.uint16)
+    zero = np.zeros_like(table)
+    for count, row, col in ((own, zero, v_start), (table, zero, mx + w_start), (w_start, own, mx + zero)):
+        cell, k = np.nonzero(np.arange(size) < count.reshape(-1, 1))  # unit k of each cell's run
+        stack[cell, row.ravel()[cell] + k, col.ravel()[cell] + k] = 1
+    return BiHinge._of(d.alpha, d.beta, field, stack, (own + w_start).ravel())
 
 
 def equivalent(a: Matrix, b: Matrix, alpha, beta) -> bool:
@@ -667,18 +648,20 @@ def hinge_act(gs, hs, h: BiHinge) -> BiHinge:
 def _hinge_act(gs: list, hs: list, grids) -> list:
     """hinge_act of B grids sharing (field, alpha, beta), unchecked: gs[i] and
     hs[j] stack the grids' factors of V_i and W_j, (B, alpha_i, alpha_i) and
-    (B, beta_j, beta_j).  One act_stack per cell shape moves all B grids."""
-    moved, shapes = {}, _by_shape(grids)
-    for (dx, dy), parts in shapes.items():
-        i, j = parts[0].cells.T.tolist()
-        gx = np.stack([gs[k] for k in i], axis=1).reshape(-1, dx, dx)
-        hy = np.stack([hs[k] for k in j], axis=1).reshape(-1, dy, dy)
-        stack, ranks = act_stack(np.concatenate([g.stack for g in parts]),
-                                 np.concatenate([g.ranks for g in parts]), gx, hy, dx, grids[0].field.p)
-        moved[dx, dy] = stack.reshape(len(grids), len(i), *stack.shape[1:]), ranks.reshape(len(grids), -1)
-    return [BiHinge._of(h.alpha, h.beta, h.field, [
-        g._replace(stack=moved[g.dim_x, g.dim_y][0][b], ranks=moved[g.dim_x, g.dim_y][1][b]) for g in h.groups
-    ]) for b, h in enumerate(grids)]
+    (B, beta_j, beta_j).  One act_stack per cell shape, on that shape's own
+    columns, moves all B grids."""
+    h, q = grids[0], len(grids[0].beta)
+    stack, ranks = np.stack([g.stack for g in grids]), np.stack([g.ranks for g in grids])
+    moved, moved_ranks = np.zeros_like(stack), np.empty_like(ranks)
+    for dx, dy, at in _shapes(h.alpha, h.beta):
+        i, j = np.divmod(at, q)
+        gx = np.stack([gs[k] for k in i.tolist()], axis=1).reshape(-1, dx, dx)
+        hy = np.stack([hs[k] for k in j.tolist()], axis=1).reshape(-1, dy, dy)
+        part = _take(stack, at, dx, max(h.alpha), dx + dy).astype(np.int64)
+        acted, acted_ranks = act_stack(part.reshape(-1, dx + dy, dx + dy), ranks[:, at].ravel(), gx, hy, dx, h.field.p)
+        _put(moved, at, acted.reshape(part.shape), dx, max(h.alpha))
+        moved_ranks[:, at] = acted_ranks.reshape(len(grids), -1)
+    return [BiHinge._of(h.alpha, h.beta, h.field, m, r) for m, r in zip(moved, moved_ranks)]
 
 
 def normalize(h: BiHinge) -> tuple:

@@ -29,11 +29,12 @@ from .bihinge import (
     DimensionMatrix,
     MarginError,
     _axiom_flags,
+    _pad,
     standard_bihinge,
 )
 from .field import PrimeField
 from .linalg import Matrix
-from .relations import InvariantViolation, LinearRelation, derive_stack, y_first
+from .relations import InvariantViolation, derive_stack, y_first
 
 
 class BudgetError(RuntimeError):
@@ -364,14 +365,15 @@ def all_bihinges_brute(alpha, beta, q: int, budget: EnumerationBudget = None) ->
     product over the grid must fit the subspace budget.  The candidates of a
     shape are derived by one derive_stack and their four spaces numbered,
     equal subspaces alike, so the axioms are checked on id arrays, CHUNK
-    grids of the product at a time and in product order.
+    grids of the product at a time and in product order.  An accepted grid
+    stacks its cells' padded bases, which enum_subspaces gives in RREF.
     """
     budget = budget or DEFAULT_BUDGET
     alpha, beta = Composition(alpha), Composition(beta)
-    PrimeField(q)  # rejects a modulus that is not a prime field
+    field = PrimeField(q)  # rejects a modulus that is not a prime field
     total = prod(subspace_count(a_i + b_j, q) for a_i in alpha for b_j in beta)
     budget.check_subspace(total, f"grid candidates for alpha={alpha.parts}, beta={beta.parts}")
-    ids, candidates = {}, {}  # (dim, padded RREF bytes) -> id; shape -> relations, ids + dims
+    ids, candidates = {}, {}  # (dim, padded RREF bytes) -> id; shape -> padded bases, ranks, ids + dims
     shapes = [(a_i, b_j) for a_i in alpha for b_j in beta]
     for shape in dict.fromkeys(shapes):
         spaces = list(enum_subspaces(sum(shape), q, budget))
@@ -381,18 +383,18 @@ def all_bihinges_brute(alpha, beta, q: int, budget: EnumerationBudget = None) ->
         ranks = np.array([space.rows for space in spaces], dtype=np.intp)
         dv = derive_stack(stack, y_first(stack, ranks, shape[0], q), ranks, *shape)
         space_ids = [[ids.setdefault((len(x), x.tobytes()), len(ids)) for x in a] for a in dv[:4]]
-        relations = [LinearRelation(*shape, space) for space in spaces]
-        candidates[shape] = relations, np.concatenate([space_ids, dv.dims])
-    counts = [len(candidates[s][0]) for s in shapes]
+        candidates[shape] = _pad(stack, shape[0], alpha, beta), ranks, np.concatenate([space_ids, dv.dims])
+    counts = [len(candidates[s][1]) for s in shapes]
     out = []
     for lo in range(0, total, CHUNK):
         picks = np.unravel_index(np.arange(lo, min(lo + CHUNK, total)), counts)
-        table = np.stack([candidates[s][1][:, k] for s, k in zip(shapes, picks)], axis=-1)
+        table = np.stack([candidates[s][2][:, k] for s, k in zip(shapes, picks)], axis=-1)
         table = table.reshape(8, len(picks[0]), len(alpha), len(beta))
         bad = _axiom_flags(alpha, beta, *table[:4], table[4:])
-        for combo in np.array(picks).T[~bad.any(axis=(1, 2, 3))].tolist():
-            cells = iter([candidates[s][0][k] for s, k in zip(shapes, combo)])
-            out.append(BiHinge(alpha, beta, [[next(cells) for _ in beta] for _ in alpha]))
+        kept = [k[~bad.any(axis=(1, 2, 3))] for k in picks]
+        stacks = np.stack([candidates[s][0][k] for s, k in zip(shapes, kept)], axis=1)
+        ranks = np.stack([candidates[s][1][k] for s, k in zip(shapes, kept)], axis=1)
+        out += [BiHinge._of(alpha, beta, field, m, r) for m, r in zip(stacks, ranks)]
     return out
 
 
@@ -415,23 +417,23 @@ def stabilizer_brute(d: DimensionMatrix, q: int, budget: EnumerationBudget = Non
     std = standard_bihinge(d, PrimeField(q))
     groups = [gl_array(size, q, budget).astype(np.int64) for size in blocks]
     fixed = np.ones([len(g) for g in groups], dtype=bool)
-    for g in std.groups:
-        for (i, j), cell, rank in zip(g.cells.tolist(), g.stack, g.ranks.tolist()):
-            basis = cell[:rank]
-            piv = (basis != 0).argmax(axis=1)
-            xs, ys = groups[i], groups[len(d.alpha) + j]
-            pairs = np.arange(len(xs) * len(ys))
-            hits = []
-            for lo in range(0, len(pairs), CHUNK):
-                x, y = np.divmod(pairs[lo : lo + CHUNK], len(ys))
-                moved = np.concatenate(
-                    [basis[:, : g.dim_x] @ xs[x].transpose(0, 2, 1), basis[:, g.dim_x :] @ ys[y].transpose(0, 2, 1)],
-                    axis=2,
-                ) % q
-                hits.append((moved[:, :, piv] @ basis % q == moved).all(axis=(1, 2)))
-            shape = [1] * len(groups)
-            shape[i], shape[len(d.alpha) + j] = len(xs), len(ys)
-            fixed &= np.concatenate(hits).reshape(shape)
+    for k, rows in enumerate(std._bases()):
+        i, j = divmod(k, len(d.beta))
+        basis = np.array(rows, dtype=np.int64).reshape(-1, d.alpha[i] + d.beta[j])
+        piv = (basis != 0).argmax(axis=1)
+        xs, ys = groups[i], groups[len(d.alpha) + j]
+        pairs = np.arange(len(xs) * len(ys))
+        hits = []
+        for lo in range(0, len(pairs), CHUNK):
+            x, y = np.divmod(pairs[lo : lo + CHUNK], len(ys))
+            moved = np.concatenate(
+                [basis[:, : d.alpha[i]] @ xs[x].transpose(0, 2, 1), basis[:, d.alpha[i] :] @ ys[y].transpose(0, 2, 1)],
+                axis=2,
+            ) % q
+            hits.append((moved[:, :, piv] @ basis % q == moved).all(axis=(1, 2)))
+        shape = [1] * len(groups)
+        shape[i], shape[len(d.alpha) + j] = len(xs), len(ys)
+        fixed &= np.concatenate(hits).reshape(shape)
     return int(fixed.sum())
 
 

@@ -75,17 +75,16 @@ def _invertible(rows: list, p: int) -> bool:
     return True
 
 
+def _composition(cuts) -> Composition:
+    """The composition of len(cuts) + 1 with a part ending at every gap k
+    whose cuts[k] is true."""
+    ends = [k + 1 for k, cut in enumerate(cuts) if cut]
+    return Composition(np.diff([0, *ends, len(cuts) + 1]).tolist())
+
+
 def random_composition(n: int, rng: random.Random) -> Composition:
-    parts = []
-    run = 1
-    for _ in range(n - 1):
-        if rng.random() < 0.5:
-            parts.append(run)
-            run = 1
-        else:
-            run += 1
-    parts.append(run)
-    return Composition(parts)
+    """A uniform composition of n: one rng.random() per gap, in order."""
+    return _composition([rng.random() < 0.5 for _ in range(n - 1)])
 
 
 def random_unitriangular(comp, field: PrimeField, rng: random.Random, lower: bool) -> Matrix:
@@ -105,19 +104,7 @@ def random_unitriangular(comp, field: PrimeField, rng: random.Random, lower: boo
 
 def all_compositions(n: int) -> list:
     """All 2^(n-1) compositions of n, by ascending cut sets."""
-    out = []
-    for mask in range(1 << (n - 1)):
-        parts = []
-        run = 1
-        for k in range(n - 1):
-            if mask >> k & 1:
-                parts.append(run)
-                run = 1
-            else:
-                run += 1
-        parts.append(run)
-        out.append(Composition(parts))
-    return out
+    return [_composition([mask >> k & 1 for k in range(n - 1)]) for mask in range(1 << (n - 1))]
 
 
 def _random_setup(qs, max_n, rng):
@@ -307,10 +294,10 @@ def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
         passes = [[x.astype(elements.dtype) for x in _cell_pass(elements[at].astype(np.int64), q, flip)] for at in chunks]
         for (cl, ch, rl), tails in by_prefix.items():
             na, nb = ch - cl, n - rl
-            height = na + min(nb, cl)
-            stack = np.empty((count, height, na + nb), dtype=elements.dtype)
+            stack = np.zeros((count, na + min(nb, cl), na + nb), dtype=elements.dtype)
             for at, cpass in zip(chunks, passes):
-                stack[at] = _cell_rrefs(cpass, np.array([cl]), np.array([rl]), na, nb, q, height)[0][:, 0]
+                rows = _cell_rrefs(cpass, np.array([cl]), np.array([rl]), na, nb, q)[0][:, 0]
+                stack[at, : rows.shape[1]] = rows
             for rh, k in tails:
                 bases = stack[:, :, : na + rh - rl]
                 ids[:, k], firsts = _intern_rows(bases)

@@ -107,14 +107,10 @@ def cell_records(h: BiHinge) -> list:
     (xi coordinates first), the four subspace dimensions and the theta matrix.
     """
     q = len(h.beta)
-    bases = [None] * (len(h.alpha) * q)
-    for g in h.groups:
-        for (i, j), rank, rows in zip(g.cells.tolist(), g.ranks.tolist(), g.stack.tolist()):
-            bases[i * q + j] = rows[:rank]
     dv = h.derived()
     ker, dom, im, indef = dv.dims.tolist()
     most = max(dv.dims[1] - dv.dims[0])
-    columns = zip(bases, ker, dom, indef, im, dv.theta[:, :most, :most].tolist())
+    columns = zip(h._bases(), ker, dom, indef, im, dv.theta[:, :most, :most].tolist())
     cells = []
     for k, (basis, ker, dom, indef, im, theta) in enumerate(columns):
         i, j = divmod(k, q)

@@ -184,25 +184,67 @@ def test_grid_matches_chi_cell_definition():
                     )
 
 
+def _assert_padded(h):
+    # the layout every grid is held in: one read-only (p * q, C, C) uint16
+    # stack, C = max(alpha) + max(beta), cell (i, j) at i * q + j with its
+    # rank nonzero rows first, X at [0, alpha_i) and Y from max(alpha) on,
+    # and zero outside those columns and past its rank
+    mx, size = max(h.alpha), max(h.alpha) + max(h.beta)
+    assert h.stack.dtype == np.uint16 and not h.stack.flags.writeable
+    assert h.stack.shape == (len(h.alpha) * len(h.beta), size, size) and h.ranks.shape == (len(h.stack),)
+    for (a, b), m, rank in zip(product(h.alpha, h.beta), h.stack, h.ranks.tolist()):
+        inside = np.zeros((size, size), dtype=bool)
+        inside[:rank, :a] = inside[:rank, mx : mx + b] = True
+        assert not m[~inside].any() and m[:rank].any(axis=1).all(), (h, a, b, rank)
+
+
 def test_chi_each_matches_chi_and_chi_cell_on_whole_groups():
     # the stacked route over every element of a group at once, for every
-    # composition pair: each grid equals chi of its matrix alone and, cell by
-    # cell, chi_cell's RREF basis with the same rank and zero rows past it
+    # composition pair: each grid equals chi of its matrix alone, keeps the
+    # padded layout and, cell by cell, holds chi_cell's RREF basis, so its
+    # cell() views equal chi_cell
     for n, q in ((2, 3), (3, 2)):
         mats = list(enum_gl(n, q))
         for alpha in all_compositions(n):
             for beta in all_compositions(n):
                 for a, h in zip(mats, _chi_each(mats, alpha, beta)):
                     alone = chi(a, alpha, beta)
-                    assert h == alone and len(h.groups) == len(alone.groups)
-                    for g, g1 in zip(h.groups, alone.groups):
-                        assert np.array_equal(g.cells, g1.cells)
-                        assert np.array_equal(g.ranks, g1.ranks)
-                        for (i, j), m, rank in zip(g.cells.tolist(), g.stack, g.ranks.tolist()):
-                            want = chi_cell(a, *alpha.block(i), *beta.block(j)).basis.a
-                            assert rank == len(want), (a.to_rows(), alpha, beta, i, j)
-                            assert np.array_equal(m[:rank], want), (a.to_rows(), alpha, beta, i, j)
-                            assert not m[rank:].any()
+                    assert h == alone and np.array_equal(h.ranks, alone.ranks)
+                    _assert_padded(h)
+                    for k, rows in enumerate(h._bases()):
+                        i, j = divmod(k, len(beta))
+                        want = chi_cell(a, *alpha.block(i), *beta.block(j))
+                        assert rows == want.basis.a.tolist(), (a.to_rows(), alpha, beta, i, j)
+                        assert h.cell(i, j) == want
+
+
+def test_every_grid_constructor_keeps_the_padded_layout():
+    # standard grids of every table of the selfcheck margins, hinge_act
+    # images, grids of random relations and unpickled chi grids; each stored
+    # basis is already the RREF that cell() reduces it to
+    rng = random.Random(31)
+    grids = []
+    for p in (2, 3):
+        f = PrimeField(p)
+        for alpha in _MARGIN_SETS:
+            for beta in _MARGIN_SETS:
+                if sum(alpha) == sum(beta):
+                    grids += [standard_bihinge(d, f) for d in contingency_tables(alpha, beta)]
+    for p, alpha, beta in ((2, (1, 2), (2, 1)), (3, (2, 2), (1, 3)), (5, (1,) * 4, (1,) * 4), (3, (3,), (1, 2))):
+        f = PrimeField(p)
+        alpha, beta = Composition(alpha), Composition(beta)
+        for _ in range(4):
+            h = chi(random_invertible(f, alpha.n, rng), alpha, beta)
+            gs = [random_invertible(f, k, rng) for k in alpha]
+            hs = [random_invertible(f, k, rng) for k in beta]
+            relations = [[LinearRelation(na, nb, Matrix(f, np.array(
+                [[rng.randrange(p) for _ in range(na + nb)] for _ in range(rng.randint(0, na + nb))],
+                dtype=np.int64).reshape(-1, na + nb))) for nb in beta] for na in alpha]
+            grids += [hinge_act(gs, hs, h), BiHinge(alpha, beta, relations), pickle.loads(pickle.dumps(h))]
+    for h in grids:
+        _assert_padded(h)
+        for k, rows in enumerate(h._bases()):
+            assert rows == h.cell(*divmod(k, len(h.beta))).basis.a.tolist(), (h, k)
 
 
 def test_chi_each_raises_on_a_singular_member():
@@ -248,7 +290,7 @@ def test_derive_each_matches_each_grid_derived_alone():
     rng.shuffle(grids)
     _derive_each(grids)
     for h in grids:
-        alone = BiHinge._of(h.alpha, h.beta, h.field, h.groups).derived()
+        alone = BiHinge._of(h.alpha, h.beta, h.field, h.stack, h.ranks).derived()
         assert h._derived is not None
         for name, got, want in zip(alone._fields, h._derived, alone):
             assert got.shape == want.shape and np.array_equal(got, want), (name, h)
@@ -534,8 +576,7 @@ def test_stacked_axioms_match_each_grid():
                 grids = _chi_each(mats, alpha, beta)
                 for k in range(0, len(grids), 3):
                     h = grids[k]
-                    zero = [g._replace(stack=np.zeros_like(g.stack), ranks=np.zeros_like(g.ranks)) for g in h.groups]
-                    grids[k] = BiHinge._of(h.alpha, h.beta, h.field, zero)
+                    grids[k] = BiHinge._of(h.alpha, h.beta, h.field, np.zeros_like(h.stack), np.zeros_like(h.ranks))
                 flags, tables = _axiom_tables(grids)
                 for k, h in enumerate(grids):
                     one_flags, one_table = _axiom_tables([h])

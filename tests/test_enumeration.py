@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hinge import bihinge, linalg, relations
-from hinge.bihinge import Composition, DimensionMatrix, MarginError, check_axioms, chi
+from hinge.bihinge import BiHinge, Composition, DimensionMatrix, MarginError, check_axioms, chi
 from hinge.enumeration import (
     BudgetError,
     CosetPartition,
@@ -32,7 +32,7 @@ from hinge.enumeration import (
 )
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, _span
-from hinge.relations import InvariantViolation
+from hinge.relations import InvariantViolation, LinearRelation
 from hinge.selfcheck import all_compositions, check_stabilizers
 
 
@@ -190,6 +190,25 @@ def test_all_bihinges_counts():
     assert len(all_bihinges_brute((2,), (1, 1), 2)) == 3
     for h in all_bihinges_brute((1, 1), (1, 1), 3):
         assert check_axioms(h)
+
+
+def test_all_bihinges_brute_match_the_public_constructor_in_product_order():
+    # the grids are stacked from padded candidate bases; they must be the
+    # grids BiHinge builds from every product of subspaces that passes
+    # check_axioms, read-only uint16 stacks with the same ranks, in order
+    for alpha, beta, q in (((1, 1), (1, 1), 2), ((1, 1), (1, 1), 3), ((2,), (1, 1), 2)):
+        shapes = [(a, b) for a in alpha for b in beta]
+        want = []
+        for combo in product(*(list(enum_subspaces(a + b, q)) for a, b in shapes)):
+            cells = iter(LinearRelation(a, b, m) for (a, b), m in zip(shapes, combo))
+            h = BiHinge(alpha, beta, [[next(cells) for _ in beta] for _ in alpha])
+            if check_axioms(h):
+                want.append(h)
+        got = all_bihinges_brute(alpha, beta, q)
+        assert got == want and [hash(h) for h in got] == [hash(h) for h in want]
+        for g, w in zip(got, want):
+            assert g.stack.dtype == np.uint16 and not g.stack.flags.writeable
+            assert np.array_equal(g.ranks, w.ranks)
 
 
 def test_realized_grids_are_exactly_the_axiom_solutions():

@@ -151,6 +151,26 @@ def _drawn_by_rank(field, n, rng):
             return m
 
 
+def test_compositions_are_pinned():
+    # all_compositions and random_composition share one cut-to-parts helper;
+    # both lists, and the rng draws random_composition makes (one per gap),
+    # are as they were before it
+    assert [[c.parts for c in all_compositions(n)] for n in range(1, 6)] == [
+        [(1,)],
+        [(2,), (1, 1)],
+        [(3,), (1, 2), (2, 1), (1, 1, 1)],
+        [(4,), (1, 3), (2, 2), (1, 1, 2), (3, 1), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1)],
+        [(5,), (1, 4), (2, 3), (1, 1, 3), (3, 2), (1, 2, 2), (2, 1, 2), (1, 1, 1, 2), (4, 1), (1, 3, 1),
+         (2, 2, 1), (1, 1, 2, 1), (3, 1, 1), (1, 2, 1, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)],
+    ]
+    rng = random.Random(2024)
+    assert [random_composition(n, rng).parts for n in (1, 2, 3, 4, 5, 6, 7, 8) * 2] == [
+        (1,), (1, 1), (2, 1), (2, 2), (1, 1, 2, 1), (1, 3, 2), (4, 2, 1), (3, 1, 1, 1, 1, 1),
+        (1,), (1, 1), (1, 2), (2, 1, 1), (1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (3, 3, 1), (1, 3, 2, 1, 1),
+    ]
+    assert rng.random() == 0.49334177818512226
+
+
 def test_random_invertible_draws_as_by_rank():
     # the exact-integer test accepts exactly the candidates of full rank, so
     # the same matrices come out and rng is left in the same state
@@ -222,8 +242,7 @@ def _normal_form_keys(qs, max_n, trials, seed=404):
 
 
 def _zeroed(h):
-    zero = [g._replace(stack=np.zeros_like(g.stack), ranks=np.zeros_like(g.ranks)) for g in h.groups]
-    return BiHinge._of(h.alpha, h.beta, h.field, zero)
+    return BiHinge._of(h.alpha, h.beta, h.field, np.zeros_like(h.stack), np.zeros_like(h.ranks))
 
 
 def _other_table(h):
@@ -234,8 +253,13 @@ def _other_table(h):
 
 
 def _reordered(h):
-    """h with its shape groups in reverse order, None if it has one shape."""
-    return BiHinge._of(h.alpha, h.beta, h.field, h.groups[::-1]) if len(h.groups) > 1 else None
+    """h with its cells in reverse order but its own derived spaces, so it
+    passes the axioms and normalizes as h does; None if reversing keeps it."""
+    if np.array_equal(h.stack, h.stack[::-1]):
+        return None
+    bad = BiHinge._of(h.alpha, h.beta, h.field, h.stack[::-1], h.ranks[::-1])
+    bad._derived = h.derived()
+    return bad
 
 
 def _grid(corrupt):
