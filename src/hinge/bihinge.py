@@ -129,36 +129,40 @@ class DimensionMatrix:
         return f"DimensionMatrix({self.to_rows()}, alpha={self.alpha.parts}, beta={self.beta.parts})"
 
 
-def _shapes(alpha: Composition, beta: Composition) -> list:
-    """(dx, dy, at) per cell shape, in the order of its first cell: at the
-    indices i * q + j of its cells, ascending."""
-    seen_a, seen_b = {}, {}
-    ka = np.array([seen_a.setdefault(a, len(seen_a)) for a in alpha.parts])
-    kb = np.array([seen_b.setdefault(b, len(seen_b)) for b in beta.parts])
-    order = np.argsort((ka[:, None] * len(seen_b) + kb).ravel(), kind="stable")
-    counts = [alpha.parts.count(a) * beta.parts.count(b) for a, b in product(seen_a, seen_b)]
-    return [(a, b, at) for (a, b), at in zip(product(seen_a, seen_b), np.split(order, np.cumsum(counts)[:-1]))]
+def _shapes(alpha: Composition, beta: Composition) -> tuple:
+    """(shapes, back): (dx, dy, at) per cell shape, in the order of its first
+    cell, at the indices i * q + j of its cells, ascending; back takes the
+    cells listed shape by shape, in that order, to cell order."""
+    rows, cols = {}, {}
+    for i, a in enumerate(alpha.parts):
+        rows.setdefault(a, []).append(i)
+    for j, b in enumerate(beta.parts):
+        cols.setdefault(b, []).append(j)
+    shapes = [(a, b, (np.array(i)[:, None] * len(beta) + j).ravel()) for a, i in rows.items() for b, j in cols.items()]
+    return shapes, np.argsort(np.concatenate([at for _, _, at in shapes]))
 
 
-def _take(stack: np.ndarray, at, lead: int, gap: int, width: int) -> np.ndarray:
-    """The cells at of padded stacks (..., N, C, C) in their own columns,
-    (..., k, width, width): the first lead from [0, lead), the rest from gap on."""
-    part = stack[..., at, :width, :]
-    return np.concatenate((part[..., :lead], part[..., gap : gap + width - lead]), axis=-1)
+def _in_cell_order(parts: list, back: np.ndarray, axis: int) -> np.ndarray:
+    """Arrays whose axis lists the cells of each shape of _shapes, in its
+    order, as one array with that axis in cell order (a single shape's is)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis).take(back, axis=axis)
 
 
-def _put(out: np.ndarray, at, rows: np.ndarray, lead: int, gap: int):
-    """The inverse of _take: rows (..., k, r, width) into the cells at of out."""
-    r, width = rows.shape[-2:]
-    out[..., at, :r, :lead] = rows[..., :lead]
-    out[..., at, :r, gap : gap + width - lead] = rows[..., lead:]
+def _take(stack: np.ndarray, at, dx: int, dy: int, alpha: Composition) -> np.ndarray:
+    """The (dx, dy) cells at of padded stacks (..., N, C, C) in their own
+    columns (x | y): (..., k, dx + dy, dx + dy)."""
+    part = stack.take(at, axis=-3)[..., : dx + dy, :]
+    return np.concatenate((part[..., :dx], part[..., max(alpha) : max(alpha) + dy]), axis=-1)
 
 
-def _pad(rows: np.ndarray, dx: int, alpha: Composition, beta: Composition) -> np.ndarray:
-    """Cell bases (N, r, dx + dy) in the padded layout of grids over (alpha,
-    beta): (N, C, C) uint16, X at [0, dx) and Y from max(alpha) on."""
-    out = np.zeros((len(rows),) + (max(alpha) + max(beta),) * 2, dtype=np.uint16)
-    _put(out, slice(None), rows, dx, max(alpha))
+def _pad(rows: np.ndarray, lead: int, alpha: Composition, beta: Composition, y_first=False) -> np.ndarray:
+    """Cell bases (..., r, w) in the padded layout of grids over (alpha,
+    beta), (..., C, C) uint16: the first lead columns at [0, lead), the rest
+    from max(alpha) on, or from max(beta) on in the Y-first layout."""
+    gap, size = max(beta) if y_first else max(alpha), max(alpha) + max(beta)
+    out = np.zeros(rows.shape[:-2] + (size, size), dtype=np.uint16)
+    out[..., : rows.shape[-2], :lead] = rows[..., :lead]
+    out[..., : rows.shape[-2], gap : gap + rows.shape[-1] - lead] = rows[..., lead:]
     return out
 
 
@@ -193,7 +197,7 @@ class BiHinge:
                 raise ValueError(
                     f"cell ({i + 1},{j + 1}) is over {cell.field}, cell (1,1) over {field}"
                 )
-        stack = np.concatenate([_pad(c.basis.a[None], c.dim_x, alpha, beta) for c in cells])
+        stack = np.stack([_pad(c.basis.a, c.dim_x, alpha, beta) for c in cells])
         self._init(alpha, beta, field, stack, np.array([c.basis.rows for c in cells], dtype=np.intp))
         self._grid = grid
 
@@ -214,8 +218,8 @@ class BiHinge:
         """Each cell's RREF basis rows (x | y) in its own columns, as lists of
         ints, cell (i, j) at i * q + j."""
         out = [None] * len(self.stack)
-        for dx, dy, at in _shapes(self.alpha, self.beta):
-            rows = _take(self.stack, at, dx, max(self.alpha), dx + dy).tolist()
+        for dx, dy, at in _shapes(self.alpha, self.beta)[0]:
+            rows = _take(self.stack, at, dx, dy, self.alpha).tolist()
             for k, m, rank in zip(at.tolist(), rows, self.ranks[at].tolist()):
                 out[k] = m[:rank]
         return out
@@ -223,12 +227,9 @@ class BiHinge:
     @property
     def grid(self) -> tuple:
         if self._grid is None:
-            q = len(self.beta)
-            cells = [
-                LinearRelation(a, b, Matrix._new(self.field, np.array(rows, dtype=np.int64).reshape(-1, a + b)))
-                for (a, b), rows in zip(product(self.alpha, self.beta), self._bases())
-            ]
-            self._grid = tuple(tuple(cells[i : i + q]) for i in range(0, len(cells), q))
+            cells = iter(LinearRelation(a, b, Matrix._new(self.field, np.array(rows, dtype=np.int64).reshape(-1, a + b)))
+                         for (a, b), rows in zip(product(self.alpha, self.beta), self._bases()))
+            self._grid = tuple(tuple(next(cells) for _ in self.beta) for _ in self.alpha)
         return self._grid
 
     def cell(self, i: int, j: int) -> LinearRelation:
@@ -340,20 +341,19 @@ def _grids_from_pass(cpass: tuple, field: PrimeField, alpha: Composition, beta: 
     every grid, and into the Y-first stacks derived() reads, for all N grids
     when the first is derived.
     """
-    count, cells, size = len(cpass[0]), len(alpha) * len(beta), max(alpha) + max(beta)
-    shapes = [(dx, dy, at, np.array(alpha.offsets)[at // len(beta)], np.array(beta.offsets)[at % len(beta)])
-              for dx, dy, at in _shapes(alpha, beta)]
+    (shapes, back), q = _shapes(alpha, beta), len(beta)
+    offsets = [(np.array(alpha.offsets)[at // q], np.array(beta.offsets)[at % q]) for _, _, at in shapes]
 
     def gather(y_first):
-        stack = np.zeros((count, cells, size, size), dtype=np.uint16)
-        ranks = np.empty((count, cells), dtype=np.intp)
-        for dx, dy, at, c0, r0 in shapes:
-            rows, ranks[:, at] = _cell_rrefs(cpass, c0, r0, dx, dy, field.p, y_first)
-            _put(stack, at, rows, *((dy, max(beta)) if y_first else (dx, max(alpha))))
-        return stack, ranks
+        stacks, ranks = [], []
+        for (dx, dy, _), (c0, r0) in zip(shapes, offsets):
+            rows, r = _cell_rrefs(cpass, c0, r0, dx, dy, field.p, y_first)
+            stacks.append(_pad(rows, dy if y_first else dx, alpha, beta, y_first))
+            ranks.append(r)
+        return _in_cell_order(stacks, back, 1), _in_cell_order(ranks, back, 1)
 
     (stack, ranks), y_first_forms = gather(False), functools.cache(lambda: gather(True)[0])
-    return [BiHinge._of(alpha, beta, field, stack[k], ranks[k], lambda k=k: y_first_forms()[k]) for k in range(count)]
+    return [BiHinge._of(alpha, beta, field, stack[k], ranks[k], lambda k=k: y_first_forms()[k]) for k in range(len(stack))]
 
 
 def _cell_pass(stack: np.ndarray, p: int, alpha: Composition) -> tuple:
@@ -459,11 +459,9 @@ def _y_first_stack(h: BiHinge) -> np.ndarray:
     any other's by one y_first per cell shape on that shape's own columns."""
     if h._y_first is not None:
         return h._y_first()
-    swapped = np.zeros_like(h.stack)
-    for dx, dy, at in _shapes(h.alpha, h.beta):
-        part = _take(h.stack, at, dx, max(h.alpha), dx + dy).astype(np.int64)
-        _put(swapped, at, y_first(part, h.ranks[at], dx, h.field.p), dy, max(h.beta))
-    return swapped
+    shapes, back = _shapes(h.alpha, h.beta)
+    forms = [y_first(_take(h.stack, at, dx, dy, h.alpha).astype(np.int64), h.ranks[at], dx, h.field.p) for dx, dy, at in shapes]
+    return _in_cell_order([_pad(m, dy, h.alpha, h.beta, True) for (_, dy, _), m in zip(shapes, forms)], back, 0)
 
 
 @dataclass(frozen=True)
@@ -652,15 +650,17 @@ def _hinge_act(gs: list, hs: list, grids) -> list:
     columns, moves all B grids."""
     h, q = grids[0], len(grids[0].beta)
     stack, ranks = np.stack([g.stack for g in grids]), np.stack([g.ranks for g in grids])
-    moved, moved_ranks = np.zeros_like(stack), np.empty_like(ranks)
-    for dx, dy, at in _shapes(h.alpha, h.beta):
+    (shapes, back), moved, moved_ranks = _shapes(h.alpha, h.beta), [], []
+    for dx, dy, at in shapes:
         i, j = np.divmod(at, q)
         gx = np.stack([gs[k] for k in i.tolist()], axis=1).reshape(-1, dx, dx)
         hy = np.stack([hs[k] for k in j.tolist()], axis=1).reshape(-1, dy, dy)
-        part = _take(stack, at, dx, max(h.alpha), dx + dy).astype(np.int64)
-        acted, acted_ranks = act_stack(part.reshape(-1, dx + dy, dx + dy), ranks[:, at].ravel(), gx, hy, dx, h.field.p)
-        _put(moved, at, acted.reshape(part.shape), dx, max(h.alpha))
-        moved_ranks[:, at] = acted_ranks.reshape(len(grids), -1)
+        part = _take(stack, at, dx, dy, h.alpha).astype(np.int64)
+        acted, acted_ranks = act_stack(part.reshape((-1,) + part.shape[2:]), ranks.take(at, axis=1).ravel(),
+                                       gx, hy, dx, h.field.p)
+        moved.append(_pad(acted.reshape(part.shape), dx, h.alpha, h.beta))
+        moved_ranks.append(acted_ranks.reshape(len(grids), -1))
+    moved, moved_ranks = _in_cell_order(moved, back, 1), _in_cell_order(moved_ranks, back, 1)
     return [BiHinge._of(h.alpha, h.beta, h.field, m, r) for m, r in zip(moved, moved_ranks)]
 
 
