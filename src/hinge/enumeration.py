@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
 from math import factorial, prod
 
@@ -314,9 +313,7 @@ class CosetPartition:
 
     elements is the group in ascending key order, as gl_array gives it, and
     labels[i] the class of elements[i].  Classes are numbered by their first
-    member, so classes and their members both ascend in key order; the first
-    member of each class is its minimal representative.  The Matrix objects
-    of classes are built on first access.
+    member, so they ascend in key order of their minimal representatives.
     """
 
     q: int
@@ -325,19 +322,6 @@ class CosetPartition:
     elements: np.ndarray
     labels: np.ndarray
     num_classes: int
-
-    @cached_property
-    def classes(self) -> tuple:
-        field = PrimeField(self.q)
-        order = np.argsort(self.labels, kind="stable")
-        bounds = np.cumsum(self.class_sizes())[:-1]
-        return tuple(
-            tuple(Matrix._new(field, self.elements[i].astype(np.int64)) for i in members)
-            for members in np.split(order, bounds)
-        )
-
-    def class_sizes(self) -> list:
-        return np.bincount(self.labels, minlength=self.num_classes).tolist()
 
 
 def double_cosets_brute(

@@ -217,7 +217,10 @@ def _rref_stack(arr: np.ndarray, p: int) -> np.ndarray:
         arr[sel, rr, c:] = piv_row
         fac = arr[sel, :, c]
         fac[np.arange(sel.size), rr] = 0
-        arr[sel, :, c:] = (arr[sel, :, c:] - fac[:, :, None] * piv_row[:, None, :]) % p
+        rows = arr[sel, :, c:]  # a copy, cleared in place
+        rows -= fac[:, :, None] * piv_row[:, None, :]
+        rows %= p
+        arr[sel, :, c:] = rows
         r[sel] += 1
     return r
 
@@ -244,14 +247,15 @@ def _back_substitute(arr: np.ndarray, lead: np.ndarray, p: int):
 
 # Fewest matrices that _rref_each reduces as one stack.  Its callers are
 # normalize's witness inversion (one member per block), act_stack (the hinge
-# action, one member per cell of a shape) and y_first on grids without a
-# column pass; chi's cells never come here.  On bench/workloads.py grids of
-# seeds 1-3 (minima of 40 normalize and 10 hinge_act runs on a grid with its
-# derived data cached, 2-vCPU x86-64 host), coarse grids (3-5 blocks a side,
-# n = 48-96) stay below it: block by block, normalize took 1.6-7.7 ms and
-# hinge_act 5.2-20 ms, against 2.7-14 and 13-39 ms forced through the stack.
-# Fine grids (16-32 one-unit blocks) reach it: the stack took 0.33-0.70 and
-# 1.0-2.9 ms, against 0.36-1.03 and 2.0-10 ms block by block.
+# action, one member per cell of a shape) and y_first (per cell shape of a
+# batch, for check_axioms, the axioms suite and derived() of grids no column
+# pass made); chi's cells and derived() never come here.  On bench/workloads.py
+# grids of seeds 1-3 (minima of 40 normalize and 10 hinge_act runs on a grid
+# with its derived data cached, 2-vCPU x86-64 host), coarse grids (3-5 blocks
+# a side, n = 48-96) stay below it: block by block, normalize took 1.6-7.7 ms
+# and hinge_act 5.2-20 ms, against 2.7-14 and 13-39 ms forced through the
+# stack.  Fine grids (16-32 one-unit blocks) reach it: the stack took
+# 0.33-0.70 and 1.0-2.9 ms, against 0.36-1.03 and 2.0-10 ms block by block.
 _STACK_MIN_CELLS = 8
 
 

@@ -18,11 +18,12 @@ first, padded with zero rows.  derive_stack reads all five of every member
 off two echelon forms at once.  The rows that pivot in X have X halves
 forming the RREF of dom, and the remaining rows are (0 | RREF of indef).
 The RREF with the Y columns first (y_first) gives im and (0 | ker) the same
-way.  theta needs no solve.  The basis row whose X pivot is not a ker pivot
-lifts the dom/ker class of its X half.  Its Y half is zero at the indef
-pivots, which are pivot columns of other rows, so its indef coordinates
-vanish, and its im/indef coordinates are its entries at the im pivots that
-are not indef pivots.  A LinearRelation is a stack of one.
+way, as do rows (im | 0), (0 | ker) built otherwise.  theta needs no solve.
+The basis row whose X pivot is not a ker pivot lifts the dom/ker class of
+its X half.  Its Y half is zero at the indef pivots, which are pivot columns
+of other rows, so its indef coordinates vanish, and its im/indef
+coordinates are its entries at the im pivots that are not indef pivots.  A
+LinearRelation is a stack of one.
 """
 
 from __future__ import annotations
@@ -71,14 +72,17 @@ def derive_stack(stack, swapped, ranks, dim_x: int, dim_y: int) -> Derived:
     """ker, dom, im, indef, theta and the lift rows of a stack of relations.
 
     stack is (N, R, C), C = dim_x + dim_y <= R, each member an RREF basis
-    padded with zero rows; swapped is its y_first form and ranks[k] the rank
-    of member k.  ker and dom come out (N, dim_x, dim_x) and im and indef
-    (N, dim_y, dim_y), RREF bases padded with zero rows, so two subspaces of
-    one space are equal exactly when their arrays are; dims is (4, N), their
-    dimensions.  With d = dim dom - dim ker, theta[k, :d, :d] is member k's
-    theta and lifts[k, :d] its lift rows (xi | eta), xi representing a
-    dom/ker class and eta in the class theta maps it to; entries past d mean
-    nothing.  Raises InvariantViolation if some member's quotients differ.
+    padded with zero rows, and ranks[k] the rank of member k.  swapped has
+    the columns (y | x): rows pivoting in Y whose Y halves are im's RREF,
+    then (0 | RREF of ker), zero past the rank, as in the y_first form; the
+    X halves of the im rows are never read.  ker and dom come out (N, dim_x,
+    dim_x) and im and indef (N, dim_y, dim_y), RREF bases padded with zero
+    rows, so two subspaces of one space are equal exactly when their arrays
+    are; dims is (4, N), their dimensions.  With d = dim dom - dim ker,
+    theta[k, :d, :d] is member k's theta and lifts[k, :d] its lift rows (xi
+    | eta), xi representing a dom/ker class and eta in the class theta maps
+    it to; entries past d mean nothing.  Raises InvariantViolation if some
+    member's quotients differ.
     """
     dx, dy = dim_x, dim_y
     member = np.arange(len(stack))[:, None]
@@ -138,6 +142,12 @@ class LinearRelation:
         self.dim_y = dim_y
         self.basis = _span(rows.field, rows.a)
         self._derived = None
+
+    @classmethod
+    def _of(cls, dim_x: int, dim_y: int, basis: Matrix) -> "LinearRelation":  # trusted: basis is canonical
+        rel = object.__new__(cls)
+        rel.dim_x, rel.dim_y, rel.basis, rel._derived = dim_x, dim_y, basis, None
+        return rel
 
     @property
     def field(self) -> PrimeField:

@@ -159,12 +159,13 @@ def check_invariance(qs=(2, 3, 5), max_n=6, trials=200, seed=101) -> tuple:
 
 
 def check_axiom_soundness(qs=(2, 3, 5), max_n=6, trials=200, seed=202) -> tuple:
-    """Every computed grid satisfies the gluing axioms."""
+    """Every computed grid satisfies the gluing axioms, on spaces derived
+    afresh through the Y-first RREF of each cell shape of a group."""
     rng = random.Random(seed)
     setups = [_random_setup(qs, max_n, rng) for _ in range(trials)]
 
     def checks(mats, grids):
-        flags = _axiom_tables(grids)[0]
+        flags = _axiom_tables(grids, generic=True)[0]
         yield [f"trial {{t}}: {'; '.join(_violations(bad))}" for bad in flags], flags.any(axis=(1, 2, 3))
 
     draws = [(alpha, beta, (a,)) for _, _, alpha, beta, a in setups]

@@ -15,6 +15,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from hinge import bihinge, linalg, relations
 from hinge.bihinge import (
     AxiomError,
     BiHinge,
@@ -256,12 +257,12 @@ def test_chi_each_raises_on_a_singular_member():
 
 def test_derive_each_matches_each_grid_derived_alone():
     # a batch of grids of mixed shapes and ranks, several per (field, alpha,
-    # beta) and in no particular order: chi grids (Y-first forms read off
-    # their column pass), their hinge_act images and their copies rebuilt
-    # from relations (both reduced by y_first), standard grids, and grids of
+    # beta) and in no particular order: chi grids (ker and im read off their
+    # neighbours), their hinge_act images and their copies rebuilt from
+    # relations (both reduced by y_first), standard grids, and grids of
     # random relations that fail the axioms.  Each grid's cache must be
-    # what derived() gives a fresh copy of it alone, in all seven fields,
-    # and a rebuilt copy's what its chi grid has.
+    # what derived() gives a fresh unmarked copy of it alone, in all seven
+    # fields, and a rebuilt copy's what its chi grid has.
     rng = random.Random(97)
     grids, twins = [], []
     cases = ((2, (1, 2), (2, 1)), (3, (2, 2), (1, 3)), (5, (1,) * 4, (1,) * 4), (3, (3,), (1, 2)))
@@ -297,6 +298,99 @@ def test_derive_each_matches_each_grid_derived_alone():
     for h, rebuilt in twins:
         for name, got, want in zip(h._derived._fields, rebuilt._derived, h._derived):
             assert got.shape == want.shape and np.array_equal(got, want), (name, h)
+
+
+def _generic(h):
+    return BiHinge._of(h.alpha, h.beta, h.field, h.stack, h.ranks).derived()
+
+
+def _same_derived(got, want):
+    return all(x.shape == y.shape and x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_neighbour_route_derives_as_the_generic_route():
+    # a chi grid's ker and im read off its neighbours' X-first forms give the
+    # Derived of the Y-first RREF, bit for bit in all seven fields: on every
+    # element and composition pair of GL(2,3) and GL(3,2), and on random
+    # grids at p = 65521 with n <= 12 and random compositions
+    for n, q in ((2, 3), (3, 2)):
+        f = PrimeField(q)
+        mats = [Matrix(f, m) for m in gl_array(n, q)]
+        for alpha in all_compositions(n):
+            for beta in all_compositions(n):
+                grids = _chi_each(mats, alpha, beta)
+                assert all(h._from_pass for h in grids)
+                copies = [BiHinge._of(h.alpha, h.beta, h.field, h.stack, h.ranks) for h in grids]
+                for got, want in zip(_derive_each(grids), _derive_each(copies)):
+                    assert _same_derived(got, want), (n, q, alpha, beta)
+    rng, f = random.Random(2113), PrimeField(65521)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        alpha, beta = random_composition(n, rng), random_composition(n, rng)
+        grids = _chi_each([random_invertible(f, n, rng) for _ in range(3)], alpha, beta)
+        for h in grids:
+            assert _same_derived(h.derived(), _generic(h)), (n, alpha, beta)
+
+
+def test_check_axioms_derives_a_marked_grid_generically(monkeypatch):
+    # a grid that carries the mark of a column pass but is corrupted in one
+    # cell still gets the violations of its unmarked copy, and check_axioms
+    # never reads ker and im off the neighbours, nor a cache they filled
+    f = PrimeField(2)
+    h = chi(Matrix(f, [[1, 0, 1], [1, 1, 0], [0, 1, 0]]), (1, 2), (2, 1))
+    marked = []
+    for (i, j), rows, want in _CORRUPTED:
+        grid = [list(row) for row in h.grid]
+        grid[i][j] = LinearRelation(h.alpha[i], h.beta[j], Matrix(f, rows))
+        bad = BiHinge(h.alpha, h.beta, grid)
+        marked.append((BiHinge._of(bad.alpha, bad.beta, f, bad.stack, bad.ranks, from_pass=True), want))
+    marked[0][0]._derived = h.derived()  # a cache that would hide the corruption
+
+    def refuse(*args):
+        raise AssertionError("check_axioms read the neighbour route")
+
+    monkeypatch.setattr(bihinge, "_neighbour_forms", refuse)
+    for bad, want in marked:
+        report = check_axioms(bad)
+        assert not report.ok and list(report.violations) == want
+
+
+def test_only_pass_grids_carry_the_mark(monkeypatch):
+    # chi grids are marked; an unpickled chi grid, user grids, hinge_act
+    # images and standard grids are not, and derive through y_first alone
+    f = PrimeField(3)
+    h = chi(Matrix(f, [[1, 2, 0], [0, 1, 1], [1, 0, 0]]), (2, 1), (1, 2))
+    copy = pickle.loads(pickle.dumps(h))
+    eye = [Matrix.identity(f, k) for k in (2, 1)], [Matrix.identity(f, k) for k in (1, 2)]
+    others = (copy, BiHinge(h.alpha, h.beta, h.grid), hinge_act(*eye, h), standard_bihinge(dimension_matrix(h), f))
+    assert h._from_pass and not any(g._from_pass for g in others)
+
+    def refuse(*args):
+        raise AssertionError("an unmarked grid read the neighbour route")
+
+    monkeypatch.setattr(bihinge, "_neighbour_forms", refuse)
+    assert copy == h and _same_derived(copy.derived(), _generic(h))
+
+
+def test_grid_views_are_trusted_and_equal_the_public_ones(monkeypatch):
+    # on every element and composition pair of GL(2,3) and GL(3,2), the
+    # views grid builds equal relations built by the public constructor from
+    # the same rows, and reading them reduces nothing
+    grids = []
+    for n, q in ((2, 3), (3, 2)):
+        f = PrimeField(q)
+        mats = [Matrix(f, m) for m in gl_array(n, q)]
+        grids += [h for alpha in all_compositions(n) for beta in all_compositions(n) for h in _chi_each(mats, alpha, beta)]
+    public = [[LinearRelation(a, b, Matrix(h.field, np.array(rows, dtype=np.int64).reshape(-1, a + b)))
+               for (a, b), rows in zip(product(h.alpha, h.beta), h._bases())] for h in grids]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reading the grid reduced a basis")
+
+    monkeypatch.setattr(relations, "_span", refuse)
+    monkeypatch.setattr(linalg, "_rref", refuse)
+    for h, cells in zip(grids, public):
+        assert [c for row in h.grid for c in row] == cells
 
 
 def test_chi_validation():
@@ -470,11 +564,8 @@ def test_equivalence_matches_brute_partition():
     # pairwise: equal grids exactly on brute double-coset classmates
     alpha, beta, q = (1, 1), (1, 1), 3
     partition = double_cosets_brute(2, q, alpha, beta)
-    label = {}
-    for k, klass in enumerate(partition.classes):
-        for m in klass:
-            label[m] = k
-    elements = [m for klass in partition.classes for m in klass]
+    label = dict(zip(enum_gl(2, q), partition.labels.tolist()))
+    elements = sorted(label, key=label.get)  # class by class, each in key order
     rng = random.Random(89)
     for _ in range(200):
         a, b = rng.choice(elements), rng.choice(elements)
@@ -667,11 +758,7 @@ def test_grids_separate_cosets_gl2_gf3():
     q = 3
     elements = list(enum_gl(2, q))
     for alpha, beta in (((1, 1), (1, 1)), ((2,), (1, 1)), ((1, 1), (2,))):
-        partition = double_cosets_brute(2, q, alpha, beta)
-        label = {}
-        for k, klass in enumerate(partition.classes):
-            for m in klass:
-                label[m] = k
+        label = dict(zip(elements, double_cosets_brute(2, q, alpha, beta).labels.tolist()))
         grids = {m: chi(m, alpha, beta) for m in elements}
         for a in elements:
             for b in elements:

@@ -156,32 +156,31 @@ def test_double_cosets_gf2_sizes():
     part = double_cosets_brute(2, 2, (1, 1), (1, 1))
     assert isinstance(part, CosetPartition)
     assert part.num_classes == 2
-    assert sorted(part.class_sizes()) == [2, 4]
+    sizes = np.bincount(part.labels)
+    assert sorted(sizes.tolist()) == [2, 4]
     assert len(part.labels) == 6
     f = PrimeField(2)
-    swap = Matrix(f, [[0, 1], [1, 0]])
-    eye = Matrix.identity(f, 2)
-    small = next(c for c in part.classes if len(c) == 2)
-    large = next(c for c in part.classes if len(c) == 4)
-    assert swap in small and eye in large
+    label = dict(zip(enum_gl(2, 2), part.labels.tolist()))
+    assert sizes[label[Matrix(f, [[0, 1], [1, 0]])]] == 2 and sizes[label[Matrix.identity(f, 2)]] == 4
 
 
 def test_cosets_sorted_by_key():
+    # the elements ascend in key order, and the classes in that of their
+    # first members
     part = double_cosets_brute(2, 3, (1, 1), (1, 1))
-    mins = []
-    for klass in part.classes:
-        keys = [encode_matrix(m) for m in klass]
-        assert keys == sorted(keys)
-        mins.append(keys[0])
-    assert mins == sorted(mins)
+    keys = [encode_matrix(Matrix(PrimeField(3), m)) for m in part.elements]
+    assert keys == sorted(keys)
+    firsts = np.unique(part.labels, return_index=True)[1]
+    assert firsts.tolist() == sorted(firsts.tolist()) and part.labels[0] == 0
     assert len(part.labels) == gl_order(2, 3)
 
 
 def test_coset_classes_are_grid_fibers():
     part = double_cosets_brute(3, 2, (2, 1), (1, 2))
-    for klass in part.classes:
-        grids = {chi(m, (2, 1), (1, 2)) for m in klass}
-        assert len(grids) == 1
+    fibers = {}
+    for m, k in zip(enum_gl(3, 2), part.labels.tolist()):
+        fibers.setdefault(k, set()).add(chi(m, (2, 1), (1, 2)))
+    assert len(fibers) == part.num_classes and all(len(grids) == 1 for grids in fibers.values())
 
 
 def test_all_bihinges_counts():
@@ -457,9 +456,8 @@ def test_closure_labels_match_matrix_product_bfs():
                 assert part.num_classes == count
 
 
-def test_coset_classes_are_built_on_demand():
+def test_coset_partition_labels_every_element_of_gl42():
     part = double_cosets_brute(4, 2, (1, 3), (2, 2))
     assert part.num_classes == predicted_coset_count((1, 3), (2, 2), 2)
-    assert "classes" not in vars(part)
-    assert sum(part.class_sizes()) == len(part.labels) == gl_order(4, 2)
-    assert [len(c) for c in part.classes] == part.class_sizes()
+    assert len(part.labels) == gl_order(4, 2)
+    assert (np.bincount(part.labels) > 0).sum() == part.num_classes == part.labels.max() + 1

@@ -245,6 +245,22 @@ def _zeroed(h):
     return BiHinge._of(h.alpha, h.beta, h.field, np.zeros_like(h.stack), np.zeros_like(h.ranks))
 
 
+def _y_halves_dropped(h):
+    """h, its mark of a column pass kept, with the Y halves of the rows that
+    pivot in X cleared in its first cell that has any nonzero, None if no
+    cell has: dom, indef and the ranks stay, so ker and im read off the
+    neighbours stay too, but ker grows to dom, so the axioms fail only on
+    spaces derived afresh."""
+    mx = max(h.alpha)
+    dom_rows = (h.stack[:, :, :mx] != 0).any(axis=2)
+    hit = np.flatnonzero((dom_rows[:, :, None] & (h.stack[:, :, mx:] != 0)).any(axis=(1, 2)))
+    if not hit.size:
+        return None
+    stack = h.stack.copy()
+    stack[hit[0], dom_rows[hit[0]], mx:] = 0
+    return BiHinge._of(h.alpha, h.beta, h.field, stack, h.ranks, from_pass=h._from_pass)
+
+
 def _other_table(h):
     """The standard grid of another dimension table, None if there is none."""
     d = dimension_matrix(h)
@@ -287,6 +303,8 @@ _SUITES = {
                    "_chi_each", _grid(_zeroed), "changed the grid at trial {t}"),
     "axioms": (lambda: check_axiom_soundness(qs=(2, 3), max_n=3, trials=200), _setup_keys(202),
                "_chi_each", _grid(_zeroed), "trial {t}: "),
+    "axioms-marked": (lambda: check_axiom_soundness(qs=(2, 3), max_n=3, trials=200), _setup_keys(202),
+                      "_chi_each", _grid(_y_halves_dropped), "trial {t}: "),
     "lpu": (lambda: check_lpu(qs=(2, 3), max_n=3, trials=200), _setup_keys(303),
             "_chi_each", _grid(_other_table), "trial {t}: block counts disagree with the grid"),
     "lpu-factors": (lambda: check_lpu(qs=(2, 3), max_n=3, trials=200), _setup_keys(303),
