@@ -2,11 +2,11 @@
 
 Everything here is meant to cross-check the fast invariants on small fields:
 GL(n, q) as one (N, n, n) array and subspace lattices enumerated in full,
-double coset partitions of the whole group by closure (connected components
-of the graph of elementary row and column moves: every move of every
-element is one gather from a shared table of base-q row-code sums and one
-lookup in a dense key -> element index, and the classes are merged by
-numpy label propagation), grids filtered by the axioms, stabilizer orders
+double coset partitions of the whole group by closure (each row or column
+move of each element is a gather from a table of base-q row-code sums and a
+lookup in a dense key index; one side's moves join cycles of classes on
+their minima, checked by orbit size, and label propagation joins the other
+side's), grids filtered by the axioms, stabilizer orders
 by direct count, and the orbit-counting formula, summed by one weighted DP
 over contingency tables that never lists a table.  Budgets are hard limits;
 exceeding one raises BudgetError with the offending cardinality, never a
@@ -144,17 +144,11 @@ def enum_gl(n: int, q: int, budget: EnumerationBudget = None):
 
 
 def _free_positions(comp: Composition, lower: bool) -> list:
-    """Row-major off-diagonal block positions, lower or upper of the diagonal."""
-    block_of = np.empty(comp.n, dtype=np.int64)
-    for i in range(len(comp)):
-        lo, hi = comp.block(i)
-        block_of[lo:hi] = i
-    out = []
-    for r in range(comp.n):
-        for c in range(comp.n):
-            if (block_of[r] > block_of[c]) if lower else (block_of[r] < block_of[c]):
-                out.append((r, c))
-    return out
+    """Off-diagonal block positions, lower or upper, by falling block height."""
+    block_of = [i for i, part in enumerate(comp) for _ in range(part)]
+    out = [(r, c) for r, c in product(range(comp.n), repeat=2)
+           if (block_of[r] > block_of[c] if lower else block_of[r] < block_of[c])]
+    return sorted(out, key=lambda rc: -abs(block_of[rc[0]] - block_of[rc[1]]))
 
 
 def enum_subspaces(d: int, q: int, budget: EnumerationBudget = None):
@@ -181,9 +175,9 @@ def enum_subspaces(d: int, q: int, budget: EnumerationBudget = None):
 
 
 def _row_codes(rows: np.ndarray, q: int) -> np.ndarray:
-    """Base-q code of one row of every element, first entry highest, from an
-    (N, n) view of the stack.  Codes are built CHUNK elements at a time in
-    the smallest unsigned dtype that holds q**n - 1."""
+    """Base-q code of every row of an (N, m) array, first entry highest: one
+    row of every element, or its whole key.  Codes are built CHUNK rows at a
+    time in the smallest unsigned dtype that holds q**m - 1."""
     dtype = np.min_scalar_type(q ** rows.shape[1] - 1)
     codes = np.zeros(len(rows), dtype=dtype)
     for lo in range(0, len(rows), CHUNK):
@@ -215,17 +209,13 @@ def _merge(labels: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     again (Shiloach-Vishkin min-label propagation).
     """
     while True:
-        a = labels
-        b = labels[nbr]
+        a, b = labels, labels[nbr]
         diff = a != b
         if not diff.any():
             return labels
         a, b = a[diff], b[diff]
         np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
+        while not np.array_equal(jumped := labels[labels], labels):
             labels = jumped
 
 
@@ -250,30 +240,36 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
     has moves, gives the code of x_i + x_j mod q for every generator of
     both sides, so a product's key is its element's key plus a key change
     gathered by code pair.  One generator at a time, CHUNK elements at a
-    time, the products are looked up in the index and the classes they link
-    merged.  A product outside the element set raises InvariantViolation.
-    Classes are numbered in the order of their first elements.  Returns
-    (labels array, class count).  A cache dict shared by the calls on one
-    element stack keeps its keys, index, table and row codes for the next.
+    time, every product is looked up in the index; one outside the element
+    set raises InvariantViolation.
+
+    Both groups act freely on invertible matrices, so every orbit of the
+    side with more moves, the free side, has q**moves elements.  By falling
+    block height, each of its generators normalizes the group of those
+    before it and so permutes the classes so far, its orbits, in cycles of
+    1 or q; ceil(log2 q) doubling steps over the images of the class minima
+    join each cycle on its smallest class.  Joins follow moves, so a class
+    of q**moves elements is an orbit: a bincount checks every class for that
+    size (InvariantViolation otherwise).  The other side commutes with the
+    free side, so _merge joins whole orbits, on their minima.  Classes are
+    numbered by their smallest members.  Returns (labels array, class
+    count).  A cache dict shared by the calls on one element stack keeps
+    its keys, index, table and row codes for the next.
     """
     shared, cache = cache is not None, {} if cache is None else cache
     total, n = elements.shape[:2]
     place = q ** np.arange(n - 1, -1, -1)  # of a digit in a row code
     step = q ** (n * np.arange(n - 1, -1, -1))  # of a row code in a key
     if "index" not in cache:
-        flat = elements.reshape(total, -1)
-        weights = np.outer(step, place).ravel()
-        keys = np.empty(total, dtype=np.int64)
-        for lo in range(0, total, CHUNK):
-            keys[lo : lo + CHUNK] = flat[lo : lo + CHUNK] @ weights
+        keys = _row_codes(elements.reshape(total, -1), q)
         if not (keys[1:] > keys[:-1]).all():
             raise InvariantViolation("the element stack does not strictly ascend in key order")
         dtype = np.min_scalar_type(-total)
         cache["keys"], cache["index"] = keys, np.full(q ** (n * n), -1, dtype=dtype)
         cache["index"][keys] = np.arange(total, dtype=dtype)
     keys, index = cache["keys"], cache["index"]
-    labels = np.arange(total)
-    nbr = np.empty(total, dtype=np.intp)
+    ids = np.arange(total, dtype=index.dtype)  # in the index's dtype, gathered by np.take
+    cls, mins, nbr = ids, ids, np.empty_like(ids)  # element -> class, class -> smallest member
     digits = np.arange(q ** n)[:, None] // place % q
     sides = [  # (rows, moves (i, j): row i += row j, key part of a code, weight of a row)
         (elements, _free_positions(Composition(beta), lower=True), digits @ place, step),
@@ -283,13 +279,14 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
     ]
     if any(moves for _, moves, _, _ in sides) and "table" not in cache:
         cache["table"] = _move_table(digits, q)
-    for side, (rows, moves, part, weight) in enumerate(sides):
-        if not moves:
-            continue
-        delta = part[cache["table"]] - np.repeat(part, q ** n)  # key change / weight, by code pair
-        codes = cache.setdefault(side, {}) if shared else {}  # row -> its codes
-        for k in {k for move in moves for k in move} - codes.keys():
-            codes[k] = _row_codes(rows[:, k], q)
+    free = max(range(2), key=lambda side: len(sides[side][1]))  # the left side on a tie
+    for side in (free, 1 - free):
+        rows, moves, part, weight = sides[side]
+        if moves:
+            delta = part[cache["table"]] - np.repeat(part, q ** n)  # key change / weight, by code pair
+            codes = cache.setdefault(side, {}) if shared else {}  # row -> its codes
+            for k in {k for move in moves for k in move} - codes.keys():
+                codes[k] = _row_codes(rows[:, k], q)
         for i, j in moves:
             shift = delta * weight[i]
             for lo in range(0, total, CHUNK):
@@ -302,18 +299,31 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
                         "outside the element set"
                     )
                 nbr[lo:hi] = found
-            labels = _merge(labels, nbr)
-    roots = labels == np.arange(total)
-    return (np.cumsum(roots) - 1)[labels], int(roots.sum())
+            succ = np.take(cls, np.take(nbr, mins))  # the class each class's minimum moves to
+            if side != free:
+                merged = _merge(merged, succ)
+                continue
+            low = ids = ids[: len(mins)]  # the smallest class in 2**k steps along each cycle
+            for _ in range((q - 1).bit_length()):
+                low, succ = np.minimum(low, np.take(low, succ)), np.take(succ, succ)
+            while not np.take(keep := low == ids, low).all():  # not cycles of 1 or q: chase low
+                low = np.take(low, low)
+            cls, mins = np.take(np.take(np.cumsum(keep, dtype=ids.dtype) - 1, low), cls), mins[keep]
+        if side == free:
+            if (np.bincount(cls) != q ** len(moves)).any():
+                raise InvariantViolation(f"a class of the free side does not hold q**{len(moves)} elements")
+            merged = np.arange(len(mins))  # the other side's labels of the free side's classes
+    roots = merged == np.arange(len(merged))
+    return np.take((np.cumsum(roots) - 1)[merged], cls), int(roots.sum())
 
 
 @dataclass(frozen=True, eq=False)
 class CosetPartition:
-    """A partition of GL(n, q) into double cosets, classes in discovery order.
+    """A partition of GL(n, q) into double cosets.
 
     elements is the group in ascending key order, as gl_array gives it, and
-    labels[i] the class of elements[i].  Classes are numbered by their first
-    member, so they ascend in key order of their minimal representatives.
+    labels[i] the class of elements[i].  Classes are numbered by their
+    smallest member, so they ascend in key order of their representatives.
     """
 
     q: int

@@ -15,6 +15,7 @@ from hinge.enumeration import (
     CosetPartition,
     DEFAULT_BUDGET,
     EnumerationBudget,
+    _free_positions,
     _partition_labels,
     _table_sum,
     all_bihinges_brute,
@@ -45,18 +46,76 @@ def encode_matrix(m: Matrix) -> int:
     return key
 
 
+def block_positions(comp, lower: bool) -> list:
+    """The block strictly lower (or upper) positions (r, c) of a composition,
+    in row-major order."""
+    comp = Composition(comp)
+    block = [i for i, part in enumerate(comp) for _ in range(part)]
+    return [
+        (r, c)
+        for r, c in product(range(comp.n), repeat=2)
+        if ((block[r] > block[c]) if lower else (block[r] < block[c]))
+    ]
+
+
 def t_generators(comp, q: int, lower: bool) -> list:
     """The elementary generators I + e_rc of the block strictly lower (or
     upper) unitriangular group of a composition, (r, c) in row-major order."""
-    comp = Composition(comp)
-    block = [i for i, part in enumerate(comp) for _ in range(part)]
     gens = []
-    for r, c in product(range(comp.n), repeat=2):
-        if (block[r] > block[c]) if lower else (block[r] < block[c]):
-            arr = np.eye(comp.n, dtype=np.int64)
-            arr[r, c] = 1
-            gens.append(Matrix(PrimeField(q), arr))
+    for r, c in block_positions(comp, lower):
+        arr = np.eye(Composition(comp).n, dtype=np.int64)
+        arr[r, c] = 1
+        gens.append(Matrix(PrimeField(q), arr))
     return gens
+
+
+def merge_reference(labels: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Join the classes linked by the edges i -- nbr[i].
+
+    labels[i] is the smallest index of a class member and labels[labels] ==
+    labels.  Each round hooks the larger root of every edge whose ends differ
+    onto the smaller one, then jumps pointers until every label is a root
+    again (Shiloach-Vishkin min-label propagation).
+    """
+    while True:
+        a = labels
+        b = labels[nbr]
+        diff = a != b
+        if not diff.any():
+            return labels
+        a, b = a[diff], b[diff]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+def closure_reference(elements: np.ndarray, alpha, beta, q: int) -> tuple:
+    """(labels, class count) of the closure partition by min-label
+    propagation over the whole array: every generator's product of every
+    element, by row or column arithmetic, is found by its key in a dense
+    index, and the classes it links are merged, generators in row-major
+    order.  No orbit size is assumed or checked.  Classes are numbered by
+    their smallest member."""
+    total, n = elements.shape[:2]
+    weights = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64).reshape(n, n)
+    keys = elements.reshape(total, -1).astype(np.int64) @ weights.ravel()
+    index = np.full(q ** (n * n), -1, dtype=np.int64)
+    index[keys] = np.arange(total)
+    labels = np.arange(total)
+    moves = [(elements, weights, r, c) for r, c in block_positions(beta, lower=True)]  # row r += row c
+    moves += [  # column c += column r: row c += row r of the transpose
+        (elements.transpose(0, 2, 1), weights.T, c, r) for r, c in block_positions(alpha, lower=False)
+    ]
+    for rows, w, i, j in moves:
+        old = rows[:, i].astype(np.int64)
+        nbr = index[keys + ((old + rows[:, j]) % q - old) @ w[i]]
+        assert (nbr >= 0).all()
+        labels = merge_reference(labels, nbr)
+    roots = labels == np.arange(total)
+    return (np.cumsum(roots) - 1)[labels], int(roots.sum())
 
 
 def test_gl_order_values():
@@ -371,6 +430,48 @@ def test_partition_labels_rejects_products_outside_the_set():
     for stack in (gl_array(2, 2)[[0, 0, 1]], gl_array(2, 2)[::-1]):
         with pytest.raises(InvariantViolation, match="does not strictly ascend"):
             _partition_labels(stack, (1, 1), (1, 1), 2)
+
+
+def test_partition_labels_match_min_label_propagation():
+    # the cycle joins against the min-label propagation they replaced, bit
+    # for bit: every composition pair of the small groups, two pairs of
+    # GL(3, 5) and one of GL(2, 31), whose cycles need five doubling steps
+    cases = [(n, q, all_compositions(n)) for n, q in ((2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2))]
+    cases = [(n, q, [(a, b) for a in comps for b in comps]) for n, q, comps in cases]
+    cases += [(3, 5, [((1, 1, 1), (1, 1, 1)), ((1, 2), (2, 1))]), (2, 31, [((1, 1), (1, 1))])]
+    for n, q, pairs in cases:
+        elements, cache = gl_array(n, q), {}
+        for alpha, beta in pairs:
+            labels, count = _partition_labels(elements, alpha, beta, q, cache)
+            want, want_count = closure_reference(elements, alpha, beta, q)
+            assert np.array_equal(labels, want) and count == want_count, (n, q, alpha, beta)
+
+
+def test_partition_labels_certify_the_orbit_size():
+    # the nine rank-1 matrices of GF(2)^(2x2), in key order, are closed
+    # under the moves of (1, 1) x (1, 1), but adding row 0 to row 1 fixes
+    # the three with a zero top row, so the left group does not act freely
+    # on them; propagation, which assumes no orbit size, splits them into 4
+    # classes, and the closure refuses them
+    rank1 = [m for m in product(range(2), repeat=4) if m[0] * m[3] == m[1] * m[2] and any(m)]
+    rank1 = np.array(rank1, dtype=np.uint8).reshape(-1, 2, 2)
+    assert len(rank1) == 9 and closure_reference(rank1, (1, 1), (1, 1), 2)[1] == 4
+    with pytest.raises(InvariantViolation, match="does not hold q\\*\\*1 elements"):
+        _partition_labels(rank1, (1, 1), (1, 1), 2)
+
+
+def test_free_positions_fall_in_block_height():
+    # with e_rc e_cd - e_cd e_rc = e_rd, a commutator of two moves sits
+    # higher than both, so a move normalizes the group of the higher moves
+    # before it: the closure's cycle joins need that order
+    assert _free_positions(Composition((1, 1, 1)), lower=True) == [(2, 0), (1, 0), (2, 1)]
+    for comp in all_compositions(4):
+        block = [i for i, part in enumerate(comp) for _ in range(part)]
+        for lower in (True, False):
+            got = _free_positions(comp, lower)
+            heights = [abs(block[r] - block[c]) for r, c in got]
+            assert sorted(got) == block_positions(comp, lower), (comp, lower)
+            assert heights == sorted(heights, reverse=True), (comp, lower)
 
 
 def test_partition_labels_share_one_cache_per_element_stack():
