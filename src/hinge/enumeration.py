@@ -1,16 +1,18 @@
 """Brute-force ground truth: exhaustive enumeration and closed-form counting.
 
 Everything here is meant to cross-check the fast invariants on small fields:
-GL(n, q) as one (N, n, n) array and subspace lattices enumerated in full,
-double coset partitions of the whole group by closure (each row or column
-move of each element is a gather from a table of base-q row-code sums and a
-lookup in a dense key index; one side's moves join cycles of classes on
+GL(n, q) as one (N, n, n) array, enumerated row by row on base-q row codes
+(spans grow by gathers from a table of row-code sums); subspace lattices
+enumerated in full; double coset partitions of the whole group by closure
+(each row or column move of each element is a gather from the same table
+and a lookup in a dense key index, and the enumeration hands the closure
+its keys, row codes and table; one side's moves join cycles of classes on
 their minima, checked by orbit size, and label propagation joins the other
-side's), grids filtered by the axioms, stabilizer orders
-by direct count, and the orbit-counting formula, summed by one weighted DP
-over contingency tables that never lists a table.  Budgets are hard limits;
-exceeding one raises BudgetError with the offending cardinality, never a
-silent truncation.
+side's); grids filtered by the axioms; stabilizer orders by direct count;
+and the orbit-counting formula, summed by one weighted DP over contingency
+tables that never lists a table.  Budgets are hard limits; exceeding one
+raises BudgetError with the offending cardinality, never a silent
+truncation.
 """
 
 from __future__ import annotations
@@ -92,48 +94,66 @@ def subspace_count(d: int, q: int) -> int:
 CHUNK = 1 << 16
 
 
-def gl_array(n: int, q: int, budget: EnumerationBudget = None) -> np.ndarray:
-    """Every element of GL(n, q) as one (N, n, n) array, in ascending key order.
+def _gl_codes(n: int, q: int, budget: EnumerationBudget = None) -> tuple:
+    """GL(n, q) as gl_array gives it, with what the closure reads off it.
 
-    Rows are chosen top to bottom in lexicographic order, skipping vectors in
-    the span of the rows above, so the array is complete, duplicate-free and
-    sorted by key, the base-q number of the row-major entries.  Each prefix
-    of rows carries its span as the list of its q**k members; a boolean mask
-    over the q**n vectors marks them, and every vector outside the mask
-    extends the prefix.  Entries are stored in the smallest unsigned dtype
-    that holds q - 1.
+    Returns (elements, codes, keys, table): codes[k] the codes of row k and
+    keys the keys, as _row_codes gives them, and table the _move_table,
+    built only for n >= 2 (GL(1, q) grows no span; its table would hold
+    q**2 entries).  A prefix of k rows carries its span as its q**k codes,
+    and the codes outside it, in ascending order, extend it.  The span of
+    prefix + v is the union over c of span + c v, gathered from the table.
+    Keys grow as key * q**n + code, so they ascend with the prefixes.  The
+    elements are written last, each row's n digits copied as one item.
     """
     budget = budget or DEFAULT_BUDGET
     budget.check_group(gl_order(n, q), f"|GL({n},{q})|")
     PrimeField(q)  # rejects a modulus that is not a prime field
-    dtype = np.min_scalar_type(q - 1)
     size = q ** n
-    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    vectors = (np.arange(size)[:, None] // weights % q).astype(dtype)
-    wide = np.min_scalar_type(q * q)  # holds a span member plus c * v before reduction
-    coeffs = np.arange(q, dtype=wide)[:, None, None]
-    rows = np.zeros((1, 0, n), dtype=dtype)
-    span = np.zeros((1, 1, n), dtype=wide)
+    code = np.min_scalar_type(size - 1)
+    place = q ** np.arange(n - 1, -1, -1)
+    digits = (np.arange(size)[:, None] // place % q).astype(np.min_scalar_type(q - 1))
+    table = _move_table(digits, q) if n > 1 else None
+    if table is not None:  # scaled[v, c]: the code of c v
+        scaled = (np.arange(q)[:, None, None] * digits % q @ place).T.astype(code)
+    span = np.zeros((1, 1), dtype=code)
+    keys = np.zeros(1, dtype=np.min_scalar_type(q ** (n * n) - 1))
+    picks = []  # per row, the code each prefix of the rows above appends
     for k in range(n):
-        count = size - q ** k  # vectors outside a k-dimensional span
-        new = np.empty((len(rows), count, k + 1, n), dtype=dtype)
-        new[:, :, :k] = rows[:, None]
-        more = k + 1 < n
-        if more:
-            new_span = np.empty((len(rows), count, q ** (k + 1), n), dtype=wide)
-        for lo in range(0, len(rows), CHUNK):
-            hi = min(lo + CHUNK, len(rows))
-            outside = np.ones((hi - lo, size), dtype=bool)
-            outside[np.arange(hi - lo)[:, None], span[lo:hi] @ weights] = False
-            cand = vectors[np.nonzero(outside)[1].reshape(hi - lo, count)]
-            new[lo:hi, :, k] = cand
-            if more:  # span(prefix + v) = union over c of span(prefix) + c v
-                grown = span[lo:hi, None, None] + coeffs * cand[:, :, None, None]
-                new_span[lo:hi] = (grown % q).reshape(hi - lo, count, -1, n)
-        rows = new.reshape(-1, k + 1, n)
-        if more:
-            span = new_span.reshape(len(rows), -1, n)
-    return rows
+        count = size - q ** k  # codes outside a k-dimensional span
+        pick = np.empty((len(span), count), dtype=code)
+        for lo in range(0, len(span), CHUNK):
+            hi = min(lo + CHUNK, len(span))
+            start = np.arange(0, (hi - lo) * size, size)[:, None]  # of each prefix's mask row
+            outside = np.ones((hi - lo) * size, dtype=bool)
+            outside[span[lo:hi] + start] = False
+            pick[lo:hi] = np.flatnonzero(outside).reshape(hi - lo, count) - start
+        if k + 1 < n:  # the codes of span + c v, by pick and c
+            span = table[span.astype(np.intp)[:, None, None] * size + scaled[pick][..., None]]
+            span = span.reshape(-1, q ** (k + 1))
+        keys = (keys[:, None] * size + pick).ravel()
+        picks.append(pick.ravel())
+    codes = np.empty((n, len(keys)), dtype=code)
+    width = n * digits.itemsize  # bytes of a row, copied as one item
+    item = np.dtype(f"u{width}") if width in (1, 2, 4, 8) else np.dtype((np.void, width))
+    rows = np.empty((len(keys), n), dtype=item)
+    items = digits.view(rows.dtype).ravel()
+    for k, pick in enumerate(picks):
+        codes[k].reshape(len(pick), -1)[:] = pick[:, None]
+        rows.reshape(len(pick), -1, n)[:, :, k] = items[pick][:, None]
+    return rows.view(digits.dtype).reshape(len(keys), n, n), codes, keys, table
+
+
+def gl_array(n: int, q: int, budget: EnumerationBudget = None) -> np.ndarray:
+    """Every element of GL(n, q) as one (N, n, n) array, in ascending key order.
+
+    Rows are chosen top to bottom as base-q row codes in ascending order,
+    skipping the codes of the span of the rows above (see _gl_codes), so the
+    array is complete, duplicate-free and sorted by key, the base-q number
+    of the row-major entries.  Entries are in the smallest unsigned dtype
+    that holds q - 1.
+    """
+    return _gl_codes(n, q, budget)[0]
 
 
 def enum_gl(n: int, q: int, budget: EnumerationBudget = None):
@@ -254,14 +274,16 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
     free side, so _merge joins whole orbits, on their minima.  Classes are
     numbered by their smallest members.  Returns (labels array, class
     count).  A cache dict shared by the calls on one element stack keeps
-    its keys, index, table and row codes for the next.
+    its keys, index, table and row codes (cache[side][row]) for the next.
+    A caller may fill the keys, the table and the left side's row codes
+    ahead, as _gl_codes gives them; the keys are checked all the same.
     """
     shared, cache = cache is not None, {} if cache is None else cache
     total, n = elements.shape[:2]
     place = q ** np.arange(n - 1, -1, -1)  # of a digit in a row code
     step = q ** (n * np.arange(n - 1, -1, -1))  # of a row code in a key
     if "index" not in cache:
-        keys = _row_codes(elements.reshape(total, -1), q)
+        keys = cache["keys"] if "keys" in cache else _row_codes(elements.reshape(total, -1), q)
         if not (keys[1:] > keys[:-1]).all():
             raise InvariantViolation("the element stack does not strictly ascend in key order")
         dtype = np.min_scalar_type(-total)
@@ -317,6 +339,12 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
     return np.take((np.cumsum(roots) - 1)[merged], cls), int(roots.sum())
 
 
+def _closure_cache(codes: np.ndarray, keys: np.ndarray, table) -> dict:
+    """A _partition_labels cache that starts from _gl_codes' row codes (the
+    left side's), keys and table, so the closure builds only its index."""
+    return {"keys": keys, "table": table, 0: dict(enumerate(codes))}
+
+
 @dataclass(frozen=True, eq=False)
 class CosetPartition:
     """A partition of GL(n, q) into double cosets.
@@ -347,8 +375,8 @@ def double_cosets_brute(
     beta = Composition(beta)
     if alpha.n != n or beta.n != n:
         raise MarginError(f"compositions must sum to {n}")
-    elements = gl_array(n, q, budget)
-    labels, count = _partition_labels(elements, alpha, beta, q)
+    elements, *known = _gl_codes(n, q, budget)
+    labels, count = _partition_labels(elements, alpha, beta, q, _closure_cache(*known))
     return CosetPartition(q, alpha, beta, elements, labels, count)
 
 

@@ -31,6 +31,8 @@ from .enumeration import (
     DEFAULT_BUDGET,
     BudgetError,
     EnumerationBudget,
+    _closure_cache,
+    _gl_codes,
     _partition_labels,
     all_bihinges_brute,
     contingency_tables,
@@ -78,8 +80,8 @@ def _invertible(rows: list, p: int) -> bool:
 def _composition(cuts) -> Composition:
     """The composition of len(cuts) + 1 with a part ending at every gap k
     whose cuts[k] is true."""
-    ends = [k + 1 for k, cut in enumerate(cuts) if cut]
-    return Composition(np.diff([0, *ends, len(cuts) + 1]).tolist())
+    ends = [0, *(k + 1 for k, cut in enumerate(cuts) if cut), len(cuts) + 1]
+    return Composition([b - a for a, b in zip(ends, ends[1:])])
 
 
 def random_composition(n: int, rng: random.Random) -> Composition:
@@ -326,7 +328,7 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
     each distinct cell checked by enumeration (see _grid_cell_ids).
     """
     budget = budget or DEFAULT_BUDGET
-    elements = gl_array(n, q, budget)
+    elements, *known = _gl_codes(n, q, budget)
     comps = all_compositions(n)
     cuts = [
         (cl, ch, rl, rh)
@@ -340,7 +342,7 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
         ids = _grid_cell_ids(elements, q, cuts)
     except InvariantViolation as exc:
         return False, f"GL({n},{q}): {exc}"
-    cache = {}  # the closure's keys, index and row codes, for every pair
+    cache = _closure_cache(*known)  # shared by every pair
     pairs = 0
     classes_seen = 0
     for alpha in comps:

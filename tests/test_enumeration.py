@@ -15,8 +15,12 @@ from hinge.enumeration import (
     CosetPartition,
     DEFAULT_BUDGET,
     EnumerationBudget,
+    _closure_cache,
     _free_positions,
+    _gl_codes,
+    _move_table,
     _partition_labels,
+    _row_codes,
     _table_sum,
     all_bihinges_brute,
     contingency_tables,
@@ -404,8 +408,9 @@ def test_budget_errors_carry_cardinality():
 
 def test_gl_array_is_the_sorted_invertible_matrices():
     # against an independent listing: every q**(n*n) matrix in lexicographic
-    # order, kept when its rank is full
-    for n, q in ((1, 3), (2, 3), (3, 2), (2, 5)):
+    # order, kept when its rank is full; GL(3, 3) grows spans twice, by c v
+    # for c in {1, 2}
+    for n, q in ((1, 3), (2, 3), (3, 2), (2, 5), (3, 3)):
         field = PrimeField(q)
         want = [
             entries
@@ -418,6 +423,51 @@ def test_gl_array_is_the_sorted_invertible_matrices():
     assert gl_array(1, 257).dtype == np.uint16
     assert gl_array(1, 65521)[:, 0, 0].tolist() == list(range(1, 65521))
     assert gl_array(0, 2).shape == (1, 0, 0)
+
+
+def test_gl_codes_are_what_the_closure_would_build():
+    # the keys, row codes and move table the enumeration hands the closure
+    # equal, dtypes included, what the closure builds from the elements
+    for n, q in ((1, 3), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2), (2, 31)):
+        elements, codes, keys, table = _gl_codes(n, q)
+        assert np.array_equal(elements, gl_array(n, q)) and elements.dtype == gl_array(n, q).dtype
+        want = _row_codes(elements.reshape(len(elements), -1), q)
+        assert keys.dtype == want.dtype and np.array_equal(keys, want), (n, q)
+        assert codes.shape == (n, len(elements)), (n, q)
+        for k in range(n):
+            want = _row_codes(elements[:, k], q)
+            assert codes.dtype == want.dtype and np.array_equal(codes[k], want), (n, q, k)
+        if n == 1:
+            assert table is None  # no moves, and a q**2 table at q = 65521
+            continue
+        place = q ** np.arange(n - 1, -1, -1)
+        want = _move_table(np.arange(q ** n)[:, None] // place % q, q)
+        assert table.dtype == want.dtype and np.array_equal(table, want), (n, q)
+
+
+def test_double_cosets_brute_match_a_cold_closure():
+    # double_cosets_brute hands the closure the enumeration's keys, row
+    # codes and table; a cold call rebuilds them from the elements alone.
+    # (2) x (2) at q = 3 has no moves on either side
+    cases = [(n, q, all_compositions(n)) for n, q in ((3, 2), (2, 5), (4, 2))]
+    cases = [(n, q, [(a, b) for a in comps for b in comps]) for n, q, comps in cases]
+    for n, q, pairs in cases + [(2, 3, [((2,), (2,))])]:
+        elements = gl_array(n, q)
+        for alpha, beta in pairs:
+            part = double_cosets_brute(n, q, alpha, beta)
+            labels, count = _partition_labels(elements, alpha, beta, q)
+            assert np.array_equal(part.elements, elements)
+            assert part.labels.dtype == labels.dtype and np.array_equal(part.labels, labels), (n, q, alpha, beta)
+            assert part.num_classes == count, (n, q, alpha, beta)
+
+
+def test_partition_labels_check_the_keys_a_cache_brings():
+    # keys handed in through the cache are checked as the closure's own are
+    elements, codes, keys, table = _gl_codes(2, 3)
+    for bad in (keys[::-1], np.sort(np.r_[keys[:-1], keys[0]])):
+        cache = _closure_cache(codes, bad, table)
+        with pytest.raises(InvariantViolation, match="does not strictly ascend"):
+            _partition_labels(elements, (1, 1), (1, 1), 3, cache)
 
 
 def test_partition_labels_rejects_products_outside_the_set():
