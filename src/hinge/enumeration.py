@@ -6,13 +6,13 @@ GL(n, q) as one (N, n, n) array, enumerated row by row on base-q row codes
 enumerated in full; double coset partitions of the whole group by closure
 (each row or column move of each element is a gather from the same table
 and a lookup in a dense key index, and the enumeration hands the closure
-its keys, row codes and table; one side's moves join cycles of classes on
-their minima, checked by orbit size, and label propagation joins the other
-side's); grids filtered by the axioms; stabilizer orders by direct count;
-and the orbit-counting formula, summed by one weighted DP over contingency
-tables that never lists a table.  Budgets are hard limits; exceeding one
-raises BudgetError with the offending cardinality, never a silent
-truncation.
+its keys, row codes and table; every move joins the cycles it makes of
+the classes so far on their minima, and the first side's classes are
+checked by orbit size); grids filtered by the axioms; stabilizer orders by
+direct count; and the orbit-counting formula, summed by one weighted DP
+over contingency tables that never lists a table.  Budgets are hard
+limits; exceeding one raises BudgetError with the offending cardinality,
+never a silent truncation.
 """
 
 from __future__ import annotations
@@ -220,25 +220,6 @@ def _move_table(digits: np.ndarray, q: int) -> np.ndarray:
     return table.ravel()
 
 
-def _merge(labels: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """Join the classes linked by the edges i -- nbr[i].
-
-    labels[i] is the smallest index of a class member and labels[labels] ==
-    labels.  Each round hooks the larger root of every edge whose ends differ
-    onto the smaller one, then jumps pointers until every label is a root
-    again (Shiloach-Vishkin min-label propagation).
-    """
-    while True:
-        a, b = labels, labels[nbr]
-        diff = a != b
-        if not diff.any():
-            return labels
-        a, b = a[diff], b[diff]
-        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(jumped := labels[labels], labels):
-            labels = jumped
-
-
 def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = None):
     """The classes of T-(beta) \\ GL(n, q) / T+(alpha), by generator closure.
 
@@ -263,20 +244,22 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
     time, every product is looked up in the index; one outside the element
     set raises InvariantViolation.
 
-    Both groups act freely on invertible matrices, so every orbit of the
-    side with more moves, the free side, has q**moves elements.  By falling
-    block height, each of its generators normalizes the group of those
-    before it and so permutes the classes so far, its orbits, in cycles of
-    1 or q; ceil(log2 q) doubling steps over the images of the class minima
-    join each cycle on its smallest class.  Joins follow moves, so a class
-    of q**moves elements is an orbit: a bincount checks every class for that
-    size (InvariantViolation otherwise).  The other side commutes with the
-    free side, so _merge joins whole orbits, on their minima.  Classes are
-    numbered by their smallest members.  Returns (labels array, class
-    count).  A cache dict shared by the calls on one element stack keeps
-    its keys, index, table and row codes (cache[side][row]) for the next.
-    A caller may fill the keys, the table and the left side's row codes
-    ahead, as _gl_codes gives them; the keys are checked all the same.
+    The side with more moves, the free side, goes first, then the other.
+    By falling block height, each generator normalizes the group of those
+    before it on its side, and the other side commutes with the free side,
+    so every generator permutes the classes so far, orbits of the group of
+    the moves before it.  A move has order q, so the cycles have length 1
+    or q; ceil(log2 q) doubling steps over the images of the class minima
+    join each cycle on its smallest class.  Both groups act freely on
+    invertible matrices, so every orbit of the free side has q**moves
+    elements; joins follow moves, so a class of that size is an orbit, and
+    a bincount checks every class of the free side for it
+    (InvariantViolation otherwise).  Classes are numbered by their smallest
+    members.  Returns (int64 labels array, class count).  A cache dict
+    shared by the calls on one element stack keeps its keys, index, table
+    and row codes (cache[side][row]) for the next.  A caller may fill the
+    keys, the table and the left side's row codes ahead, as _gl_codes gives
+    them; the keys are checked all the same.
     """
     shared, cache = cache is not None, {} if cache is None else cache
     total, n = elements.shape[:2]
@@ -322,21 +305,15 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
                     )
                 nbr[lo:hi] = found
             succ = np.take(cls, np.take(nbr, mins))  # the class each class's minimum moves to
-            if side != free:
-                merged = _merge(merged, succ)
-                continue
             low = ids = ids[: len(mins)]  # the smallest class in 2**k steps along each cycle
             for _ in range((q - 1).bit_length()):
                 low, succ = np.minimum(low, np.take(low, succ)), np.take(succ, succ)
             while not np.take(keep := low == ids, low).all():  # not cycles of 1 or q: chase low
                 low = np.take(low, low)
             cls, mins = np.take(np.take(np.cumsum(keep, dtype=ids.dtype) - 1, low), cls), mins[keep]
-        if side == free:
-            if (np.bincount(cls) != q ** len(moves)).any():
-                raise InvariantViolation(f"a class of the free side does not hold q**{len(moves)} elements")
-            merged = np.arange(len(mins))  # the other side's labels of the free side's classes
-    roots = merged == np.arange(len(merged))
-    return np.take((np.cumsum(roots) - 1)[merged], cls), int(roots.sum())
+        if side == free and (np.bincount(cls) != q ** len(moves)).any():
+            raise InvariantViolation(f"a class of the free side does not hold q**{len(moves)} elements")
+    return cls.astype(np.int64), len(mins)
 
 
 def _closure_cache(codes: np.ndarray, keys: np.ndarray, table) -> dict:
@@ -544,7 +521,7 @@ def _row_placements(open_sums: tuple, need: int, weights: list, charge) -> Count
                 grown[left + after, rest - taken] += (
                     ways
                     * (factorial(m) // prod(map(factorial, c)))
-                    * prod(weights[v] ** c_v for v, c_v in enumerate(c))
+                    * prod(weights[v] ** c_v for v, c_v in enumerate(c) if c_v)
                 )
         placed = grown
     out = Counter()
@@ -571,7 +548,7 @@ def _table_sum(alpha, beta, weight, budget: EnumerationBudget = None):
     if alpha.n != beta.n:
         raise MarginError(f"margins disagree: {alpha.n} != {beta.n}")
     rows, cols = sorted((alpha.parts, beta.parts), key=lambda p: -len(set(p)))
-    weights = [weight(v) for v in range(max(cols) + 1)]
+    weights = [weight(v) for v in range(min(max(rows), max(cols)) + 1)]  # no cell is larger
     what = f"table placements for alpha={alpha.parts}, beta={beta.parts}"
     spent = 0
 
@@ -598,18 +575,22 @@ def predicted_coset_count(alpha, beta, q: int, budget: EnumerationBudget = None)
     half = (sum alpha_i^2 + sum beta_j^2) / 2 (an integer, since v^2 = v
     mod 2 makes the sum 2n mod 2), so the orbit is N / q**half times the
     product over cells of w(v) = q**(v*v) / |GL(v, q)|, and one _table_sum
-    gives the count.  |GL(v, q)| divides g**v for g = |GL(largest part, q)|,
-    so the DP sums the integers g**v * w(v), and the sum, scaled by g**n in
-    all, is divided once at the end.  That division must be exact; anything
-    else is an implementation error.
+    gives the count.  No cell exceeds m = min(max alpha, max beta), and
+    |GL(v, q)| divides g = |GL(m, q)| for every v <= m, so the DP sums
+    integers: g * w(v) per cell, scaled by g**cells in all, when the table
+    has fewer cells than n, else g**v * w(v), scaled by g**n.  The sum is
+    divided once at the end.  That division must be exact; anything else
+    is an implementation error.
     """
     alpha = Composition(alpha)
     beta = Composition(beta)
     numerator = prod(gl_order(part, q) for part in (*alpha, *beta))
     half = (sum(a * a for a in alpha) + sum(b * b for b in beta)) // 2
-    g = gl_order(max(*alpha, *beta), q)
-    scaled = _table_sum(alpha, beta, lambda v: q ** (v * v) * g ** v // gl_order(v, q), budget)
-    total, rem = divmod(numerator * scaled, q ** half * g ** alpha.n)
+    g = gl_order(min(max(alpha), max(beta)), q)
+    cells = len(alpha) * len(beta)
+    per_cell = cells < alpha.n
+    scaled = _table_sum(alpha, beta, lambda v: q ** (v * v) * g ** (1 if per_cell else v) // gl_order(v, q), budget)
+    total, rem = divmod(numerator * scaled, q ** half * g ** (cells if per_cell else alpha.n))
     if rem:
         raise InvariantViolation(
             f"the orbit sum for alpha={alpha.parts}, beta={beta.parts} is not an integer"

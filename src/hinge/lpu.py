@@ -42,16 +42,12 @@ def _perm_matrix(field, sigma) -> Matrix:
     return Matrix._new(field, arr)
 
 
-def _lpu_each(mats, alpha=None, beta=None) -> tuple:
-    """(l, sigma, u, counts) of N invertible n x n matrices over one field,
-    from one _column_pass_each: perm[k] has its units at (sigma[k][c], c),
-    l[k] == af[k] @ perm[k]^T and u[k] == f[k]^-1.  Given Compositions alpha
-    and beta, counts[k][i, j] counts the units of perm[k] in column block i
-    and row block j (bihinge._block_counts); else counts is None.  Nothing
-    is multiplied back."""
+def _lpu_each(mats) -> tuple:
+    """(l, sigma, u) of N invertible n x n matrices over one field, from one
+    _column_pass_each: perm[k] has its units at (sigma[k][c], c), l[k] ==
+    af[k] @ perm[k]^T and u[k] == f[k]^-1.  Nothing is multiplied back."""
     sigma, _, af, u = _column_pass_each(np.stack([a.a for a in mats]), mats[0].field.p)
-    l = np.take_along_axis(af, np.argsort(sigma, axis=1)[:, None, :], axis=2)
-    return l, sigma, u, None if alpha is None else _block_counts(sigma, alpha, beta)
+    return np.take_along_axis(af, np.argsort(sigma, axis=1)[:, None, :], axis=2), sigma, u
 
 
 def rank_profile_permutation(a: Matrix) -> Matrix:
@@ -71,7 +67,7 @@ def lpu(a: Matrix) -> LpuDecomposition:
     perm is read off its pivots, l == af @ perm^T and u == f^-1 is the table
     of its multipliers.  The product is checked against a before returning.
     """
-    l, sigma, u, _ = _lpu_each([a])
+    l, sigma, u = _lpu_each([a])
     dec = LpuDecomposition(Matrix._new(a.field, l[0]), _perm_matrix(a.field, sigma[0]), Matrix._new(a.field, u[0]))
     if dec.product() != a:
         raise InvariantViolation("elimination witnesses do not multiply back to the input")
@@ -90,5 +86,5 @@ def canonical_01(a: Matrix, alpha, beta) -> Matrix:
     not equivalent.
     """
     alpha, beta = Composition(alpha), Composition(beta)
-    counts = _lpu_each([a], alpha, beta)[3][0]
+    counts = _block_counts(_column_pass_each(a.a[None], a.field.p)[0], alpha, beta)[0]
     return standard_matrix(DimensionMatrix(counts, alpha, beta), a.field)

@@ -15,6 +15,7 @@ from .bihinge import (
     Composition,
     DimensionMatrix,
     _axiom_tables,
+    _block_counts,
     _cell_pass,
     _cell_rrefs,
     _chi_each,
@@ -423,13 +424,13 @@ def check_lpu(qs=(2, 3, 5), max_n=6, trials=200, seed=303) -> tuple:
 
     def checks(mats, grids):
         h, p = grids[0], mats[0].field.p
-        l, sigma, u, counts = _lpu_each(mats, h.alpha, h.beta)
+        l, sigma, u = _lpu_each(mats)
         n, l_perm = sigma.shape[1], np.take_along_axis(l, sigma[:, None, :], axis=2)  # column c is l[:, sigma[c]]
         yield "trial {t}: l perm u != a", (l_perm @ u % p != np.stack([a.a for a in mats])).any(axis=(1, 2))
         yield "trial {t}: witnesses are not triangular", np.triu(l, 1).any(axis=(1, 2)) | np.tril(u, -1).any(axis=(1, 2))
         yield "trial {t}: perm is not a permutation matrix", (np.sort(sigma, axis=1) != np.arange(n)).any(axis=1)
         tables = _dimension_tables(grids)
-        yield "trial {t}: block counts disagree with the grid", (counts != tables).any(axis=(1, 2))
+        yield "trial {t}: block counts disagree with the grid", (_block_counts(sigma, h.alpha, h.beta) != tables).any(axis=(1, 2))
         # canonical_01 takes the one-matrix column pass; check it on the group's first trial
         same = canonical_01(mats[0], h.alpha, h.beta) == standard_matrix(DimensionMatrix(tables[0], h.alpha, h.beta), h.field)
         yield "trial {t}: canonical forms disagree", [not same] + [False] * (len(mats) - 1)

@@ -7,6 +7,7 @@ subprocess test exercises the real interpreter entry point.
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from math import factorial
 from time import perf_counter
 
@@ -14,6 +15,7 @@ import pytest
 
 from hinge import bihinge, cli
 from hinge.cli import main
+from hinge.enumeration import gl_order
 from hinge.relations import InvariantViolation
 
 
@@ -89,6 +91,19 @@ def test_count_formula_budget_charges_placements(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "table placements" in err and "= 1001 exceeds subspace budget 1000" in err
+
+
+def test_count_prints_past_the_int_digit_limit(capsys):
+    # |GL(130, 2)| has 5,088 digits, past the 4,300 that Python converts by
+    # default (3.10.7 on); count lifts that limit only while it prints
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    want = format(Decimal(gl_order(130, 2)), "f")  # exact, and not limited
+    for fmt, out in (("text", f"predicted {want}\n"), ("json", f'{{"predicted": {want}}}\n')):
+        start = perf_counter()
+        assert main(["count", "--alpha", "130", "--beta", "130", "-q", "2", "--format", fmt]) == 0
+        assert perf_counter() - start < 1
+        assert capsys.readouterr() == (out, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_count_rejects_non_prime_modulus(capsys):

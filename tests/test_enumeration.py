@@ -364,6 +364,16 @@ def test_predicted_counts():
     assert predicted_coset_count((1, 1, 1), (1, 1, 1), 2) == 6
 
 
+def test_predicted_count_of_one_block_is_the_free_quotient():
+    # with alpha = (n), T+(alpha) is trivial and T-(beta) acts freely, so the
+    # count is |GL(n, q)| / |T-(beta)|, with the one block on either side;
+    # a part of 130 or 100 must not raise the formula's scale to huge powers
+    for n, q, betas in ((130, 2, [(130,), (65, 65), (30, 100), (1,) * 130]), (40, 65521, [(1,) * 40])):
+        for beta in betas:
+            want = gl_order(n, q) // q ** ((n * n - sum(b * b for b in beta)) // 2)
+            assert predicted_coset_count((n,), beta, q) == predicted_coset_count(beta, (n,), q) == want, (n, q, beta)
+
+
 def test_predicted_equals_brute_more_margins():
     for alpha, beta, q in (
         ((2, 1), (1, 2), 2),

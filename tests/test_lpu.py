@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from hinge.bihinge import Composition, chi, dimension_matrix, equivalent, standard_matrix
+from hinge.bihinge import Composition, _block_counts, chi, dimension_matrix, equivalent, standard_matrix
 from hinge.enumeration import contingency_tables, enum_gl
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, SingularMatrixError
@@ -145,7 +145,7 @@ def test_perm_block_counts_example():
     # (row, col) = (0,2), (1,1), (2,0); a permutation matrix is its own perm
     rev = Matrix(f, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     assert block_counts(rev, (2, 1), (1, 2)) == [[0, 2], [1, 0]]
-    counts = _lpu_each([rev], Composition((2, 1)), Composition((1, 2)))[3]
+    counts = _block_counts(_lpu_each([rev])[1], Composition((2, 1)), Composition((1, 2)))
     assert counts.tolist() == [[[0, 2], [1, 0]]]
 
 
@@ -160,7 +160,7 @@ def test_perm_counts_equal_grid_dimensions():
             a = random_invertible(f, n, rng)
             d = dimension_matrix(chi(a, alpha, beta))
             assert block_counts(lpu(a).perm, alpha, beta) == d.to_rows()
-            assert _lpu_each([a], alpha, beta)[3][0].tolist() == d.to_rows()
+            assert _block_counts(_lpu_each([a])[1], alpha, beta)[0].tolist() == d.to_rows()
             assert canonical_01(a, alpha, beta) == standard_matrix(d, f)
 
 
@@ -231,7 +231,8 @@ def test_stacked_factors_match_lpu_member_by_member():
         for n in range(1, max_n + 1):
             alpha, beta = random_composition(n, rng), random_composition(n, rng)
             mats = [random_invertible(f, n, rng) for _ in range(6)]
-            l, sigma, u, counts = _lpu_each(mats, alpha, beta)
+            l, sigma, u = _lpu_each(mats)
+            counts = _block_counts(sigma, alpha, beta)
             for k, a in enumerate(mats):
                 dec = lpu(a)
                 assert (dec.l.a.tolist(), dec.u.a.tolist()) == (l[k].tolist(), u[k].tolist())

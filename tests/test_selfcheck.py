@@ -318,21 +318,22 @@ _SUITES = {
 def test_suites_name_the_first_failing_trial_in_draw_order(monkeypatch, name):
     # the patched stacked call corrupts the middle member of every group of
     # at least three trials; the FAIL must name the smallest corrupted
-    # trial, which lies in a later group than the first one corrupted
+    # trial, which lies in a later group than the first one corrupted; a
+    # suite makes one patched call per group, groups in first-draw order
     run, replay, target, corrupt, detail = _SUITES[name]
     keys, per = replay((2, 3) if name != "normal-form" else (3,), 3, 200)
     trials_of = {}
     for t, key in enumerate(keys):
         trials_of.setdefault(key, []).append(t)
-    corrupted = []
+    groups, corrupted = iter(trials_of.values()), []
     real = getattr(selfcheck, target)
 
-    def corrupting(mats, alpha, beta):
-        out = real(mats, alpha, beta)
+    def corrupting(mats, *margins):
+        out, ts = real(mats, *margins), next(groups)
         mid = len(mats) // 2
-        p = mats[0].field.p
-        if len(mats) >= 3 * per and corrupt(out, mid, p):
-            corrupted.append(trials_of[p, alpha, beta][mid // per])
+        assert len(mats) == per * len(ts) and (not margins or trials_of[(mats[0].field.p, *margins)] is ts)
+        if len(mats) >= 3 * per and corrupt(out, mid, mats[0].field.p):
+            corrupted.append(ts[mid // per])
         return out
 
     monkeypatch.setattr(selfcheck, target, corrupting)
