@@ -37,7 +37,6 @@ from .enumeration import (
     BudgetError,
     CosetPartition,
     EnumerationBudget,
-    all_bihinges_brute,
     contingency_tables,
     double_cosets_brute,
     enum_gl,
@@ -81,7 +80,6 @@ __all__ = [
     "ProblemFormatError",
     "ShapeError",
     "SingularMatrixError",
-    "all_bihinges_brute",
     "canonical_01",
     "check_axioms",
     "chi",

@@ -8,11 +8,10 @@ enumerated in full; double coset partitions of the whole group by closure
 and a lookup in a dense key index, and the enumeration hands the closure
 its keys, row codes and table; every move joins the cycles it makes of
 the classes so far on their minima, and the first side's classes are
-checked by orbit size); grids filtered by the axioms; stabilizer orders by
-direct count; and the orbit-counting formula, summed by one weighted DP
-over contingency tables that never lists a table.  Budgets are hard
-limits; exceeding one raises BudgetError with the offending cardinality,
-never a silent truncation.
+checked by orbit size); stabilizer orders by direct count; and the
+orbit-counting formula, summed by one weighted DP over contingency tables
+that never lists a table.  Budgets are hard limits; exceeding one raises
+BudgetError with the offending cardinality, never a silent truncation.
 """
 
 from __future__ import annotations
@@ -24,18 +23,10 @@ from math import factorial, prod
 
 import numpy as np
 
-from .bihinge import (
-    BiHinge,
-    Composition,
-    DimensionMatrix,
-    MarginError,
-    _axiom_flags,
-    _pad,
-    standard_bihinge,
-)
+from .bihinge import Composition, DimensionMatrix, MarginError, standard_bihinge
 from .field import PrimeField
 from .linalg import Matrix
-from .relations import InvariantViolation, derive_stack, y_first
+from .relations import InvariantViolation
 
 
 class BudgetError(RuntimeError):
@@ -44,7 +35,8 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Hard caps on enumeration sizes, in group elements and grid candidates."""
+    """Hard caps on enumeration sizes: group elements, and subspaces or the
+    placements of the count formula's table DP."""
 
     max_group_order: int = 10 ** 7
     max_subspace_lattice: int = 10 ** 6
@@ -355,46 +347,6 @@ def double_cosets_brute(
     elements, *known = _gl_codes(n, q, budget)
     labels, count = _partition_labels(elements, alpha, beta, q, _closure_cache(*known))
     return CosetPartition(q, alpha, beta, elements, labels, count)
-
-
-def all_bihinges_brute(alpha, beta, q: int, budget: EnumerationBudget = None) -> list:
-    """Every axiom-satisfying grid, by filtering the full product of cells.
-
-    Candidates per cell are all subspaces of GF(q)^(alpha_i + beta_j); the
-    product over the grid must fit the subspace budget.  The candidates of a
-    shape are derived by one derive_stack and their four spaces numbered,
-    equal subspaces alike, so the axioms are checked on id arrays, CHUNK
-    grids of the product at a time and in product order.  An accepted grid
-    stacks its cells' padded bases, which enum_subspaces gives in RREF.
-    """
-    budget = budget or DEFAULT_BUDGET
-    alpha, beta = Composition(alpha), Composition(beta)
-    field = PrimeField(q)  # rejects a modulus that is not a prime field
-    total = prod(subspace_count(a_i + b_j, q) for a_i in alpha for b_j in beta)
-    budget.check_subspace(total, f"grid candidates for alpha={alpha.parts}, beta={beta.parts}")
-    ids, candidates = {}, {}  # (dim, padded RREF bytes) -> id; shape -> padded bases, ranks, ids + dims
-    shapes = [(a_i, b_j) for a_i in alpha for b_j in beta]
-    for shape in dict.fromkeys(shapes):
-        spaces = list(enum_subspaces(sum(shape), q, budget))
-        stack = np.zeros((len(spaces), sum(shape), sum(shape)), dtype=np.int64)
-        for m, space in zip(stack, spaces):
-            m[: space.rows] = space.a
-        ranks = np.array([space.rows for space in spaces], dtype=np.intp)
-        dv = derive_stack(stack, y_first(stack, ranks, shape[0], q), ranks, *shape)
-        space_ids = [[ids.setdefault((len(x), x.tobytes()), len(ids)) for x in a] for a in dv[:4]]
-        candidates[shape] = _pad(stack, shape[0], alpha, beta), ranks, np.concatenate([space_ids, dv.dims])
-    counts = [len(candidates[s][1]) for s in shapes]
-    out = []
-    for lo in range(0, total, CHUNK):
-        picks = np.unravel_index(np.arange(lo, min(lo + CHUNK, total)), counts)
-        table = np.stack([candidates[s][2][:, k] for s, k in zip(shapes, picks)], axis=-1)
-        table = table.reshape(8, len(picks[0]), len(alpha), len(beta))
-        bad = _axiom_flags(alpha, beta, *table[:4], table[4:])
-        kept = [k[~bad.any(axis=(1, 2, 3))] for k in picks]
-        stacks = np.stack([candidates[s][0][k] for s, k in zip(shapes, kept)], axis=1)
-        ranks = np.stack([candidates[s][1][k] for s, k in zip(shapes, kept)], axis=1)
-        out += [BiHinge._of(alpha, beta, field, m, r) for m, r in zip(stacks, ranks)]
-    return out
 
 
 def stabilizer_brute(d: DimensionMatrix, q: int, budget: EnumerationBudget = None) -> int:

@@ -8,6 +8,7 @@ same functions at their contractual sizes.
 from __future__ import annotations
 
 import random
+from math import prod
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .bihinge import (
     _cell_rrefs,
     _chi_each,
     _dimension_tables,
+    _grids_from_pass,
     _hinge_act,
     _normalize_each,
     _violations,
@@ -35,10 +37,8 @@ from .enumeration import (
     _closure_cache,
     _gl_codes,
     _partition_labels,
-    all_bihinges_brute,
     contingency_tables,
     double_cosets_brute,
-    gl_array,
     gl_order,
     predicted_coset_count,
     stab_order_formula,
@@ -273,7 +273,7 @@ def _cell_check(elements: np.ndarray, q: int, cut: tuple, bases: np.ndarray) -> 
     return ok
 
 
-def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
+def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list, doms: list = None) -> np.ndarray:
     """Intern every cut-rectangle cell of every matrix to a small int id per cut.
 
     A cell's id is the index of its RREF basis among the distinct bases of
@@ -285,7 +285,9 @@ def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
     the cell of rh.  The basis of the first element of every id must pass
     _cell_check, one enumeration per cut, so a fault in chi's route cannot
     vouch for itself; on a failure the first failing element's definitional
-    chi_cell names the difference in an InvariantViolation.
+    chi_cell names the difference in an InvariantViolation.  If doms is a
+    list with a slot per cut, doms[k] gets the dom dimension of every id of
+    cut k, the checked basis's rows with a nonzero X part, in uint8.
     """
     count, n = len(elements), elements.shape[1]
     ids = np.empty((count, len(cuts)), dtype=np.min_scalar_type(count))
@@ -305,8 +307,11 @@ def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
             for rh, k in tails:
                 bases = stack[:, :, : na + rh - rl]
                 ids[:, k], firsts = _intern_rows(bases)
-                passed = _cell_check(elements[firsts], q, (cl, ch, rl, rh), bases[firsts])
+                checked = bases[firsts]
+                passed = _cell_check(elements[firsts], q, (cl, ch, rl, rh), checked)
                 if passed.all():
+                    if doms is not None:
+                        doms[k] = checked[:, :, :na].any(axis=2).sum(axis=1, dtype=np.uint8)
                     continue
                 idx = firsts[np.argmin(passed)]
                 m = Matrix._new(PrimeField(q), elements[idx].astype(np.int64))
@@ -321,12 +326,24 @@ def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list) -> np.ndarray:
 
 
 def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tuple:
-    """Equal grids iff same double coset, for every composition pair of n.
+    """Equal grids iff same double coset, and every axiom grid a chi image,
+    for every composition pair of n.
 
     Enumerates GL(n, q) once, interns every cut-rectangle cell of every
     element once, then checks the grid partition against the closure
     partition for all pairs (alpha, beta).  The grids compared are chi's,
     each distinct cell checked by enumeration (see _grid_cell_ids).
+
+    Each grid's dimension table is read off the checked bases: d_ij = dim
+    dom(i, j) - dim dom(i, j + 1), 0 past the last column, as ker(i, j) =
+    dom(i, j + 1) by chi_cell's definition.  For every table d of
+    contingency_tables the pair must have exactly N / stab_order_formula(d,
+    q) classes, N = prod |GL(alpha_i, q)| * prod |GL(beta_j, q)|, no class
+    may have another table, and predicted_coset_count classes in all.  The
+    grids are axiom grids, as their cells are chi_cell's (_cell_check) and
+    chi_cell's cells satisfy the axioms by definition; the axiom grids with
+    table d number N / stab(d) (Goursat's lemma per cell, flag counts per
+    row and column), so the chi images are all of them.
     """
     budget = budget or DEFAULT_BUDGET
     elements, *known = _gl_codes(n, q, budget)
@@ -339,13 +356,13 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
         for rh in range(rl + 1, n + 1)
     ]
     cut_index = {cut: k for k, cut in enumerate(cuts)}
+    doms = [None] * len(cuts)
     try:
-        ids = _grid_cell_ids(elements, q, cuts)
+        ids = _grid_cell_ids(elements, q, cuts, doms)
     except InvariantViolation as exc:
         return False, f"GL({n},{q}): {exc}"
     cache = _closure_cache(*known)  # shared by every pair
-    pairs = 0
-    classes_seen = 0
+    pairs = classes_seen = tables_seen = 0
     for alpha in comps:
         sel_cols = [alpha.block(i) for i in range(len(alpha))]
         for beta in comps:
@@ -355,45 +372,38 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
                 for cl, ch in sel_cols
                 for rl, rh in (beta.block(j) for j in range(len(beta)))
             ]
+            at = f"alpha={alpha.parts} beta={beta.parts}"
             grids, firsts = _intern_rows(ids[:, sel])
             grid_of_class = np.empty(nclasses, dtype=grids.dtype)
             grid_of_class[labels] = grids
             if not np.array_equal(grid_of_class[labels], grids):
-                return False, (
-                    f"alpha={alpha.parts} beta={beta.parts}: one coset, two grids"
-                )
+                return False, f"{at}: one coset, two grids"
             if len(firsts) != nclasses:
-                return False, (
-                    f"alpha={alpha.parts} beta={beta.parts}: "
-                    f"{nclasses} cosets but {len(firsts)} grids"
-                )
+                return False, f"{at}: {nclasses} cosets but {len(firsts)} grids"
+            table = np.stack([doms[k][ids[firsts, k]] for k in sel], axis=1).astype(np.int16)
+            table = table.reshape(len(firsts), len(alpha), len(beta))
+            table[:, :, :-1] -= table[:, :, 1:]  # dim dom(i, j) - dim ker(i, j), ker(i, j) = dom(i, j + 1), 0 in the last column
+            kinds, found = _intern_rows(table)
+            classes_of = {tuple(map(tuple, d)): c for d, c in zip(table[found].tolist(), np.bincount(kinds).tolist())}
+            tables = {d.entries: d for d in contingency_tables(alpha, beta)}
+            group = prod(gl_order(part, q) for part in (*alpha, *beta))
+            extra = sorted(classes_of.keys() - tables.keys())
+            if extra:
+                return False, f"{at}: {classes_of[extra[0]]} classes with table {list(map(list, extra[0]))}, not a contingency table"
+            for entries, d in tables.items():
+                stab, got = stab_order_formula(d, q), classes_of.get(entries, 0)
+                if got * stab != group:
+                    return False, f"{at}: table {d.to_rows()} has {got} classes, not {group} / {stab}"
+            predicted = predicted_coset_count(alpha, beta, q, budget)
+            if nclasses != predicted:
+                return False, f"{at}: {nclasses} classes in {len(tables)} tables, predicted_coset_count {predicted}"
             pairs += 1
             classes_seen += nclasses
+            tables_seen += len(tables)
     return True, (
         f"GL({n},{q}): {len(elements)} elements, {pairs} composition pairs, "
-        f"{classes_seen} class checks"
+        f"{classes_seen} class checks, {tables_seen} tables"
     )
-
-
-def _grids_of(elements: np.ndarray, q: int, alpha, beta) -> list:
-    """The grids of every matrix of an (N, n, n) array over GF(q), by one _chi_each."""
-    field = PrimeField(q)
-    mats = [Matrix._new(field, m.astype(np.int64)) for m in elements]
-    return _chi_each(mats, Composition(alpha), Composition(beta))
-
-
-def check_surjectivity(q: int, budget: EnumerationBudget = None) -> tuple:
-    """Every axiom-satisfying grid for alpha = beta = (1,1) is a chi image."""
-    budget = budget or DEFAULT_BUDGET
-    alpha = beta = (1, 1)
-    grids = all_bihinges_brute(alpha, beta, q, budget)
-    images = set(_grids_of(gl_array(2, q, budget), q, alpha, beta))
-    if set(grids) != images:
-        return False, f"GF({q}): {len(grids)} grids vs {len(images)} images"
-    expected = predicted_coset_count(alpha, beta, q, budget)
-    if len(grids) != expected:
-        return False, f"GF({q}): {len(grids)} grids vs predicted {expected}"
-    return True, f"GF({q}): all {len(grids)} grids realized"
 
 
 def check_stabilizers(qs=(2, 3), budget: EnumerationBudget = None) -> tuple:
@@ -464,9 +474,11 @@ def check_normal_form(q: int = 3, max_n: int = 5, trials: int = 100, seed=404) -
 def count_three_ways(alpha, beta, q: int, budget: EnumerationBudget = None) -> tuple:
     """(formula count, closure class count, distinct grid count) for one case."""
     budget = budget or DEFAULT_BUDGET
+    alpha, beta = Composition(alpha), Composition(beta)
     predicted = predicted_coset_count(alpha, beta, q, budget)
-    partition = double_cosets_brute(sum(alpha), q, alpha, beta, budget)
-    grids = set(_grids_of(partition.elements, q, alpha, beta))
+    partition = double_cosets_brute(alpha.n, q, alpha, beta, budget)
+    cpass = _cell_pass(partition.elements.astype(np.int64), q, alpha)
+    grids = set(_grids_from_pass(cpass, PrimeField(q), alpha, beta))
     return predicted, partition.num_classes, len(grids)
 
 
@@ -505,7 +517,6 @@ def run_selfcheck(qs=(2, 3), max_n: int = 4, budget: EnumerationBudget = None, o
         ("invariance", lambda: check_invariance(qs=qs, max_n=max_n, trials=200)),
         ("axioms", lambda: check_axiom_soundness(qs=qs, max_n=max_n, trials=100)),
         ("canonical-forms", lambda: check_canonical_consistency(qs=qs)),
-        ("surjectivity", lambda: _surjectivity_all(qs, budget)),
         ("stabilizers", lambda: check_stabilizers(qs=qs, budget=budget)),
         ("lpu", lambda: check_lpu(qs=qs, max_n=max_n, trials=200)),
         ("normal-form", lambda: check_normal_form(q=qs[0] if 3 not in qs else 3, max_n=min(max_n, 5))),
@@ -531,12 +542,3 @@ def run_selfcheck(qs=(2, 3), max_n: int = 4, budget: EnumerationBudget = None, o
             out(f"{'PASS' if ok else 'FAIL'} completeness: {detail}")
     return ok_all
 
-
-def _surjectivity_all(qs, budget) -> tuple:
-    details = []
-    for q in qs:
-        ok, detail = check_surjectivity(q, budget)
-        if not ok:
-            return False, detail
-        details.append(detail)
-    return True, "; ".join(details)

@@ -433,16 +433,15 @@ def test_selfcheck_quick(capsys):
 
 
 def test_selfcheck_skips_suites_past_the_budget(capsys):
-    # at this budget surjectivity (625 grid candidates), stabilizers (36
-    # pairs) and counting (GL(2,3)) would exceed it: each prints SKIP and
-    # the run goes on to the suites after it, and a SKIP does not fail it
+    # at this budget stabilizers (36 pairs) and counting (GL(2,3)) would
+    # exceed it: each prints SKIP and the run goes on to the suites after
+    # it, and a SKIP does not fail it
     assert main(["selfcheck", "-q", "2", "--max-n", "2", "--budget", "30"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "PASS invariance",
         "PASS axioms",
         "PASS canonical-forms",
-        "SKIP surjectivity",
         "SKIP stabilizers",
         "PASS lpu",
         "PASS normal-form",
@@ -450,7 +449,7 @@ def test_selfcheck_skips_suites_past_the_budget(capsys):
         "PASS completeness",
         "all checks passed",
     ]
-    assert lines[4] == "SKIP stabilizers: stabilizer search space = 36 exceeds group budget 30"
+    assert lines[3] == "SKIP stabilizers: stabilizer search space = 36 exceeds group budget 30"
 
 def test_selfcheck_rejects_max_n_below_one(capsys):
     for value in ("0", "-3"):

@@ -3,13 +3,13 @@
 import random
 from collections import deque
 from itertools import product, takewhile
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, prod
 
 import numpy as np
 import pytest
 
 from hinge import bihinge, linalg, relations
-from hinge.bihinge import BiHinge, Composition, DimensionMatrix, MarginError, check_axioms, chi
+from hinge.bihinge import Composition, DimensionMatrix, MarginError, chi
 from hinge.enumeration import (
     BudgetError,
     CosetPartition,
@@ -22,7 +22,6 @@ from hinge.enumeration import (
     _partition_labels,
     _row_codes,
     _table_sum,
-    all_bihinges_brute,
     contingency_tables,
     double_cosets_brute,
     enum_gl,
@@ -37,7 +36,7 @@ from hinge.enumeration import (
 )
 from hinge.field import PrimeField
 from hinge.linalg import Matrix, _span
-from hinge.relations import InvariantViolation, LinearRelation
+from hinge.relations import InvariantViolation
 from hinge.selfcheck import all_compositions, check_stabilizers
 
 
@@ -215,6 +214,28 @@ def test_enum_subspaces_complete():
             assert by_dim.get(k, 0) == gaussian_binomial(d, k, q)
 
 
+def test_subspaces_sharing_four_spaces_number_gl_of_the_quotient():
+    # Goursat's lemma, exhaustively: a subspace of GF(q)^a (+) GF(q)^b is
+    # ker <= dom, indef <= im and an isomorphism dom/ker -> im/indef, so the
+    # subspaces sharing their four spaces number |GL(dim dom - dim ker, q)|
+    groups = 0
+    for q, most in ((2, 5), (3, 4), (5, 3)):
+        for w in range(1, most + 1):
+            spaces = list(enum_subspaces(w, q))
+            stack = np.zeros((len(spaces), w, w), dtype=np.int64)
+            for m, space in zip(stack, spaces):
+                m[: space.rows] = space.a
+            ranks = np.array([space.rows for space in spaces])
+            for a in range(w + 1):
+                dv = relations.derive_stack(stack, relations.y_first(stack, ranks, a, q), ranks, a, w - a)
+                four = np.concatenate([x.reshape(len(stack), -1) for x in dv[:4]], axis=1)
+                _, inverse, counts = np.unique(four, axis=0, return_inverse=True, return_counts=True)
+                quotients = [gl_order(d, q) for d in (dv.dims[1] - dv.dims[0]).tolist()]
+                assert (counts[inverse.ravel()] == quotients).all(), (q, a, w - a)
+                groups += len(counts)
+    assert groups == 3636
+
+
 def test_double_cosets_gf2_sizes():
     part = double_cosets_brute(2, 2, (1, 1), (1, 1))
     assert isinstance(part, CosetPartition)
@@ -244,40 +265,6 @@ def test_coset_classes_are_grid_fibers():
     for m, k in zip(enum_gl(3, 2), part.labels.tolist()):
         fibers.setdefault(k, set()).add(chi(m, (2, 1), (1, 2)))
     assert len(fibers) == part.num_classes and all(len(grids) == 1 for grids in fibers.values())
-
-
-def test_all_bihinges_counts():
-    assert len(all_bihinges_brute((1, 1), (1, 1), 2)) == 2
-    assert len(all_bihinges_brute((1, 1), (1, 1), 3)) == 8
-    assert len(all_bihinges_brute((2,), (1, 1), 2)) == 3
-    for h in all_bihinges_brute((1, 1), (1, 1), 3):
-        assert check_axioms(h)
-
-
-def test_all_bihinges_brute_match_the_public_constructor_in_product_order():
-    # the grids are stacked from padded candidate bases; they must be the
-    # grids BiHinge builds from every product of subspaces that passes
-    # check_axioms, read-only uint16 stacks with the same ranks, in order
-    for alpha, beta, q in (((1, 1), (1, 1), 2), ((1, 1), (1, 1), 3), ((2,), (1, 1), 2)):
-        shapes = [(a, b) for a in alpha for b in beta]
-        want = []
-        for combo in product(*(list(enum_subspaces(a + b, q)) for a, b in shapes)):
-            cells = iter(LinearRelation(a, b, m) for (a, b), m in zip(shapes, combo))
-            h = BiHinge(alpha, beta, [[next(cells) for _ in beta] for _ in alpha])
-            if check_axioms(h):
-                want.append(h)
-        got = all_bihinges_brute(alpha, beta, q)
-        assert got == want and [hash(h) for h in got] == [hash(h) for h in want]
-        for g, w in zip(got, want):
-            assert g.stack.dtype == np.uint16 and not g.stack.flags.writeable
-            assert np.array_equal(g.ranks, w.ranks)
-
-
-def test_realized_grids_are_exactly_the_axiom_solutions():
-    for q in (2, 3):
-        grids = set(all_bihinges_brute((1, 1), (1, 1), q))
-        images = {chi(m, (1, 1), (1, 1)) for m in enum_gl(2, q)}
-        assert grids == images
 
 
 def test_stabilizer_examples():
@@ -404,14 +391,40 @@ def test_orbit_stabilizer_identity():
     assert pairs == 767
 
 
+def test_flags_and_quotients_number_the_orbit_of_each_table():
+    # the axiom grids with table d: a flag of each V_i with jumps row i of d,
+    # one of each W_j with jumps column j, and per cell an isomorphism of
+    # d_ij-dimensional quotients (Goursat); they number the orbit N / stab(d)
+    # that check_completeness counts classes against, with stab_order_formula
+    # read without stabilizer_brute
+    def flags(m, jumps, q):
+        count, rem = divmod(gl_order(m, q), prod(gl_order(v, q) for v in jumps)
+                            * q ** sum(v * w for k, v in enumerate(jumps) for w in jumps[k + 1 :]))
+        assert not rem
+        return count
+
+    tables = 0
+    for q in (2, 3):
+        for n in range(1, 6):
+            for alpha in all_compositions(n):
+                for beta in all_compositions(n):
+                    group = prod(gl_order(part, q) for part in (*alpha, *beta))
+                    for d in contingency_tables(alpha, beta):
+                        rows = d.to_rows()
+                        grids = prod(flags(part, row, q) for part, row in zip(alpha, rows))
+                        grids *= prod(flags(part, column, q) for part, column in zip(beta, zip(*rows)))
+                        grids *= prod(gl_order(v, q) for row in rows for v in row)
+                        assert grids * stab_order_formula(d, q) == group, (q, d)
+                        tables += 1
+    assert tables == 6562
+
+
 def test_budget_errors_carry_cardinality():
     tiny = EnumerationBudget(max_group_order=10, max_subspace_lattice=10)
     with pytest.raises(BudgetError, match="48"):
         list(enum_gl(2, 3, tiny))
     with pytest.raises(BudgetError, match="16"):
         list(enum_subspaces(3, 2, tiny))
-    with pytest.raises(BudgetError):
-        all_bihinges_brute((2, 2), (2, 2), 3, tiny)
     assert DEFAULT_BUDGET.max_group_order == 10 ** 7
     assert DEFAULT_BUDGET.max_subspace_lattice == 10 ** 6
 

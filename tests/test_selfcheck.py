@@ -112,6 +112,31 @@ def test_completeness_fails_when_the_oracle_checks_a_shifted_cut(monkeypatch):
     assert "equals chi_cell but fails the enumeration check" in detail
 
 
+_REAL = {name: getattr(selfcheck, name) for name in ("stab_order_formula", "contingency_tables", "predicted_coset_count")}
+_IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+# a name selfcheck reads, its faulty stand-in, and the FAIL detail of check_completeness(3, 2)
+_TABLE_FAULTS = {
+    "stabilizer": ("stab_order_formula",  # one unipotent factor too many on the identity table
+                   lambda d, q: _REAL["stab_order_formula"](d, q) * (q if d.to_rows() == _IDENTITY_3 else 1),
+                   f"alpha=(1, 1, 1) beta=(1, 1, 1): table {_IDENTITY_3} has 1 classes, not 1 / 2"),
+    "tables": ("contingency_tables", lambda alpha, beta: _REAL["contingency_tables"](alpha, beta)[:-1],
+               "alpha=(3,) beta=(3,): 168 classes with table [[3]], not a contingency table"),
+    "total": ("predicted_coset_count", lambda *args: _REAL["predicted_coset_count"](*args) + 1,
+              "alpha=(3,) beta=(3,): 168 classes in 1 tables, predicted_coset_count 169"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_TABLE_FAULTS))
+def test_completeness_fails_when_a_table_count_is_off(monkeypatch, fault):
+    # the per-table counts are live: a stabilizer order off by a factor q, a
+    # table missing from the list, or a total off by one each FAIL, naming
+    # the pair and the table (or the count of tables) at fault
+    name, faulty, detail = _TABLE_FAULTS[fault]
+    monkeypatch.setattr(selfcheck, name, faulty)
+    assert check_completeness(3, 2) == (False, detail)
+
+
 def test_cell_check_accepts_chi_cell_and_rejects_every_mutation():
     # per cut, one element of every distinct chi_cell basis, padded as
     # _grid_cell_ids pads it: the basis passes, and each of its single-entry
@@ -184,21 +209,21 @@ def test_random_invertible_draws_as_by_rank():
             assert rng.getstate() == ref.getstate(), (p, n)
 
 
-# `hinge selfcheck -q 2,3 --max-n 3`, exactly as printed before the random
-# suites were stacked: the same draws, the same checks, the same lines.
+# `hinge selfcheck -q 2,3 --max-n 3`: the random suites' lines exactly as
+# printed before they were stacked (the same draws, the same checks), and
+# every completeness line with the dimension tables it counted classes of.
 _SELFCHECK_Q23_N3 = """\
 PASS invariance: 200 random triples over q in (2, 3), n <= 3
 PASS axioms: 100 random grids over q in (2, 3), n <= 3
 PASS canonical-forms: 62 dimension tables over q in (2, 3)
-PASS surjectivity: GF(2): all 2 grids realized; GF(3): all 8 grids realized
 PASS stabilizers: 38 tables over q in (2, 3)
 PASS lpu: 200 random matrices over q in (2, 3), n <= 3
 PASS normal-form: 100 random grids over GF(3), n <= 3
 PASS counting: counts [2, 8, 3, 6] for 4 cases
-PASS completeness: GL(2,2): 6 elements, 4 composition pairs, 14 class checks
-PASS completeness: GL(3,2): 168 elements, 16 composition pairs, 480 class checks
-PASS completeness: GL(2,3): 48 elements, 4 composition pairs, 88 class checks
-PASS completeness: GL(3,3): 11232 elements, 16 composition pairs, 18384 class checks
+PASS completeness: GL(2,2): 6 elements, 4 composition pairs, 14 class checks, 5 tables
+PASS completeness: GL(3,2): 168 elements, 16 composition pairs, 480 class checks, 33 tables
+PASS completeness: GL(2,3): 48 elements, 4 composition pairs, 88 class checks, 5 tables
+PASS completeness: GL(3,3): 11232 elements, 16 composition pairs, 18384 class checks, 33 tables
 all checks passed
 """
 
