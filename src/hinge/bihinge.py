@@ -105,6 +105,12 @@ class DimensionMatrix:
         self.alpha = alpha
         self.beta = beta
 
+    @classmethod
+    def _of(cls, entries: tuple, alpha: Composition, beta: Composition) -> "DimensionMatrix":  # trusted: row tuples with these margins
+        d = object.__new__(cls)
+        d.entries, d.alpha, d.beta = entries, alpha, beta
+        return d
+
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i][j]

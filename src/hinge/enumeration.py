@@ -4,14 +4,16 @@ Everything here is meant to cross-check the fast invariants on small fields:
 GL(n, q) as one (N, n, n) array, enumerated row by row on base-q row codes
 (spans grow by gathers from a table of row-code sums); subspace lattices
 enumerated in full; double coset partitions of the whole group by closure
-(each row or column move of each element is a gather from the same table
-and a lookup in a dense key index, and the enumeration hands the closure
-its keys, row codes and table; every move joins the cycles it makes of
-the classes so far on their minima, and the first side's classes are
-checked by orbit size); stabilizer orders by direct count; and the
-orbit-counting formula, summed by one weighted DP over contingency tables
-that never lists a table.  Budgets are hard limits; exceeding one raises
-BudgetError with the offending cardinality, never a silent truncation.
+(a row or column move is a gather from the same table and a lookup in a
+dense key index, and the enumeration hands the closure its keys, row
+codes and table; a move is applied to the class minima only, which still
+checks every element, as a class leaves the element set as a whole, and
+joins the cycles it makes of the classes so far on their minima; the
+first side's classes are checked by orbit size); stabilizer orders by
+direct count; and the orbit-counting formula, summed by one weighted DP
+over contingency tables that never lists a table.  Budgets are hard
+limits; exceeding one raises BudgetError with the offending cardinality,
+never a silent truncation.
 """
 
 from __future__ import annotations
@@ -222,36 +224,45 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
     element's position, or -1, in the smallest signed dtype that holds the
     element count.
 
-    The neighbours of an element are its products with the elementary
-    generators of the free block positions: a left move (r, c) of beta's
-    lower positions adds row c to row r, a right move (r, c) of alpha's
-    upper positions adds column r to column c.  A right move is a left move
-    of the transpose, so each side works on its rows, which carry base-q
-    codes: row i of an element adds code * q**(n(n-1-i)) to its key, column
-    j adds spread[code] * q**(n-1-j), spread placing a column code's digits
-    one row apart.  One table over all code pairs, built only when a side
-    has moves, gives the code of x_i + x_j mod q for every generator of
-    both sides, so a product's key is its element's key plus a key change
-    gathered by code pair.  One generator at a time, CHUNK elements at a
-    time, every product is looked up in the index; one outside the element
-    set raises InvariantViolation.
+    The moves are the elementary generators of the free block positions: a
+    left move (r, c) of beta's lower positions adds row c to row r, a right
+    move (r, c) of alpha's upper positions adds column r to column c.  A
+    right move is a left move of the transpose, so each side works on its
+    rows, which carry base-q codes: row i of an element adds code *
+    q**(n(n-1-i)) to its key, column j adds spread[code] * q**(n-1-j),
+    spread placing a column code's digits one row apart.  One table over
+    all code pairs, built only when a side has moves, gives the code of
+    x_i + x_j mod q for every generator of both sides, so a product's key
+    is its element's key plus a key change gathered by code pair, and the
+    product is looked up in the index.
 
     The side with more moves, the free side, goes first, then the other.
     By falling block height, each generator normalizes the group of those
     before it on its side, and the other side commutes with the free side,
-    so every generator permutes the classes so far, orbits of the group of
-    the moves before it.  A move has order q, so the cycles have length 1
-    or q; ceil(log2 q) doubling steps over the images of the class minima
-    join each cycle on its smallest class.  Both groups act freely on
-    invertible matrices, so every orbit of the free side has q**moves
-    elements; joins follow moves, so a class of that size is an orbit, and
-    a bincount checks every class of the free side for it
-    (InvariantViolation otherwise).  Classes are numbered by their smallest
-    members.  Returns (int64 labels array, class count).  A cache dict
-    shared by the calls on one element stack keeps its keys, index, table
-    and row codes (cache[side][row]) for the next.  A caller may fill the
-    keys, the table and the left side's row codes ahead, as _gl_codes gives
-    them; the keys are checked all the same.
+    so every generator g permutes the classes so far, orbits of the group
+    H of the moves before it.  So a move is applied to the class minima
+    only: N, N/q, N/q**2, ... of them on the free side, the classes left
+    on the other.  That still checks every element.  If the set is closed
+    under H, g maps a class H x into the set exactly when it maps x there
+    (g H x = H g x), so a class leaves the set as a whole, and the smallest
+    element that leaves it is a class minimum: a product outside the set
+    raises InvariantViolation at the same move, naming the same element,
+    as a check of every element would.  A move has order q, so the cycles
+    have length 1 or q; ceil(log2 q) doubling steps over the images of the
+    class minima join each cycle on its smallest class.  The renumberings
+    compose as class-to-class maps, and the elements are relabelled only
+    when the classes have shrunk by a factor of 16 and at the end of each
+    side.  Both groups act freely on invertible matrices, so every orbit of
+    the free side has q**moves elements; joins follow moves, so a class of
+    that size is an orbit, and a bincount checks every class of the free
+    side for it (InvariantViolation otherwise).  Classes are numbered by
+    their smallest members.  Returns (int64 labels array, class count).
+
+    A cache dict shared by the calls on one element stack keeps its keys,
+    index, table and the free side's row codes (cache[side][row]) for the
+    next; the other side's codes are built for the minima it starts from.  A
+    caller may fill the keys, the table and the left side's row codes
+    ahead, as _gl_codes gives them; the keys are checked all the same.
     """
     shared, cache = cache is not None, {} if cache is None else cache
     total, n = elements.shape[:2]
@@ -266,7 +277,8 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
         cache["index"][keys] = np.arange(total, dtype=dtype)
     keys, index = cache["keys"], cache["index"]
     ids = np.arange(total, dtype=index.dtype)  # in the index's dtype, gathered by np.take
-    cls, mins, nbr = ids, ids, np.empty_like(ids)  # element -> class, class -> smallest member
+    mins = ids  # class -> smallest member, ascending
+    cls = remap = None  # element -> class at the last relabel -> class now; None is the identity
     digits = np.arange(q ** n)[:, None] // place % q
     sides = [  # (rows, moves (i, j): row i += row j, key part of a code, weight of a row)
         (elements, _free_positions(Composition(beta), lower=True), digits @ place, step),
@@ -279,33 +291,54 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
     free = max(range(2), key=lambda side: len(sides[side][1]))  # the left side on a tie
     for side in (free, 1 - free):
         rows, moves, part, weight = sides[side]
-        if moves:
-            delta = part[cache["table"]] - np.repeat(part, q ** n)  # key change / weight, by code pair
-            codes = cache.setdefault(side, {}) if shared else {}  # row -> its codes
-            for k in {k for move in moves for k in move} - codes.keys():
+        if not moves:
+            continue
+        delta = part[cache["table"]] - np.repeat(part, q ** n)  # key change / weight, by code pair
+        moved = {k for move in moves for k in move}
+        if side == free:  # every element is a class minimum: the codes of all, cached
+            codes = cache.setdefault(side, {}) if shared else {}
+            for k in moved - codes.keys():
                 codes[k] = _row_codes(rows[:, k], q)
-        for i, j in moves:
-            shift = delta * weight[i]
-            for lo in range(0, total, CHUNK):
-                hi = min(lo + CHUNK, total)
-                pair = codes[i][lo:hi].astype(np.intp) * q ** n + codes[j][lo:hi]
-                found = index[keys[lo:hi] + shift[pair]]
+            codes, at = {k: codes[k] for k in moved}, keys  # of the minima, in step with mins
+        else:  # the codes of the minima only: of their columns, or of their rows
+            block = np.take(elements, mins, axis=0)
+            block = place @ block if side else block @ place
+            codes, at = {k: block[:, k] for k in moved}, np.take(keys, mins)
+        for m, (i, j) in enumerate(moves):
+            succ = np.empty(len(mins), dtype=ids.dtype)  # the class each class minimum moves to
+            for lo in range(0, len(mins), CHUNK):
+                pair = codes[i][lo : lo + CHUNK].astype(np.intp) * q ** n + codes[j][lo : lo + CHUNK]
+                found = index[at[lo : lo + CHUNK] + delta[pair] * weight[i]]
                 if (found < 0).any():
                     raise InvariantViolation(
-                        f"a generator maps element {lo + int(np.argmax(found < 0))} "
-                        "outside the element set"
+                        f"a generator maps element {mins[lo + np.argmax(found < 0)]} outside the element set"
                     )
-                nbr[lo:hi] = found
-            succ = np.take(cls, np.take(nbr, mins))  # the class each class's minimum moves to
-            low = ids = ids[: len(mins)]  # the smallest class in 2**k steps along each cycle
-            for _ in range((q - 1).bit_length()):
-                low, succ = np.minimum(low, np.take(low, succ)), np.take(succ, succ)
-            while not np.take(keep := low == ids, low).all():  # not cycles of 1 or q: chase low
+                for hop in (cls, remap):
+                    if hop is not None:
+                        found = np.take(hop, found)
+                succ[lo : lo + CHUNK] = found
+            low = own = ids[: len(mins)]  # the smallest class in 2**k steps along each cycle
+            for k in range((q - 1).bit_length()):
+                if k:
+                    succ = np.take(succ, succ)
+                later = np.take(low, succ)
+                low = np.minimum(low, later, out=later)
+            del succ
+            kept = np.flatnonzero(low == own)  # the classes that stay, each its cycle's smallest
+            rank = np.full(len(own), -1, dtype=ids.dtype)
+            rank[kept] = ids[: len(kept)]
+            while ((new := np.take(rank, low)) < 0).any():  # not cycles of 1 or q: chase low
                 low = np.take(low, low)
-            cls, mins = np.take(np.take(np.cumsum(keep, dtype=ids.dtype) - 1, low), cls), mins[keep]
+            del low, rank
+            remap = new if remap is None else np.take(new, remap)
+            mins, at = np.take(mins, kept), np.take(at, kept)
+            codes = {k: np.take(c, kept) for k, c in codes.items()}
+            del kept
+            if cls is None or m == len(moves) - 1 or len(remap) >= 16 * len(mins):  # relabel
+                cls, remap = (remap if cls is None else np.take(remap, cls)), None
         if side == free and (np.bincount(cls) != q ** len(moves)).any():
             raise InvariantViolation(f"a class of the free side does not hold q**{len(moves)} elements")
-    return cls.astype(np.int64), len(mins)
+    return (ids if cls is None else cls).astype(np.int64), len(mins)
 
 
 def _closure_cache(codes: np.ndarray, keys: np.ndarray, table) -> dict:
@@ -391,31 +424,20 @@ def stabilizer_brute(d: DimensionMatrix, q: int, budget: EnumerationBudget = Non
 def stab_order_formula(d: DimensionMatrix, q: int) -> int:
     """Closed-form stabilizer order: reductive GL factors times q-power
     unipotent factors, one per ordered pair of cells sharing a row or column."""
-    order = 1
-    for row in d.entries:
-        for v in row:
-            order *= gl_order(v, q)
-    expo = 0
-    p_blocks, q_blocks = len(d.alpha), len(d.beta)
-    for i in range(p_blocks):
-        for j in range(q_blocks):
-            for j2 in range(j + 1, q_blocks):
-                expo += d[i, j] * d[i, j2]
-    for j in range(q_blocks):
-        for i in range(p_blocks):
-            for i2 in range(i + 1, p_blocks):
-                expo += d[i, j] * d[i2, j]
+    rows = d.entries
+    order = prod(gl_order(v, q) for row in rows for v in row)
+    expo = sum(x * y for line in (*rows, *zip(*rows)) for x, y in combinations(line, 2))
     return order * q ** expo
 
 
 def contingency_tables(alpha, beta) -> list:
     """All nonnegative integer tables with row margins alpha and column
-    margins beta, in lexicographic row order."""
+    margins beta, in lexicographic row order.  Each is built with its
+    margins, so none is validated again."""
     alpha = Composition(alpha)
     beta = Composition(beta)
     if alpha.n != beta.n:
         raise MarginError(f"margins disagree: {alpha.n} != {beta.n}")
-    q_blocks = len(beta)
 
     def rows_summing(total, caps):
         if len(caps) == 1:
@@ -430,17 +452,13 @@ def contingency_tables(alpha, beta) -> list:
 
     def fill(i, remaining, acc):
         if i == len(alpha):
-            if all(v == 0 for v in remaining):
-                out.append(DimensionMatrix(acc, alpha, beta))
+            if not any(remaining):
+                out.append(DimensionMatrix._of(acc, alpha, beta))
             return
         for row in rows_summing(alpha[i], remaining):
-            fill(
-                i + 1,
-                tuple(remaining[j] - row[j] for j in range(q_blocks)),
-                acc + [row],
-            )
+            fill(i + 1, tuple(r - v for r, v in zip(remaining, row)), acc + (row,))
 
-    fill(0, tuple(beta.parts), [])
+    fill(0, beta.parts, ())
     return out
 
 
