@@ -73,6 +73,14 @@ class Composition:
         return f"Composition{self.parts}"
 
 
+def _table_shape(entries, table) -> str:
+    """How a table of the wrong shape reads in a MarginError: r x c, its
+    number of dimensions, or the lengths of its ragged rows."""
+    if table is not None and (table.ndim != 1 or table.dtype != object):
+        return f"{table.shape[0]} x {table.shape[1]}" if table.ndim == 2 else f"{table.ndim}-dimensional data"
+    return f"rows of lengths {[np.size(row) for row in entries]}"
+
+
 class DimensionMatrix:
     """A p x q table of cell dimensions with margins alpha and beta.
 
@@ -93,7 +101,7 @@ class DimensionMatrix:
         except ValueError:  # rows of unequal lengths
             table = None
         if table is None or table.shape != (len(alpha), len(beta)):
-            raise MarginError(f"need a {len(alpha)} x {len(beta)} table, got {len(entries)} rows")
+            raise MarginError(f"need a {len(alpha)} x {len(beta)} table, got {_table_shape(entries, table)}")
         rows = table.tolist()  # Python ints: exact sums, in loops over rows and columns only
         if min(map(min, rows)) < 0:
             raise MarginError("cell dimensions must be nonnegative")
@@ -178,11 +186,12 @@ class BiHinge:
     uint16 array (p < 2**16), C = max(alpha) + max(beta), member i * q + j the
     RREF basis of cell (i, j) with X at [0, alpha_i) and Y from max(alpha) on,
     zero elsewhere and past its rank ranks[i * q + j].  Bases are canonical,
-    so two grids are equal exactly when their stacks are.  grid and cell()
-    build LinearRelation views of the stacked rows when read.
+    so two grids are equal exactly when their stacks are.  A cell is read
+    through _bases() and derived(), as cell_records prints it; BiHinge(alpha,
+    beta, grid) keeps only the stack of the LinearRelations it is given.
     """
 
-    __slots__ = ("alpha", "beta", "field", "stack", "ranks", "_grid", "_derived", "_from_pass")
+    __slots__ = ("alpha", "beta", "field", "stack", "ranks", "_derived", "_from_pass")
 
     def __init__(self, alpha, beta, grid):
         alpha = Composition(alpha)
@@ -204,7 +213,6 @@ class BiHinge:
                 )
         stack = np.stack([_pad(c.basis.a, c.dim_x, alpha, beta) for c in cells])
         self._init(alpha, beta, field, stack, np.array([c.basis.rows for c in cells], dtype=np.intp))
-        self._grid = grid
 
     @classmethod
     def _of(cls, alpha: Composition, beta: Composition, field: PrimeField, stack, ranks, from_pass=False) -> "BiHinge":
@@ -216,7 +224,7 @@ class BiHinge:
         stack.flags.writeable = False
         self.alpha, self.beta, self.field = alpha, beta, field
         self.stack, self.ranks = stack, ranks
-        self._grid, self._derived, self._from_pass = None, None, from_pass
+        self._derived, self._from_pass = None, from_pass
 
     def _bases(self) -> list:
         """Each cell's RREF basis rows (x | y) in its own columns, as lists of
@@ -227,17 +235,6 @@ class BiHinge:
             for k, m, rank in zip(at.tolist(), rows, self.ranks[at].tolist()):
                 out[k] = m[:rank]
         return out
-
-    @property
-    def grid(self) -> tuple:
-        if self._grid is None:
-            cells = iter(LinearRelation._of(a, b, Matrix._new(self.field, np.array(rows, dtype=np.int64).reshape(-1, a + b)))
-                         for (a, b), rows in zip(product(self.alpha, self.beta), self._bases()))
-            self._grid = tuple(tuple(next(cells) for _ in self.beta) for _ in self.alpha)
-        return self._grid
-
-    def cell(self, i: int, j: int) -> LinearRelation:
-        return self.grid[i][j]
 
     def derived(self) -> Derived:
         """derive_stack of every cell at once, cell (i, j) at index i * q + j;

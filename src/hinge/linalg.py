@@ -98,17 +98,6 @@ class Matrix:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         return Matrix._new(self.field, (self.a @ other.a) % self.field.p)
 
-    def inverse(self) -> "Matrix":
-        """Exact inverse via Gauss-Jordan on the augmented matrix."""
-        n = self.rows
-        if n != self.cols:
-            raise ShapeError(f"only square matrices invert, got {self.shape}")
-        aug = np.concatenate([self.a, np.eye(n, dtype=np.int64)], axis=1)
-        piv = _rref(aug, self.field.p, pivot_limit=n)
-        if len(piv) != n:
-            raise SingularMatrixError(f"matrix of rank {len(piv)} < {n} over {self.field}")
-        return Matrix._new(self.field, np.ascontiguousarray(aug[:, n:]))
-
     def rank(self) -> int:
         arr = self.a.copy()
         return len(_rref(arr, self.field.p))
@@ -136,19 +125,16 @@ class Matrix:
         return f"Matrix(GF({self.field.p}), [{body}])"
 
 
-def _rref(arr: np.ndarray, p: int, pivot_limit: int = None) -> list:
+def _rref(arr: np.ndarray, p: int) -> list:
     """In-place Gauss-Jordan reduction mod p.  Returns the pivot column list.
 
     Pivot search scans columns left to right and takes the first nonzero entry
-    at or below the current row, so the result is the canonical RREF.  When
-    pivot_limit is given, columns past it never host pivots (they ride along as
-    augmented right-hand sides).
+    at or below the current row, so the result is the canonical RREF.
     """
     rows, cols = arr.shape
-    limit = cols if pivot_limit is None else pivot_limit
     pivots = []
     r = 0
-    for c in range(limit):
+    for c in range(cols):
         if r == rows:
             break
         nz = arr[r:, c].nonzero()[0]

@@ -143,12 +143,6 @@ class LinearRelation:
         self.basis = _span(rows.field, rows.a)
         self._derived = None
 
-    @classmethod
-    def _of(cls, dim_x: int, dim_y: int, basis: Matrix) -> "LinearRelation":  # trusted: basis is canonical
-        rel = object.__new__(cls)
-        rel.dim_x, rel.dim_y, rel.basis, rel._derived = dim_x, dim_y, basis, None
-        return rel
-
     @property
     def field(self) -> PrimeField:
         return self.basis.field

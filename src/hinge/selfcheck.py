@@ -507,8 +507,9 @@ def check_counting(budget: EnumerationBudget = None) -> tuple:
 def run_selfcheck(qs=(2, 3), max_n: int = 4, budget: EnumerationBudget = None, out=print) -> bool:
     """Run every suite, print one PASS/FAIL line each, return overall success.
 
-    A suite that would exceed the budget, and completeness rounds whose group
-    order exceeds it, are announced as SKIP lines rather than silently
+    The completeness rounds, one per q and n from 2 to max_n, run last as
+    suites of their own.  A suite that would exceed the budget is announced
+    as a SKIP line, with the BudgetError's message, rather than silently
     dropped; a SKIP does not fail the run.
     """
     budget = budget or DEFAULT_BUDGET
@@ -521,6 +522,7 @@ def run_selfcheck(qs=(2, 3), max_n: int = 4, budget: EnumerationBudget = None, o
         ("lpu", lambda: check_lpu(qs=qs, max_n=max_n, trials=200)),
         ("normal-form", lambda: check_normal_form(q=qs[0] if 3 not in qs else 3, max_n=min(max_n, 5))),
         ("counting", lambda: check_counting(budget=budget)),
+        *(("completeness", lambda n=n, q=q: check_completeness(n, q, budget)) for q in qs for n in range(2, max_n + 1)),
     ]
     ok_all = True
     for name, run in suites:
@@ -531,14 +533,4 @@ def run_selfcheck(qs=(2, 3), max_n: int = 4, budget: EnumerationBudget = None, o
             continue
         ok_all = ok_all and ok
         out(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    for q in qs:
-        for n in range(2, max_n + 1):
-            order = gl_order(n, q)
-            if order > budget.max_group_order:
-                out(f"SKIP completeness n={n} q={q}: |GL({n},{q})| = {order} exceeds budget")
-                continue
-            ok, detail = check_completeness(n, q, budget)
-            ok_all = ok_all and ok
-            out(f"{'PASS' if ok else 'FAIL'} completeness: {detail}")
     return ok_all
-

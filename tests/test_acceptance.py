@@ -22,6 +22,7 @@ from hinge.selfcheck import (
     check_stabilizers,
     count_three_ways,
 )
+from hinge.serialize import cell_records
 
 
 def report(name, ok, elapsed, limit, detail=""):
@@ -46,16 +47,19 @@ def test_worked_example_grid():
     big = Matrix(field, [[1 if c == unit else 0 for c in range(12)] for unit in _UNIT_COLS])
     h = chi(big, ALPHA_12, BETA_12)
 
-    # cell in block row 3, block column 2: a 3 -> 4 relation
-    cell = h.cell(2, 1)
-    assert cell.dim_x == 3 and cell.dim_y == 4
-    assert cell.dom().to_rows() == [[0, 1, 0], [0, 0, 1]]
-    assert cell.ker().to_rows() == [[0, 0, 1]]
-    assert cell.im().to_rows() == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
-    assert cell.indef().to_rows() == [[1, 0, 0, 0], [0, 1, 0, 0]]
-    assert cell.theta().to_rows() == [[1]]
-    dims = (cell.ker().rows, cell.dom().rows, cell.indef().rows, cell.im().rows)
-    assert dims == (1, 2, 2, 3)
+    # cell in block row 3, block column 2: a 3 -> 4 relation, read as
+    # `hinge invariants` reads it, off derived() and cell_records
+    k = 2 * len(BETA_12) + 1
+    dv, cell = h.derived(), cell_records(h)[k]
+    assert (cell["i"], cell["j"], cell["dim_x"], cell["dim_y"]) == (3, 2, 3, 4)
+    dims = dv.dims[:, k].tolist()  # ker, dom, im, indef
+    assert dv.dom[k, : dims[1]].tolist() == [[0, 1, 0], [0, 0, 1]]
+    assert dv.ker[k, : dims[0]].tolist() == [[0, 0, 1]]
+    assert dv.im[k, : dims[2]].tolist() == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    assert dv.indef[k, : dims[3]].tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert cell["theta"] == [[1]]
+    assert dims == [1, 2, 3, 2]
+    assert (cell["ker_dim"], cell["dom_dim"], cell["indef_dim"], cell["im_dim"]) == (1, 2, 2, 3)
 
     ones = DimensionMatrix([[1, 1, 1]] * 4, ALPHA_12, BETA_12)
     assert standard_matrix(ones, field) == big

@@ -1,12 +1,16 @@
-"""The benchmark's ground-truth ops pass its output checks."""
+"""The benchmark's ops pass its output checks."""
 
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 from hinge.cli import main
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def _workloads_module():
@@ -39,3 +43,17 @@ def test_ground_truth_counts_pass_the_benchmark_check(capsys):
                 "-q", str(op["q"]), "--brute", "--format", "json"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == {"predicted": op["expect"], "brute": op["expect"], "match": True}
+
+
+def test_traced_grid_fine_run_is_correct_and_reports_every_layer():
+    # one traced pass of the benchmark itself, run from the repo root: its
+    # probes (rref, rank, rank_profile_permutation, inv_table), its hinge_act
+    # check of the normal form and its spans all still read the library, so
+    # a deletion from the library cannot break the benchmark unseen
+    argv = [sys.executable, "bench/run.py", "--workload", "grid-fine", "--seed", "1", "--seconds", "0", "--trace", "1"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, env=env, check=True)
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {m["name"] for m in declared} <= last["metrics"].keys()

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from hinge import bihinge, linalg, relations
+from hinge import bihinge
 from hinge.bihinge import (
     AxiomError,
     BiHinge,
@@ -98,13 +98,21 @@ def brute_cell_pairs(a, col_lo, col_hi, row_lo, row_hi):
     return out
 
 
-def cell_pairs(rel):
+def cell_pairs(h, i, j):
+    """Every pair (xi, eta) of cell (i, j) of h, spanned by its stored basis."""
+    p, dim_x = h.field.p, h.alpha[i]
+    basis = np.array(h._bases()[i * len(h.beta) + j], dtype=np.int64).reshape(-1, dim_x + h.beta[j])
     out = set()
-    p, basis = rel.field.p, rel.basis.a
     for coeffs in product(range(p), repeat=len(basis)):
         v = tuple(int(x) for x in np.array(coeffs, dtype=np.int64) @ basis % p)
-        out.add((v[: rel.dim_x], v[rel.dim_x :]))
+        out.add((v[:dim_x], v[dim_x:]))
     return out
+
+
+def chi_cells(a, alpha, beta):
+    """The grid of a as LinearRelations, cell (i, j) from the definitional chi_cell."""
+    alpha, beta = Composition(alpha), Composition(beta)
+    return [[chi_cell(a, *alpha.block(i), *beta.block(j)) for j in range(len(beta))] for i in range(len(alpha))]
 
 
 def test_single_block_grid_is_the_graph():
@@ -115,22 +123,22 @@ def test_single_block_grid_is_the_graph():
             a = random_invertible(f, n, rng)
             h = chi(a, (n,), (n,))
             graph = np.concatenate([np.eye(n, dtype=np.int64), a.a.T], axis=1)
-            assert h.grid[0][0] == LinearRelation(n, n, Matrix(f, graph))
+            assert h == BiHinge((n,), (n,), [[LinearRelation(n, n, Matrix(f, graph))]])
 
 
 def test_identity_and_swap_cells_gf2():
     f = PrimeField(2)
     h = chi(Matrix.identity(f, 2), (1, 1), (1, 1))
     assert dimension_matrix(h).to_rows() == [[1, 0], [0, 1]]
-    assert cell_pairs(h.grid[0][0]) == {((0,), (0,)), ((1,), (1,))}
-    assert cell_pairs(h.grid[0][1]) == {((0,), (0,))}
+    assert cell_pairs(h, 0, 0) == {((0,), (0,)), ((1,), (1,))}
+    assert cell_pairs(h, 0, 1) == {((0,), (0,))}
 
     swap = Matrix(f, [[0, 1], [1, 0]])
     hs = chi(swap, (1, 1), (1, 1))
     assert dimension_matrix(hs).to_rows() == [[0, 1], [1, 0]]
     # x supported on V_1 maps into W_2, so cell (1,1) is all-kernel
-    assert cell_pairs(hs.grid[0][0]) == {((0,), (0,)), ((1,), (0,))}
-    assert cell_pairs(hs.grid[0][1]) == {((0,), (0,)), ((1,), (1,))}
+    assert cell_pairs(hs, 0, 0) == {((0,), (0,)), ((1,), (0,))}
+    assert cell_pairs(hs, 0, 1) == {((0,), (0,)), ((1,), (1,))}
 
 
 def test_cells_match_definition_oracle():
@@ -146,7 +154,7 @@ def test_cells_match_definition_oracle():
             for i in range(len(alpha)):
                 for j in range(len(beta)):
                     want = brute_cell_pairs(a, *alpha.block(i), *beta.block(j))
-                    assert cell_pairs(h.grid[i][j]) == want, (
+                    assert cell_pairs(h, i, j) == want, (
                         f"cell ({i + 1},{j + 1}) of {a.to_rows()} over GF({p})"
                     )
 
@@ -177,12 +185,12 @@ def test_grid_matches_chi_cell_definition():
                 alpha, beta = random_composition(n, rng), random_composition(n, rng)
             alpha, beta = Composition(alpha), Composition(beta)
             h = chi(a, alpha, beta)
-            for i in range(len(alpha)):
-                for j in range(len(beta)):
-                    want = chi_cell(a, *alpha.block(i), *beta.block(j))
-                    assert h.grid[i][j] == want, (
-                        f"cell ({i + 1},{j + 1}) of {a.to_rows()} over GF({p})"
-                    )
+            for k, rows in enumerate(h._bases()):
+                i, j = divmod(k, len(beta))
+                want = chi_cell(a, *alpha.block(i), *beta.block(j))
+                assert rows == want.basis.a.tolist(), (
+                    f"cell ({i + 1},{j + 1}) of {a.to_rows()} over GF({p})"
+                )
 
 
 def _assert_padded(h):
@@ -202,8 +210,7 @@ def _assert_padded(h):
 def test_chi_each_matches_chi_and_chi_cell_on_whole_groups():
     # the stacked route over every element of a group at once, for every
     # composition pair: each grid equals chi of its matrix alone, keeps the
-    # padded layout and, cell by cell, holds chi_cell's RREF basis, so its
-    # cell() views equal chi_cell
+    # padded layout and, cell by cell, holds chi_cell's RREF basis
     for n, q in ((2, 3), (3, 2)):
         mats = list(enum_gl(n, q))
         for alpha in all_compositions(n):
@@ -216,13 +223,12 @@ def test_chi_each_matches_chi_and_chi_cell_on_whole_groups():
                         i, j = divmod(k, len(beta))
                         want = chi_cell(a, *alpha.block(i), *beta.block(j))
                         assert rows == want.basis.a.tolist(), (a.to_rows(), alpha, beta, i, j)
-                        assert h.cell(i, j) == want
 
 
 def test_every_grid_constructor_keeps_the_padded_layout():
     # standard grids of every table of the selfcheck margins, hinge_act
     # images, grids of random relations and unpickled chi grids; each stored
-    # basis is already the RREF that cell() reduces it to
+    # basis is already the RREF that the public LinearRelation reduces it to
     rng = random.Random(31)
     grids = []
     for p in (2, 3):
@@ -244,8 +250,9 @@ def test_every_grid_constructor_keeps_the_padded_layout():
             grids += [hinge_act(gs, hs, h), BiHinge(alpha, beta, relations), pickle.loads(pickle.dumps(h))]
     for h in grids:
         _assert_padded(h)
-        for k, rows in enumerate(h._bases()):
-            assert rows == h.cell(*divmod(k, len(h.beta))).basis.a.tolist(), (h, k)
+        for (a, b), rows in zip(product(h.alpha, h.beta), h._bases()):
+            rel = LinearRelation(a, b, Matrix(h.field, np.array(rows, dtype=np.int64).reshape(-1, a + b)))
+            assert rows == rel.basis.a.tolist(), (h, rows)
 
 
 def test_chi_each_raises_on_a_singular_member():
@@ -259,7 +266,7 @@ def test_derive_each_matches_each_grid_derived_alone():
     # a batch of grids of mixed shapes and ranks, several per (field, alpha,
     # beta) and in no particular order: chi grids (ker and im read off their
     # neighbours), their hinge_act images and their copies rebuilt from
-    # relations (both reduced by y_first), standard grids, and grids of
+    # chi_cell's relations (both reduced by y_first), standard grids, and grids of
     # random relations that fail the axioms.  Each grid's cache must be
     # what derived() gives a fresh unmarked copy of it alone, in all seven
     # fields, and a rebuilt copy's what its chi grid has.
@@ -270,10 +277,11 @@ def test_derive_each_matches_each_grid_derived_alone():
         f = PrimeField(p)
         alpha, beta = Composition(alpha), Composition(beta)
         for _ in range(6):
-            h = chi(random_invertible(f, alpha.n, rng), alpha, beta)
+            a = random_invertible(f, alpha.n, rng)
+            h = chi(a, alpha, beta)
             gs = [random_invertible(f, k, rng) for k in alpha]
             hs = [random_invertible(f, k, rng) for k in beta]
-            twins.append((h, BiHinge(alpha, beta, h.grid)))
+            twins.append((h, BiHinge(alpha, beta, chi_cells(a, alpha, beta))))
             grids += [h, hinge_act(gs, hs, h), twins[-1][1]]
             grids.append(standard_bihinge(rng.choice(list(contingency_tables(alpha, beta))), f))
             rows = []
@@ -337,10 +345,11 @@ def test_check_axioms_derives_a_marked_grid_generically(monkeypatch):
     # cell still gets the violations of its unmarked copy, and check_axioms
     # never reads ker and im off the neighbours, nor a cache they filled
     f = PrimeField(2)
-    h = chi(Matrix(f, [[1, 0, 1], [1, 1, 0], [0, 1, 0]]), (1, 2), (2, 1))
+    a = Matrix(f, [[1, 0, 1], [1, 1, 0], [0, 1, 0]])
+    h = chi(a, (1, 2), (2, 1))
     marked = []
     for (i, j), rows, want in _CORRUPTED:
-        grid = [list(row) for row in h.grid]
+        grid = chi_cells(a, h.alpha, h.beta)
         grid[i][j] = LinearRelation(h.alpha[i], h.beta[j], Matrix(f, rows))
         bad = BiHinge(h.alpha, h.beta, grid)
         marked.append((BiHinge._of(bad.alpha, bad.beta, f, bad.stack, bad.ranks, from_pass=True), want))
@@ -359,10 +368,11 @@ def test_only_pass_grids_carry_the_mark(monkeypatch):
     # chi grids are marked; an unpickled chi grid, user grids, hinge_act
     # images and standard grids are not, and derive through y_first alone
     f = PrimeField(3)
-    h = chi(Matrix(f, [[1, 2, 0], [0, 1, 1], [1, 0, 0]]), (2, 1), (1, 2))
+    a = Matrix(f, [[1, 2, 0], [0, 1, 1], [1, 0, 0]])
+    h = chi(a, (2, 1), (1, 2))
     copy = pickle.loads(pickle.dumps(h))
     eye = [Matrix.identity(f, k) for k in (2, 1)], [Matrix.identity(f, k) for k in (1, 2)]
-    others = (copy, BiHinge(h.alpha, h.beta, h.grid), hinge_act(*eye, h), standard_bihinge(dimension_matrix(h), f))
+    others = (copy, BiHinge(h.alpha, h.beta, chi_cells(a, h.alpha, h.beta)), hinge_act(*eye, h), standard_bihinge(dimension_matrix(h), f))
     assert h._from_pass and not any(g._from_pass for g in others)
 
     def refuse(*args):
@@ -370,27 +380,6 @@ def test_only_pass_grids_carry_the_mark(monkeypatch):
 
     monkeypatch.setattr(bihinge, "_neighbour_forms", refuse)
     assert copy == h and _same_derived(copy.derived(), _generic(h))
-
-
-def test_grid_views_are_trusted_and_equal_the_public_ones(monkeypatch):
-    # on every element and composition pair of GL(2,3) and GL(3,2), the
-    # views grid builds equal relations built by the public constructor from
-    # the same rows, and reading them reduces nothing
-    grids = []
-    for n, q in ((2, 3), (3, 2)):
-        f = PrimeField(q)
-        mats = [Matrix(f, m) for m in gl_array(n, q)]
-        grids += [h for alpha in all_compositions(n) for beta in all_compositions(n) for h in _chi_each(mats, alpha, beta)]
-    public = [[LinearRelation(a, b, Matrix(h.field, np.array(rows, dtype=np.int64).reshape(-1, a + b)))
-               for (a, b), rows in zip(product(h.alpha, h.beta), h._bases())] for h in grids]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("reading the grid reduced a basis")
-
-    monkeypatch.setattr(relations, "_span", refuse)
-    monkeypatch.setattr(linalg, "_rref", refuse)
-    for h, cells in zip(grids, public):
-        assert [c for row in h.grid for c in row] == cells
 
 
 def test_chi_validation():
@@ -437,7 +426,7 @@ def test_axioms_reject_corrupted_grid():
     a = Matrix(f, [[1, 0, 1], [1, 1, 0], [0, 1, 0]])
     h = chi(a, (1, 2), (2, 1))
     for (i, j), rows, want in _CORRUPTED:
-        grid = [list(row) for row in h.grid]
+        grid = chi_cells(a, h.alpha, h.beta)
         grid[i][j] = LinearRelation(h.alpha[i], h.beta[j], Matrix(f, rows))
         bad = BiHinge(h.alpha, h.beta, grid)
         report = check_axioms(bad)
@@ -448,8 +437,9 @@ def test_axioms_reject_corrupted_grid():
 
 def test_grid_rejects_cells_over_mixed_fields():
     f = PrimeField(3)
-    h = chi(Matrix(f, [[1, 2, 0], [0, 1, 1], [1, 0, 0]]), (2, 1), (1, 2))
-    grid = [list(row) for row in h.grid]
+    a = Matrix(f, [[1, 2, 0], [0, 1, 1], [1, 0, 0]])
+    h = chi(a, (2, 1), (1, 2))
+    grid = chi_cells(a, h.alpha, h.beta)
     grid[1][0] = LinearRelation(1, 1, Matrix(PrimeField(5), [[1, 4]]))
     want = "cell (2,1) is over GF(5), cell (1,1) over GF(3)"
     with pytest.raises(ValueError, match=re.escape(want)):
@@ -480,10 +470,14 @@ def test_dimension_matrix_validation():
         DimensionMatrix([[1, -1], [0, 2]], (1, 1), (1, 1))
     with pytest.raises(MarginError, match="table"):
         DimensionMatrix([[1, 0], [0, 1]], (1, 1), (2,))
-    # the texts hold for rows of unequal lengths and for entries whose sums
-    # pass int64, the sums given exactly
+    # a table of the wrong shape is named by its shape, or by its row lengths
+    # if they differ; the texts hold for entries whose sums pass int64, the
+    # sums given exactly
     texts = (
-        ([[1, 0], [0]], (1, 1), (1, 1), "need a 2 x 2 table, got 2 rows"),
+        ([[1, 0], [0]], (1, 1), (1, 1), "need a 2 x 2 table, got rows of lengths [2, 1]"),
+        ([[1, 0]], (1,), (1,), "need a 1 x 1 table, got 1 x 2"),
+        ([[1, 0], [0, 1]], (1, 1), (2,), "need a 2 x 1 table, got 2 x 2"),
+        (5, (1,), (1,), "need a 1 x 1 table, got 0-dimensional data"),
         ([[10**30, 0], [0, 1]], (1, 1), (1, 1), "row 1 sums to 10" + "0" * 29 + ", expected 1"),
         ([[-10**30]], (1,), (1,), "cell dimensions must be nonnegative"),
         ([[2**62] * 4 + [1]], (1,), (1,) * 5, f"row 1 sums to {2**64 + 1}, expected 1"),
@@ -579,7 +573,9 @@ def test_equivalent_validates_inputs():
 
 
 def test_hinge_act_equivariance():
-    """chi(h_blockdiag * a * g_blockdiag^-1) == hinge_act(gs, hs, chi(a))."""
+    """chi(h_blockdiag * a * g_blockdiag^-1) == hinge_act(gs, hs, chi(a)),
+    checked with a * g_blockdiag in place of a: chi(h_blockdiag * a) ==
+    hinge_act(gs, hs, chi(a * g_blockdiag))."""
     rng = random.Random(97)
     for p in (2, 3):
         f = PrimeField(p)
@@ -598,8 +594,7 @@ def test_hinge_act_equivariance():
             for j in range(len(beta)):
                 lo, hi = beta.block(j)
                 hd[lo:hi, lo:hi] = hs[j].a
-            moved = Matrix(f, hd) * a * Matrix(f, gd).inverse()
-            assert chi(moved, alpha, beta) == hinge_act(gs, hs, chi(a, alpha, beta))
+            assert chi(Matrix(f, hd) * a, alpha, beta) == hinge_act(gs, hs, chi(a * Matrix(f, gd), alpha, beta))
 
 
 def test_hinge_act_shape_check():

@@ -13,9 +13,9 @@ from time import perf_counter
 
 import pytest
 
-from hinge import bihinge, cli
+from hinge import bihinge, cli, selfcheck
 from hinge.cli import main
-from hinge.enumeration import gl_order
+from hinge.enumeration import BudgetError, gl_order
 from hinge.relations import InvariantViolation
 
 
@@ -433,10 +433,10 @@ def test_selfcheck_quick(capsys):
 
 
 def test_selfcheck_skips_suites_past_the_budget(capsys):
-    # at this budget stabilizers (36 pairs) and counting (GL(2,3)) would
-    # exceed it: each prints SKIP and the run goes on to the suites after
-    # it, and a SKIP does not fail it
-    assert main(["selfcheck", "-q", "2", "--max-n", "2", "--budget", "30"]) == 0
+    # at this budget stabilizers (36 pairs), counting (GL(2,3)) and the
+    # completeness round over GL(3,2) would exceed it: each prints SKIP and
+    # the run goes on to the suites after it, and a SKIP does not fail it
+    assert main(["selfcheck", "-q", "2", "--max-n", "3", "--budget", "30"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "PASS invariance",
@@ -447,9 +447,29 @@ def test_selfcheck_skips_suites_past_the_budget(capsys):
         "PASS normal-form",
         "SKIP counting",
         "PASS completeness",
+        "SKIP completeness",
         "all checks passed",
     ]
     assert lines[3] == "SKIP stabilizers: stabilizer search space = 36 exceeds group budget 30"
+    assert lines[8] == "SKIP completeness: |GL(3,2)| = 168 exceeds group budget 30"
+
+
+def test_selfcheck_skips_a_round_refused_inside_it(capsys, monkeypatch):
+    # a BudgetError raised inside a completeness round, past its group
+    # check, is a SKIP like a suite's, not exit 6; the counting suite reads
+    # the same formula and skips too
+    def refuse(*args):
+        raise BudgetError("class placements = 1001 exceeds subspace budget 1000")
+
+    monkeypatch.setattr(selfcheck, "predicted_coset_count", refuse)
+    assert main(["selfcheck", "-q", "2", "--max-n", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "SKIP counting: class placements = 1001 exceeds subspace budget 1000",
+        "SKIP completeness: class placements = 1001 exceeds subspace budget 1000",
+        "all checks passed",
+    ]
+
 
 def test_selfcheck_rejects_max_n_below_one(capsys):
     for value in ("0", "-3"):

@@ -218,31 +218,6 @@ def test_rref_idempotent_and_rank():
             assert m.rank() == plain_rank(rows, p) == len(pivots)
 
 
-def test_inverse_round_trip():
-    rng = random.Random(17)
-    for p in (2, 3, 5, 7):
-        f = PrimeField(p)
-        eye = Matrix.identity(f, 4)
-        found = 0
-        while found < 15:
-            rows = random_rows(rng, p, 4, 4)
-            if plain_rank(rows, p) < 4:
-                continue
-            found += 1
-            m = Matrix(f, rows)
-            inv = m.inverse()
-            assert m * inv == eye
-            assert inv * m == eye
-
-
-def test_inverse_errors():
-    f = PrimeField(3)
-    with pytest.raises(SingularMatrixError):
-        Matrix(f, [[1, 2], [2, 4]]).inverse()
-    with pytest.raises(ShapeError):
-        Matrix(f, [[1, 2, 0], [0, 1, 1]]).inverse()
-
-
 def test_equality_and_hash():
     f = PrimeField(3)
     a = Matrix(f, [[1, 2], [0, 1]])
@@ -272,16 +247,15 @@ def _pass_stacks():
 
 
 def test_stacked_column_pass_matches_the_pass_of_each_member():
-    # sigma, f and af member by member, and u is the inverse of f
+    # sigma, f and af member by member, and u @ f == I: u is the inverse of f
     for stack, p in _pass_stacks():
-        field = PrimeField(p)
         sigma, f, af, u = _column_pass_each(stack, p)
         for k, a in enumerate(stack):
             want = _column_pass(a, p)
             for got, one in zip((sigma[k], f[k], af[k]), want):
                 assert np.array_equal(got, one), (p, a.tolist())
             assert np.array_equal(want[3], u[k])
-            assert Matrix(field, u[k]) == Matrix(field, f[k]).inverse()
+            assert np.array_equal(u[k] @ f[k] % p, np.eye(len(a), dtype=np.int64))
             assert np.array_equal(a @ f[k] % p, af[k])
 
 
