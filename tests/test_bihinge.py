@@ -266,10 +266,10 @@ def test_derive_each_matches_each_grid_derived_alone():
     # a batch of grids of mixed shapes and ranks, several per (field, alpha,
     # beta) and in no particular order: chi grids (ker and im read off their
     # neighbours), their hinge_act images and their copies rebuilt from
-    # chi_cell's relations (both reduced by y_first), standard grids, and grids of
-    # random relations that fail the axioms.  Each grid's cache must be
-    # what derived() gives a fresh unmarked copy of it alone, in all seven
-    # fields, and a rebuilt copy's what its chi grid has.
+    # chi_cell's relations (both reduced by y_first), standard grids, and
+    # grids of random relations that fail the axioms.  Each grid's cache
+    # must be what derived() gives a fresh unmarked copy of it alone, in all
+    # seven fields, and a rebuilt copy's what its chi grid has.
     rng = random.Random(97)
     grids, twins = [], []
     cases = ((2, (1, 2), (2, 1)), (3, (2, 2), (1, 3)), (5, (1,) * 4, (1,) * 4), (3, (3,), (1, 2)))
