@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, SingularMatrixError, _back_substitute, _column_pass, _column_pass_each, _kernel_rows, _rref_each
+from .linalg import Matrix, ShapeError, SingularMatrixError, _back_substitute, _column_pass, _column_pass_each, _integers, _kernel_rows, _rref_each
 from .relations import Derived, LinearRelation, act_stack, derive_stack, y_first
 
 
@@ -36,9 +36,7 @@ class Composition:
     __slots__ = ("parts", "n", "offsets")
 
     def __init__(self, parts):
-        if isinstance(parts, Composition):
-            parts = parts.parts
-        parts = tuple(int(x) for x in parts)
+        parts = parts.parts if isinstance(parts, Composition) else tuple(_integers(parts, "composition parts must be integers").tolist())
         if not parts or any(x < 1 for x in parts):
             raise ValueError(f"composition parts must be positive ints, got {parts}")
         self.parts = parts
@@ -73,14 +71,6 @@ class Composition:
         return f"Composition{self.parts}"
 
 
-def _table_shape(entries, table) -> str:
-    """How a table of the wrong shape reads in a MarginError: r x c, its
-    number of dimensions, or the lengths of its ragged rows."""
-    if table is not None and (table.ndim != 1 or table.dtype != object):
-        return f"{table.shape[0]} x {table.shape[1]}" if table.ndim == 2 else f"{table.ndim}-dimensional data"
-    return f"rows of lengths {[np.size(row) for row in entries]}"
-
-
 class DimensionMatrix:
     """A p x q table of cell dimensions with margins alpha and beta.
 
@@ -94,14 +84,13 @@ class DimensionMatrix:
     def __init__(self, entries, alpha, beta):
         alpha = Composition(alpha)
         beta = Composition(beta)
+        need = f"need a {len(alpha)} x {len(beta)} table, got"
         try:
-            table = np.array(entries, dtype=np.int64)
-        except OverflowError:  # entries past int64 stay Python ints
-            table = np.array(entries, dtype=object)
-        except ValueError:  # rows of unequal lengths
-            table = None
-        if table is None or table.shape != (len(alpha), len(beta)):
-            raise MarginError(f"need a {len(alpha)} x {len(beta)} table, got {_table_shape(entries, table)}")
+            table = _integers(entries, "cell dimensions must be integers")
+        except ShapeError:
+            raise MarginError(f"{need} rows of lengths {[np.size(row) for row in entries]}") from None
+        if table.shape != (len(alpha), len(beta)):
+            raise MarginError(f"{need} {table.shape[0]} x {table.shape[1]}" if table.ndim == 2 else f"{need} {table.ndim}-dimensional data")
         rows = table.tolist()  # Python ints: exact sums, in loops over rows and columns only
         if min(map(min, rows)) < 0:
             raise MarginError("cell dimensions must be nonnegative")
@@ -118,10 +107,6 @@ class DimensionMatrix:
         d = object.__new__(cls)
         d.entries, d.alpha, d.beta = entries, alpha, beta
         return d
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.entries[i][j]
 
     def to_rows(self) -> list:
         return [list(r) for r in self.entries]

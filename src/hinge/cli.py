@@ -11,15 +11,11 @@ Exit codes are a stable contract:
     5  problem headers differ where they must agree
     6  an enumeration would exceed the size budget
     7  an internal invariant was violated (a bug in hinge, not a verdict)
-
-The HINGE_BUDGET environment variable overrides the default enumeration
-budget; an explicit --budget flag wins over the environment.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 
@@ -81,21 +77,11 @@ def _positive_int(text: str) -> int:
 
 
 def _resolve_budget(args) -> EnumerationBudget:
-    value = getattr(args, "budget", None)
-    if value is None:
-        raw = os.environ.get("HINGE_BUDGET")
-        if raw is not None:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ProblemFormatError(
-                    f"HINGE_BUDGET must be an integer, got {raw!r}"
-                ) from None
-    if value is None:
+    if args.budget is None:
         return DEFAULT_BUDGET
-    if value < 1:
-        raise ProblemFormatError(f"budget must be positive, got {value}")
-    return EnumerationBudget(max_group_order=value, max_subspace_lattice=value)
+    if args.budget < 1:
+        raise ProblemFormatError(f"budget must be positive, got {args.budget}")
+    return EnumerationBudget(max_group_order=args.budget, max_subspace_lattice=args.budget)
 
 
 def cmd_invariants(args) -> int:

@@ -91,11 +91,12 @@ CHUNK = 1 << 16
 def _gl_codes(n: int, q: int, budget: EnumerationBudget = None) -> tuple:
     """GL(n, q) as gl_array gives it, with what the closure reads off it.
 
-    Returns (elements, codes, keys, table): codes[k] the codes of row k and
-    keys the keys, as _row_codes gives them, and table the _move_table,
-    built only for n >= 2 (GL(1, q) grows no span; its table would hold
-    q**2 entries).  A prefix of k rows carries its span as its q**k codes,
-    and the codes outside it, in ascending order, extend it.  The span of
+    Returns (elements, cache), cache the _partition_labels cache of the
+    elements, filled ahead: cache["keys"] the keys and cache[0][k] the codes
+    of row k, as _row_codes gives them, and cache["table"] the _move_table,
+    None for n < 2 (GL(1, q) grows no span; its table would hold q**2
+    entries).  A prefix of k rows carries its span as its q**k codes, and
+    the codes outside it, in ascending order, extend it.  The span of
     prefix + v is the union over c of span + c v, gathered from the table.
     Keys grow as key * q**n + code, so they ascend with the prefixes.  The
     elements are written last, each row's n digits copied as one item.
@@ -135,7 +136,7 @@ def _gl_codes(n: int, q: int, budget: EnumerationBudget = None) -> tuple:
     for k, pick in enumerate(picks):
         codes[k].reshape(len(pick), -1)[:] = pick[:, None]
         rows.reshape(len(pick), -1, n)[:, :, k] = items[pick][:, None]
-    return rows.view(digits.dtype).reshape(len(keys), n, n), codes, keys, table
+    return rows.view(digits.dtype).reshape(len(keys), n, n), {"keys": keys, "table": table, 0: dict(enumerate(codes))}
 
 
 def gl_array(n: int, q: int, budget: EnumerationBudget = None) -> np.ndarray:
@@ -214,7 +215,7 @@ def _move_table(digits: np.ndarray, q: int) -> np.ndarray:
     return table.ravel()
 
 
-def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = None):
+def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict):
     """The classes of T-(beta) \\ GL(n, q) / T+(alpha), by generator closure.
 
     elements is GL(n, q), or a part of it, as gl_array gives it.  An
@@ -249,22 +250,21 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
     raises InvariantViolation at the same move, naming the same element,
     as a check of every element would.  A move has order q, so the cycles
     have length 1 or q; ceil(log2 q) doubling steps over the images of the
-    class minima join each cycle on its smallest class.  The renumberings
-    compose as class-to-class maps, and the elements are relabelled only
-    when the classes have shrunk by a factor of 16 and at the end of each
-    side.  Both groups act freely on invertible matrices, so every orbit of
+    class minima join each cycle on its smallest class (InvariantViolation
+    if they end on a class that does not stay).  The renumberings compose
+    as class-to-class maps, and the elements are relabelled only when the
+    classes have shrunk by a factor of 16 and at the end of each side.  Both groups act freely on invertible matrices, so every orbit of
     the free side has q**moves elements; joins follow moves, so a class of
     that size is an orbit, and a bincount checks every class of the free
     side for it (InvariantViolation otherwise).  Classes are numbered by
     their smallest members.  Returns (int64 labels array, class count).
 
-    A cache dict shared by the calls on one element stack keeps its keys,
-    index, table and the free side's row codes (cache[side][row]) for the
-    next; the other side's codes are built for the minima it starts from.  A
-    caller may fill the keys, the table and the left side's row codes
-    ahead, as _gl_codes gives them; the keys are checked all the same.
+    cache is a dict shared by the calls on one element stack, {} at first:
+    it keeps the keys, index, table and the free side's row codes
+    (cache[side][row]) for the next call; the other side's codes are built
+    for the minima it starts from.  _gl_codes fills the keys, the table and
+    the left side's row codes ahead; the keys are checked all the same.
     """
-    shared, cache = cache is not None, {} if cache is None else cache
     total, n = elements.shape[:2]
     place = q ** np.arange(n - 1, -1, -1)  # of a digit in a row code
     step = q ** (n * np.arange(n - 1, -1, -1))  # of a row code in a key
@@ -296,7 +296,7 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
         delta = part[cache["table"]] - np.repeat(part, q ** n)  # key change / weight, by code pair
         moved = {k for move in moves for k in move}
         if side == free:  # every element is a class minimum: the codes of all, cached
-            codes = cache.setdefault(side, {}) if shared else {}
+            codes = cache.setdefault(side, {})
             for k in moved - codes.keys():
                 codes[k] = _row_codes(rows[:, k], q)
             codes, at = {k: codes[k] for k in moved}, keys  # of the minima, in step with mins
@@ -327,8 +327,9 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
             kept = np.flatnonzero(low == own)  # the classes that stay, each its cycle's smallest
             rank = np.full(len(own), -1, dtype=ids.dtype)
             rank[kept] = ids[: len(kept)]
-            while ((new := np.take(rank, low)) < 0).any():  # not cycles of 1 or q: chase low
-                low = np.take(low, low)
+            new = np.take(rank, low)
+            if (new < 0).any():
+                raise InvariantViolation("a generator does not permute the classes in cycles of 1 or q")
             del low, rank
             remap = new if remap is None else np.take(new, remap)
             mins, at = np.take(mins, kept), np.take(at, kept)
@@ -339,12 +340,6 @@ def _partition_labels(elements: np.ndarray, alpha, beta, q: int, cache: dict = N
         if side == free and (np.bincount(cls) != q ** len(moves)).any():
             raise InvariantViolation(f"a class of the free side does not hold q**{len(moves)} elements")
     return (ids if cls is None else cls).astype(np.int64), len(mins)
-
-
-def _closure_cache(codes: np.ndarray, keys: np.ndarray, table) -> dict:
-    """A _partition_labels cache that starts from _gl_codes' row codes (the
-    left side's), keys and table, so the closure builds only its index."""
-    return {"keys": keys, "table": table, 0: dict(enumerate(codes))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,8 +372,8 @@ def double_cosets_brute(
     beta = Composition(beta)
     if alpha.n != n or beta.n != n:
         raise MarginError(f"compositions must sum to {n}")
-    elements, *known = _gl_codes(n, q, budget)
-    labels, count = _partition_labels(elements, alpha, beta, q, _closure_cache(*known))
+    elements, cache = _gl_codes(n, q, budget)
+    labels, count = _partition_labels(elements, alpha, beta, q, cache)
     return CosetPartition(q, alpha, beta, elements, labels, count)
 
 

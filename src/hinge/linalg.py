@@ -6,6 +6,8 @@ routines are exact: there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .field import PrimeField
@@ -19,19 +21,37 @@ class SingularMatrixError(ValueError):
     """A square matrix expected to be invertible is not."""
 
 
+def _integers(data, refusal: str) -> np.ndarray:
+    """data as an array of integers: numpy's, or Python ints in an object
+    array past int64 and uint64.  An array is judged by its dtype, Python
+    values by their types, as numpy reads a bool among ints as an int: a
+    bool, float or string raises a ValueError, the refusal and what it got,
+    and rows of unequal lengths a ShapeError."""
+    try:
+        raw = np.asarray(data)
+    except ValueError:
+        raise ShapeError("data has rows of unequal lengths") from None
+    if isinstance(data, np.ndarray) and raw.dtype.kind != "O":
+        if raw.size and raw.dtype.kind not in "iu":
+            raise ValueError(f"{refusal}, got {raw.dtype} data")
+        return raw
+    values = data if raw.ndim else (data,)
+    for _ in range(raw.ndim - 1):
+        values = chain.from_iterable(values)
+    values = list(values)
+    bad = {t for t in set(map(type, values)) if t is bool or not issubclass(t, (int, np.integer))}
+    if bad:
+        raise ValueError(f"{refusal}, got {next(v for v in values if type(v) in bad)!r}")
+    return np.array(data, dtype=object) if raw.dtype.kind == "f" else raw  # ints past int64 of both signs infer as float
+
+
 def _as_reduced(field: PrimeField, data) -> np.ndarray:
-    raw = np.asarray(data)
-    if raw.dtype.kind == "f" and not isinstance(data, np.ndarray):
-        raw = np.array(data, dtype=object)  # ints past int64 of both signs infer as float
+    raw = _integers(data, "matrix entries must be integers")
     p = field.p
     if raw.dtype.kind == "O":
-        if not all(isinstance(v, (int, np.integer)) for v in raw.flat):
-            raise ValueError(f"matrix entries must be integers, got {raw.dtype} data")
         raw = raw % p  # Python ints of any size, reduced before they meet int64
     elif raw.dtype.kind == "u":
         raw = raw % np.array(p, dtype=raw.dtype)  # in its own dtype: no wrap past int64
-    elif raw.size and raw.dtype.kind not in "bi":
-        raise ValueError(f"matrix entries must be integers, got {raw.dtype} data")
     if raw.ndim != 2:
         raise ShapeError(f"matrix data must be 2-dimensional, got ndim={raw.ndim}")
     return raw.astype(np.int64) % p
@@ -63,10 +83,6 @@ class Matrix:
         return m
 
     @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "Matrix":
-        return cls._new(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Matrix":
         return cls._new(field, np.zeros((rows, cols), dtype=np.int64))
 
@@ -81,10 +97,6 @@ class Matrix:
     @property
     def shape(self) -> tuple:
         return self.a.shape
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return int(self.a[i, j])
 
     def to_rows(self) -> list:
         return self.a.tolist()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .bihinge import BiHinge, Composition, DimensionMatrix, MarginError, chi, dimension_matrix, standard_bihinge, standard_matrix
 from .field import PrimeField
-from .linalg import Matrix
+from .linalg import Matrix, _integers
 
 
 class ProblemFormatError(ValueError):
@@ -74,14 +74,15 @@ def problem_from_dict(data: dict) -> Problem:
     for r in rows:
         if not isinstance(r, list) or len(r) != n:
             raise ProblemFormatError(f"field 'matrix' must be square, got a row of length {len(r) if isinstance(r, list) else '?'} in {n} rows")
-    if {type(v) for r in rows for v in r} - {int}:  # bool is an int subclass, not int
-        bad = next(v for r in rows for v in r if type(v) is not int)
-        raise ProblemFormatError(f"field 'matrix' must contain only ints, got {bad!r}")
+    try:
+        entries = _integers(rows, "field 'matrix' must contain only ints")
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc)) from None
     if alpha.n != n or beta.n != n:
         raise MarginError(
             f"matrix is {n} x {n} but alpha sums to {alpha.n} and beta to {beta.n}"
         )
-    return Problem(field, alpha, beta, Matrix(field, rows))
+    return Problem(field, alpha, beta, Matrix(field, entries))
 
 
 def load_problem(path: str) -> Problem:

@@ -128,7 +128,7 @@ def test_single_block_grid_is_the_graph():
 
 def test_identity_and_swap_cells_gf2():
     f = PrimeField(2)
-    h = chi(Matrix.identity(f, 2), (1, 1), (1, 1))
+    h = chi(Matrix(f, np.eye(2, dtype=np.int64)), (1, 1), (1, 1))
     assert dimension_matrix(h).to_rows() == [[1, 0], [0, 1]]
     assert cell_pairs(h, 0, 0) == {((0,), (0,)), ((1,), (1,))}
     assert cell_pairs(h, 0, 1) == {((0,), (0,))}
@@ -257,7 +257,7 @@ def test_every_grid_constructor_keeps_the_padded_layout():
 
 def test_chi_each_raises_on_a_singular_member():
     f = PrimeField(3)
-    mats = [Matrix.identity(f, 2), Matrix(f, [[1, 2], [2, 1]]), Matrix.identity(f, 2)]
+    mats = [Matrix(f, np.eye(2, dtype=np.int64)), Matrix(f, [[1, 2], [2, 1]]), Matrix(f, np.eye(2, dtype=np.int64))]
     with pytest.raises(SingularMatrixError):
         _chi_each(mats, Composition((1, 1)), Composition((1, 1)))
 
@@ -371,7 +371,7 @@ def test_only_pass_grids_carry_the_mark(monkeypatch):
     a = Matrix(f, [[1, 2, 0], [0, 1, 1], [1, 0, 0]])
     h = chi(a, (2, 1), (1, 2))
     copy = pickle.loads(pickle.dumps(h))
-    eye = [Matrix.identity(f, k) for k in (2, 1)], [Matrix.identity(f, k) for k in (1, 2)]
+    eye = [Matrix(f, np.eye(k, dtype=np.int64)) for k in (2, 1)], [Matrix(f, np.eye(k, dtype=np.int64)) for k in (1, 2)]
     others = (copy, BiHinge(h.alpha, h.beta, chi_cells(a, h.alpha, h.beta)), hinge_act(*eye, h), standard_bihinge(dimension_matrix(h), f))
     assert h._from_pass and not any(g._from_pass for g in others)
 
@@ -387,7 +387,7 @@ def test_chi_validation():
     with pytest.raises(ShapeError):
         chi(Matrix(f, [[1, 0, 1], [0, 1, 0]]), (1, 2), (1, 1))
     with pytest.raises(MarginError):
-        chi(Matrix.identity(f, 3), (1, 1), (1, 1, 1))
+        chi(Matrix(f, np.eye(3, dtype=np.int64)), (1, 1), (1, 1, 1))
     with pytest.raises(SingularMatrixError):
         chi(Matrix(f, [[1, 1], [1, 1]]), (1, 1), (1, 1))
 
@@ -457,7 +457,7 @@ def test_dimension_matrix_margins_random():
             a = random_invertible(f, n, rng)
             d = dimension_matrix(chi(a, alpha, beta))
             assert [sum(row) for row in d.to_rows()] == list(alpha.parts)
-            cols = [sum(d[i, j] for i in range(len(alpha))) for j in range(len(beta))]
+            cols = [sum(d.entries[i][j] for i in range(len(alpha))) for j in range(len(beta))]
             assert cols == list(beta.parts)
 
 
@@ -504,6 +504,25 @@ def test_composition_api():
         Composition(())
 
 
+def test_constructors_refuse_what_is_not_an_integer():
+    # numpy reads a bool among ints as an int and casts floats and numeric
+    # strings to int64, so Python values are judged by their own types
+    f = PrimeField(5)
+    cases = (
+        (lambda: Composition([1.5, 2]), "composition parts must be integers, got 1.5"),
+        (lambda: Composition(("1", 2)), "composition parts must be integers, got '1'"),
+        (lambda: Composition([True, 2]), "composition parts must be integers, got True"),
+        (lambda: DimensionMatrix([[1.7]], (1,), (1,)), "cell dimensions must be integers, got 1.7"),
+        (lambda: DimensionMatrix([[True]], (1,), (1,)), "cell dimensions must be integers, got True"),
+        (lambda: DimensionMatrix([["a", "b"]], (1,), (1, 1)), "cell dimensions must be integers, got 'a'"),
+        (lambda: Matrix(f, [[True, False], [False, True]]), "matrix entries must be integers, got True"),
+    )
+    for build, text in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert type(err.value) is ValueError and str(err.value) == text
+
+
 def test_standard_bihinge_equals_chi_of_standard_matrix():
     for q in (2, 3):
         f = PrimeField(q)
@@ -536,10 +555,10 @@ def test_standard_matrix_matches_loop_oracle():
         for i in range(len(d.alpha)):
             c0 = d.alpha.offsets[i]
             for j in range(len(d.beta)):
-                for k in range(d[i, j]):
+                for k in range(d.entries[i][j]):
                     arr[r0[j] + k][c0 + k] = 1
-                r0[j] += d[i, j]
-                c0 += d[i, j]
+                r0[j] += d.entries[i][j]
+                c0 += d.entries[i][j]
         return arr
 
     f = PrimeField(3)
@@ -569,7 +588,7 @@ def test_equivalence_matches_brute_partition():
 def test_equivalent_validates_inputs():
     f2, f3 = PrimeField(2), PrimeField(3)
     with pytest.raises(ShapeError):
-        equivalent(Matrix.identity(f2, 2), Matrix.identity(f3, 2), (1, 1), (1, 1))
+        equivalent(Matrix(f2, np.eye(2, dtype=np.int64)), Matrix(f3, np.eye(2, dtype=np.int64)), (1, 1), (1, 1))
 
 
 def test_hinge_act_equivariance():
@@ -599,9 +618,9 @@ def test_hinge_act_equivariance():
 
 def test_hinge_act_shape_check():
     f = PrimeField(2)
-    h = chi(Matrix.identity(f, 2), (1, 1), (1, 1))
+    h = chi(Matrix(f, np.eye(2, dtype=np.int64)), (1, 1), (1, 1))
     with pytest.raises(ShapeError):
-        hinge_act([Matrix.identity(f, 1)], [Matrix.identity(f, 1)] * 2, h)
+        hinge_act([Matrix(f, np.eye(1, dtype=np.int64))], [Matrix(f, np.eye(1, dtype=np.int64))] * 2, h)
 
 
 def test_hinge_act_rejects_singular_factor():
@@ -609,7 +628,7 @@ def test_hinge_act_rejects_singular_factor():
     # factors known invertible skip the check
     f = PrimeField(3)
     h = chi(Matrix(f, [[1, 2, 0], [0, 1, 1], [1, 0, 0]]), (2, 1), (1, 2))
-    eye = [Matrix.identity(f, 2), Matrix.identity(f, 1)]
+    eye = [Matrix(f, np.eye(2, dtype=np.int64)), Matrix(f, np.eye(1, dtype=np.int64))]
     singular = Matrix(f, [[1, 2], [2, 1]])  # rank 1 over GF(3)
     with pytest.raises(SingularMatrixError, match="column factor 1"):
         hinge_act([singular, eye[1]], [eye[1], eye[0]], h)
@@ -621,7 +640,7 @@ def test_hinge_act_rejects_singular_factor():
 def test_hinge_act_rejects_factor_over_another_field():
     f = PrimeField(3)
     h = chi(Matrix(f, [[1, 2, 0], [0, 1, 1], [1, 0, 0]]), (2, 1), (1, 2))
-    eye = [Matrix.identity(f, 2), Matrix.identity(f, 1)]
+    eye = [Matrix(f, np.eye(2, dtype=np.int64)), Matrix(f, np.eye(1, dtype=np.int64))]
     with pytest.raises(ValueError, match=re.escape("row factor 1: mixed fields GF(5) and GF(3)")):
         hinge_act(eye, [Matrix(PrimeField(5), [[3]]), eye[0]], h)
 
@@ -632,8 +651,8 @@ def test_normalize_standard_grid_gives_identities():
     std = standard_bihinge(d, f)
     gs, hs, dd = normalize(std)
     assert dd == d
-    assert all(g == Matrix.identity(f, g.rows) for g in gs)
-    assert all(h == Matrix.identity(f, h.rows) for h in hs)
+    assert all(g == Matrix(f, np.eye(g.rows, dtype=np.int64)) for g in gs)
+    assert all(h == Matrix(f, np.eye(h.rows, dtype=np.int64)) for h in hs)
 
 
 def test_normalize_reaches_standard_form():

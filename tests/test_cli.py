@@ -5,10 +5,12 @@ subprocess test exercises the real interpreter entry point.
 """
 
 import json
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
 from math import factorial
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -38,6 +40,30 @@ def swap2(tmp_path):
     return write_problem(tmp_path, "swap.json", 2, [1, 1], [1, 1], [[0, 1], [1, 0]])
 
 
+def _readme_block(after: str, lang: str) -> str:
+    """The first fenced block of a language after a line of the README."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return text[text.index(after) :].split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_print_what_they_document(capsys, monkeypatch, tmp_path, identity2, swap2):
+    # the library example prints, line by line, the comment on each print
+    code = _readme_block("## Library example", "python")
+    want = [line.split("# ", 1)[1] for line in code.splitlines() if line.startswith("print(")]
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines() == want
+    # each command of the example session, on identity.json and swap.json,
+    # prints the lines below it and exits as the exit-code table says
+    monkeypatch.chdir(tmp_path)
+    sessions = _readme_block("Example session:", "sh").strip().split("\n\n")
+    for command, *lines in (session.splitlines() for session in sessions):
+        assert command.startswith("$ hinge ")
+        code = 1 if lines[-1] in ("NOT-EQUIVALENT", "MISMATCH") else 0
+        assert main(shlex.split(command)[2:]) == code, command
+        assert capsys.readouterr() == ("".join(line + "\n" for line in lines), ""), command
+    assert len(sessions) == 2
+
+
 def test_count_brute_match_text(capsys):
     assert main(["count", "--alpha", "1,1", "--beta", "1,1", "-q", "2", "--brute"]) == 0
     assert capsys.readouterr().out == "predicted 2\nbrute 2\nMATCH\n"
@@ -56,10 +82,12 @@ def test_count_without_brute(capsys):
 
 
 def test_count_budget_flag(capsys):
-    code = main(["count", "--alpha", "1,1", "--beta", "1,1", "-q", "2", "--brute", "--budget", "5"])
-    assert code == 6
+    argv = ["count", "--alpha", "1,1", "--beta", "1,1", "-q", "2", "--brute"]
+    assert main([*argv, "--budget", "5"]) == 6
     err = capsys.readouterr().err
     assert "6" in err and "budget" in err
+    assert main([*argv, "--budget", "100"]) == 0
+    assert capsys.readouterr().out.endswith("MATCH\n")
 
 
 def test_count_formula_budget(capsys):
@@ -116,17 +144,11 @@ def test_count_rejects_non_prime_modulus(capsys):
             assert "modulus must be a prime" in err
 
 
-def test_budget_env_and_flag_precedence(capsys, monkeypatch):
+def test_budget_environment_variable_is_not_read(capsys, monkeypatch):
+    # --budget is the one way to set the caps
     monkeypatch.setenv("HINGE_BUDGET", "5")
-    assert main(["count", "--alpha", "1,1", "--beta", "1,1", "-q", "2", "--brute"]) == 6
-    capsys.readouterr()
-    # explicit flag wins over the environment
-    assert main(
-        ["count", "--alpha", "1,1", "--beta", "1,1", "-q", "2", "--brute", "--budget", "100"]
-    ) == 0
-    assert capsys.readouterr().out.endswith("MATCH\n")
-    monkeypatch.setenv("HINGE_BUDGET", "not-a-number")
-    assert main(["count", "--alpha", "1,1", "--beta", "1,1", "-q", "2", "--brute"]) == 2
+    assert main(["count", "--alpha", "1,1", "--beta", "1,1", "-q", "2", "--brute"]) == 0
+    assert capsys.readouterr() == ("predicted 2\nbrute 2\nMATCH\n", "")
 
 
 def test_equivalent_verdicts(capsys, tmp_path, identity2, swap2):

@@ -9,14 +9,13 @@ from math import comb, factorial, isqrt, prod
 import numpy as np
 import pytest
 
-from hinge import bihinge, linalg, relations
+from hinge import bihinge, enumeration, linalg, relations
 from hinge.bihinge import Composition, DimensionMatrix, MarginError, chi
 from hinge.enumeration import (
     BudgetError,
     CosetPartition,
     DEFAULT_BUDGET,
     EnumerationBudget,
-    _closure_cache,
     _free_positions,
     _gl_codes,
     _move_table,
@@ -246,7 +245,7 @@ def test_double_cosets_gf2_sizes():
     assert len(part.labels) == 6
     f = PrimeField(2)
     label = dict(zip(enum_gl(2, 2), part.labels.tolist()))
-    assert sizes[label[Matrix(f, [[0, 1], [1, 0]])]] == 2 and sizes[label[Matrix.identity(f, 2)]] == 4
+    assert sizes[label[Matrix(f, [[0, 1], [1, 0]])]] == 2 and sizes[label[Matrix(f, np.eye(2, dtype=np.int64))]] == 4
 
 
 def test_cosets_sorted_by_key():
@@ -454,16 +453,19 @@ def test_gl_array_is_the_sorted_invertible_matrices():
 
 def test_gl_codes_are_what_the_closure_would_build():
     # the keys, row codes and move table the enumeration hands the closure
-    # equal, dtypes included, what the closure builds from the elements
+    # in its cache equal, dtypes included, what the closure builds from the
+    # elements
     for n, q in ((1, 3), (2, 3), (3, 2), (3, 3), (2, 5), (4, 2), (2, 31)):
-        elements, codes, keys, table = _gl_codes(n, q)
+        elements, cache = _gl_codes(n, q)
         assert np.array_equal(elements, gl_array(n, q)) and elements.dtype == gl_array(n, q).dtype
+        assert set(cache) == {"keys", "table", 0}, (n, q)
+        keys, codes, table = cache["keys"], cache[0], cache["table"]
         want = _row_codes(elements.reshape(len(elements), -1), q)
         assert keys.dtype == want.dtype and np.array_equal(keys, want), (n, q)
-        assert codes.shape == (n, len(elements)), (n, q)
+        assert sorted(codes) == list(range(n)), (n, q)
         for k in range(n):
             want = _row_codes(elements[:, k], q)
-            assert codes.dtype == want.dtype and np.array_equal(codes[k], want), (n, q, k)
+            assert codes[k].dtype == want.dtype and np.array_equal(codes[k], want), (n, q, k)
         if n == 1:
             assert table is None  # no moves, and a q**2 table at q = 65521
             continue
@@ -482,7 +484,7 @@ def test_double_cosets_brute_match_a_cold_closure():
         elements = gl_array(n, q)
         for alpha, beta in pairs:
             part = double_cosets_brute(n, q, alpha, beta)
-            labels, count = _partition_labels(elements, alpha, beta, q)
+            labels, count = _partition_labels(elements, alpha, beta, q, {})
             assert np.array_equal(part.elements, elements)
             assert part.labels.dtype == labels.dtype and np.array_equal(part.labels, labels), (n, q, alpha, beta)
             assert part.num_classes == count, (n, q, alpha, beta)
@@ -490,23 +492,23 @@ def test_double_cosets_brute_match_a_cold_closure():
 
 def test_partition_labels_check_the_keys_a_cache_brings():
     # keys handed in through the cache are checked as the closure's own are
-    elements, codes, keys, table = _gl_codes(2, 3)
+    elements, cache = _gl_codes(2, 3)
+    keys = cache["keys"]
     for bad in (keys[::-1], np.sort(np.r_[keys[:-1], keys[0]])):
-        cache = _closure_cache(codes, bad, table)
         with pytest.raises(InvariantViolation, match="does not strictly ascend"):
-            _partition_labels(elements, (1, 1), (1, 1), 3, cache)
+            _partition_labels(elements, (1, 1), (1, 1), 3, {**cache, "keys": bad})
 
 
 def test_partition_labels_rejects_products_outside_the_set():
     # half of GL(2, 2) is not closed under the generator: adding row 0 to
     # row 1 of the identity gives (1 0; 1 1), which is not among the three
     with pytest.raises(InvariantViolation, match="maps element 2 outside the element set"):
-        _partition_labels(gl_array(2, 2)[:3], (2,), (1, 1), 2)
+        _partition_labels(gl_array(2, 2)[:3], (2,), (1, 1), 2, {})
     # the dense index would keep only the last of two equal keys, so a stack
     # with a repeated or out-of-order element is refused before any move
     for stack in (gl_array(2, 2)[[0, 0, 1]], gl_array(2, 2)[::-1]):
         with pytest.raises(InvariantViolation, match="does not strictly ascend"):
-            _partition_labels(stack, (1, 1), (1, 1), 2)
+            _partition_labels(stack, (1, 1), (1, 1), 2, {})
 
 
 def test_partition_labels_match_min_label_propagation():
@@ -534,7 +536,19 @@ def test_partition_labels_certify_the_orbit_size():
     rank1 = np.array(rank1, dtype=np.uint8).reshape(-1, 2, 2)
     assert len(rank1) == 9 and closure_reference(rank1, (1, 1), (1, 1), 2)[1] == 4
     with pytest.raises(InvariantViolation, match="does not hold q\\*\\*1 elements"):
-        _partition_labels(rank1, (1, 1), (1, 1), 2)
+        _partition_labels(rank1, (1, 1), (1, 1), 2, {})
+
+
+def test_partition_labels_refuse_a_move_that_does_not_permute_the_classes(monkeypatch):
+    # taken by rising block height, a move need not normalize the group of
+    # the moves before it, so it need not permute their classes in cycles
+    # of 1 or q: at (2, 1, 1) x (4) over GL(4, 2) the doubling steps end on
+    # a class that does not stay, and the closure raises rather than
+    # following the steps further
+    falling = enumeration._free_positions
+    monkeypatch.setattr(enumeration, "_free_positions", lambda comp, lower: falling(comp, lower)[::-1])
+    with pytest.raises(InvariantViolation, match="does not permute the classes in cycles of 1 or q"):
+        _partition_labels(gl_array(4, 2), (2, 1, 1), (4,), 2, {})
 
 
 def closure_checks_reference(elements: np.ndarray, alpha, beta, q: int):
@@ -604,11 +618,11 @@ def test_partition_labels_on_partial_sets_raise_exactly_where_a_product_leaves()
                     want = closure_checks_reference(part, alpha, beta, q)
                     if isinstance(want, str):
                         with pytest.raises(InvariantViolation) as raised:
-                            _partition_labels(part, alpha, beta, q)
+                            _partition_labels(part, alpha, beta, q, {})
                         assert str(raised.value) == want, (q, alpha, beta, mask.sum())
                         seen["short" if "does not hold" in want else "outside"] += 1
                     else:
-                        labels, count = _partition_labels(part, alpha, beta, q)
+                        labels, count = _partition_labels(part, alpha, beta, q, {})
                         assert np.array_equal(labels, want[0]) and count == want[1], (q, alpha, beta, mask.sum())
                         seen["closed"] += 1
     assert min(seen["outside"], seen["short"], seen["closed"]) >= 10, seen
@@ -619,10 +633,10 @@ def test_closure_traced_peak_is_bounded_by_its_inputs():
     # pair, against the enumeration's elements, keys, row codes and move
     # table plus the index the closure builds: 1.47 times those now, 1.82
     # with a neighbour id per element, 1.90 with int64 class ids
-    elements, codes, keys, table = _gl_codes(3, 5)
-    cache = _closure_cache(codes, keys, table)
+    elements, cache = _gl_codes(3, 5)
     index = 5 ** 9 * np.min_scalar_type(-len(elements)).itemsize
-    inputs = elements.nbytes + keys.nbytes + codes.nbytes + table.nbytes + index
+    codes = sum(c.nbytes for c in cache[0].values())
+    inputs = elements.nbytes + cache["keys"].nbytes + codes + cache["table"].nbytes + index
     tracemalloc.start()
     try:
         _partition_labels(elements, (1, 1, 1), (1, 1, 1), 5, cache)
@@ -655,7 +669,7 @@ def test_partition_labels_share_one_cache_per_element_stack():
         for alpha in all_compositions(n):
             for beta in all_compositions(n):
                 labels, count = _partition_labels(elements, alpha, beta, q, cache)
-                want, want_count = _partition_labels(elements, alpha, beta, q)
+                want, want_count = _partition_labels(elements, alpha, beta, q, {})
                 assert np.array_equal(labels, want) and count == want_count, (n, q, alpha, beta)
         assert sorted(cache[0]) == sorted(cache[1]) == list(range(n))
     elements, cache = gl_array(3, 2), {}

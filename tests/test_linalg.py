@@ -65,8 +65,8 @@ def test_construction_reduces_mod_p():
     m = Matrix(f, [[7, -1], [10, 4]])
     assert m.to_rows() == [[2, 4], [0, 4]]
     assert m.shape == (2, 2)
-    assert m[0, 1] == 4
-    assert m[1, 1] == 4
+    assert m.a[0, 1] == 4
+    assert m.a[1, 1] == 4
     # non-integer entries are rejected, not truncated; empty shapes still work
     with pytest.raises(ValueError, match="integers"):
         Matrix(f, [[1.5]])
@@ -89,7 +89,7 @@ def test_backing_array_is_frozen():
 
 def test_identity_and_zeros():
     f = PrimeField(3)
-    assert Matrix.identity(f, 3).to_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert Matrix(f, np.eye(3, dtype=np.int64)).to_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert Matrix.zeros(f, 2, 3).to_rows() == [[0, 0, 0], [0, 0, 0]]
 
 

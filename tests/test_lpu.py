@@ -184,7 +184,7 @@ def test_canonical_is_coarser_than_the_double_coset():
     # share it over GF(3) but lie in different double cosets
     f = PrimeField(3)
     d = Matrix(f, [[2, 0], [0, 1]])
-    eye = Matrix.identity(f, 2)
+    eye = Matrix(f, np.eye(2, dtype=np.int64))
     assert canonical_01(d, (1, 1), (1, 1)) == eye
     assert not equivalent(d, eye, (1, 1), (1, 1))
 

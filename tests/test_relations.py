@@ -108,7 +108,7 @@ def test_graph_of_matrix():
         want.add((x, y))
     assert members(rel) == want
     assert rel.ker().rows == 0
-    assert rel.dom() == Matrix.identity(f, 2)
+    assert rel.dom() == Matrix(f, np.eye(2, dtype=np.int64))
     assert rel.indef().rows == 0
     assert rel.im().rows == 2
 
@@ -125,8 +125,8 @@ def test_x_plus_zero_relation():
     # The relation X x {0}: everything is kernel, nothing is image.
     f = PrimeField(2)
     rel = relation(f, 2, 2, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert rel.ker() == Matrix.identity(f, 2)
-    assert rel.dom() == Matrix.identity(f, 2)
+    assert rel.ker() == Matrix(f, np.eye(2, dtype=np.int64))
+    assert rel.dom() == Matrix(f, np.eye(2, dtype=np.int64))
     assert rel.im().rows == 0
     assert rel.indef().rows == 0
     assert rel.theta().shape == (0, 0)
@@ -347,7 +347,7 @@ def inverse(g):
 def test_act_group_law_and_inverse():
     rng = random.Random(61)
     f = PrimeField(3)
-    eye2, eye3 = Matrix.identity(f, 2), Matrix.identity(f, 3)
+    eye2, eye3 = Matrix(f, np.eye(2, dtype=np.int64)), Matrix(f, np.eye(3, dtype=np.int64))
     for _ in range(20):
         rel = random_relation(rng, f, 2, 3)
         g1, g2 = random_invertible(rng, f, 2), random_invertible(rng, f, 2)
@@ -361,9 +361,9 @@ def test_act_validates_factors():
     f = PrimeField(2)
     rel = graph(Matrix(f, [[1, 0], [0, 1]]))
     with pytest.raises(ShapeError):
-        act(rel, Matrix.identity(f, 3), Matrix.identity(f, 2))
+        act(rel, Matrix(f, np.eye(3, dtype=np.int64)), Matrix(f, np.eye(2, dtype=np.int64)))
     with pytest.raises(SingularMatrixError):
-        act(rel, Matrix(f, [[1, 1], [1, 1]]), Matrix.identity(f, 2))
+        act(rel, Matrix(f, [[1, 1], [1, 1]]), Matrix(f, np.eye(2, dtype=np.int64)))
 
 
 def test_quotient_rows_picks_complement():

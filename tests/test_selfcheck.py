@@ -46,7 +46,7 @@ def test_stacked_cells_match_chi_cell_everywhere():
         elements = gl_array(n, q)
         matrices = list(enum_gl(n, q))
         cuts = all_cuts(n)
-        ids = _grid_cell_ids(elements, q, cuts)
+        ids = _grid_cell_ids(elements, q, cuts, [None] * len(cuts))
         for k, cut in enumerate(cuts):
             seen = set()
             for m, cid in zip(matrices, ids[:, k].tolist()):
@@ -62,7 +62,7 @@ def test_completeness_grids_are_chis_grids():
         elements = gl_array(n, q)
         matrices = list(enum_gl(n, q))
         cuts = all_cuts(n)
-        ids = _grid_cell_ids(elements, q, cuts)
+        ids = _grid_cell_ids(elements, q, cuts, [None] * len(cuts))
         for alpha in all_compositions(n):
             for beta in all_compositions(n):
                 sel = [

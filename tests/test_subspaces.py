@@ -52,7 +52,7 @@ def test_zero_and_full():
     z = Matrix.zeros(f, 0, 4)
     assert z.rows == 0 and z.cols == 4
     assert as_set(z) == {(0, 0, 0, 0)}
-    full = Matrix.identity(f, 2)
+    full = Matrix(f, np.eye(2, dtype=np.int64))
     assert full.rows == 2
     assert as_set(full) == set(product(range(3), repeat=2))
 
