@@ -35,13 +35,13 @@ def _integers(data, refusal: str) -> np.ndarray:
         if raw.size and raw.dtype.kind not in "iu":
             raise ValueError(f"{refusal}, got {raw.dtype} data")
         return raw
-    values = data if raw.ndim else (data,)
-    for _ in range(raw.ndim - 1):
-        values = chain.from_iterable(values)
-    values = list(values)
-    bad = {t for t in set(map(type, values)) if t is bool or not issubclass(t, (int, np.integer))}
+    rows = data if raw.ndim > 1 else [data] if raw.ndim else [[data]]  # values in rows, one level deep
+    for _ in range(raw.ndim - 2):
+        rows = chain.from_iterable(rows)
+    rows = list(rows)
+    bad = {t for t in {type(v) for row in rows for v in row} if t is bool or not issubclass(t, (int, np.integer))}
     if bad:
-        raise ValueError(f"{refusal}, got {next(v for v in values if type(v) in bad)!r}")
+        raise ValueError(f"{refusal}, got {next(v for row in rows for v in row if type(v) in bad)!r}")
     return np.array(data, dtype=object) if raw.dtype.kind == "f" else raw  # ints past int64 of both signs infer as float
 
 
