@@ -36,7 +36,12 @@ class Composition:
     __slots__ = ("parts", "n", "offsets")
 
     def __init__(self, parts):
-        parts = parts.parts if isinstance(parts, Composition) else tuple(_integers(parts, "composition parts must be integers").tolist())
+        if isinstance(parts, Composition):
+            parts = parts.parts
+        elif (raw := _integers(parts, "composition parts must be integers")).ndim != 1:
+            raise ValueError(f"composition parts must be one flat sequence, got {raw.ndim}-dimensional data")
+        else:
+            parts = tuple(raw.tolist())
         if not parts or any(x < 1 for x in parts):
             raise ValueError(f"composition parts must be positive ints, got {parts}")
         self.parts = parts
@@ -170,13 +175,13 @@ class BiHinge:
     Held padded, as derived() reads it: stack is one read-only (p * q, C, C)
     uint16 array (p < 2**16), C = max(alpha) + max(beta), member i * q + j the
     RREF basis of cell (i, j) with X at [0, alpha_i) and Y from max(alpha) on,
-    zero elsewhere and past its rank ranks[i * q + j].  Bases are canonical,
-    so two grids are equal exactly when their stacks are.  A cell is read
-    through _bases() and derived(), as cell_records prints it; BiHinge(alpha,
-    beta, grid) keeps only the stack of the LinearRelations it is given.
+    zero elsewhere and past its rank, its count of nonzero rows.  Bases are
+    canonical, so two grids are equal exactly when their stacks are.  A cell
+    is read through _bases() and derived(), as cell_records prints it;
+    BiHinge(alpha, beta, grid) keeps only the stack of the LinearRelations.
     """
 
-    __slots__ = ("alpha", "beta", "field", "stack", "ranks", "_derived", "_from_pass")
+    __slots__ = ("alpha", "beta", "field", "stack", "_derived", "_from_pass")
 
     def __init__(self, alpha, beta, grid):
         alpha = Composition(alpha)
@@ -197,18 +202,18 @@ class BiHinge:
                     f"cell ({i + 1},{j + 1}) is over {cell.field}, cell (1,1) over {field}"
                 )
         stack = np.stack([_pad(c.basis.a, c.dim_x, alpha, beta) for c in cells])
-        self._init(alpha, beta, field, stack, np.array([c.basis.rows for c in cells], dtype=np.intp))
+        self._init(alpha, beta, field, stack)
 
     @classmethod
-    def _of(cls, alpha: Composition, beta: Composition, field: PrimeField, stack, ranks, from_pass=False) -> "BiHinge":
+    def _of(cls, alpha: Composition, beta: Composition, field: PrimeField, stack, from_pass=False) -> "BiHinge":
         h = object.__new__(cls)
-        h._init(alpha, beta, field, stack, ranks, from_pass)
+        h._init(alpha, beta, field, stack, from_pass)
         return h
 
-    def _init(self, alpha, beta, field, stack, ranks, from_pass=False):
+    def _init(self, alpha, beta, field, stack, from_pass=False):
         stack.flags.writeable = False
         self.alpha, self.beta, self.field = alpha, beta, field
-        self.stack, self.ranks = stack, ranks
+        self.stack = stack
         self._derived, self._from_pass = None, from_pass
 
     def _bases(self) -> list:
@@ -216,8 +221,8 @@ class BiHinge:
         ints, cell (i, j) at i * q + j."""
         out = [None] * len(self.stack)
         for dx, dy, at in _shapes(self.alpha, self.beta)[0]:
-            rows = _take(self.stack, at, dx, dy, self.alpha).tolist()
-            for k, m, rank in zip(at.tolist(), rows, self.ranks[at].tolist()):
+            rows = _take(self.stack, at, dx, dy, self.alpha)
+            for k, m, rank in zip(at.tolist(), rows.tolist(), rows.any(axis=2).sum(axis=1).tolist()):
                 out[k] = m[:rank]
         return out
 
@@ -240,7 +245,7 @@ class BiHinge:
         return hash((self.alpha, self.beta, self.field.p, self.stack.tobytes()))
 
     def __reduce__(self):  # a pickled chi grid leaves its mark behind and derives like any other
-        return BiHinge._of, (self.alpha, self.beta, self.field, self.stack, self.ranks)
+        return BiHinge._of, (self.alpha, self.beta, self.field, self.stack)
 
     def __repr__(self):
         return f"BiHinge(alpha={self.alpha.parts}, beta={self.beta.parts})"
@@ -326,13 +331,11 @@ def _grids_from_pass(cpass: tuple, field: PrimeField, alpha: Composition, beta: 
     every grid, marked _from_pass.
     """
     (shapes, back), q = _shapes(alpha, beta), len(beta)
-    stacks, ranks = [], []
+    stacks = []
     for dx, dy, at in shapes:
-        rows, r = _cell_rrefs(cpass, np.array(alpha.offsets)[at // q], np.array(beta.offsets)[at % q], dx, dy, field.p)
+        rows = _cell_rrefs(cpass, np.array(alpha.offsets)[at // q], np.array(beta.offsets)[at % q], dx, dy, field.p)
         stacks.append(_pad(rows, dx, alpha, beta))
-        ranks.append(r)
-    stack, ranks = _in_cell_order(stacks, back, 1), _in_cell_order(ranks, back, 1)
-    return [BiHinge._of(alpha, beta, field, stack[k], ranks[k], from_pass=True) for k in range(len(stack))]
+    return [BiHinge._of(alpha, beta, field, stack, from_pass=True) for stack in _in_cell_order(stacks, back, 1)]
 
 
 def _cell_pass(stack: np.ndarray, p: int, alpha: Composition) -> tuple:
@@ -362,20 +365,18 @@ def _block_counts(sigma: np.ndarray, alpha: Composition, beta: Composition) -> n
     c in column block i of alpha and sigma[k][c] in row block j of beta: the
     units of perm in each block of an l @ perm @ u factorization, and so the
     dimension table of the grid (see lpu)."""
-    count, n = sigma.shape
-    if (beta.n, alpha.n) != (n, n):
-        raise ShapeError(f"permutation shape {(n, n)} does not match ({beta.n}, {alpha.n})")
+    count = len(sigma)
     row_block = np.repeat(np.arange(len(beta)), beta.parts)[sigma]
     cell = (np.arange(count)[:, None] * len(alpha) + np.repeat(np.arange(len(alpha)), alpha.parts)) * len(beta)
     counts = np.bincount((cell + row_block).ravel(), minlength=count * len(alpha) * len(beta))
     return counts.reshape(count, len(alpha), len(beta))
 
 
-def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int) -> tuple:
+def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int) -> np.ndarray:
     """The cells of shape (na, nb) at column and row offsets (c0[k], r0[k]) of
-    every member of a _cell_pass that reversed [c0, c1 = c0 + na), as (rows,
-    ranks): rows (N, cells, top, na + nb) int64, top the largest rank, each
-    cell its RREF basis padded with zero rows.
+    every member of a _cell_pass that reversed [c0, c1 = c0 + na), as rows
+    (N, cells, top, na + nb) int64, top the largest rank, each cell its RREF
+    basis padded with zero rows.
 
     The cell's rows (x | y) = (f[c1 - 1 - k, c] for k < na | af[r0:r1, c])
     over c < c1 with sigma[c] >= r0 fill two kinds of slots: own slot s < na
@@ -403,7 +404,7 @@ def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int) -> tuple:
     part = np.concatenate((x, y), axis=3, dtype=np.int64)
     part[np.arange(top) >= ranks[:, :, None]] = 0
     _back_substitute(part.reshape(count * cells, top, w), lead.reshape(count * cells, top), p)
-    return part, ranks
+    return part
 
 
 def _derive_each(grids) -> list:
@@ -416,9 +417,9 @@ def _derive_each(grids) -> list:
         if h._derived is None:
             batches.setdefault((h.field, h.alpha, h.beta, h._from_pass), []).append(h)
     for (field, alpha, beta, from_pass), hs in batches.items():
-        stack, ranks = np.concatenate([h.stack for h in hs]), np.concatenate([h.ranks for h in hs])
-        swapped = _neighbour_forms(stack, alpha, beta) if from_pass else _y_first_stack(stack, ranks, alpha, beta, field.p)
-        dv, size = derive_stack(stack, swapped, ranks, max(alpha), max(beta)), len(hs[0].stack)
+        stack = np.concatenate([h.stack for h in hs])
+        swapped = _neighbour_forms(stack, alpha, beta) if from_pass else _y_first_stack(stack, alpha, beta, field.p)
+        dv, size = derive_stack(stack, swapped, max(alpha)), len(hs[0].stack)
         for k, h in enumerate(hs):
             cut = slice(k * size, (k + 1) * size)
             h._derived = Derived(*(x[cut] for x in dv[:4]), dv.dims[:, cut], dv.theta[cut], dv.lifts[cut])
@@ -442,7 +443,7 @@ def _neighbour_forms(stack: np.ndarray, alpha: Composition, beta: Composition) -
     return out
 
 
-def _y_first_stack(stack: np.ndarray, ranks: np.ndarray, alpha: Composition, beta: Composition, p: int) -> np.ndarray:
+def _y_first_stack(stack: np.ndarray, alpha: Composition, beta: Composition, p: int) -> np.ndarray:
     """The y_first form of every cell of B grids' (B * p * q, C, C) stack,
     padded with Y at [0, beta_j) and X from max(beta) on, by one y_first per
     cell shape on its own columns: 3x faster than one y_first of the padded
@@ -450,7 +451,7 @@ def _y_first_stack(stack: np.ndarray, ranks: np.ndarray, alpha: Composition, bet
     out, size = np.empty_like(stack), len(alpha) * len(beta)
     for dx, dy, at in _shapes(alpha, beta)[0]:
         at = (np.arange(0, len(stack), size)[:, None] + at).ravel()  # the shape's cells in every grid
-        out[at] = _pad(y_first(_take(stack, at, dx, dy, alpha).astype(np.int64), ranks[at], dx, p), dy, beta, alpha)
+        out[at] = _pad(y_first(_take(stack, at, dx, dy, alpha).astype(np.int64), dx, p), dy, beta, alpha)
     return out
 
 
@@ -500,7 +501,7 @@ def _axiom_tables(grids, generic=False) -> tuple:
     equal to dim im - dim indef by derive_stack's dims.  The spaces are the
     derived() caches, or with generic those of unmarked copies, from the
     Y-first RREF: four axioms hold by construction on the neighbours'."""
-    h, dvs = grids[0], _derive_each([BiHinge._of(g.alpha, g.beta, g.field, g.stack, g.ranks) for g in grids] if generic else grids)
+    h, dvs = grids[0], _derive_each([BiHinge._of(g.alpha, g.beta, g.field, g.stack) for g in grids] if generic else grids)
     shape = (len(grids), len(h.alpha), len(h.beta))
     spaces = [np.concatenate(x).reshape(shape + x[0].shape[1:]) for x in zip(*(dv[:4] for dv in dvs))]
     dims = np.concatenate([dv.dims for dv in dvs], axis=1).reshape((4,) + shape)
@@ -590,7 +591,7 @@ def standard_bihinge(d: DimensionMatrix, field: PrimeField) -> BiHinge:
     for count, row, col in ((own, zero, v_start), (table, zero, mx + w_start), (w_start, own, mx + zero)):
         cell, k = np.nonzero(np.arange(size) < count.reshape(-1, 1))  # unit k of each cell's run
         stack[cell, row.ravel()[cell] + k, col.ravel()[cell] + k] = 1
-    return BiHinge._of(d.alpha, d.beta, field, stack, (own + w_start).ravel())
+    return BiHinge._of(d.alpha, d.beta, field, stack)
 
 
 def equivalent(a: Matrix, b: Matrix, alpha, beta) -> bool:
@@ -643,19 +644,16 @@ def _hinge_act(gs: list, hs: list, grids) -> list:
     (B, beta_j, beta_j).  One act_stack per cell shape, on that shape's own
     columns, moves all B grids."""
     h, q = grids[0], len(grids[0].beta)
-    stack, ranks = np.stack([g.stack for g in grids]), np.stack([g.ranks for g in grids])
-    (shapes, back), moved, moved_ranks = _shapes(h.alpha, h.beta), [], []
+    stack = np.stack([g.stack for g in grids])
+    (shapes, back), moved = _shapes(h.alpha, h.beta), []
     for dx, dy, at in shapes:
         i, j = np.divmod(at, q)
         gx = np.stack([gs[k] for k in i.tolist()], axis=1).reshape(-1, dx, dx)
         hy = np.stack([hs[k] for k in j.tolist()], axis=1).reshape(-1, dy, dy)
         part = _take(stack, at, dx, dy, h.alpha).astype(np.int64)
-        acted, acted_ranks = act_stack(part.reshape((-1,) + part.shape[2:]), ranks.take(at, axis=1).ravel(),
-                                       gx, hy, dx, h.field.p)
+        acted = act_stack(part.reshape((-1,) + part.shape[2:]), gx, hy, h.field.p)
         moved.append(_pad(acted.reshape(part.shape), dx, h.alpha, h.beta))
-        moved_ranks.append(acted_ranks.reshape(len(grids), -1))
-    moved, moved_ranks = _in_cell_order(moved, back, 1), _in_cell_order(moved_ranks, back, 1)
-    return [BiHinge._of(h.alpha, h.beta, h.field, m, r) for m, r in zip(moved, moved_ranks)]
+    return [BiHinge._of(h.alpha, h.beta, h.field, m) for m in _in_cell_order(moved, back, 1)]
 
 
 def normalize(h: BiHinge) -> tuple:
@@ -681,8 +679,8 @@ def _normalize_each(grids) -> tuple:
     """normalize of B grids sharing (field, alpha, beta): (gs, hs, tables),
     gs and hs stacked as _hinge_act takes them, tables from _dimension_tables.
     Per side, the block bases of all grids are placed, transposed, by one
-    assignment into [basis^T | I] padded to the largest block, and inverted
-    by one _rref_each of each block's own rows."""
+    assignment into [basis^T | I] padded to the largest block with zero rows,
+    and inverted by one _rref_each."""
     h, tables = grids[0], _dimension_tables(grids)
     v_start, w_start = _sub_block_starts(tables)
     lifts = np.concatenate([g._derived.lifts for g in grids])
@@ -693,11 +691,11 @@ def _normalize_each(grids) -> tuple:
     sides = (h.alpha, i, v_start, lifts[cell, r, :mx]), (h.beta, j, w_start, lifts[cell, r, mx:])
     for comp, block, at, rows in sides:
         size = max(comp)
-        aug = np.tile(np.eye(size, 2 * size, size, dtype=np.int64), (len(grids), len(comp), 1, 1))  # [0 | I]
+        own = np.arange(size)[:, None] < np.array(comp.parts)[:, None, None]  # each block's own rows
+        aug = np.tile(np.eye(size, 2 * size, size, dtype=np.int64) * own, (len(grids), 1, 1, 1))  # [0 | I], zero past them
         aug[b, block, :, at[b, i, j] + r] = rows  # column = position in the block
-        flat, parts = aug.reshape(-1, size, 2 * size), np.tile(comp.parts, len(grids))
-        _rref_each(flat, h.field.p, parts)
-        if (flat[:, :, :size] != np.eye(size, dtype=np.int64) * (np.arange(size) < parts[:, None, None])).any():
+        _rref_each(aug.reshape(-1, size, 2 * size), h.field.p)
+        if (aug[..., :size] != np.eye(size, dtype=np.int64) * own).any():
             raise SingularMatrixError(f"a witness basis is singular over {h.field}")
         witnesses.append([aug[:, k, :part, size : size + part] for k, part in enumerate(comp.parts)])
     return witnesses[0], witnesses[1], tables

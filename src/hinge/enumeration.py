@@ -88,7 +88,7 @@ def subspace_count(d: int, q: int) -> int:
 CHUNK = 1 << 16
 
 
-def _gl_codes(n: int, q: int, budget: EnumerationBudget = None) -> tuple:
+def _gl_codes(n: int, q: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> tuple:
     """GL(n, q) as gl_array gives it, with what the closure reads off it.
 
     Returns (elements, cache), cache the _partition_labels cache of the
@@ -101,7 +101,6 @@ def _gl_codes(n: int, q: int, budget: EnumerationBudget = None) -> tuple:
     Keys grow as key * q**n + code, so they ascend with the prefixes.  The
     elements are written last, each row's n digits copied as one item.
     """
-    budget = budget or DEFAULT_BUDGET
     budget.check_group(gl_order(n, q), f"|GL({n},{q})|")
     PrimeField(q)  # rejects a modulus that is not a prime field
     size = q ** n
@@ -139,7 +138,7 @@ def _gl_codes(n: int, q: int, budget: EnumerationBudget = None) -> tuple:
     return rows.view(digits.dtype).reshape(len(keys), n, n), {"keys": keys, "table": table, 0: dict(enumerate(codes))}
 
 
-def gl_array(n: int, q: int, budget: EnumerationBudget = None) -> np.ndarray:
+def gl_array(n: int, q: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> np.ndarray:
     """Every element of GL(n, q) as one (N, n, n) array, in ascending key order.
 
     Rows are chosen top to bottom as base-q row codes in ascending order,
@@ -151,7 +150,7 @@ def gl_array(n: int, q: int, budget: EnumerationBudget = None) -> np.ndarray:
     return _gl_codes(n, q, budget)[0]
 
 
-def enum_gl(n: int, q: int, budget: EnumerationBudget = None):
+def enum_gl(n: int, q: int, budget: EnumerationBudget = DEFAULT_BUDGET):
     """Yield every element of GL(n, q) exactly once, in ascending key order."""
     field = PrimeField(q)
     for arr in gl_array(n, q, budget):
@@ -166,10 +165,9 @@ def _free_positions(comp: Composition, lower: bool) -> list:
     return sorted(out, key=lambda rc: -abs(block_of[rc[0]] - block_of[rc[1]]))
 
 
-def enum_subspaces(d: int, q: int, budget: EnumerationBudget = None):
+def enum_subspaces(d: int, q: int, budget: EnumerationBudget = DEFAULT_BUDGET):
     """Yield every subspace of GF(q)^d once, as its RREF basis Matrix: by
     dimension, then pivot set, then free entries, all lexicographically."""
-    budget = budget or DEFAULT_BUDGET
     budget.check_subspace(subspace_count(d, q), f"subspaces of GF({q})^{d}")
     field = PrimeField(q)
     yield Matrix.zeros(field, 0, d)
@@ -360,7 +358,7 @@ class CosetPartition:
 
 
 def double_cosets_brute(
-    n: int, q: int, alpha, beta, budget: EnumerationBudget = None
+    n: int, q: int, alpha, beta, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> CosetPartition:
     """Partition all of GL(n, q) into double cosets by generator closure.
 
@@ -377,7 +375,7 @@ def double_cosets_brute(
     return CosetPartition(q, alpha, beta, elements, labels, count)
 
 
-def stabilizer_brute(d: DimensionMatrix, q: int, budget: EnumerationBudget = None) -> int:
+def stabilizer_brute(d: DimensionMatrix, q: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> int:
     """Order of the block change-of-basis stabilizer of the standard grid.
 
     (gs, hs) fixes the grid exactly when every cell (i, j) is fixed by
@@ -390,7 +388,6 @@ def stabilizer_brute(d: DimensionMatrix, q: int, budget: EnumerationBudget = Non
     are combined over the whole product of the groups, whose size the budget
     bounds.
     """
-    budget = budget or DEFAULT_BUDGET
     blocks = (*d.alpha, *d.beta)
     budget.check_group(prod(gl_order(size, q) for size in blocks), "stabilizer search space")
     std = standard_bihinge(d, PrimeField(q))
@@ -496,7 +493,7 @@ def _row_placements(open_sums: tuple, need: int, weights: list, charge) -> Count
     return out
 
 
-def _table_sum(alpha, beta, weight, budget: EnumerationBudget = None):
+def _table_sum(alpha, beta, weight, budget: EnumerationBudget = DEFAULT_BUDGET):
     """Sum over contingency_tables(alpha, beta) of prod over cells of
     weight(d_ij), without listing a table.
 
@@ -507,7 +504,6 @@ def _table_sum(alpha, beta, weight, budget: EnumerationBudget = None):
     serves as the columns.  Every class placement tried is charged against
     the subspace budget; BudgetError names the charge once it passes.
     """
-    budget = budget or DEFAULT_BUDGET
     alpha = Composition(alpha)
     beta = Composition(beta)
     if alpha.n != beta.n:
@@ -532,7 +528,7 @@ def _table_sum(alpha, beta, weight, budget: EnumerationBudget = None):
     return sum(sums.values())
 
 
-def predicted_coset_count(alpha, beta, q: int, budget: EnumerationBudget = None) -> int:
+def predicted_coset_count(alpha, beta, q: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> int:
     """Number of double cosets by orbit counting over contingency tables.
 
     Table d has orbit N / stab_order_formula(d, q), N = prod |GL(alpha_i, q)|

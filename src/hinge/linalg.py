@@ -257,22 +257,19 @@ def _back_substitute(arr: np.ndarray, lead: np.ndarray, p: int):
 _STACK_MIN_CELLS = 8
 
 
-def _rref_each(arr: np.ndarray, p: int, counts: np.ndarray) -> np.ndarray:
-    """In-place canonical RREF of the leading rows of every matrix in a stack.
+def _rref_each(arr: np.ndarray, p: int):
+    """In-place canonical RREF of every matrix in an (N, R, C) stack.
 
-    Matrix k of the (N, R, C) stack arr becomes the RREF of its first
-    counts[k] rows, padded with zero rows; the ranks are returned.  A stack
-    pays a fixed numpy cost per column that only enough members repay, so
-    fewer than _STACK_MIN_CELLS matrices are reduced one by one with _rref.
+    A stack pays a fixed numpy cost per column that only enough members
+    repay, so fewer than _STACK_MIN_CELLS matrices are reduced one by one
+    with _rref, each up to its last nonzero row: past it, _rref would scan
+    every column left after its last pivot.
     """
     if len(arr) >= _STACK_MIN_CELLS:
-        arr[np.arange(arr.shape[1]) >= counts[:, None]] = 0
-        return _rref_stack(arr, p)
-    ranks = np.empty(len(arr), dtype=np.intp)
-    for k, (m, count) in enumerate(zip(arr, counts.tolist())):
-        ranks[k] = rank = len(_rref(m[:count], p))
-        m[rank:] = 0
-    return ranks
+        _rref_stack(arr, p)
+        return
+    for m, top in zip(arr, (arr.any(axis=2) * np.arange(1, arr.shape[1] + 1)).max(axis=1, initial=0).tolist()):
+        _rref(m[:top], p)
 
 
 def _kernel_rows(arr: np.ndarray, p: int) -> np.ndarray:

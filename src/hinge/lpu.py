@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bihinge import Composition, DimensionMatrix, _block_counts, standard_matrix
+from .bihinge import DimensionMatrix, _block_counts, _compositions_of, standard_matrix
 from .linalg import Matrix, _column_pass_each
 from .relations import InvariantViolation
 
@@ -85,6 +85,6 @@ def canonical_01(a: Matrix, alpha, beta) -> Matrix:
     alpha = beta = (1, 1), diag(2, 1) maps to the identity, yet the two are
     not equivalent.
     """
-    alpha, beta = Composition(alpha), Composition(beta)
+    alpha, beta = _compositions_of(a, alpha, beta)
     counts = _block_counts(_column_pass_each(a.a[None], a.field.p)[0], alpha, beta)[0]
     return standard_matrix(DimensionMatrix(counts, alpha, beta), a.field)

@@ -52,27 +52,27 @@ class Derived(NamedTuple):
     lifts: np.ndarray
 
 
-def _pivot_mask(stack: np.ndarray, member: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """(N, C + 1) mask of the pivot columns of the valid rows; column C is spare."""
+def _pivot_mask(stack: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """(N, C + 1) mask of the pivot columns of the nonzero rows; column C is spare."""
     width = stack.shape[2]
-    piv = (stack != 0).argmax(axis=2) if width else 0
+    nonzero = stack != 0
     mask = np.zeros((len(stack), width + 1), dtype=bool)
-    mask[member, np.where(valid, piv, width)] = True
+    mask[member, np.where(nonzero.any(axis=2), nonzero.argmax(axis=2) if width else 0, width)] = True
     return mask
 
 
-def y_first(stack: np.ndarray, ranks: np.ndarray, dim_x: int, p: int) -> np.ndarray:
+def y_first(stack: np.ndarray, dim_x: int, p: int) -> np.ndarray:
     """The RREF of every member of a stack with its columns reordered (Y, X)."""
     swapped = np.concatenate([stack[:, :, dim_x:], stack[:, :, :dim_x]], axis=2)
-    _rref_each(swapped, p, ranks)
+    _rref_each(swapped, p)
     return swapped
 
 
-def derive_stack(stack, swapped, ranks, dim_x: int, dim_y: int) -> Derived:
+def derive_stack(stack, swapped, dim_x: int) -> Derived:
     """ker, dom, im, indef, theta and the lift rows of a stack of relations.
 
     stack is (N, R, C), C = dim_x + dim_y <= R, each member an RREF basis
-    padded with zero rows, and ranks[k] the rank of member k.  swapped has
+    padded with zero rows, its rank its count of nonzero rows.  swapped has
     the columns (y | x): rows pivoting in Y whose Y halves are im's RREF,
     then (0 | RREF of ker), zero past the rank, as in the y_first form; the
     X halves of the im rows are never read.  ker and dom come out (N, dim_x,
@@ -84,12 +84,11 @@ def derive_stack(stack, swapped, ranks, dim_x: int, dim_y: int) -> Derived:
     it to; entries past d mean nothing.  Raises InvariantViolation if some
     member's quotients differ.
     """
-    dx, dy = dim_x, dim_y
+    dx, dy = dim_x, stack.shape[2] - dim_x
     member = np.arange(len(stack))[:, None]
-    valid = np.arange(stack.shape[1]) < ranks[:, None]
-    x_piv = _pivot_mask(stack, member, valid)  # dom pivots, then indef pivots
-    y_piv = _pivot_mask(swapped, member, valid)  # im pivots, then ker pivots
-    dom_dim, im_dim = x_piv[:, :dx].sum(axis=1), y_piv[:, :dy].sum(axis=1)
+    x_piv = _pivot_mask(stack, member)  # dom pivots, then indef pivots
+    y_piv = _pivot_mask(swapped, member)  # im pivots, then ker pivots
+    rank, dom_dim, im_dim = x_piv[:, :-1].sum(axis=1), x_piv[:, :dx].sum(axis=1), y_piv[:, :dy].sum(axis=1)
     lift_cols = x_piv[:, :dx] & ~y_piv[:, dy:-1]
     q_cols = y_piv[:, :dy] & ~x_piv[:, dx:-1]
     d, d_im = lift_cols.sum(axis=1), q_cols.sum(axis=1)
@@ -105,20 +104,22 @@ def derive_stack(stack, swapped, ranks, dim_x: int, dim_y: int) -> Derived:
         dom=stack[:, :dx, :dx],
         im=swapped[:, :dy, :dy],
         indef=stack[member, dom_dim[:, None] + np.arange(dy), dx:],
-        dims=np.stack([ranks - im_dim, dom_dim, im_dim, ranks - dom_dim]),
+        dims=np.stack([rank - im_dim, dom_dim, im_dim, rank - dom_dim]),
         theta=lifts[member[:, :, None], np.arange(t), q_order],
         lifts=lifts,
     )
 
 
-def act_stack(stack, ranks, gx, hy, dim_x: int, p: int) -> tuple:
-    """(stack, ranks) of the relations {(g xi, h eta)}, member k moved by
-    gx[k] and hy[k]; the factors are not checked for invertibility."""
+def act_stack(stack, gx, hy, p: int) -> np.ndarray:
+    """The stack of the relations {(g xi, h eta)}, member k moved by gx[k]
+    and hy[k]; the factors are not checked for invertibility."""
+    dim_x = gx.shape[1]
     moved = np.concatenate(
         [stack[:, :, :dim_x] @ gx.transpose(0, 2, 1), stack[:, :, dim_x:] @ hy.transpose(0, 2, 1)],
         axis=2,
     ) % p
-    return moved, _rref_each(moved, p, ranks)
+    _rref_each(moved, p)
+    return moved
 
 
 class LinearRelation:
@@ -147,21 +148,20 @@ class LinearRelation:
     def field(self) -> PrimeField:
         return self.basis.field
 
-    def _stack(self) -> tuple:
-        """This relation as a stack of one: (basis padded to (1, C, C), ranks)."""
+    def _stack(self) -> np.ndarray:
+        """This relation as a stack of one: its basis padded to (1, C, C)."""
         size = self.dim_x + self.dim_y
         basis = self.basis.a
         stack = np.zeros((1, size, size), dtype=np.int64)
         stack[0, : len(basis)] = basis
-        return stack, np.array([len(basis)])
+        return stack
 
     def _spaces(self) -> tuple:
         """(ker, dom, im, indef, theta), derive_stack of a stack of one, cached."""
         if self._derived is None:
             field = self.field
-            stack, ranks = self._stack()
-            swapped = y_first(stack, ranks, self.dim_x, field.p)
-            dv = derive_stack(stack, swapped, ranks, self.dim_x, self.dim_y)
+            stack = self._stack()
+            dv = derive_stack(stack, y_first(stack, self.dim_x, field.p), self.dim_x)
             dims = dv.dims[:, 0]
             spaces = tuple(
                 Matrix._new(field, np.ascontiguousarray(s[0, :k])) for s, k in zip(dv[:4], dims)

@@ -301,7 +301,7 @@ def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list, doms: list) -> np.n
             na, nb = ch - cl, n - rl
             stack = np.zeros((count, na + min(nb, cl), na + nb), dtype=elements.dtype)
             for at, cpass in zip(chunks, passes):
-                rows = _cell_rrefs(cpass, np.array([cl]), np.array([rl]), na, nb, q)[0][:, 0]
+                rows = _cell_rrefs(cpass, np.array([cl]), np.array([rl]), na, nb, q)[:, 0]
                 stack[at, : rows.shape[1]] = rows
             for rh, k in tails:
                 bases = stack[:, :, : na + rh - rl]
@@ -323,7 +323,7 @@ def _grid_cell_ids(elements: np.ndarray, q: int, cuts: list, doms: list) -> np.n
     return ids
 
 
-def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tuple:
+def check_completeness(n: int, q: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> tuple:
     """Equal grids iff same double coset, and every axiom grid a chi image,
     for every composition pair of n.
 
@@ -343,7 +343,6 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
     table d number N / stab(d) (Goursat's lemma per cell, flag counts per
     row and column), so the chi images are all of them.
     """
-    budget = budget or DEFAULT_BUDGET
     elements, cache = _gl_codes(n, q, budget)  # the closure's cache, shared by every pair
     comps = all_compositions(n)
     cuts = [
@@ -403,9 +402,8 @@ def check_completeness(n: int, q: int, budget: EnumerationBudget = None) -> tupl
     )
 
 
-def check_stabilizers(qs=(2, 3), budget: EnumerationBudget = None) -> tuple:
+def check_stabilizers(qs=(2, 3), budget: EnumerationBudget = DEFAULT_BUDGET) -> tuple:
     """Brute stabilizer orders match the closed formula on small margins."""
-    budget = budget or DEFAULT_BUDGET
     margins = ((1, 1), (2,), (2, 1), (1, 1, 1))
     checked = 0
     for q in qs:
@@ -468,9 +466,8 @@ def check_normal_form(q: int = 3, max_n: int = 5, trials: int = 100) -> tuple:
     return _random_suite(draws, checks, f"{trials} random grids over GF({q}), n <= {max_n}")
 
 
-def count_three_ways(alpha, beta, q: int, budget: EnumerationBudget = None) -> tuple:
+def count_three_ways(alpha, beta, q: int, budget: EnumerationBudget = DEFAULT_BUDGET) -> tuple:
     """(formula count, closure class count, distinct grid count) for one case."""
-    budget = budget or DEFAULT_BUDGET
     alpha, beta = Composition(alpha), Composition(beta)
     predicted = predicted_coset_count(alpha, beta, q, budget)
     partition = double_cosets_brute(alpha.n, q, alpha, beta, budget)
@@ -487,7 +484,7 @@ _COUNT_CASES = (
 )
 
 
-def check_counting(budget: EnumerationBudget = None) -> tuple:
+def check_counting(budget: EnumerationBudget = DEFAULT_BUDGET) -> tuple:
     """Formula, closure and grid counts agree on the pinned small cases."""
     results = []
     for alpha, beta, q in _COUNT_CASES:
@@ -501,7 +498,7 @@ def check_counting(budget: EnumerationBudget = None) -> tuple:
     return True, f"counts {results} for {len(_COUNT_CASES)} cases"
 
 
-def run_selfcheck(qs=(2, 3), max_n: int = 4, budget: EnumerationBudget = None) -> bool:
+def run_selfcheck(qs=(2, 3), max_n: int = 4, budget: EnumerationBudget = DEFAULT_BUDGET) -> bool:
     """Run every suite, print one PASS/FAIL line each, return overall success.
 
     The completeness rounds, one per q and n from 2 to max_n, run last as
@@ -509,7 +506,6 @@ def run_selfcheck(qs=(2, 3), max_n: int = 4, budget: EnumerationBudget = None) -
     as a SKIP line, with the BudgetError's message, rather than silently
     dropped; a SKIP does not fail the run.
     """
-    budget = budget or DEFAULT_BUDGET
     qs = tuple(qs)
     suites = [
         ("invariance", lambda: check_invariance(qs=qs, max_n=max_n, trials=200)),

@@ -196,12 +196,13 @@ def test_grid_matches_chi_cell_definition():
 def _assert_padded(h):
     # the layout every grid is held in: one read-only (p * q, C, C) uint16
     # stack, C = max(alpha) + max(beta), cell (i, j) at i * q + j with its
-    # rank nonzero rows first, X at [0, alpha_i) and Y from max(alpha) on,
-    # and zero outside those columns and past its rank
+    # nonzero rows first, as many as its rank, X at [0, alpha_i) and Y from
+    # max(alpha) on, and zero outside those columns and past its rank
     mx, size = max(h.alpha), max(h.alpha) + max(h.beta)
     assert h.stack.dtype == np.uint16 and not h.stack.flags.writeable
-    assert h.stack.shape == (len(h.alpha) * len(h.beta), size, size) and h.ranks.shape == (len(h.stack),)
-    for (a, b), m, rank in zip(product(h.alpha, h.beta), h.stack, h.ranks.tolist()):
+    assert h.stack.shape == (len(h.alpha) * len(h.beta), size, size)
+    for (a, b), m in zip(product(h.alpha, h.beta), h.stack):
+        rank = int(m.any(axis=1).sum())
         inside = np.zeros((size, size), dtype=bool)
         inside[:rank, :a] = inside[:rank, mx : mx + b] = True
         assert not m[~inside].any() and m[:rank].any(axis=1).all(), (h, a, b, rank)
@@ -217,7 +218,7 @@ def test_chi_each_matches_chi_and_chi_cell_on_whole_groups():
             for beta in all_compositions(n):
                 for a, h in zip(mats, _chi_each(mats, alpha, beta)):
                     alone = chi(a, alpha, beta)
-                    assert h == alone and np.array_equal(h.ranks, alone.ranks)
+                    assert h == alone
                     _assert_padded(h)
                     for k, rows in enumerate(h._bases()):
                         i, j = divmod(k, len(beta))
@@ -299,7 +300,7 @@ def test_derive_each_matches_each_grid_derived_alone():
     rng.shuffle(grids)
     _derive_each(grids)
     for h in grids:
-        alone = BiHinge._of(h.alpha, h.beta, h.field, h.stack, h.ranks).derived()
+        alone = BiHinge._of(h.alpha, h.beta, h.field, h.stack).derived()
         assert h._derived is not None
         for name, got, want in zip(alone._fields, h._derived, alone):
             assert got.shape == want.shape and np.array_equal(got, want), (name, h)
@@ -309,7 +310,7 @@ def test_derive_each_matches_each_grid_derived_alone():
 
 
 def _generic(h):
-    return BiHinge._of(h.alpha, h.beta, h.field, h.stack, h.ranks).derived()
+    return BiHinge._of(h.alpha, h.beta, h.field, h.stack).derived()
 
 
 def _same_derived(got, want):
@@ -328,7 +329,7 @@ def test_neighbour_route_derives_as_the_generic_route():
             for beta in all_compositions(n):
                 grids = _chi_each(mats, alpha, beta)
                 assert all(h._from_pass for h in grids)
-                copies = [BiHinge._of(h.alpha, h.beta, h.field, h.stack, h.ranks) for h in grids]
+                copies = [BiHinge._of(h.alpha, h.beta, h.field, h.stack) for h in grids]
                 for got, want in zip(_derive_each(grids), _derive_each(copies)):
                     assert _same_derived(got, want), (n, q, alpha, beta)
     rng, f = random.Random(2113), PrimeField(65521)
@@ -352,7 +353,7 @@ def test_check_axioms_derives_a_marked_grid_generically(monkeypatch):
         grid = chi_cells(a, h.alpha, h.beta)
         grid[i][j] = LinearRelation(h.alpha[i], h.beta[j], Matrix(f, rows))
         bad = BiHinge(h.alpha, h.beta, grid)
-        marked.append((BiHinge._of(bad.alpha, bad.beta, f, bad.stack, bad.ranks, from_pass=True), want))
+        marked.append((BiHinge._of(bad.alpha, bad.beta, f, bad.stack, from_pass=True), want))
     marked[0][0]._derived = h.derived()  # a cache that would hide the corruption
 
     def refuse(*args):
@@ -512,6 +513,9 @@ def test_constructors_refuse_what_is_not_an_integer():
         (lambda: Composition([1.5, 2]), "composition parts must be integers, got 1.5"),
         (lambda: Composition(("1", 2)), "composition parts must be integers, got '1'"),
         (lambda: Composition([True, 2]), "composition parts must be integers, got True"),
+        (lambda: Composition(5), "composition parts must be one flat sequence, got 0-dimensional data"),
+        (lambda: Composition([[1, 2]]), "composition parts must be one flat sequence, got 2-dimensional data"),
+        (lambda: Composition(np.array([[1, 2], [3, 4]])), "composition parts must be one flat sequence, got 2-dimensional data"),
         (lambda: DimensionMatrix([[1.7]], (1,), (1,)), "cell dimensions must be integers, got 1.7"),
         (lambda: DimensionMatrix([[True]], (1,), (1,)), "cell dimensions must be integers, got True"),
         (lambda: DimensionMatrix([["a", "b"]], (1,), (1, 1)), "cell dimensions must be integers, got 'a'"),
@@ -681,7 +685,7 @@ def test_stacked_axioms_match_each_grid():
                 grids = _chi_each(mats, alpha, beta)
                 for k in range(0, len(grids), 3):
                     h = grids[k]
-                    grids[k] = BiHinge._of(h.alpha, h.beta, h.field, np.zeros_like(h.stack), np.zeros_like(h.ranks))
+                    grids[k] = BiHinge._of(h.alpha, h.beta, h.field, np.zeros_like(h.stack))
                 flags, tables = _axiom_tables(grids)
                 for k, h in enumerate(grids):
                     one_flags, one_table = _axiom_tables([h])

@@ -225,9 +225,8 @@ def test_subspaces_sharing_four_spaces_number_gl_of_the_quotient():
             stack = np.zeros((len(spaces), w, w), dtype=np.int64)
             for m, space in zip(stack, spaces):
                 m[: space.rows] = space.a
-            ranks = np.array([space.rows for space in spaces])
             for a in range(w + 1):
-                dv = relations.derive_stack(stack, relations.y_first(stack, ranks, a, q), ranks, a, w - a)
+                dv = relations.derive_stack(stack, relations.y_first(stack, a, q), a)
                 four = np.concatenate([x.reshape(len(stack), -1) for x in dv[:4]], axis=1)
                 _, inverse, counts = np.unique(four, axis=0, return_inverse=True, return_counts=True)
                 quotients = [gl_order(d, q) for d in (dv.dims[1] - dv.dims[0]).tolist()]

@@ -20,6 +20,7 @@ from hinge.linalg import (
     _column_pass,
     _column_pass_each,
     _rref,
+    _rref_each,
     _rref_stack,
 )
 
@@ -153,6 +154,24 @@ def test_rref_stack_matches_rref():
                 for k in range(n_mat):
                     assert ranks[k] == len(_rref(want[k], p))
                     assert np.array_equal(stack[k], want[k]), (p, want[k], stack[k])
+
+
+def test_rref_each_matches_rref_on_padded_stacks():
+    # one by one below _STACK_MIN_CELLS, as one stack from it on: members
+    # with zero rows after their nonzero ones, and one with a zero row
+    # between nonzero rows, each come out as _rref leaves it
+    rng = np.random.default_rng(37)
+    for p in (2, 3, 65521):
+        for n_mat in (1, 7, 9):
+            stack = rng.integers(0, p, size=(n_mat, 6, 5))
+            for k in range(n_mat):
+                stack[k, rng.integers(0, 7) :] = 0
+            stack[0, 1], stack[0, 2:4] = 0, rng.integers(1, p, size=(2, 5))
+            want = stack.copy()
+            _rref_each(stack, p)
+            for k in range(n_mat):
+                _rref(want[k], p)
+                assert np.array_equal(stack[k], want[k]), (p, n_mat, k)
 
 
 def test_back_substitution_matches_rref_on_echelon_stacks():

@@ -10,10 +10,10 @@ import random
 import numpy as np
 import pytest
 
-from hinge.bihinge import Composition, _block_counts, chi, dimension_matrix, equivalent, standard_matrix
+from hinge.bihinge import Composition, MarginError, _block_counts, chi, dimension_matrix, equivalent, standard_matrix
 from hinge.enumeration import contingency_tables, enum_gl
 from hinge.field import PrimeField
-from hinge.linalg import Matrix, SingularMatrixError
+from hinge.linalg import Matrix, ShapeError, SingularMatrixError
 from hinge.lpu import LpuDecomposition, _lpu_each, canonical_01, lpu, rank_profile_permutation
 from hinge.selfcheck import random_composition, random_invertible, random_unitriangular
 
@@ -187,6 +187,17 @@ def test_canonical_is_coarser_than_the_double_coset():
     eye = Matrix(f, np.eye(2, dtype=np.int64))
     assert canonical_01(d, (1, 1), (1, 1)) == eye
     assert not equivalent(d, eye, (1, 1), (1, 1))
+
+
+def test_canonical_checks_its_inputs_as_chi_does():
+    f = PrimeField(3)
+    eye = Matrix(f, np.eye(2, dtype=np.int64))
+    for name, call in (("chi", chi), ("canonical_01", canonical_01)):
+        with pytest.raises(MarginError) as err:
+            call(eye, (1, 1, 1), (1, 1, 1))
+        assert str(err.value) == "compositions must sum to 2, got alpha -> 3, beta -> 3", name
+        with pytest.raises(ShapeError, match=r"need a square matrix, got \(2, 3\)"):
+            call(Matrix(f, [[1, 0, 0], [0, 1, 0]]), (1, 1), (1, 1))
 
 
 def test_canonical_fixed_points():

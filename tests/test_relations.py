@@ -38,8 +38,8 @@ def act(rel, g, h):
         raise ShapeError(f"action shapes {g.shape}, {h.shape} do not fit {rel}")
     if g.rank() != rel.dim_x or h.rank() != rel.dim_y:
         raise SingularMatrixError(f"action factors of ranks {g.rank()}, {h.rank()}")
-    moved, ranks = act_stack(*rel._stack(), g.a[None], h.a[None], rel.dim_x, rel.field.p)
-    return LinearRelation(rel.dim_x, rel.dim_y, Matrix(rel.field, moved[0, : ranks[0]]))
+    moved = act_stack(rel._stack(), g.a[None], h.a[None], rel.field.p)
+    return LinearRelation(rel.dim_x, rel.dim_y, Matrix(rel.field, moved[0]))
 
 
 def graph(a):
@@ -255,8 +255,7 @@ def test_derive_stack_property(data):
     stack = np.zeros((n_rel, size, size), dtype=np.int64)
     for m, b in zip(stack, bases):
         m[: len(b)] = b
-    ranks = np.array([len(b) for b in bases])
-    dv = derive_stack(stack, y_first(stack, ranks, dim_x, p), ranks, dim_x, dim_y)
+    dv = derive_stack(stack, y_first(stack, dim_x, p), dim_x)
 
     def padded(space, width):
         out = np.zeros((width, width), dtype=np.int64)

@@ -84,12 +84,12 @@ def test_completeness_fails_when_the_cell_gather_is_broken(monkeypatch):
     gather = bihinge._cell_rrefs
 
     def broken(cpass, c0, r0, na, nb, *rest, **options):
-        gens, ranks = gather(cpass, c0, r0, na, nb, *rest, **options)
+        gens = gather(cpass, c0, r0, na, nb, *rest, **options)
         if (na, nb) == (1, 3):
-            count, cells = ranks.shape
-            last = np.maximum(ranks - 1, 0)
+            count, cells = gens.shape[:2]
+            last = np.maximum(gens.any(axis=3).sum(axis=2) - 1, 0)
             gens[np.arange(count)[:, None], np.arange(cells), last] = 0
-        return gens, ranks
+        return gens
 
     monkeypatch.setattr(selfcheck, "_cell_rrefs", broken)
     ok, detail = check_completeness(3, 2)
@@ -267,7 +267,7 @@ def _normal_form_keys(qs, max_n, trials, seed=404):
 
 
 def _zeroed(h):
-    return BiHinge._of(h.alpha, h.beta, h.field, np.zeros_like(h.stack), np.zeros_like(h.ranks))
+    return BiHinge._of(h.alpha, h.beta, h.field, np.zeros_like(h.stack))
 
 
 def _y_halves_dropped(h):
@@ -283,7 +283,7 @@ def _y_halves_dropped(h):
         return None
     stack = h.stack.copy()
     stack[hit[0], dom_rows[hit[0]], mx:] = 0
-    return BiHinge._of(h.alpha, h.beta, h.field, stack, h.ranks, from_pass=h._from_pass)
+    return BiHinge._of(h.alpha, h.beta, h.field, stack, from_pass=h._from_pass)
 
 
 def _other_table(h):
@@ -298,7 +298,7 @@ def _reordered(h):
     passes the axioms and normalizes as h does; None if reversing keeps it."""
     if np.array_equal(h.stack, h.stack[::-1]):
         return None
-    bad = BiHinge._of(h.alpha, h.beta, h.field, h.stack[::-1], h.ranks[::-1])
+    bad = BiHinge._of(h.alpha, h.beta, h.field, h.stack[::-1])
     bad._derived = h.derived()
     return bad
 
