@@ -176,9 +176,8 @@ class BiHinge:
     uint16 array (p < 2**16), C = max(alpha) + max(beta), member i * q + j the
     RREF basis of cell (i, j) with X at [0, alpha_i) and Y from max(alpha) on,
     zero elsewhere and past its rank, its count of nonzero rows.  Bases are
-    canonical, so two grids are equal exactly when their stacks are.  A cell
-    is read through _bases() and derived(), as cell_records prints it;
-    BiHinge(alpha, beta, grid) keeps only the stack of the LinearRelations.
+    canonical, so grids are equal exactly when their stacks are.  _bases() and
+    derived() read the cells; BiHinge(alpha, beta, grid) stacks their bases.
     """
 
     __slots__ = ("alpha", "beta", "field", "stack", "_derived", "_from_pass")

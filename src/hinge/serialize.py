@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .bihinge import BiHinge, Composition, DimensionMatrix, MarginError, chi, dimension_matrix, standard_bihinge, standard_matrix
+import numpy as np
+
+from .bihinge import BiHinge, Composition, DimensionMatrix, MarginError, _take, chi, dimension_matrix, standard_bihinge, standard_matrix
 from .field import PrimeField
 from .linalg import Matrix, _integers
 
@@ -101,36 +103,36 @@ def check_same_header(a: Problem, b: Problem):
         )
 
 
-def cell_records(h: BiHinge) -> list:
-    """JSON-ready per-cell records of a grid, in row-major cell order.
+class CellRecords(tuple):
+    """A grid's cells as (key, at, table) per group sharing key = (dx, dy,
+    rank, d), d = dim dom - dim ker: at their indices i * q + j, ascending,
+    and table one int row per cell: i, j (1-based), its rank x (dx + dy)
+    RREF basis entries (xi first), ker, dom, indef and im dimensions, theta."""
 
-    Cells carry 1-based block indices, the RREF basis rows of the relation
-    (xi coordinates first), the four subspace dimensions and the theta matrix.
-    """
-    q = len(h.beta)
-    dv = h.derived()
-    ker, dom, im, indef = dv.dims.tolist()
-    most = max(dv.dims[1] - dv.dims[0])
-    columns = zip(h._bases(), ker, dom, indef, im, dv.theta[:, :most, :most].tolist())
-    cells = []
-    for k, (basis, ker, dom, indef, im, theta) in enumerate(columns):
-        i, j = divmod(k, q)
-        d = dom - ker
-        cells.append(
-            {
-                "i": i + 1,
-                "j": j + 1,
-                "dim_x": h.alpha.parts[i],
-                "dim_y": h.beta.parts[j],
-                "basis": basis,
-                "ker_dim": ker,
-                "dom_dim": dom,
-                "indef_dim": indef,
-                "im_dim": im,
-                "theta": [row[:d] for row in theta[:d]],
-            }
-        )
-    return cells
+    def fill(self, template) -> list:
+        """Each cell, in cell order, filled into template(*key) of its group:
+        a format with one %d per entry, and the table columns that fill it."""
+        out = [None] * sum(len(at) for _, at, _ in self)
+        for key, at, table in self:
+            fmt, columns = template(*key)
+            for k, row in zip(at.tolist(), table[:, columns].tolist()):
+                out[k] = fmt % tuple(row)
+        return out
+
+
+def cell_records(h: BiHinge) -> CellRecords:
+    """The CellRecords of a grid, read off its stack and derived()."""
+    q, dv = len(h.beta), h.derived()
+    ker, dom, indef, _ = dims = dv.dims[[0, 1, 3, 2]]  # the table's order; dv.dims ends im, indef
+    keys = np.stack([np.repeat(h.alpha.parts, q), np.tile(h.beta.parts, len(h.alpha)), dom + indef, dom - ker], axis=1)
+    order = np.lexsort(keys.T)  # stable, so each group's cells stay ascending
+    groups = []
+    for at in np.split(order, np.flatnonzero(np.diff(keys[order], axis=0).any(axis=1)) + 1):
+        dx, dy, rank, d = keys[at[0]].tolist()
+        basis = _take(h.stack, at, dx, dy, h.alpha)[:, :rank].reshape(len(at), -1)
+        table = np.column_stack([at // q + 1, at % q + 1, basis, dims[:, at].T, dv.theta[at, :d, :d].reshape(len(at), -1)])
+        groups.append(((dx, dy, rank, d), at, table))
+    return CellRecords(groups)
 
 
 def report_header(field: PrimeField, alpha: Composition, beta: Composition) -> dict:
@@ -139,7 +141,7 @@ def report_header(field: PrimeField, alpha: Composition, beta: Composition) -> d
 
 
 def invariant_report(problem: Problem) -> dict:
-    """The full invariant of a problem as one JSON-ready dict.
+    """The full invariant of a problem as one report, its cells as cell_records.
 
     Each cell's basis rows span its relation, so the grid can be rebuilt
     from the report.  The canonical 0-1 matrix is standard_matrix of the
@@ -166,9 +168,29 @@ def standard_report(d: DimensionMatrix, field: PrimeField) -> dict:
     }
 
 
+def _json_template(dx: int, dy: int, rank: int, d: int) -> tuple:
+    """A cell's JSON object, its fields in table order."""
+    basis, theta = (", ".join(["[" + ", ".join(["%d"] * w) + "]"] * n) for n, w in ((rank, dx + dy), (d, d)))
+    return (f'{{"i": %d, "j": %d, "dim_x": {dx}, "dim_y": {dy}, "basis": [{basis}], "ker_dim": %d, "dom_dim": %d, '
+            f'"indef_dim": %d, "im_dim": %d, "theta": [{theta}]}}'), slice(None)
+
+
+def _text_template(dx: int, dy: int, rank: int, d: int) -> tuple:
+    """A cell's desk text: its dimensions, its basis rows split (xi | eta), then theta."""
+    basis = [f"  ({_join(['%d'] * dx)} | {_join(['%d'] * dy)})"] * rank or ["  (zero relation)"]
+    theta = [f"  theta {d}x{d}" + ":" * (d > 0)] + ["    " + _join(["%d"] * d)] * d
+    k = 2 + rank * (dx + dy)  # the dimensions' columns; the text gives them first
+    lines = ["chi[%d,%d]  ker=%d dom=%d indef=%d im=%d", *basis, *theta]
+    return "\n".join(lines), np.r_[0, 1, k : k + 4, 2:k, k + 4 : k + 4 + d * d]
+
+
 def dumps_json(data: dict) -> str:
-    """Deterministic JSON: fixed insertion order, no whitespace variation."""
-    return json.dumps(data, separators=(", ", ": "), sort_keys=False)
+    """Deterministic JSON of a dict with str keys: fixed insertion order, no
+    whitespace variation.  A report's cells are filled into their templates."""
+    return "{%s}" % ", ".join(
+        json.dumps(k) + ": " + ("[%s]" % ", ".join(v.fill(_json_template)) if isinstance(v, CellRecords)
+                                else json.dumps(v, separators=(", ", ": ")))
+        for k, v in data.items())
 
 
 def _join(values) -> str:
@@ -177,26 +199,6 @@ def _join(values) -> str:
 
 def render_matrix_rows(rows: list) -> str:
     return "\n".join(map(_join, rows))
-
-
-def render_relation_rows(rows: list, dim_x: int) -> list:
-    """Rows printed in the (xi ; eta) split used for desk checking."""
-    return [f"({_join(row[:dim_x])} | {_join(row[dim_x:])})" for row in rows]
-
-
-def _cell_lines(cell: dict) -> list:
-    lines = [
-        f"chi[{cell['i']},{cell['j']}]  ker={cell['ker_dim']} dom={cell['dom_dim']} "
-        f"indef={cell['indef_dim']} im={cell['im_dim']}"
-    ]
-    lines.extend("  " + row for row in render_relation_rows(cell["basis"], cell["dim_x"]))
-    if not cell["basis"]:
-        lines.append("  (zero relation)")
-    theta = cell["theta"]
-    size = len(theta)
-    lines.append(f"  theta {size}x{size}" + ("" if size == 0 else ":"))
-    lines.extend("    " + _join(row) for row in theta)
-    return lines
 
 
 _MATRIX_LABELS = {
@@ -212,8 +214,7 @@ def render_text(report: dict) -> str:
     lines = [f"modulus {report['modulus']}", f"alpha {_join(report['alpha'])}", f"beta {_join(report['beta'])}"]
     for key, value in report.items():
         if key == "cells":
-            for cell in value:
-                lines.extend(_cell_lines(cell))
+            lines.extend(value.fill(_text_template))
         elif key in _MATRIX_LABELS:
             lines.append(_MATRIX_LABELS[key])
             lines.extend("  " + _join(row) for row in value)

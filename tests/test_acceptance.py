@@ -22,7 +22,7 @@ from hinge.selfcheck import (
     check_stabilizers,
     count_three_ways,
 )
-from hinge.serialize import cell_records
+from hinge.serialize import cell_records, dumps_json
 
 
 def report(name, ok, elapsed, limit, detail=""):
@@ -47,10 +47,10 @@ def test_worked_example_grid():
     big = Matrix(field, [[1 if c == unit else 0 for c in range(12)] for unit in _UNIT_COLS])
     h = chi(big, ALPHA_12, BETA_12)
 
-    # cell in block row 3, block column 2: a 3 -> 4 relation, read as
-    # `hinge invariants` reads it, off derived() and cell_records
+    # cell in block row 3, block column 2: a 3 -> 4 relation, read off
+    # derived() and off its record as `hinge invariants` writes it
     k = 2 * len(BETA_12) + 1
-    dv, cell = h.derived(), cell_records(h)[k]
+    dv, cell = h.derived(), json.loads(dumps_json({"cells": cell_records(h)}))["cells"][k]
     assert (cell["i"], cell["j"], cell["dim_x"], cell["dim_y"]) == (3, 2, 3, 4)
     dims = dv.dims[:, k].tolist()  # ker, dom, im, indef
     assert dv.dom[k, : dims[1]].tolist() == [[0, 1, 0], [0, 0, 1]]

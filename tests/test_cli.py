@@ -302,19 +302,68 @@ chi[2,3]  ker=0 dom=0 indef=1 im=1
 """
 
 
-def test_invariants_text_is_frozen(capsys, tmp_path):
+# The same three reports as JSON, one cell to a line.
+INVARIANTS_GF2_JSON = (
+    '{"modulus": 2, "alpha": [1, 1], "beta": [1, 1], "dimension_matrix": [[1, 0], [0, 1]], "cells": ['
+    '{"i": 1, "j": 1, "dim_x": 1, "dim_y": 1, "basis": [[1, 1]], "ker_dim": 0, "dom_dim": 1, "indef_dim": 0, "im_dim": 1, "theta": [[1]]}, '
+    '{"i": 1, "j": 2, "dim_x": 1, "dim_y": 1, "basis": [], "ker_dim": 0, "dom_dim": 0, "indef_dim": 0, "im_dim": 0, "theta": []}, '
+    '{"i": 2, "j": 1, "dim_x": 1, "dim_y": 1, "basis": [[1, 0], [0, 1]], "ker_dim": 1, "dom_dim": 1, "indef_dim": 1, "im_dim": 1, "theta": []}, '
+    '{"i": 2, "j": 2, "dim_x": 1, "dim_y": 1, "basis": [[1, 1]], "ker_dim": 0, "dom_dim": 1, "indef_dim": 0, "im_dim": 1, "theta": [[1]]}], "canonical": [[1, 0], [0, 1]]}\n'
+)
+
+INVARIANTS_GF5_JSON = (
+    '{"modulus": 5, "alpha": [2, 1, 2], "beta": [1, 2, 2], "dimension_matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 2]], "cells": ['
+    '{"i": 1, "j": 1, "dim_x": 2, "dim_y": 1, "basis": [[1, 0, 2], [0, 1, 0]], "ker_dim": 1, "dom_dim": 2, "indef_dim": 0, "im_dim": 1, "theta": [[2]]}, '
+    '{"i": 1, "j": 2, "dim_x": 2, "dim_y": 2, "basis": [[0, 1, 3, 3]], "ker_dim": 0, "dom_dim": 1, "indef_dim": 0, "im_dim": 1, "theta": [[3]]}, '
+    '{"i": 1, "j": 3, "dim_x": 2, "dim_y": 2, "basis": [], "ker_dim": 0, "dom_dim": 0, "indef_dim": 0, "im_dim": 0, "theta": []}, '
+    '{"i": 2, "j": 1, "dim_x": 1, "dim_y": 1, "basis": [[1, 0], [0, 1]], "ker_dim": 1, "dom_dim": 1, "indef_dim": 1, "im_dim": 1, "theta": []}, '
+    '{"i": 2, "j": 2, "dim_x": 1, "dim_y": 2, "basis": [[1, 0, 4], [0, 1, 1]], "ker_dim": 0, "dom_dim": 1, "indef_dim": 1, "im_dim": 2, "theta": [[4]]}, '
+    '{"i": 2, "j": 3, "dim_x": 1, "dim_y": 2, "basis": [], "ker_dim": 0, "dom_dim": 0, "indef_dim": 0, "im_dim": 0, "theta": []}, '
+    '{"i": 3, "j": 1, "dim_x": 2, "dim_y": 1, "basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "ker_dim": 2, "dom_dim": 2, "indef_dim": 1, "im_dim": 1, "theta": []}, '
+    '{"i": 3, "j": 2, "dim_x": 2, "dim_y": 2, "basis": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "ker_dim": 2, "dom_dim": 2, "indef_dim": 2, "im_dim": 2, "theta": []}, '
+    '{"i": 3, "j": 3, "dim_x": 2, "dim_y": 2, "basis": [[1, 0, 1, 0], [0, 1, 2, 1]], "ker_dim": 0, "dom_dim": 2, "indef_dim": 0, "im_dim": 2, "theta": [[1, 2], [0, 1]]}], "canonical": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]}\n'
+)
+
+STANDARD_JSON = (
+    '{"modulus": 3, "alpha": [2, 2], "beta": [1, 2, 1], "matrix": [[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]], "dimension_matrix": [[0, 1, 1], [1, 1, 0]], "cells": ['
+    '{"i": 1, "j": 1, "dim_x": 2, "dim_y": 1, "basis": [[1, 0, 0], [0, 1, 0]], "ker_dim": 2, "dom_dim": 2, "indef_dim": 0, "im_dim": 0, "theta": []}, '
+    '{"i": 1, "j": 2, "dim_x": 2, "dim_y": 2, "basis": [[1, 0, 1, 0], [0, 1, 0, 0]], "ker_dim": 1, "dom_dim": 2, "indef_dim": 0, "im_dim": 1, "theta": [[1]]}, '
+    '{"i": 1, "j": 3, "dim_x": 2, "dim_y": 1, "basis": [[0, 1, 1]], "ker_dim": 0, "dom_dim": 1, "indef_dim": 0, "im_dim": 1, "theta": [[1]]}, '
+    '{"i": 2, "j": 1, "dim_x": 2, "dim_y": 1, "basis": [[1, 0, 1], [0, 1, 0]], "ker_dim": 1, "dom_dim": 2, "indef_dim": 0, "im_dim": 1, "theta": [[1]]}, '
+    '{"i": 2, "j": 2, "dim_x": 2, "dim_y": 2, "basis": [[0, 1, 0, 1], [0, 0, 1, 0]], "ker_dim": 0, "dom_dim": 1, "indef_dim": 1, "im_dim": 2, "theta": [[1]]}, '
+    '{"i": 2, "j": 3, "dim_x": 2, "dim_y": 1, "basis": [[0, 0, 1]], "ker_dim": 0, "dom_dim": 0, "indef_dim": 1, "im_dim": 1, "theta": []}]}\n'
+)
+
+
+def _frozen_problems(tmp_path):
     gf2 = write_problem(tmp_path, "gf2.json", 2, [1, 1], [1, 1], [[1, 1], [0, 1]])
     matrix = [[2, 0, 0, 0, 3], [0, 3, 4, 0, 2], [1, 3, 3, 2, 0], [0, 0, 3, 0, 0], [1, 1, 1, 4, 2]]
-    gf5 = write_problem(tmp_path, "gf5.json", 5, [2, 1, 2], [1, 2, 2], matrix)
-    for path, want in ((gf2, INVARIANTS_GF2_TEXT), (gf5, INVARIANTS_GF5_TEXT)):
+    return gf2, write_problem(tmp_path, "gf5.json", 5, [2, 1, 2], [1, 2, 2], matrix)
+
+
+STANDARD_ARGV = ["standard", "--dims", "0,1,1;1,1,0", "--alpha", "2,2", "--beta", "1,2,1", "-q", "3"]
+
+
+def test_invariants_text_is_frozen(capsys, tmp_path):
+    for path, want in zip(_frozen_problems(tmp_path), (INVARIANTS_GF2_TEXT, INVARIANTS_GF5_TEXT)):
         assert main(["invariants", path, "--format", "text"]) == 0
         assert capsys.readouterr() == (want, "")
 
 
 def test_standard_text_is_frozen(capsys):
-    argv = ["standard", "--dims", "0,1,1;1,1,0", "--alpha", "2,2", "--beta", "1,2,1", "-q", "3", "--format", "text"]
-    assert main(argv) == 0
+    assert main([*STANDARD_ARGV, "--format", "text"]) == 0
     assert capsys.readouterr() == (STANDARD_TEXT, "")
+
+
+def test_invariants_json_is_frozen(capsys, tmp_path):
+    for path, want in zip(_frozen_problems(tmp_path), (INVARIANTS_GF2_JSON, INVARIANTS_GF5_JSON)):
+        assert main(["invariants", path, "--format", "json"]) == 0
+        assert capsys.readouterr() == (want, "")
+
+
+def test_standard_json_is_frozen(capsys):
+    assert main([*STANDARD_ARGV, "--format", "json"]) == 0
+    assert capsys.readouterr() == (STANDARD_JSON, "")
 
 
 def test_invariants_json_round_trip(capsys, swap2):

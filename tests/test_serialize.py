@@ -1,15 +1,19 @@
 """Problem files, invariant reports and their round trips."""
 
 import json
+import random
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hinge import bihinge, linalg, relations
-from hinge.bihinge import BiHinge, MarginError, chi
+from hinge.bihinge import BiHinge, Composition, DimensionMatrix, MarginError, chi, standard_bihinge
 from hinge.field import PrimeField
 from hinge.linalg import Matrix
 from hinge.relations import LinearRelation
+from hinge.selfcheck import random_composition, random_invertible
 from hinge.serialize import (
     HeaderMismatchError,
     Problem,
@@ -20,9 +24,11 @@ from hinge.serialize import (
     load_problem,
     problem_from_dict,
     render_matrix_rows,
-    render_relation_rows,
     render_text,
+    standard_report,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 GOOD = {
     "modulus": 2,
@@ -110,8 +116,13 @@ def test_check_same_header():
         check_same_header(a, d)
 
 
+def parsed(report):
+    """A report as a reader of `hinge invariants --format json` sees it."""
+    return json.loads(dumps_json(report))
+
+
 def grid_of(report):
-    """The relation grid spanned by a report's basis rows."""
+    """The relation grid spanned by a parsed report's basis rows."""
     field = PrimeField(report["modulus"])
     grid = [[None] * len(report["beta"]) for _ in report["alpha"]]
     for cell in report["cells"]:
@@ -130,19 +141,15 @@ def test_report_reconstructs_the_grid():
             "matrix": [[1, 2, 0], [0, 1, 1], [2, 0, 1]],
         }
     )
-    report = invariant_report(p)
+    report = parsed(invariant_report(p))
     assert report["modulus"] == 3
     assert report["alpha"] == [2, 1] and report["beta"] == [1, 2]
-    rebuilt = grid_of(report)
-    assert rebuilt == chi(p.matrix, p.alpha, p.beta)
-    # report survives an actual JSON round trip
-    rebuilt2 = grid_of(json.loads(dumps_json(report)))
-    assert rebuilt2 == rebuilt
+    assert grid_of(report) == chi(p.matrix, p.alpha, p.beta)
 
 
 def test_report_dimensions_consistent():
     p = problem_from_dict(GOOD)
-    report = invariant_report(p)
+    report = parsed(invariant_report(p))
     for cell in report["cells"]:
         assert cell["dom_dim"] - cell["ker_dim"] == cell["im_dim"] - cell["indef_dim"]
         assert len(cell["theta"]) == cell["dom_dim"] - cell["ker_dim"]
@@ -154,14 +161,12 @@ def test_dumps_json_deterministic_and_valid():
     report = invariant_report(p)
     text = dumps_json(report)
     assert text == dumps_json(invariant_report(p))
-    assert json.loads(text) == report
+    assert json.loads(text) == oracle_report(report, chi(p.matrix, p.alpha, p.beta))
     assert "\n" not in text
 
 
 def test_render_helpers():
     assert render_matrix_rows([[1, 0], [2, 1]]) == "1 0\n2 1"
-    rows = render_relation_rows([[0, 1, 0, 0, 1, 0, 0]], 3)
-    assert rows == ["(0 1 0 | 0 1 0 0)"]
 
 
 def test_render_text_shape():
@@ -199,4 +204,126 @@ def test_invariant_report_runs_without_generic_elimination(monkeypatch):
         monkeypatch.setattr(module, name, refused)
     with pytest.raises(AssertionError):
         problem.matrix.rank()
-    assert invariant_report(problem) == want
+    assert dumps_json(invariant_report(problem)) == dumps_json(want)
+
+
+# Test-only oracles for the report writer: each cell as a dict of nested
+# lists, read off the grid's _bases() and derived(), and the desk text of a
+# report holding such dicts, written one cell at a time.
+
+
+def oracle_cells(h: BiHinge) -> list:
+    q = len(h.beta)
+    dv = h.derived()
+    ker, dom, im, indef = dv.dims.tolist()
+    columns = zip(h._bases(), ker, dom, indef, im, dv.theta.tolist())
+    cells = []
+    for k, (basis, ker, dom, indef, im, theta) in enumerate(columns):
+        i, j = divmod(k, q)
+        d = dom - ker
+        cells.append(
+            {
+                "i": i + 1,
+                "j": j + 1,
+                "dim_x": h.alpha.parts[i],
+                "dim_y": h.beta.parts[j],
+                "basis": basis,
+                "ker_dim": ker,
+                "dom_dim": dom,
+                "indef_dim": indef,
+                "im_dim": im,
+                "theta": [row[:d] for row in theta[:d]],
+            }
+        )
+    return cells
+
+
+def oracle_report(report: dict, h: BiHinge) -> dict:
+    return {**report, "cells": oracle_cells(h)}
+
+
+def _join(values) -> str:
+    return " ".join(map(str, values))
+
+
+def oracle_cell_lines(cell: dict) -> list:
+    lines = [
+        f"chi[{cell['i']},{cell['j']}]  ker={cell['ker_dim']} dom={cell['dom_dim']} "
+        f"indef={cell['indef_dim']} im={cell['im_dim']}"
+    ]
+    dim_x = cell["dim_x"]
+    lines.extend(f"  ({_join(row[:dim_x])} | {_join(row[dim_x:])})" for row in cell["basis"])
+    if not cell["basis"]:
+        lines.append("  (zero relation)")
+    theta = cell["theta"]
+    size = len(theta)
+    lines.append(f"  theta {size}x{size}" + ("" if size == 0 else ":"))
+    lines.extend("    " + _join(row) for row in theta)
+    return lines
+
+
+def oracle_text(report: dict) -> str:
+    labels = {"matrix": "standard matrix:", "dimension_matrix": "dimension matrix:", "canonical": "canonical 0-1 matrix:"}
+    lines = [f"modulus {report['modulus']}", f"alpha {_join(report['alpha'])}", f"beta {_join(report['beta'])}"]
+    for key, value in report.items():
+        if key == "cells":
+            for cell in value:
+                lines.extend(oracle_cell_lines(cell))
+        elif key in labels:
+            lines.append(labels[key])
+            lines.extend("  " + _join(row) for row in value)
+    return "\n".join(lines)
+
+
+def assert_written_as_oracle(report: dict, h: BiHinge):
+    want = oracle_report(report, h)
+    assert dumps_json(report) == json.dumps(want, separators=(", ", ": "))
+    assert render_text(report) == oracle_text(want)
+    return want["cells"]
+
+
+def test_writer_matches_oracle_on_the_benchmark_inputs(tmp_path):
+    # the invariants inputs of seeds 1-3 of both grid workloads
+    workloads = types.ModuleType("bench_workloads")
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), workloads.__dict__)
+    for name in ("grid-fine", "grid-coarse"):
+        for seed in (1, 2, 3):
+            workdir = tmp_path / f"{name}-{seed}"
+            workdir.mkdir()
+            for op in workloads.make_ops(name, seed, str(workdir)):
+                if op["kind"] == "invariants":
+                    p = load_problem(op["files"][0])
+                    assert_written_as_oracle(invariant_report(p), chi(p.matrix, p.alpha, p.beta))
+
+
+def test_writer_matches_oracle_on_random_grids():
+    # finest and coarse compositions over GF(2), GF(3) and GF(65521)
+    rng = random.Random(31)
+    shapes = set()
+    for q in (2, 3, 65521):
+        field = PrimeField(q)
+        for n in (1, 2, 5, 9, 14):
+            for finest in (True, False):
+                alpha, beta = (Composition([1] * n),) * 2 if finest else (random_composition(n, rng), random_composition(n, rng))
+                p = Problem(field, alpha, beta, random_invertible(field, n, rng))
+                cells = assert_written_as_oracle(invariant_report(p), chi(p.matrix, alpha, beta))
+                shapes.update((c["dim_x"], c["dim_y"]) for c in cells)
+    assert (1, 1) in shapes and any(x > 2 and y > 2 for x, y in shapes)
+
+
+def test_writer_matches_oracle_on_standard_grids():
+    # the cases hold zero relations, full relations and a 5 x 5 theta
+    cases = [
+        ([[1, 0], [0, 1]], (1, 1), (1, 1), 2),
+        ([[0, 1, 1], [1, 1, 0]], (2, 2), (1, 2, 1), 3),
+        ([[5, 0], [0, 2]], (5, 2), (5, 2), 7),
+        ([[2, 1, 0], [0, 1, 3]], (3, 4), (2, 2, 3), 65521),
+    ]
+    ranks, thetas = set(), set()
+    for rows, alpha, beta, q in cases:
+        d = DimensionMatrix(rows, alpha, beta)
+        cells = assert_written_as_oracle(standard_report(d, PrimeField(q)), standard_bihinge(d, PrimeField(q)))
+        ranks.update("zero" if not c["basis"] else "full" if len(c["basis"]) == c["dim_x"] + c["dim_y"] else "part"
+                     for c in cells)
+        thetas.update(len(c["theta"]) for c in cells)
+    assert ranks == {"zero", "full", "part"} and max(thetas) == 5
