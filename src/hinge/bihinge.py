@@ -18,8 +18,8 @@ from itertools import product
 import numpy as np
 
 from .field import PrimeField
-from .linalg import Matrix, ShapeError, SingularMatrixError, _back_substitute, _column_pass, _column_pass_each, _integers, _kernel_rows, _rref_each
-from .relations import Derived, LinearRelation, act_stack, derive_stack, y_first
+from .linalg import Matrix, ShapeError, SingularMatrixError, _back_substitute, _column_pass, _column_pass_each, _integers, _kernel_rows
+from .relations import Derived, LinearRelation, _pivot_mask, act_stack, derive_stack, y_first
 
 
 class MarginError(ValueError):
@@ -371,19 +371,19 @@ def _block_counts(sigma: np.ndarray, alpha: Composition, beta: Composition) -> n
     return counts.reshape(count, len(alpha), len(beta))
 
 
-def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int) -> np.ndarray:
-    """The cells of shape (na, nb) at column and row offsets (c0[k], r0[k]) of
-    every member of a _cell_pass that reversed [c0, c1 = c0 + na), as rows
-    (N, cells, top, na + nb) int64, top the largest rank, each cell its RREF
-    basis padded with zero rows.
+def _cell_gather(cpass: tuple, c0, r0, na: int, nb: int) -> tuple:
+    """(rows, lead, keep): the generators of the cells of shape (na, nb) at
+    column and row offsets (c0[k], r0[k]) of every member of a _cell_pass
+    that reversed [c0, c1 = c0 + na), in row echelon form.
 
     The cell's rows (x | y) = (f[c1 - 1 - k, c] for k < na | af[r0:r1, c])
-    over c < c1 with sigma[c] >= r0 fill two kinds of slots: own slot s < na
-    (c = c1 - 1 - s), x leading with a 1 at s, and y slot t < nb (c =
-    tau[r0 + t]), y leading at t, x zero when c < c0.  The own slots with
-    sigma >= r0 and then the y slots with tau < c0 are in echelon form, each
-    leading at its slot, so one _back_substitute of the kept slots gives the
-    RREF, with no pivot search.  A cell has at most na + min(nb, c0) rows.
+    over c < c1 with sigma[c] >= r0 fill own slots s < na (c = c1 - 1 - s),
+    x leading with a 1 at s, and y slots t < nb (c = tau[r0 + t]), y leading
+    at t, x zero when c < c0.  keep (N, cells, na + nb) marks the kept slots,
+    own with sigma >= r0 and y with tau < c0, leading at their slots: the
+    cell's pivot set.  rows (N, cells, top, na + nb) int64, top the largest
+    rank, holds them in slot order, then zero rows; lead (N, cells, top)
+    their leads, then unkept slots.  A cell has at most na + min(nb, c0) rows.
     """
     sigma, tau, ft, mt = cpass
     count, cells, w = len(sigma), len(c0), na + nb
@@ -402,6 +402,13 @@ def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int) -> np.ndarray:
     x, y = ft[m[..., None], src, own[:, None]], mt[m[..., None], src, rows[:, None]]
     part = np.concatenate((x, y), axis=3, dtype=np.int64)
     part[np.arange(top) >= ranks[:, :, None]] = 0
+    return part, lead, keep
+
+
+def _cell_rrefs(cpass: tuple, c0, r0, na: int, nb: int, p: int) -> np.ndarray:
+    """The cells of _cell_gather as RREF bases padded with zero rows, by one _back_substitute."""
+    part, lead, _ = _cell_gather(cpass, c0, r0, na, nb)
+    count, cells, top, w = part.shape
     _back_substitute(part.reshape(count * cells, top, w), lead.reshape(count * cells, top), p)
     return part
 
@@ -596,21 +603,30 @@ def standard_bihinge(d: DimensionMatrix, field: PrimeField) -> BiHinge:
 def equivalent(a: Matrix, b: Matrix, alpha, beta) -> bool:
     """Whether a and b lie in the same double coset, decided via their grids.
 
-    Both run as one _cell_pass stack, and a singular input raises as chi of
-    a, then chi of b would.  The pass's pivot block counts are each grid's
-    dimension table, an invariant of the coarser B-(beta) \\ GL / B+(alpha)
-    double coset, so differing tables decide False before any cell is
-    gathered; equal tables go on to both X-first grids, compared whole.
+    Each runs its own _cell_pass, a first, so a singular input raises as chi
+    of a, then chi of b would.  Differing pivot block counts (the dimension
+    tables, invariants of the coarser B-(beta) \\ GL / B+(alpha) double
+    coset) decide False before any cell is gathered.  Equal tables give each
+    cell equal ranks, so per cell shape, differing pivot sets (kept slots of
+    _cell_gather) decide False, and otherwise b's generators G span a's cell,
+    RREF basis R with pivots L, exactly when G == G[:, L] @ R: only a's cells
+    are reduced.
     """
     if a.field != b.field or a.shape != b.shape:
         raise ShapeError("matrices must share a field and a shape")
     alpha, beta = _compositions_of(a, alpha, beta)
-    cpass = _cell_pass(np.stack([a.a, b.a]), a.field.p, alpha)
-    counts = _block_counts(cpass[0], alpha, beta)
-    if not np.array_equal(counts[0], counts[1]):
+    p, q = a.field.p, len(beta)
+    cpass = tuple(np.concatenate(x) for x in zip(*(_cell_pass(m.a[None], p, alpha) for m in (a, b))))
+    if not np.array_equal(*_block_counts(cpass[0], alpha, beta)):
         return False
-    grid_a, grid_b = _grids_from_pass(cpass, a.field, alpha, beta)
-    return grid_a == grid_b
+    for dx, dy, at in _shapes(alpha, beta)[0]:
+        (ra, gb), (lead, _), keep = _cell_gather(cpass, np.array(alpha.offsets)[at // q], np.array(beta.offsets)[at % q], dx, dy)
+        if not np.array_equal(keep[0], keep[1]):
+            return False
+        _back_substitute(ra, lead, p)
+        if ((gb[np.arange(len(gb))[:, None], :, lead].transpose(0, 2, 1) @ ra - gb) % p).any():
+            return False
+    return True
 
 
 def hinge_act(gs, hs, h: BiHinge) -> BiHinge:
@@ -659,13 +675,12 @@ def normalize(h: BiHinge) -> tuple:
     """Block changes of basis carrying a grid to its standard form.
 
     Returns (gs, hs, d) with hinge_act(gs, hs, h) == standard_bihinge(d) and
-    d == dimension_matrix(h).  For each V_i the kernel flag is refined by the
-    pivot rule into an adapted basis whose j-th sub-block represents the
-    dom/ker quotient of cell (i, j); each W_j basis is pushed forward through
-    the cells, lifting the V_i^j representatives and stacking ascending in i.
-    Representative and push are the X and Y halves of the cell's lift rows
-    (relations.derive_stack).  On a grid already standard both lists come
-    out as identity matrices.  The stack of one of _normalize_each.
+    d == dimension_matrix(h), read off the grid alone.  Sub-block j of V_i
+    holds representatives of the dom/ker quotient of cell (i, j) (combining
+    its lift rows, relations.derive_stack), sub-block i of W_j the rows of
+    im(i, j)'s RREF not at indef's pivots, paired with them through theta;
+    both bases are unit triangular up to row order, so the witnesses come by
+    back-substitution.  On a standard grid both lists are identities.
 
     Raises AxiomError, as dimension_matrix does, when the grid is not realizable.
     """
@@ -677,24 +692,37 @@ def normalize(h: BiHinge) -> tuple:
 def _normalize_each(grids) -> tuple:
     """normalize of B grids sharing (field, alpha, beta): (gs, hs, tables),
     gs and hs stacked as _hinge_act takes them, tables from _dimension_tables.
-    Per side, the block bases of all grids are placed, transposed, by one
-    assignment into [basis^T | I] padded to the largest block with zero rows,
-    and inverted by one _rref_each."""
+
+    A cell's lift pairs (xi_r | eta_r), r < d, have eta_r = sum_s theta[s,
+    r] y_s, y_s the rows of im's RREF at its q-columns, so g xi_r = sum_s
+    theta[s, r] e_(v + s) and h y_s = e_(w + s) at the sub-block starts.  The
+    rows xi (or y) of a block lead with a 1 at columns partitioning it: at
+    their leads they form a unit upper triangular U with U g^T = R, R their
+    images.  All blocks, padded by falling size, are solved bottom up."""
     h, tables = grids[0], _dimension_tables(grids)
     v_start, w_start = _sub_block_starts(tables)
-    lifts = np.concatenate([g._derived.lifts for g in grids])
-    cell, r = np.nonzero(np.arange(lifts.shape[1]) < tables.reshape(-1, 1))
+    lifts, theta, im, indef = (np.concatenate(x) for x in zip(*((g._derived.lifts, g._derived.theta, g._derived.im, g._derived.indef) for g in grids)))
+    mx, my, t, na, p = max(h.alpha), max(h.beta), lifts.shape[1], len(h.alpha), h.field.p
+    member = np.arange(len(im))[:, None]
+    im_lead, x_lead = (im != 0).argmax(axis=2), (lifts[:, :, :mx] != 0).argmax(axis=2)
+    y_rows = np.argsort(~(im.any(axis=2) & ~_pivot_mask(indef, member)[member, im_lead]), axis=1, kind="stable")
+    inside = np.arange(t) < tables.reshape(-1, 1)
+    cell, r = np.nonzero(inside)
     b, i, j = np.unravel_index(cell, tables.shape)
-    mx = max(h.alpha)
-    witnesses = []
-    sides = (h.alpha, i, v_start, lifts[cell, r, :mx]), (h.beta, j, w_start, lifts[cell, r, mx:])
-    for comp, block, at, rows in sides:
-        size = max(comp)
-        own = np.arange(size)[:, None] < np.array(comp.parts)[:, None, None]  # each block's own rows
-        aug = np.tile(np.eye(size, 2 * size, size, dtype=np.int64) * own, (len(grids), 1, 1, 1))  # [0 | I], zero past them
-        aug[b, block, :, at[b, i, j] + r] = rows  # column = position in the block
-        _rref_each(aug.reshape(-1, size, 2 * size), h.field.p)
-        if (aug[..., :size] != np.eye(size, dtype=np.int64) * own).any():
-            raise SingularMatrixError(f"a witness basis is singular over {h.field}")
-        witnesses.append([aug[:, k, :part, size : size + part] for k, part in enumerate(comp.parts)])
-    return witnesses[0], witnesses[1], tables
+    pair, r2, s = np.nonzero(inside[:, :, None] & inside[:, None, :])  # theta[s, r2] of each cell
+    pb, pi, _ = np.unravel_index(pair, tables.shape)
+    parts = np.array(h.alpha.parts + h.beta.parts)  # V_i at i, W_j at na + j
+    size, at = parts.max(), np.argsort(np.argsort(-parts, kind="stable"))  # each block's place by falling size
+    u, images = np.zeros((2, len(grids), len(parts), size, size), dtype=np.int64)
+    u[b, at[i], x_lead[cell, r], :mx] = lifts[cell, r, :mx]
+    images[pb, at[pi], x_lead[pair, r2], v_start.ravel()[pair] + s] = theta[pair, s, r2]
+    y_at = (b, at[na + j], im_lead[cell, y_rows[cell, r]])
+    u[y_at + (slice(None, my),)] = im[cell, y_rows[cell, r]]
+    images[y_at + (w_start[b, i, j] + r,)] = 1
+    if (np.diagonal(u, axis1=2, axis2=3) != (np.arange(size) < np.sort(parts)[::-1, None])).any():
+        raise SingularMatrixError(f"a witness basis is singular over {h.field}")
+    live = (parts[:, None] > np.arange(1, size)).sum(axis=0).tolist()  # blocks with rows below row k
+    for k, m in reversed(list(enumerate(live))):
+        images[:, :m, k] = (images[:, :m, k] - (u[:, :m, k, None, k + 1 :] @ images[:, :m, k + 1 :])[:, :, 0]) % p
+    blocks = [images[:, k, :part, :part].transpose(0, 2, 1) for k, part in zip(at.tolist(), parts.tolist())]
+    return blocks[:na], blocks[na:], tables

@@ -228,32 +228,34 @@ def _back_substitute(arr: np.ndarray, lead: np.ndarray, p: int):
     row h of member m is zero or leads at column lead[m, h], the leads rising
     down its nonzero rows.  Rows are scaled to a leading 1 and then, bottom
     up, cleared at the leads below by one vector-matrix product with the rows
-    there, already reduced: no pivot search.  A stack of one runs plain row
-    matvecs, 15-20% faster on (5, 8) to (89, 89) matrices (2-vCPU x86-64)."""
+    there, already reduced: no pivot search.  Row h is unchanged until its own
+    step, so its entries at the leads are read once, unless the stack has more
+    members than rows (thousands of few-row members gather row by row, 10-30%
+    faster).  A stack of one runs row matvecs, 15-20% faster (2-vCPU x86-64)."""
     count, height, _ = arr.shape
     m = np.arange(count)[:, None]
     v = np.maximum(arr[m, np.arange(height), lead], 1)  # a zero row scales by 1
     arr[...] = arr * _unit_inverses(v.ravel(), p).reshape(v.shape)[:, :, None] % p
     if count == 1:
-        a, piv = arr[0], lead[0]
+        a, piv, table = arr[0], lead[0], arr[0][:, lead[0]]
         for h, c in zip(range(height - 2, -1, -1), piv[-2::-1].tolist()):
-            a[h, c:] = (a[h, c:] - a[h, piv[h + 1 :]] @ a[h + 1 :, c:]) % p
+            row = a[h, c:]
+            row -= table[h, h + 1 :] @ a[h + 1 :, c:]
+            row %= p
         return
+    table = arr[m, :, lead].transpose(0, 2, 1) if count <= height else None
     for h in range(height - 2, -1, -1):
-        arr[:, h] = (arr[:, h] - (arr[m, h, lead[:, h + 1 :]][:, None] @ arr[:, h + 1 :])[:, 0]) % p
+        coef = arr[m, h, lead[:, h + 1 :]] if table is None else table[:, h, h + 1 :]
+        arr[:, h] = (arr[:, h] - (coef[:, None] @ arr[:, h + 1 :])[:, 0]) % p
 
 
-# Fewest matrices that _rref_each reduces as one stack.  Its callers are
-# normalize's witness inversion (one member per block), act_stack (the hinge
-# action, one member per cell of a shape) and y_first (per cell shape of a
-# batch, for check_axioms, the axioms suite and derived() of grids no column
-# pass made); chi's cells and derived() never come here.  On bench/workloads.py
-# grids of seeds 1-3 (minima of 40 normalize and 10 hinge_act runs on a grid
-# with its derived data cached, 2-vCPU x86-64 host), coarse grids (3-5 blocks
-# a side, n = 48-96) stay below it: block by block, normalize took 1.6-7.7 ms
-# and hinge_act 5.2-20 ms, against 2.7-14 and 13-39 ms forced through the
-# stack.  Fine grids (16-32 one-unit blocks) reach it: the stack took
-# 0.33-0.70 and 1.0-2.9 ms, against 0.36-1.03 and 2.0-10 ms block by block.
+# Fewest matrices that _rref_each reduces as one stack, one per cell of a shape
+# for act_stack (hinge_act) and y_first (check_axioms and derived() of grids no
+# column pass made).  On bench/workloads.py grids of seeds 1-3 (minima of 7 x 3
+# runs, 2-vCPU x86-64 host), coarse shapes (one or two cells) stay below it:
+# cell by cell, hinge_act took 4.4-29 ms and check_axioms 3.0-11, against 10-42
+# and 9.2-36 forced through the stack.  Fine grids (one shape of n^2 cells)
+# reach it: the stack took 0.61-3.3 and 0.37-1.2 ms, against 1.5-5.5 and 1.3-4.8.
 _STACK_MIN_CELLS = 8
 
 

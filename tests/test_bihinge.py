@@ -659,19 +659,28 @@ def test_normalize_standard_grid_gives_identities():
     assert all(h == Matrix(f, np.eye(h.rows, dtype=np.int64)) for h in hs)
 
 
+def coarse_composition(n, rng):
+    """A composition of n >= 5 into two to five blocks."""
+    return Composition(np.diff([0, *sorted(rng.sample(range(1, n), rng.randint(1, 4))), n]))
+
+
 def test_normalize_reaches_standard_form():
+    # small grids over GF(2), GF(3) and GF(5), then p = 65521 and n <= 24
+    # with two to five blocks a side: the contract holds, every witness is
+    # invertible, and normalize reads the grid alone, so an unmarked copy
+    # (derived through the Y-first RREF) gets the same witnesses
     rng = random.Random(101)
-    for p in (2, 3, 5):
+    cases = [(p, random_composition, 1, 5) for p in (2, 3, 5) for _ in range(15)]
+    for p, composition, low, high in cases + [(65521, coarse_composition, 5, 24)] * 12:
         f = PrimeField(p)
-        for _ in range(15):
-            n = rng.randint(1, 5)
-            alpha = random_composition(n, rng)
-            beta = random_composition(n, rng)
-            a = random_invertible(f, n, rng)
-            h = chi(a, alpha, beta)
-            gs, hs, d = normalize(h)
-            assert d == dimension_matrix(h)
-            assert hinge_act(gs, hs, h) == standard_bihinge(d, f)
+        n = rng.randint(low, high)
+        h = chi(random_invertible(f, n, rng), composition(n, rng), composition(n, rng))
+        gs, hs, d = normalize(h)
+        assert d == dimension_matrix(h)
+        assert hinge_act(gs, hs, h) == standard_bihinge(d, f)
+        assert all(m.rank() == m.rows for m in gs + hs)
+        copy = BiHinge._of(h.alpha, h.beta, h.field, h.stack)
+        assert not copy._from_pass and normalize(copy) == (gs, hs, d)
 
 
 def test_stacked_axioms_match_each_grid():
@@ -742,32 +751,57 @@ def test_cell_pass_block_counts_are_the_dimension_table():
                     assert table.tolist() == dimension_matrix(h).to_rows(), (a, alpha, beta)
 
 
+def pivot_sets(h):
+    """Each cell's pivot columns: where the nonzero rows of its basis lead."""
+    return [tuple((cell != 0).argmax(axis=1)[cell.any(axis=1)].tolist()) for cell in h.stack]
+
+
+def block_permutation(comp, field, rng):
+    """A block diagonal permutation matrix, each block of comp permuted at random."""
+    perm = [lo + k for lo, hi in zip(comp.offsets, comp.offsets[1:]) for k in rng.sample(range(hi - lo), hi - lo)]
+    return Matrix(field, np.eye(comp.n, dtype=np.int64)[perm])
+
+
 def test_equivalent_agrees_with_grid_equality():
-    # random pairs with differing tables (the early exit), l a u partners
-    # (equivalent) and torus partners a t, t diagonal: same table, and in
-    # general another coset, so they reach the grid comparison and fail it
+    # seeded pairs, finest and coarse compositions alternating: random
+    # partners (in general another table: the early exit), l a u partners
+    # (equivalent), torus partners a t, t diagonal (same table and pivot
+    # sets, in general another coset) and block permutations on both sides
+    # (same table, in general other pivot sets); the verdict is grid
+    # equality every time, and every kind of pair occurs
     rng = random.Random(107)
     primes = (2, 3, 5, 7, 251, 65521)
-    verdicts = {"random": set(), "l a u": set(), "torus": set()}
-    for trial in range(200):
-        f = PrimeField(rng.choice(primes))
+    seen = set()
+    for trial in range(240):
+        f = PrimeField(primes[trial % 6])
         n = rng.randint(1, 12)
-        alpha, beta = random_composition(n, rng), random_composition(n, rng)
+        alpha, beta = (Composition((1,) * n) if trial % 12 < 6 else random_composition(n, rng) for _ in range(2))
         a = random_invertible(f, n, rng)
-        kind = ("random", "l a u", "torus")[trial % 3]
+        kind = ("random", "l a u", "torus", "pivots")[trial // 6 % 4]
         if kind == "random":
             b = random_invertible(f, n, rng)
         elif kind == "l a u":
             b = random_unitriangular(beta, f, rng, lower=True) * a * random_unitriangular(alpha, f, rng, lower=False)
-        else:
+        elif kind == "torus":
             b = a * Matrix(f, np.diag([rng.randrange(1, f.p) for _ in range(n)]))
+        else:
+            b = block_permutation(beta, f, rng) * a * block_permutation(alpha, f, rng)
         grid_a, grid_b = chi(a, alpha, beta), chi(b, alpha, beta)
         same_table = dimension_matrix(grid_a) == dimension_matrix(grid_b)
+        same_pivots = same_table and pivot_sets(grid_a) == pivot_sets(grid_b)
         assert equivalent(a, b, alpha, beta) == (grid_a == grid_b), (kind, a, b, alpha, beta)
         assert same_table or kind == "random"
-        verdicts[kind].add((same_table, grid_a == grid_b))
-    assert verdicts["l a u"] == {(True, True)}
-    assert (True, False) in verdicts["torus"] and (False, False) in verdicts["random"]
+        seen.add((kind, same_table, same_pivots, grid_a == grid_b))
+    assert {("l a u", True, True, True), ("torus", True, True, False), ("pivots", True, False, False),
+            ("random", False, False, False)} <= seen
+    assert all(verdict for kind, *_, verdict in seen if kind == "l a u")
+    # a singular input still raises with the first singular matrix's column
+    f = PrimeField(5)
+    at_2, at_1 = Matrix(f, [[1, 0, 1], [0, 1, 1], [2, 3, 0]]), Matrix(f, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    for a, b, column in ((at_2, at_1, 2), (at_1, at_2, 1), (at_2, Matrix(f, np.eye(3, dtype=np.int64)), 2)):
+        for alpha in ((3,), (1, 2), (1, 1, 1)):
+            with pytest.raises(SingularMatrixError, match=f"column {column} depends"):
+                equivalent(a, b, alpha, (2, 1))
 
 
 def test_grids_separate_cosets_gl2_gf3():

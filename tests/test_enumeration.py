@@ -295,7 +295,7 @@ def test_stabilizer_brute_is_independent_of_the_fast_path(monkeypatch):
         raise AssertionError("fast path called")
 
     for module, name in ((relations, "act_stack"), (bihinge, "act_stack"), (linalg, "_rref_each"),
-                         (relations, "_rref_each"), (bihinge, "_rref_each"), (linalg, "_rref")):
+                         (relations, "_rref_each"), (linalg, "_rref")):
         monkeypatch.setattr(module, name, refused)
     assert check_stabilizers(qs=(2, 3)) == (True, "38 tables over q in (2, 3)")
 

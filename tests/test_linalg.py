@@ -177,11 +177,13 @@ def test_rref_each_matches_rref_on_padded_stacks():
 def test_back_substitution_matches_rref_on_echelon_stacks():
     # row echelon stacks with non-unit leads and zero rows past the rank
     # (their leads arbitrary) come out as _rref leaves them, one member at
-    # a time and many at once
+    # a time and many at once: through the lead table where a stack has no
+    # more members than rows (2 or 9 of up to 12), row by row past that (9
+    # of fewer rows, 500)
     rng = np.random.default_rng(29)
     for p in (2, 3, 65521):
-        for count in (1, 2, 9):
-            for height, width in ((1, 1), (3, 5), (6, 6), (5, 3), (4, 9)):
+        for count in (1, 2, 9, 500):
+            for height, width in ((1, 1), (3, 5), (6, 6), (5, 3), (4, 9), (12, 14)):
                 stack = np.zeros((count, height, width), dtype=np.int64)
                 lead = rng.integers(0, width, (count, height))
                 for m in range(count):

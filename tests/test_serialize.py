@@ -13,7 +13,7 @@ from hinge.bihinge import BiHinge, Composition, DimensionMatrix, MarginError, ch
 from hinge.field import PrimeField
 from hinge.linalg import Matrix
 from hinge.relations import LinearRelation
-from hinge.selfcheck import random_composition, random_invertible
+from hinge.selfcheck import random_composition, random_invertible, random_unitriangular
 from hinge.serialize import (
     HeaderMismatchError,
     Problem,
@@ -196,15 +196,47 @@ def test_invariant_report_runs_without_generic_elimination(monkeypatch):
     problem = problem_from_dict({"modulus": p, "alpha": [5, 4, 3], "beta": [2, 6, 4], "matrix": matrix.tolist()})
     want = invariant_report(problem)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("generic elimination called")
-
-    for module, name in ((linalg, "_rref"), (linalg, "_rref_stack"), (linalg, "_rref_each"),
-                         (bihinge, "_rref_each"), (relations, "_rref_each")):
-        monkeypatch.setattr(module, name, refused)
+    refuse_generic_elimination(monkeypatch)
     with pytest.raises(AssertionError):
         problem.matrix.rank()
     assert dumps_json(invariant_report(problem)) == dumps_json(want)
+
+
+def refuse_generic_elimination(monkeypatch):
+    """Make every pivot-searching reduction raise, wherever it is bound."""
+    def refused(*args, **kwargs):
+        raise AssertionError("generic elimination called")
+
+    for module, name in ((linalg, "_rref"), (linalg, "_rref_stack"), (linalg, "_rref_each"), (relations, "_rref_each")):
+        monkeypatch.setattr(module, name, refused)
+    for module in (bihinge, relations):
+        assert not {"_rref", "_rref_stack"} & vars(module).keys()
+    assert "_rref_each" not in vars(bihinge)
+
+
+def test_normalize_and_equivalent_run_without_generic_elimination(monkeypatch):
+    # normalize's witnesses and equivalent's verdicts come from the column
+    # pass by back-substitution alone, on coarse and finest compositions
+    rng = random.Random(43)
+    field = PrimeField(65521)
+    cases = []
+    for alpha, beta in (((5, 4, 3), (2, 6, 4)), ((1,) * 8, (1,) * 8), ((7, 2, 3), (1,) * 12)):
+        n = sum(alpha)
+        a = random_invertible(field, n, rng)
+        partners = [
+            random_unitriangular(beta, field, rng, lower=True) * a * random_unitriangular(alpha, field, rng, lower=False),
+            a * Matrix(field, np.diag([rng.randrange(1, field.p) for _ in range(n)])),
+            random_invertible(field, n, rng),
+        ]
+        h = chi(a, alpha, beta)
+        want = [[g.to_rows() for g in side] for side in bihinge.normalize(h)[:2]]
+        verdicts = [chi(b, alpha, beta) == h for b in partners]
+        cases.append((a, alpha, beta, want, partners, verdicts))
+    assert [v for *_, verdicts in cases for v in verdicts].count(True) == len(cases)  # the l a u partners only
+    refuse_generic_elimination(monkeypatch)
+    for a, alpha, beta, want, partners, verdicts in cases:
+        assert [[g.to_rows() for g in side] for side in bihinge.normalize(chi(a, alpha, beta))[:2]] == want
+        assert [bihinge.equivalent(a, b, alpha, beta) for b in partners] == verdicts
 
 
 # Test-only oracles for the report writer: each cell as a dict of nested
