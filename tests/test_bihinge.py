@@ -763,21 +763,24 @@ def block_permutation(comp, field, rng):
 
 
 def test_equivalent_agrees_with_grid_equality():
-    # seeded pairs, finest and coarse compositions alternating: random
-    # partners (in general another table: the early exit), l a u partners
-    # (equivalent), torus partners a t, t diagonal (same table and pivot
-    # sets, in general another coset) and block permutations on both sides
+    # seeded pairs: every kind of partner on finest and on coarse
+    # compositions over every prime (kind, composition and prime cycle
+    # independently). Random partners (in general another table: the early
+    # exit), l a u partners (equivalent), torus partners a t, t diagonal
+    # (same table and pivot sets, in general another coset: on coarse cells
+    # this reaches the span check) and block permutations on both sides
     # (same table, in general other pivot sets); the verdict is grid
-    # equality every time, and every kind of pair occurs
+    # equality every time, and every required kind of pair occurs
     rng = random.Random(107)
     primes = (2, 3, 5, 7, 251, 65521)
     seen = set()
     for trial in range(240):
-        f = PrimeField(primes[trial % 6])
+        f = PrimeField(primes[trial // 8 % 6])
         n = rng.randint(1, 12)
-        alpha, beta = (Composition((1,) * n) if trial % 12 < 6 else random_composition(n, rng) for _ in range(2))
+        finest = trial // 4 % 2 == 0
+        alpha, beta = (Composition((1,) * n) if finest else random_composition(n, rng) for _ in range(2))
         a = random_invertible(f, n, rng)
-        kind = ("random", "l a u", "torus", "pivots")[trial // 6 % 4]
+        kind = ("random", "l a u", "torus", "pivots")[trial % 4]
         if kind == "random":
             b = random_invertible(f, n, rng)
         elif kind == "l a u":
@@ -791,9 +794,11 @@ def test_equivalent_agrees_with_grid_equality():
         same_pivots = same_table and pivot_sets(grid_a) == pivot_sets(grid_b)
         assert equivalent(a, b, alpha, beta) == (grid_a == grid_b), (kind, a, b, alpha, beta)
         assert same_table or kind == "random"
-        seen.add((kind, same_table, same_pivots, grid_a == grid_b))
-    assert {("l a u", True, True, True), ("torus", True, True, False), ("pivots", True, False, False),
-            ("random", False, False, False)} <= seen
+        seen.add((kind, finest, same_table, same_pivots, grid_a == grid_b))
+    assert {("l a u", True, True, True, True), ("l a u", False, True, True, True),
+            ("torus", True, True, True, False), ("torus", False, True, True, False),
+            ("pivots", False, True, False, False),
+            ("random", True, False, False, False), ("random", False, False, False, False)} <= seen
     assert all(verdict for kind, *_, verdict in seen if kind == "l a u")
     # a singular input still raises with the first singular matrix's column
     f = PrimeField(5)
